@@ -181,11 +181,13 @@ def make_laplace(b: float = 1.0) -> Density:
     b = float(b)
     pdf = _vec(lambda x: np.exp(-np.abs(x) / b) / (2 * b))
     dpdf = _vec(lambda x: -np.sign(x) * np.exp(-np.abs(x) / b) / (2 * b * b))
-    cdf_fn = _vec(
-        lambda x: np.where(
-            x < 0, 0.5 * np.exp(x / b), 1.0 - 0.5 * np.exp(-x / b)
-        )
-    )
+
+    def _cdf(x):
+        # np.where evaluates both branches, so exp(x/b) and exp(-x/b)
+        # would overflow on the side it discards; exp(-|x|/b) never does.
+        h = 0.5 * np.exp(-np.abs(x) / b)
+        return np.where(x < 0, h, 1.0 - h)
+
     quant = _vec(
         lambda q: np.where(q < 0.5, b * np.log(2 * q), -b * np.log(2 * (1 - q)))
     )
@@ -195,7 +197,7 @@ def make_laplace(b: float = 1.0) -> Density:
         support=(-math.inf, math.inf),
         pdf=pdf,
         dpdf=dpdf,
-        cdf_fn=cdf_fn,
+        cdf_fn=_vec(_cdf),
         quantile_fn=quant,
         singularities=(0.0,),
     )
@@ -592,18 +594,45 @@ def make_tabulated(xs, ys) -> Density:
 # ---------------------------------------------------------------------------
 
 
-def cdf(f: Density, x: float) -> float:
-    """F_f(x), analytic when the family provides it, quadrature otherwise."""
-    x = float(x)
-    lo, hi = f.support
-    if x <= lo:
-        return 0.0
-    if x >= hi:
-        return 1.0
-    if f.cdf_fn is not None:
-        return float(min(max(f.cdf_fn(x), 0.0), 1.0))
-    res = integrate(f.pdf, (lo, x), f.quad_config())
-    return float(min(max(res.value, 0.0), 1.0))
+def on_support(x, support, below, above, interior):
+    """Evaluate ``interior`` on the points of ``x`` strictly inside ``support``.
+
+    Points at or below the lower end take the value ``below``, points at
+    or above the upper end take ``above``; ``interior`` maps a 1-d array
+    of the remaining points to an array of values.  A scalar in gives a
+    float out; an array gives an ndarray of its shape.
+    """
+    arr = np.asarray(x, dtype=float)
+    flat = arr.ravel()
+    lo, hi = support
+    low = flat <= lo
+    inside = ~(low | (flat >= hi))
+    out = np.where(low, below, above)
+    if inside.any():
+        out[inside] = interior(flat[inside])
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def cdf(f: Density, x):
+    """F_f(x), analytic when the family provides it, quadrature otherwise.
+
+    ``x`` may be a scalar or an array: a scalar gives a float, an array an
+    ndarray of its shape.  Points at or below the lower end of the
+    support give 0, points at or above the upper end give 1, and every
+    other value is clipped to [0, 1].  Families without ``cdf_fn`` (the
+    weighted densities) integrate the pdf from the lower end once per
+    point.
+    """
+
+    def interior(xs):
+        if f.cdf_fn is not None:
+            vals = f.cdf_fn(xs)
+        else:
+            lo, cfg = f.support[0], f.quad_config()
+            vals = [integrate(f.pdf, (lo, float(xi)), cfg).value for xi in xs]
+        return np.minimum(np.maximum(vals, 0.0), 1.0)
+
+    return on_support(x, f.support, 0.0, 1.0, interior)
 
 
 def quantile(f: Density, q: float) -> float:

@@ -73,6 +73,8 @@ from .densities import (
     cdf,
     make_generalized_gaussian,
     make_laplace,
+    on_support,
+    quantile,
     scale_density,
 )
 from .errors import DomainError, InputError
@@ -91,7 +93,6 @@ from .numerics import (
     QuadratureConfig,
     differentiate,
     essential_supremum,
-    find_root,
     gamma_fn,
     integrate,
 )
@@ -129,6 +130,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 MARGIN_TOL = 1e-9
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -213,47 +215,33 @@ def _densities_close(f: Density, g: Density, tol: float = 1e-6) -> bool:
 
 @dataclass(frozen=True)
 class TransportMap:
-    """Increasing map s with F_f(x) = F_G(s(x)), clamped to [-k, k]."""
+    """Increasing map s with F_f(x) = F_G(s(x)), clamped to [-k, k].
+
+    Evaluated as s = Q_G(F_f(x)) with the target's ``quantile_fn``, so the
+    target must have one (:func:`build_transport` checks this).  A scalar
+    in gives a float out; an array gives an ndarray of the same shape.
+    """
 
     source: Density
     target: Density
     k: float
 
-    def _solve(self, u: float) -> float:
-        lo, hi = self.target.support
-        if self.target.quantile_fn is not None:
-            return float(self.target.quantile_fn(u))
-        blo = lo if math.isfinite(lo) else -1.0
-        bhi = hi if math.isfinite(hi) else 1.0
-        while not math.isfinite(lo) and cdf(self.target, blo) > u:
-            blo *= 2.0
-        while not math.isfinite(hi) and cdf(self.target, bhi) < u:
-            bhi *= 2.0
-        return find_root(lambda y: cdf(self.target, y) - u, (blo, bhi))
-
     def __call__(self, x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        flat = np.atleast_1d(arr)
-        out = np.empty_like(flat)
-        a, b = self.source.support
-        for i, xi in enumerate(flat):
-            if xi <= a:
-                out[i] = -self.k
-            elif xi >= b:
-                out[i] = self.k
-            else:
-                # Interior points whose CDF level rounds to 0 or 1 are
-                # mapped through the nearest level that still yields a
-                # finite image; every integrand using s carries a factor
-                # of f, so the saturated deep tail never matters.
-                u = cdf(self.source, float(xi))
-                u = min(max(u, 5e-324), float(np.nextafter(1.0, 0.0)))
-                y = self._solve(u)
-                if not math.isfinite(y):
-                    y = self._solve(min(max(u, 1e-15), 1.0 - 1e-15))
-                out[i] = y
-        return float(out[0]) if scalar else out
+        return on_support(x, self.source.support, -self.k, self.k, self._interior)
+
+    def _interior(self, xs):
+        # Interior points whose CDF level rounds to 0 or 1 are mapped
+        # through the nearest level that still yields a finite image;
+        # every integrand using s carries a factor of f, so the
+        # saturated deep tail never matters.
+        u = np.minimum(np.maximum(cdf(self.source, xs), 5e-324), _BELOW_ONE)
+        y = np.array(self.target.quantile_fn(u), dtype=float)
+        bad = ~np.isfinite(y)
+        if bad.any():
+            y[bad] = self.target.quantile_fn(
+                np.minimum(np.maximum(u[bad], 1e-15), 1.0 - 1e-15)
+            )
+        return y
 
     def derivative(self, x):
         """s'(x) = f(x) / G(s(x)) wherever G(s(x)) > 0."""
@@ -269,7 +257,12 @@ class TransportMap:
 
 
 def build_transport(f: Density, target: Density) -> TransportMap:
-    """CDF-matching increasing map from f onto the target density."""
+    """CDF-matching increasing map from f onto the target density.
+
+    The target must have an analytic quantile (``quantile_fn``).
+    """
+    if target.quantile_fn is None:
+        raise InputError(f"transport target {target.family!r} has no quantile function")
     lo, hi = target.support
     k = max(abs(lo), abs(hi))
     s = TransportMap(f, target, k)
@@ -283,8 +276,6 @@ def build_transport(f: Density, target: Density) -> TransportMap:
         raise DomainError("transport map is not increasing")
     # CDF match at interior quantile probes.
     for q in np.linspace(0.02, 0.98, 21):
-        from .densities import quantile
-
         x = quantile(f, float(q))
         err = abs(cdf(f, x) - cdf(target, float(s(x))))
         if err > 1e-8:
@@ -967,8 +958,6 @@ def check_cor4(
 
 
 def _source_median(f: Density) -> float:
-    from .densities import quantile
-
     try:
         return quantile(f, 0.5)
     except Exception:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .errors import EvaluationError, InputError, UnboundedError
@@ -410,6 +409,10 @@ def find_root(fn, bracket) -> float:
         return hi
     if flo * fhi > 0:
         raise InputError(f"no sign change on bracket ({lo}, {hi})")
+    # Imported here: scipy.optimize takes a sizeable share of the package's
+    # start-up time and nothing else uses it.
+    from scipy.optimize import brentq
+
     return float(brentq(fn, lo, hi, xtol=1e-15, rtol=4 * _EPS, maxiter=200))
 
 

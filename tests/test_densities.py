@@ -1,6 +1,7 @@
 """Density catalog: normalization, branches, CDFs, descriptors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,31 @@ class TestCdfValues:
         for name, d in catalog.items():
             for q in (0.05, 0.3, 0.5, 0.9):
                 assert cdf(d, quantile(d, q)) == pytest.approx(q, abs=1e-8), name
+
+    def test_array_matches_pointwise(self, catalog):
+        densities = dict(catalog, weighted=parse_density("weighted:laplace:1;expw:0.2"))
+        xs = np.array([-750.0, -3.0, -1.0, -0.4, 0.0, 0.3, 1.0, 2.5, 750.0])
+        for name, d in densities.items():
+            got = cdf(d, xs)
+            assert isinstance(got, np.ndarray) and got.shape == xs.shape, name
+            assert got.tolist() == [cdf(d, float(x)) for x in xs], name
+            assert got.tolist() == [cdf(d, xs[i : i + 1])[0] for i in range(xs.size)], name
+            assert type(cdf(d, np.float64(0.3))) is float, name
+
+    def test_laplace_far_tails_do_not_overflow(self):
+        cdf_fn = make_laplace(1.0).cdf_fn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cdf_fn(np.array([-800.0, 800.0])).tolist() == [0.0, 1.0]
+
+    def test_laplace_matches_two_sided_formula(self):
+        # Reference: the two-exponential form, evaluated where neither
+        # side overflows; one exp(-|x|/b) must give the same bits.
+        b = 0.92
+        xs = np.linspace(-30.0, 30.0, 601)
+        with np.errstate(over="ignore"):
+            ref = np.where(xs < 0, 0.5 * np.exp(xs / b), 1.0 - 0.5 * np.exp(-xs / b))
+        assert make_laplace(b).cdf_fn(xs).tolist() == ref.tolist()
 
 
 class TestScaleDensity:

@@ -10,7 +10,9 @@ from wrenyi.densities import (
     make_exponential,
     make_generalized_gaussian,
     make_laplace,
+    make_tabulated,
     make_tent,
+    parse_density,
     quantile,
     scale_density,
 )
@@ -29,6 +31,7 @@ from wrenyi.inequalities import (
     fii_terms,
     lemma4_residual,
 )
+from wrenyi.numerics import integrate
 from wrenyi.repro import perturbed_quadratic_gaussian, perturbed_tent
 from wrenyi.weights import make_constant, make_exp_linear, make_power
 
@@ -81,6 +84,78 @@ class TestTransport:
         g = make_generalized_gaussian(2.0, 2.0)
         s = build_transport(tent, g)
         assert s(-5.0) == -1.0 and s(5.0) == 1.0
+
+    @pytest.mark.parametrize("target", ["gg22", "laplace"])
+    @pytest.mark.parametrize(
+        "f_name",
+        ["exp1", "exp2", "laplace", "tent", "g22", "g21", "g12", "g2_08", "g0_2", "uniform", "weighted"],
+    )
+    def test_array_matches_pointwise_loop(self, catalog, f_name, target):
+        f = (
+            parse_density("weighted:laplace:1;expw:0.2")
+            if f_name == "weighted"
+            else catalog[f_name]
+        )
+        g = make_generalized_gaussian(2.0, 2.0) if target == "gg22" else make_laplace(1.0)
+        s = build_transport(f, g)
+        xs = np.array(
+            [-750.0, -40.0, -5.0, -1.0, -0.999, -0.5, 0.0, 1e-12, 0.3, 0.9999, 1.0, 3.0, 40.0, 750.0]
+        )
+        got = s(xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        assert got.tolist() == [_pointwise_transport(s, x) for x in xs]
+        assert got.tolist() == [s(x) for x in xs]
+        assert got.tolist() == [s(xs[i : i + 1])[0] for i in range(xs.size)]
+
+    def test_deep_tail_takes_the_second_chance(self):
+        g = make_generalized_gaussian(2.0, 1.0)
+        s = build_transport(make_laplace(1.0), g)
+        # F_f(-750) underflows to 0; Q_G at the clamped level 5e-324 is
+        # -inf, so the level is clamped again to 1e-15.
+        assert not math.isfinite(g.quantile_fn(5e-324))
+        xs = np.array([-750.0, -0.2, 750.0])
+        got = s(xs)
+        assert np.all(np.isfinite(got))
+        assert got[0] == g.quantile_fn(1e-15)
+        assert got.tolist() == [_pointwise_transport(s, x) for x in xs]
+
+    def test_zero_dim_input_gives_float(self):
+        s = build_transport(make_laplace(1.0), make_generalized_gaussian(2.0, 2.0))
+        for x in (0.3, np.float64(0.3), np.array(0.3), -9.0):
+            assert type(s(x)) is float
+
+    def test_target_without_quantile_rejected(self):
+        table = make_tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+        assert table.quantile_fn is None
+        with pytest.raises(InputError):
+            build_transport(make_laplace(1.0), table)
+
+
+def _scalar_cdf(f, x):
+    """Reference F_f(x) for one point, without going through ``cdf``."""
+    lo, hi = f.support
+    if x <= lo:
+        return 0.0
+    if x >= hi:
+        return 1.0
+    if f.cdf_fn is not None:
+        return float(min(max(f.cdf_fn(x), 0.0), 1.0))
+    return float(min(max(integrate(f.pdf, (lo, x), f.quad_config()).value, 0.0), 1.0))
+
+
+def _pointwise_transport(s, x):
+    """Reference: s(x) one point at a time with scalar CDF and quantile calls."""
+    x = float(x)
+    a, b = s.source.support
+    if x <= a:
+        return -s.k
+    if x >= b:
+        return s.k
+    u = min(max(_scalar_cdf(s.source, x), 5e-324), float(np.nextafter(1.0, 0.0)))
+    y = float(s.target.quantile_fn(u))
+    if not math.isfinite(y):
+        y = float(s.target.quantile_fn(min(max(u, 1e-15), 1.0 - 1e-15)))
+    return y
 
 
 class TestThm11Verdicts:
