@@ -7,9 +7,8 @@ Subcommands:
     sweep   <scenario>  parameter sweep from a scenario file -> CSV/JSON
     repro   <id>        bundled reproduction checks (pass/fail lines)
 
-Measure ids: we rwe wre wrp rre rrp mom dev fi wfi.
-Check ids:   thm1.1 mei cor1 cor2 cor3 fii cor4 cri scaling lemma4
-             id2.11 id2.14 id2.18 id2.22.
+The measure and check ids and the values each needs are the entries of
+``OPS``; ``wrenyi compute --help`` and ``wrenyi verify --help`` list them.
 
 Exit codes: 0 success, 2 input error, 3 numeric domain error,
 4 reproduction/acceptance failure.  JSON output is deterministic: keys
@@ -24,7 +23,7 @@ import csv
 import io
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -123,85 +122,25 @@ def _is_scalarish(t) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# compute
+# The measure and check ids
 # ---------------------------------------------------------------------------
 
-MEASURES = ("we", "rwe", "wre", "wrp", "rre", "rrp", "mom", "dev", "fi", "wfi")
 
+class Op(NamedTuple):
+    """One measure or check id.
 
-def _parse_alpha(text: str) -> float:
-    if text is None:
-        raise InputError("this operation needs --alpha")
-    t = text.strip().lower()
-    return math.inf if t in ("inf", "infinity", "oo") else float(t)
+    ``fn`` is called with the values named in ``needs`` (an InputError
+    names the first one missing, in that order) and with those of
+    ``defaults``, each either as given or as its default.  A "check"
+    returns one verdict or a tuple of them; a "residual" check runs
+    under ``verify`` only and returns its JSON payload.
+    """
 
+    kind: str  # "measure", "check" or "residual"
+    fn: Callable
+    needs: tuple[str, ...]
+    defaults: dict = {}
 
-def _need(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise InputError(f"--{name} is required for this operation")
-
-
-def cmd_compute(args) -> int:
-    if args.measure not in MEASURES:
-        raise InputError(f"unknown measure {args.measure!r}; known: {', '.join(MEASURES)}")
-    _need(args, "f")
-    f = parse_density(args.f)
-    w = parse_weight(args.w, base=f) if args.w else make_constant(1.0)
-    mid = args.measure
-    if mid in ("rwe", "rre", "rrp"):
-        _need(args, "g")
-        g = parse_density(args.g)
-    if mid == "we":
-        mv = M.weighted_entropy(f, w)
-    elif mid == "rwe":
-        mv = M.relative_weighted_entropy(f, g, w)
-    elif mid == "wre":
-        _need(args, "p")
-        mv = M.weighted_renyi_entropy(f, w, args.p)
-    elif mid == "wrp":
-        _need(args, "p")
-        mv = M.weighted_renyi_power(f, w, args.p)
-    elif mid == "rre":
-        _need(args, "p")
-        mv = M.relative_renyi_entropy(f, g, w, args.p)
-    elif mid == "rrp":
-        _need(args, "p")
-        mv = M.relative_renyi_power(f, g, w, args.p)
-    elif mid == "mom":
-        mv = M.generalized_moment(f, w, _parse_alpha(args.alpha))
-    elif mid == "dev":
-        mv = M.generalized_deviation(f, w, _parse_alpha(args.alpha))
-    elif mid == "fi":
-        _need(args, "p")
-        mv = M.fisher_information(f, _parse_alpha(args.alpha), args.p)
-    else:  # wfi
-        _need(args, "p")
-        mv = M.weighted_fisher_information(f, w, _parse_alpha(args.alpha), args.p)
-    _emit({"measure": mid, **_measure_payload(mv)})
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-CHECKS = (
-    "thm1.1",
-    "mei",
-    "cor1",
-    "cor2",
-    "cor3",
-    "fii",
-    "cor4",
-    "cri",
-    "scaling",
-    "lemma4",
-    "id2.11",
-    "id2.14",
-    "id2.18",
-    "id2.22",
-)
 
 _LEMMA4_MAPS = {
     "x": (lambda x: x, lambda x: 1.0),
@@ -210,79 +149,127 @@ _LEMMA4_MAPS = {
 }
 
 
+def _residual(cid, residual, tol, floor, **extra) -> dict:
+    return {"id": cid, **extra, "residual": residual, "passed": residual <= max(tol, floor)}
+
+
+def _lemma4(f, tol, gfn):
+    if gfn not in _LEMMA4_MAPS:
+        raise InputError(f"unknown --gfn {gfn!r}; known: {', '.join(_LEMMA4_MAPS)}")
+    g, dg = _LEMMA4_MAPS[gfn]
+    return _residual("lemma4", lemma4_residual(f, g, None, dg=dg), tol, 1e-7, gfn=gfn)
+
+
+def _scaling(f, w, p, t, tol):
+    return _residual("scaling", check_scaling_identity(w, f, t, p), tol, 1e-7)
+
+
+def _identity(cid):
+    def check(w, p, alpha, tol):
+        return _residual(cid, verify_identity(IDENTITY_CASE[cid], w, alpha, p), tol, 1e-5)
+
+    return Op("residual", check, ("p", "alpha", "w", "tol"))
+
+
+OPS = {
+    "we": Op("measure", M.weighted_entropy, ("f", "w")),
+    "rwe": Op("measure", M.relative_weighted_entropy, ("f", "w", "g")),
+    "wre": Op("measure", M.weighted_renyi_entropy, ("f", "w", "p")),
+    "wrp": Op("measure", M.weighted_renyi_power, ("f", "w", "p")),
+    "rre": Op("measure", M.relative_renyi_entropy, ("f", "w", "g", "p")),
+    "rrp": Op("measure", M.relative_renyi_power, ("f", "w", "g", "p")),
+    "mom": Op("measure", M.generalized_moment, ("f", "w", "alpha")),
+    "dev": Op("measure", M.generalized_deviation, ("f", "w", "alpha")),
+    "fi": Op("measure", M.fisher_information, ("f", "p", "alpha")),
+    "wfi": Op("measure", M.weighted_fisher_information, ("f", "w", "p", "alpha")),
+    "thm1.1": Op("check", check_thm11, ("f", "w", "g", "p", "tol")),
+    "mei": Op("check", check_mei, ("f", "w", "p", "alpha", "tol")),
+    "cor1": Op("check", check_cor1, ("f", "c", "tol"), {"alpha": 1.0, "p": 1.0}),
+    "cor2": Op("check", check_cor2, ("f", "c", "tol")),
+    "cor3": Op("check", check_cor3, ("f", "tol")),
+    "fii": Op("check", check_fii, ("f", "w", "p", "alpha", "tol")),
+    "cor4": Op("check", check_cor4, ("f", "c", "tol")),
+    "cri": Op("check", check_cri, ("f", "w", "p", "alpha", "tol")),
+    "scaling": Op("residual", _scaling, ("f", "p", "t", "w", "tol")),
+    "lemma4": Op("residual", _lemma4, ("f", "tol"), {"gfn": "x"}),
+    "id2.11": _identity("id2.11"),
+    "id2.14": _identity("id2.14"),
+    "id2.18": _identity("id2.18"),
+    "id2.22": _identity("id2.22"),
+}
+MEASURES = tuple(k for k, op in OPS.items() if op.kind == "measure")
+CHECKS = tuple(k for k, op in OPS.items() if op.kind != "measure")
+
+
+def _usage(oid: str) -> str:
+    op = OPS[oid]
+    flags = [f"--{n}" for n in op.needs if n not in ("w", "tol")]
+    return " ".join([oid, *flags, *(f"[--{n}]" for n in op.defaults)])
+
+
+def _known(oid: str, ids: tuple, what: str) -> None:
+    if oid not in ids:
+        raise InputError(f"unknown {what} {oid!r}; known: {', '.join(ids)}")
+
+
+def _values(f=None, g=None, w=None, tol=None, **orders) -> dict:
+    """The values an id may name: parsed descriptors, orders as given."""
+    f = parse_density(f) if f else None
+    return {
+        "f": f,
+        "w": parse_weight(w, base=f) if w else make_constant(1.0),
+        "g": parse_density(g) if g else None,
+        "tol": 1e-8 if tol is None else tol,
+        **orders,
+    }
+
+
+def _run(oid: str, values: dict):
+    op = OPS[oid]
+    for name in op.needs:
+        if values.get(name) is None:
+            raise InputError(
+                "this operation needs --alpha"
+                if name == "alpha"
+                else f"--{name} is required for this operation"
+            )
+    kwargs = {n: values[n] for n in op.needs}
+    kwargs.update({n: d if values.get(n) is None else values[n] for n, d in op.defaults.items()})
+    return op.fn(**kwargs)
+
+
+def _parse_alpha(text: str) -> float:
+    t = text.strip().lower()
+    return math.inf if t in ("inf", "infinity", "oo") else float(t)
+
+
+# ---------------------------------------------------------------------------
+# compute and verify
+# ---------------------------------------------------------------------------
+
+
+def _cli_values(args) -> dict:
+    return _values(
+        args.f, args.g, args.w, args.tol, p=args.p, alpha=args.alpha, c=args.c, t=args.t, gfn=args.gfn
+    )
+
+
+def cmd_compute(args) -> int:
+    _known(args.measure, MEASURES, "measure")
+    mv = _run(args.measure, _cli_values(args))
+    _emit({"measure": args.measure, **_measure_payload(mv)})
+    return EXIT_OK
+
+
 def cmd_verify(args) -> int:
     cid = args.check
-    if cid not in CHECKS:
-        raise InputError(f"unknown check {cid!r}; known: {', '.join(CHECKS)}")
-    tol = args.tol if args.tol is not None else 1e-8
-
-    if cid.startswith("id2."):
-        _need(args, "p")
-        alpha = _parse_alpha(args.alpha)
-        w = parse_weight(args.w) if args.w else make_constant(1.0)
-        residual = verify_identity(IDENTITY_CASE[cid], w, alpha, args.p)
-        _emit({"id": cid, "residual": residual, "passed": residual <= max(tol, 1e-5)})
-        return EXIT_OK
-
-    if cid == "scaling":
-        _need(args, "f", "p", "t")
-        g = parse_density(args.f)
-        w = parse_weight(args.w, base=g) if args.w else make_constant(1.0)
-        residual = check_scaling_identity(w, g, args.t, args.p)
-        _emit({"id": cid, "residual": residual, "passed": residual <= max(tol, 1e-7)})
-        return EXIT_OK
-
-    if cid == "lemma4":
-        _need(args, "f")
-        f = parse_density(args.f)
-        gname = args.gfn or "x"
-        if gname not in _LEMMA4_MAPS:
-            raise InputError(
-                f"unknown --gfn {gname!r}; known: {', '.join(_LEMMA4_MAPS)}"
-            )
-        gfn, dgfn = _LEMMA4_MAPS[gname]
-        residual = lemma4_residual(f, gfn, None, dg=dgfn)
-        _emit({"id": cid, "gfn": gname, "residual": residual, "passed": residual <= max(tol, 1e-7)})
-        return EXIT_OK
-
-    _need(args, "f")
-    f = parse_density(args.f)
-    w = parse_weight(args.w, base=f) if args.w else make_constant(1.0)
-
-    if cid == "thm1.1":
-        _need(args, "g", "p")
-        g = parse_density(args.g)
-        v = check_thm11(f, g, w, args.p, tol)
-    elif cid == "mei":
-        _need(args, "p")
-        v = check_mei(f, w, _parse_alpha(args.alpha), args.p, tol)
-    elif cid == "cor1":
-        _need(args, "c")
-        alpha = _parse_alpha(args.alpha) if args.alpha else 1.0
-        v = check_cor1(f, args.c, alpha, args.p if args.p is not None else 1.0, tol)
-    elif cid == "cor2":
-        _need(args, "c")
-        v = check_cor2(f, args.c, tol)
-    elif cid == "cor3":
-        v = check_cor3(f, tol)
-    elif cid == "fii":
-        _need(args, "p")
-        v = check_fii(f, w, _parse_alpha(args.alpha), args.p, tol)
-    elif cid == "cri":
-        _need(args, "p")
-        v = check_cri(f, w, _parse_alpha(args.alpha), args.p, tol)
-    else:  # cor4
-        _need(args, "c")
-        v1, v2 = check_cor4(f, args.c, tol)
-        _emit(
-            {
-                "id": cid,
-                "first": _verdict_payload(v1),
-                "second": _verdict_payload(v2),
-            }
-        )
-        return EXIT_OK
-    _emit(_verdict_payload(v))
+    _known(cid, CHECKS, "check")
+    out = _run(cid, _cli_values(args))
+    if isinstance(out, tuple):  # cor4: both displayed bounds
+        out = {"id": cid, "first": _verdict_payload(out[0]), "second": _verdict_payload(out[1])}
+    elif isinstance(out, InequalityVerdict):
+        out = _verdict_payload(out)
+    _emit(out)
     return EXIT_OK
 
 
@@ -302,8 +289,6 @@ SCALAR_KEYS = {
     "verify",
     "compute",
     "tol",
-    "jobs",
-    "seed",
     "out_csv",
     "out_json",
 }
@@ -391,44 +376,37 @@ def _resolve_order(scenario, params, key):
     return val
 
 
+def _id_list(text: str) -> list[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
 def evaluate_row(scenario: dict, params: dict) -> dict:
     scalars = scenario["scalars"]
-    row: dict[str, object] = {}
-    row.update({k: params[k] for k in params})
+    row: dict[str, object] = dict(params)
     env = {k: v for k, v in scalars.items() if isinstance(v, float)}
     env.update(params)
     try:
-        f = parse_density(_subst(scalars["f"], env)) if "f" in scalars else None
-        g = parse_density(_subst(scalars["g"], env)) if "g" in scalars else None
-        w = (
-            parse_weight(_subst(scalars["w"], env), base=f)
-            if "w" in scalars
-            else make_constant(1.0)
+        descriptors = {k: _subst(scalars[k], env) for k in ("f", "g", "w") if k in scalars}
+        values = _values(
+            **descriptors,
+            tol=scalars.get("tol"),
+            **{k: _resolve_order(scenario, env, k) for k in ORDER_KEYS},
         )
-        p = _resolve_order(scenario, env, "p")
-        alpha = _resolve_order(scenario, env, "alpha")
-        c = _resolve_order(scenario, env, "c")
-        t = _resolve_order(scenario, env, "t")
-        tol = scalars.get("tol", 1e-8)
-
-        for mid in str(scalars.get("compute", "")).split(","):
-            mid = mid.strip()
-            if not mid:
-                continue
-            if mid not in MEASURES:
-                raise InputError(f"unknown measure {mid!r}")
-            mv = _dispatch_measure(mid, f, g, w, p, alpha)
+        for mid in _id_list(scalars.get("compute", "")):
+            _known(mid, MEASURES, "measure")
+            mv = _run(mid, values)
             row[f"{mid}.value"] = mv.value
             row[f"{mid}.error"] = mv.error
             row[f"{mid}.branch"] = mv.branch
             for fk, fv in mv.flags.items():
                 row[f"{mid}.flag.{fk}"] = fv
 
-        for cid in str(scalars.get("verify", "")).split(","):
-            cid = cid.strip()
-            if not cid:
-                continue
-            for v in _dispatch_check(cid, f, g, w, p, alpha, c, t, tol):
+        for cid in _id_list(scalars.get("verify", "")):
+            _known(cid, CHECKS, "check")
+            if OPS[cid].kind != "check":
+                raise InputError(f"check {cid!r} is not sweepable")
+            out = _run(cid, values)
+            for v in out if isinstance(out, tuple) else (out,):
                 prefix = v.inequality_id
                 row[f"{prefix}.lhs"] = v.lhs
                 row[f"{prefix}.rhs"] = v.rhs
@@ -443,65 +421,10 @@ def evaluate_row(scenario: dict, params: dict) -> dict:
     return row
 
 
-def _dispatch_measure(mid, f, g, w, p, alpha):
-    if mid == "we":
-        return M.weighted_entropy(f, w)
-    if mid == "rwe":
-        return M.relative_weighted_entropy(f, g, w)
-    if mid == "wre":
-        return M.weighted_renyi_entropy(f, w, p)
-    if mid == "wrp":
-        return M.weighted_renyi_power(f, w, p)
-    if mid == "rre":
-        return M.relative_renyi_entropy(f, g, w, p)
-    if mid == "rrp":
-        return M.relative_renyi_power(f, g, w, p)
-    if mid == "mom":
-        return M.generalized_moment(f, w, alpha)
-    if mid == "dev":
-        return M.generalized_deviation(f, w, alpha)
-    if mid == "fi":
-        return M.fisher_information(f, alpha, p)
-    return M.weighted_fisher_information(f, w, alpha, p)
-
-
-def _dispatch_check(cid, f, g, w, p, alpha, c, t, tol):
-    if cid not in CHECKS:
-        raise InputError(f"unknown check {cid!r}")
-    if cid == "thm1.1":
-        return [check_thm11(f, g, w, p, tol)]
-    if cid == "mei":
-        return [check_mei(f, w, alpha, p, tol)]
-    if cid == "cor1":
-        return [
-            check_cor1(
-                f, c, alpha if alpha is not None else 1.0, p if p is not None else 1.0, tol
-            )
-        ]
-    if cid == "cor2":
-        return [check_cor2(f, c, tol)]
-    if cid == "cor3":
-        return [check_cor3(f, tol)]
-    if cid == "fii":
-        return [check_fii(f, w, alpha, p, tol)]
-    if cid == "cri":
-        return [check_cri(f, w, alpha, p, tol)]
-    if cid == "cor4":
-        return list(check_cor4(f, c, tol))
-    raise InputError(f"check {cid!r} is not sweepable")
-
-
 def cmd_sweep(args) -> int:
     scenario = parse_scenario(args.scenario)
     scalars = scenario["scalars"]
-    rows_params = _rows_of(scenario)
-    jobs = int(args.jobs or scalars.get("jobs", 1))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda pr: evaluate_row(scenario, pr), rows_params))
-    else:
-        rows = [evaluate_row(scenario, pr) for pr in rows_params]
+    rows = [evaluate_row(scenario, pr) for pr in _rows_of(scenario)]
 
     header: list[str] = ["index"]
     for row in rows:
@@ -599,22 +522,20 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--g", help="second density descriptor")
         sp.add_argument("--w", help="weight descriptor (const:v expw:g pow:c abspoly:a0,a1,... fpoly:b0,... fpow:k,m)")
         sp.add_argument("--p", type=float, help="entropy order p")
-        sp.add_argument("--alpha", help="moment order alpha (number or 'inf')")
+        sp.add_argument("--alpha", type=_parse_alpha, help="moment order alpha (number or 'inf')")
         sp.add_argument("--c", type=float, help="power-weight exponent c")
         sp.add_argument("--t", type=float, help="scale parameter")
         sp.add_argument("--tol", type=float, help="verdict tolerance")
-        sp.add_argument("--jobs", type=int, help="parallel sweep workers")
-        sp.add_argument("--seed", type=int, default=42, help="oracle seed")
         sp.add_argument("--out", help="output path (CSV for sweep)")
         sp.add_argument("--gfn", help="lemma4 increasing map: x | atan | cube")
 
     sp = sub.add_parser("compute", help="compute one measure")
-    sp.add_argument("measure", help=", ".join(MEASURES))
+    sp.add_argument("measure", help="; ".join(map(_usage, MEASURES)))
     common(sp)
     sp.set_defaults(fn=cmd_compute)
 
     sp = sub.add_parser("verify", help="run one inequality/identity check")
-    sp.add_argument("check", help=", ".join(CHECKS))
+    sp.add_argument("check", help="; ".join(map(_usage, CHECKS)))
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 

@@ -29,7 +29,7 @@ The scaled family is G_t(x) = G(x/t) / t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import (
@@ -42,7 +42,7 @@ from scipy.special import (
 )
 
 from .errors import DomainError, InputError
-from .numerics import QuadratureConfig, beta_fn, gamma_fn, integrate
+from .numerics import QuadratureConfig, _vec, beta_fn, gamma_fn, integrate
 
 __all__ = [
     "Density",
@@ -61,17 +61,6 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-8
-
-
-def _vec(impl):
-    """Wrap an ndarray->ndarray evaluator so scalars work too."""
-
-    def fn(x):
-        arr = np.asarray(x, dtype=float)
-        out = impl(np.atleast_1d(arr))
-        return float(out[0]) if arr.ndim == 0 else out
-
-    return fn
 
 
 @dataclass(frozen=True)
@@ -140,10 +129,9 @@ def _check_normalization(density: Density) -> Density:
             f"{density.family} density integrates to {res.value!r}, not 1"
         )
     if not res.converged:
-        object.__setattr__(
+        return replace(
             density,
-            "warnings",
-            density.warnings + (f"normalization check tolerance-not-met ({res.value!r})",),
+            warnings=density.warnings + (f"normalization check tolerance-not-met ({res.value!r})",),
         )
     return density
 
@@ -158,9 +146,11 @@ def make_exponential(lam: float) -> Density:
     if not lam > 0:
         raise InputError(f"exponential rate must be positive, got {lam}")
     lam = float(lam)
-    pdf = _vec(lambda x: np.where(x > 0, lam * np.exp(-lam * x), 0.0))
-    dpdf = _vec(lambda x: np.where(x > 0, -lam * lam * np.exp(-lam * x), 0.0))
-    cdf_fn = _vec(lambda x: np.where(x > 0, -np.expm1(-lam * x), 0.0))
+    # Both branches of np.where are evaluated: clipping x at 0 keeps
+    # exp(-lam x) from overflowing on the far left, where the value is 0.
+    pdf = _vec(lambda x: np.where(x > 0, lam * np.exp(-lam * np.maximum(x, 0.0)), 0.0))
+    dpdf = _vec(lambda x: np.where(x > 0, -lam * lam * np.exp(-lam * np.maximum(x, 0.0)), 0.0))
+    cdf_fn = _vec(lambda x: np.where(x > 0, -np.expm1(-lam * np.maximum(x, 0.0)), 0.0))
     quant = _vec(lambda q: -np.log1p(-q) / lam)
     return Density(
         family="exponential",

@@ -81,6 +81,7 @@ from .errors import DomainError, InputError
 from .gaussian_forms import case_laws, lambda_bar, lambda_tilde, select_case, theta
 from .measures import (
     OrderParams,
+    _masked,
     expectation,
     fisher_information,
     generalized_deviation,
@@ -380,29 +381,12 @@ def check_scaling_identity(
     cfg_l = QuadratureConfig(
         singularities=tuple(gt.singularities) + tuple(w.kinks)
     )
-
-    def lhs_fn(x):
-        x = np.asarray(x, dtype=float)
-        gx = np.asarray(gt.pdf(x), dtype=float)
-        out = np.zeros_like(gx)
-        m = gx > 0
-        if np.any(m):
-            out[m] = np.asarray(w(x[m]), dtype=float) * gx[m] ** p
-        return out
-
+    lhs_fn = _masked(gt, lambda x, gx: np.asarray(w(x), dtype=float) * gx**p)
     scaled_kinks = tuple(k / t for k in w.kinks)
     cfg_r = QuadratureConfig(
         singularities=tuple(g.singularities) + scaled_kinks
     )
-
-    def rhs_fn(x):
-        x = np.asarray(x, dtype=float)
-        gx = np.asarray(g.pdf(x), dtype=float)
-        out = np.zeros_like(gx)
-        m = gx > 0
-        if np.any(m):
-            out[m] = np.asarray(w(t * x[m]), dtype=float) * gx[m] ** p
-        return out
+    rhs_fn = _masked(g, lambda x, gx: np.asarray(w(t * x), dtype=float) * gx**p)
 
     lhs = integrate(lhs_fn, gt.support, cfg_l)
     rhs = integrate(rhs_fn, g.support, cfg_r)
@@ -588,17 +572,12 @@ def _eta_integral(
     if rho_s.is_constant:
         return 0.0
 
-    def integrand(x):
-        x = np.asarray(x, dtype=float)
-        fx = np.asarray(f.pdf(x), dtype=float)
-        out = np.zeros_like(fx)
-        m = fx > 0
-        if np.any(m):
-            sx = np.asarray(s(x[m]), dtype=float)
-            rx = np.asarray(rho_s.derivative(x[m]), dtype=float)
-            out[m] = sx * rx * fx[m] ** p
-        return out
-
+    integrand = _masked(
+        f,
+        lambda x, fx: np.asarray(s(x), dtype=float)
+        * np.asarray(rho_s.derivative(x), dtype=float)
+        * fx**p,
+    )
     cfg = QuadratureConfig(
         abs_tol=1e-9,
         rel_tol=1e-7,
@@ -777,17 +756,12 @@ def _expect_s_phi_tilde_prime(f: Density, terms: FiiTerms) -> float:
         return 0.0
     s = terms.transport
 
-    def integrand(x):
-        x = np.asarray(x, dtype=float)
-        fx = np.asarray(f.pdf(x), dtype=float)
-        out = np.zeros_like(fx)
-        m = fx > 0
-        if np.any(m):
-            sx = np.asarray(s(x[m]), dtype=float)
-            dphi = np.asarray(terms.phi_tilde.derivative(x[m]), dtype=float)
-            out[m] = sx * dphi * fx[m]
-        return out
-
+    integrand = _masked(
+        f,
+        lambda x, fx: np.asarray(s(x), dtype=float)
+        * np.asarray(terms.phi_tilde.derivative(x), dtype=float)
+        * fx,
+    )
     cfg = QuadratureConfig(
         abs_tol=1e-9, rel_tol=1e-7, singularities=tuple(f.singularities)
     )
@@ -870,17 +844,8 @@ def check_cor4(
     hints = tuple(f.singularities) + ((median,) if math.isfinite(median) else ())
 
     def moment(core):
-        def integrand(x):
-            x = np.asarray(x, dtype=float)
-            fx = np.asarray(f.pdf(x), dtype=float)
-            out = np.zeros_like(fx)
-            m = fx > 0
-            if np.any(m):
-                out[m] = core(x[m]) * fx[m]
-            return out
-
         cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-7, singularities=hints)
-        res = integrate(integrand, f.support, cfg)
+        res = integrate(_masked(f, lambda x, fx: core(x) * fx), f.support, cfg)
         if res.status == "divergent":
             raise DomainError("transport moment diverges")
         return res.value

@@ -38,6 +38,17 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 
 
+def _vec(impl):
+    """Wrap an ndarray->ndarray evaluator so scalars work too."""
+
+    def fn(x):
+        arr = np.asarray(x, dtype=float)
+        out = impl(np.atleast_1d(arr))
+        return float(out[0]) if arr.ndim == 0 else out
+
+    return fn
+
+
 # ---------------------------------------------------------------------------
 # Configuration / result types
 # ---------------------------------------------------------------------------

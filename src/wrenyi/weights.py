@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .numerics import QuadratureConfig, integrate
+from .numerics import QuadratureConfig, _vec, integrate
 
 __all__ = [
     "WeightFunction",
@@ -77,15 +77,6 @@ class Antiderivatives:
 
     psi: callable
     psi_bar: callable
-
-
-def _vec(impl):
-    def fn(x):
-        arr = np.asarray(x, dtype=float)
-        out = impl(np.atleast_1d(arr).astype(float))
-        return float(out[0]) if arr.ndim == 0 else out
-
-    return fn
 
 
 # ---------------------------------------------------------------------------

@@ -170,13 +170,32 @@ class TestSweep:
         assert len(rows) == 2
         assert rows[0]["error"] != "" and rows[1]["error"] == ""
 
-    def test_jobs_parallel_stable(self, tmp_path):
-        path = self._scenario(tmp_path)
-        run_cli(["sweep", str(path)])
-        serial = open(tmp_path / "out.csv").read()
-        run_cli(["sweep", str(path), "--jobs", "4"])
-        parallel = open(tmp_path / "out.csv").read()
-        assert serial == parallel
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("f = exp:1\ncompute = wre\n", "--p is required"),
+            ("f = gg:2,2\nalpha = 2\nverify = mei\n", "--p is required"),
+            ("f = tent\nverify = cor2\n", "--c is required"),
+            ("f = exp:1\ncompute = rwe\n", "--g is required"),
+            ("f = exp:1\ncompute = mom\n", "needs --alpha"),
+            ("p = 2\ncompute = wrp\n", "--f is required"),
+        ],
+        ids=["wre-p", "mei-p", "cor2-c", "rwe-g", "mom-alpha", "wrp-f"],
+    )
+    def test_missing_value_is_a_row_error(self, tmp_path, body, message):
+        path = self._scenario(tmp_path, body=f"id = missing\n{body}out_csv = {tmp_path}/m.csv\n")
+        code, _ = run_cli(["sweep", str(path)])
+        assert code == 3
+        (row,) = csv.DictReader(open(tmp_path / "m.csv"))
+        assert row["error"].startswith("InputError: ") and message in row["error"]
+
+    @pytest.mark.parametrize("cid", ["scaling", "lemma4", "id2.11"])
+    def test_verify_only_checks_not_sweepable(self, tmp_path, cid):
+        body = f"id = nosweep\nf = tent\nverify = {cid}\nout_csv = {tmp_path}/n.csv\n"
+        code, _ = run_cli(["sweep", str(self._scenario(tmp_path, body=body))])
+        assert code == 3
+        (row,) = csv.DictReader(open(tmp_path / "n.csv"))
+        assert row["error"] == f"InputError: check {cid!r} is not sweepable"
 
 
 class TestRepro:

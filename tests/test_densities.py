@@ -138,6 +138,22 @@ class TestCdfValues:
             warnings.simplefilter("error", RuntimeWarning)
             assert cdf_fn(np.array([-800.0, 800.0])).tolist() == [0.0, 1.0]
 
+    @pytest.mark.parametrize("name", ["pdf", "dpdf", "cdf_fn"])
+    def test_exponential_far_left_does_not_overflow(self, name):
+        fn = getattr(make_exponential(1.0), name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert fn(-800.0) == 0.0
+            assert fn(np.array([-800.0, -1.0])).tolist() == [0.0, 0.0]
+
+    def test_exponential_right_side_matches_formula(self):
+        lam = 1.7
+        xs = np.linspace(1e-3, 400.0, 401)
+        d = make_exponential(lam)
+        assert d.pdf(xs).tolist() == (lam * np.exp(-lam * xs)).tolist()
+        assert d.dpdf(xs).tolist() == (-lam * lam * np.exp(-lam * xs)).tolist()
+        assert d.cdf_fn(xs).tolist() == (-np.expm1(-lam * xs)).tolist()
+
     def test_laplace_matches_two_sided_formula(self):
         # Reference: the two-exponential form, evaluated where neither
         # side overflows; one exp(-|x|/b) must give the same bits.
