@@ -344,6 +344,8 @@ def parse_scenario(path: str) -> dict:
             scalars[key] = raw[key]
             continue
         parsed = parse_values(raw[key])
+        if key == "tol" and isinstance(parsed, str):
+            raise InputError(f"{path}: tol must be a number, got {parsed!r}")
         if isinstance(parsed, list):
             grids[key] = parsed
         else:
@@ -372,7 +374,11 @@ def _subst(template: str, params: dict) -> str:
 def _resolve_order(scenario, params, key):
     val = scenario["scalars"].get(key, params.get(key))
     if isinstance(val, str):
-        val = float(_subst(val, params))
+        text = _subst(val, params)
+        try:
+            val = _parse_alpha(text) if key == "alpha" else float(text)
+        except ValueError:
+            raise InputError(f"{key} must be a number, got {text!r}") from None
     return val
 
 

@@ -115,8 +115,8 @@ def _quad(integrand, f: Density, w=None, extra=(), what="integral"):
     return res.value, res.error, warns
 
 
-def _masked(f: Density, core):
-    """Integrand equal to core(x, f(x)) where f > 0 and 0 elsewhere.
+def _masked(f: Density, core, fill: float = 0.0):
+    """Integrand equal to core(x, f(x)) where f > 0 and ``fill`` elsewhere.
 
     Evaluating weights only on {f > 0} keeps inf * 0 = nan artifacts from
     tails where the density underflows.
@@ -125,7 +125,7 @@ def _masked(f: Density, core):
     def integrand(x):
         x = np.asarray(x, dtype=float)
         fx = np.asarray(f.pdf(x), dtype=float)
-        out = np.zeros_like(fx)
+        out = np.full_like(fx, fill)
         m = fx > 0
         if np.any(m):
             out[m] = core(x[m], fx[m])
@@ -497,16 +497,9 @@ def generalized_deviation(
             val, err, "alpha=0-log", {"E_f[phi]": e.value}, warns + e.warnings + qwarns
         )
     if math.isinf(alpha):
-
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            fx = np.asarray(f.pdf(x), dtype=float)
-            out = np.full_like(fx, -np.inf)
-            m = fx > 0
-            if np.any(m):
-                out[m] = np.asarray(w(x[m]), dtype=float) * np.abs(x[m])
-            return out
-
+        fn = _masked(
+            f, lambda x, fx: np.asarray(w(x), dtype=float) * np.abs(x), fill=-np.inf
+        )
         val = essential_supremum(fn, f.support)
         if not math.isfinite(val):
             raise DomainError("esssup of phi(x)|x| is not finite on the support")

@@ -31,7 +31,6 @@ from wrenyi.gaussian_forms import (
     verify_identity,
 )
 from wrenyi.inequalities import (
-    build_transport,
     check_cor1,
     check_cor2,
     check_cri,
@@ -39,7 +38,6 @@ from wrenyi.inequalities import (
     check_mei,
     check_scaling_identity,
     check_thm11,
-    fii_terms,
     lemma4_residual,
 )
 from wrenyi.measures import (
@@ -256,12 +254,10 @@ def test_criterion_09_moment_entropy_suite():
 
 def test_criterion_10_fisher_reduction():
     g = make_generalized_gaussian(2.0, 2.0)
-    terms = fii_terms(g, ONE, 2.0, 2.0)
-    ok = abs(terms.eta) <= 1e-12 and abs(terms.kappa) <= 1e-12
-    gu = make_generalized_gaussian(math.inf, 2.0)
-    terms_inf = fii_terms(gu, ONE, math.inf, 2.0)
-    ok &= abs(terms_inf.delta) <= 1e-12
     vf = check_fii(g, ONE, 2.0, 2.0)
+    ok = abs(vf.terms["eta"]) <= 1e-12 and abs(vf.terms["kappa"]) <= 1e-12
+    gu = make_generalized_gaussian(math.inf, 2.0)
+    ok &= abs(check_fii(gu, ONE, math.inf, 2.0).terms["Delta"]) <= 1e-12
     vc = check_cri(g, ONE, 2.0, 2.0)
     ok &= abs(vf.slack) <= 1e-5 and abs(vc.slack) <= 1e-5
     _report(
@@ -438,14 +434,13 @@ def test_criterion_12_oracle_equivalence(integrand_suite):
         1.0 / riemann(lambda x: np.exp(0.1 * x) * np.asarray(g22.pdf(x)) ** 2, (-1.0, 1.0)),
     )
 
-    # Transport correction term at the identity map.
-    s = build_transport(g22, g22)
-    terms = fii_terms(g22, make_exp_linear(0.1), 2.0, 2.0, transport=s)
+    # Transport correction term at the identity map (f = G).
+    terms = check_fii(g22, make_exp_linear(0.1), 2.0, 2.0).terms
     eta_ref = riemann(
         lambda x: x * 0.1 * np.exp(0.1 * x) * np.asarray(g22.pdf(x)) ** 2,
         (-1.0, 1.0),
     )
-    close("eta:g22", terms.eta, eta_ref)
+    close("eta:g22", terms["eta"], eta_ref)
 
     _report(
         12,

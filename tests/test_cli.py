@@ -189,6 +189,42 @@ class TestSweep:
         (row,) = csv.DictReader(open(tmp_path / "m.csv"))
         assert row["error"].startswith("InputError: ") and message in row["error"]
 
+    def test_alpha_oo_reads_as_inf(self, tmp_path):
+        rows = []
+        for alpha in ("inf", "oo"):
+            body = (
+                f"id = inf\nf = gg:inf,2\nw = expw:0.1\np = 2\nalpha = {alpha}\n"
+                f"verify = mei\nout_csv = {tmp_path}/{alpha}.csv\n"
+            )
+            code, _ = run_cli(["sweep", str(self._scenario(tmp_path, body=body))])
+            assert code == 0
+            (row,) = csv.DictReader(open(tmp_path / f"{alpha}.csv"))
+            rows.append(row)
+        assert rows[1]["mei.lhs"] == rows[0]["mei.lhs"]
+        assert rows[1]["mei.verdict"] == rows[0]["mei.verdict"] == "holds"
+
+    @pytest.mark.parametrize(
+        "orders, message",
+        [
+            ("alpha = 2\np = abc\n", "p must be a number, got 'abc'"),
+            ("p = 2\nx = 2\nalpha = {x}x\n", "alpha must be a number, got '2.0x'"),
+        ],
+        ids=["p", "alpha-template"],
+    )
+    def test_non_numeric_order_is_a_row_error(self, tmp_path, orders, message):
+        body = f"id = nan\nf = gg:2,2\n{orders}verify = mei\nout_csv = {tmp_path}/o.csv\n"
+        code, _ = run_cli(["sweep", str(self._scenario(tmp_path, body=body))])
+        assert code == 3
+        (row,) = csv.DictReader(open(tmp_path / "o.csv"))
+        assert row["error"] == f"InputError: {message}"
+
+    def test_non_numeric_tol_rejected(self, tmp_path):
+        body = f"id = tol\nf = tent\nc = 0\ntol = tight\nverify = cor2\nout_csv = {tmp_path}/t.csv\n"
+        code, out = run_cli(["sweep", str(self._scenario(tmp_path, body=body))])
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "input"
+        assert "tol must be a number, got 'tight'" in json.loads(out)["error"]["message"]
+
     @pytest.mark.parametrize("cid", ["scaling", "lemma4", "id2.11"])
     def test_verify_only_checks_not_sweepable(self, tmp_path, cid):
         body = f"id = nosweep\nf = tent\nverify = {cid}\nout_csv = {tmp_path}/n.csv\n"

@@ -1,7 +1,8 @@
 """Golden CLI outputs, compared byte for byte.
 
 Each case is one ``wrenyi`` argv: every CLI example of the README,
-``repro all``, and one missing-value case per measure and check id.  The
+``repro all``, one missing-value case per measure and check id, and one
+case per branch of the mei/cor1/fii/cri bounds.  The
 stdout, the exit code and every file the command writes (sweep reports)
 are pinned in ``golden/cli_golden.json``.  Re-record it only for an
 intended change of output:
@@ -59,7 +60,26 @@ MISSING_VALUE = [
     ["verify", "id2.22", "--p", "2"],
 ]
 
-CASES = README_EXAMPLES + MISSING_VALUE
+# One successful case per branch of the moment-entropy, Fisher and
+# Cramer-Rao bounds, and the alpha = inf, p = 1 input error.
+BOUND_CASES = [
+    *(
+        ["verify", cid, "--f", f, "--w", w, "--alpha", alpha, "--p", p]
+        for f, w, alpha, p in [
+            ("gg:2,2", "expw:0.1", "2", "2"),
+            ("gg:2,0.8", "const:1", "2", "0.8"),
+            ("gg:2,1", "pow:2", "2", "1"),
+            ("gg:inf,2", "expw:0.1", "inf", "2"),
+        ]
+        for cid in ("fii", "cri")
+    ),
+    ["verify", "mei", "--f", "gg:2,1", "--w", "pow:2", "--alpha", "2", "--p", "1"],
+    ["verify", "cor1", "--f", "laplace:1", "--c", "1", "--alpha", "2", "--p", "2"],
+    ["verify", "cor1", "--f", "laplace:1", "--c", "1", "--alpha", "2", "--p", "1"],
+    ["verify", "fii", "--f", "tent", "--w", "const:1", "--alpha", "inf", "--p", "1"],
+]
+
+CASES = README_EXAMPLES + MISSING_VALUE + BOUND_CASES
 
 
 def run_case(argv, workdir):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import wrenyi.inequalities as inequalities
 from wrenyi.densities import (
+    Density,
     cdf,
     make_exponential,
     make_generalized_gaussian,
@@ -18,6 +20,7 @@ from wrenyi.densities import (
 )
 from wrenyi.errors import DomainError, InputError
 from wrenyi.inequalities import (
+    TransportMap,
     build_transport,
     check_cor1,
     check_cor2,
@@ -28,12 +31,11 @@ from wrenyi.inequalities import (
     check_mei,
     check_scaling_identity,
     check_thm11,
-    fii_terms,
     lemma4_residual,
 )
 from wrenyi.numerics import integrate
 from wrenyi.repro import perturbed_quadratic_gaussian, perturbed_tent
-from wrenyi.weights import make_constant, make_exp_linear, make_power
+from wrenyi.weights import WeightFunction, make_constant, make_exp_linear, make_power
 
 ONE = make_constant(1.0)
 E01 = make_exp_linear(0.1)
@@ -318,16 +320,16 @@ class TestCor3:
 class TestFiiCri:
     def test_reduction_constants_vanish(self):
         g = make_generalized_gaussian(2.0, 2.0)
-        terms = fii_terms(g, ONE, 2.0, 2.0)
-        assert terms.eta == 0.0
-        assert terms.kappa == 0.0
+        terms = check_fii(g, ONE, 2.0, 2.0).terms
+        assert terms["eta"] == 0.0
+        assert terms["kappa"] == 0.0
 
     def test_reduction_alpha_inf(self):
         g = make_generalized_gaussian(math.inf, 2.0)
-        terms = fii_terms(g, ONE, math.inf, 2.0)
-        assert terms.eta == 0.0
-        assert terms.delta == 0.0
-        assert terms.psib_diff == 0.0
+        terms = check_fii(g, ONE, math.inf, 2.0).terms
+        assert terms["eta"] == 0.0
+        assert terms["Delta"] == 0.0
+        assert terms["psib_diff"] == 0.0
 
     def test_equality_point(self):
         g = make_generalized_gaussian(2.0, 2.0)
@@ -375,6 +377,50 @@ class TestFiiCri:
     def test_case_mismatch(self):
         with pytest.raises(InputError):
             check_fii(make_tent(), ONE, math.inf, 1.0)
+
+    @pytest.mark.parametrize(
+        "f, w, alpha, p",
+        [
+            (make_laplace(1.0), E01, 2.0, 2.0),
+            (make_laplace(1.0), make_constant(2.0), 2.0, 0.8),
+            (make_laplace(1.0), E01, 2.0, 1.0),
+            (make_tent(), E01, math.inf, 2.0),
+        ],
+        ids=["p>1", "p<1", "p=1", "alpha=inf"],
+    )
+    @pytest.mark.parametrize("check", [check_fii, check_cri], ids=["fii", "cri"])
+    def test_each_term_computed_once(self, monkeypatch, check, f, w, alpha, p):
+        # The measures a check calls directly, keyed by what they compute:
+        # a repeated key is a term computed twice.
+        calls = []
+        for name in (
+            "weighted_renyi_power",
+            "generalized_deviation",
+            "expectation",
+            "weighted_fisher_information",
+        ):
+            measure = getattr(inequalities, name)
+
+            def counted(*args, _name=name, _measure=measure):
+                calls.append((_name, _term_key(args)))
+                return _measure(*args)
+
+            monkeypatch.setattr(inequalities, name, counted)
+        check(f, w, alpha, p)
+        assert calls
+        assert len(set(calls)) == len(calls)
+
+
+def _term_key(obj):
+    """Densities, weights and transports compared by family and parameters."""
+    if isinstance(obj, (Density, WeightFunction)):
+        return (obj.family, _term_key(obj.params))
+    if isinstance(obj, TransportMap):
+        return (_term_key(obj.source), _term_key(obj.target))
+    if isinstance(obj, (dict, tuple)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return tuple((k, _term_key(v)) for k, v in items)
+    return obj
 
 
 class TestCor4:
