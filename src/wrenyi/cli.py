@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import measures as M
-from .densities import parse_density
+from .densities import _parse_float, parse_density
 from .errors import DomainError, InputError, WrenyiError
 from .gaussian_forms import verify_identity
 from .inequalities import (
@@ -322,20 +322,29 @@ def parse_scenario(path: str) -> dict:
                 f"referenced as {{{key}}})"
             )
 
-    def parse_values(text: str):
-        text = text.strip()
-        if text.startswith("linspace:"):
-            a, b, n = text[len("linspace:") :].split(",")
-            return list(np.linspace(float(a), float(b), int(n)))
-        if text.startswith("interior:"):
-            a, b, n = text[len("interior:") :].split(",")
-            return list(np.linspace(float(a), float(b), int(n) + 2)[1:-1])
-        if "," in text:
-            return [float(v) for v in text.split(",")]
+    def number_or_text(text: str):
+        # Text stays text: an order key is parsed per row by _resolve_order.
         try:
             return float(text)
         except ValueError:
             return text
+
+    def grid(spec: str, extra: int):
+        parts = spec.split(",")
+        if len(parts) != 3 or not parts[2].strip().isdigit():
+            raise InputError(f"{path}: a grid is '<start>,<stop>,<count>', got {spec!r}")
+        a, b = (_parse_float(v) for v in parts[:2])
+        return np.linspace(a, b, int(parts[2]) + extra)
+
+    def parse_values(text: str):
+        text = text.strip()
+        if text.startswith("linspace:"):
+            return list(grid(text[len("linspace:") :], 0))
+        if text.startswith("interior:"):
+            return list(grid(text[len("interior:") :], 2)[1:-1])
+        if "," in text:
+            return [number_or_text(v.strip()) for v in text.split(",")]
+        return number_or_text(text)
 
     grids: dict[str, list] = {}
     scalars: dict[str, object] = {}

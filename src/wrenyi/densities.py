@@ -42,7 +42,7 @@ from scipy.special import (
 )
 
 from .errors import DomainError, InputError
-from .numerics import QuadratureConfig, _vec, beta_fn, gamma_fn, integrate
+from .numerics import QuadratureConfig, _masked, _vec, beta_fn, gamma_fn, integrate
 
 __all__ = [
     "Density",
@@ -77,10 +77,8 @@ class Density:
     singularities: tuple[float, ...] = ()
     warnings: tuple[str, ...] = ()
 
-    def quad_config(self, abs_tol=1e-10, rel_tol=1e-8) -> QuadratureConfig:
-        return QuadratureConfig(
-            abs_tol=abs_tol, rel_tol=rel_tol, singularities=self.singularities
-        )
+    def quad_config(self) -> QuadratureConfig:
+        return QuadratureConfig(singularities=self.singularities)
 
 
 @dataclass(frozen=True)
@@ -122,17 +120,11 @@ class GeneralizedGaussianParams:
 
 def _check_normalization(density: Density) -> Density:
     res = integrate(density.pdf, density.support, density.quad_config())
-    if res.status == "divergent" or (
-        res.converged and abs(res.value - 1.0) > _NORM_TOL
-    ):
-        raise DomainError(
-            f"{density.family} density integrates to {res.value!r}, not 1"
-        )
-    if not res.converged:
-        return replace(
-            density,
-            warnings=density.warnings + (f"normalization check tolerance-not-met ({res.value!r})",),
-        )
+    value, _, warns = res.checked(f"{density.family} density normalization")
+    if warns:
+        return replace(density, warnings=density.warnings + warns)
+    if abs(value - 1.0) > _NORM_TOL:
+        raise DomainError(f"{density.family} density integrates to {value!r}, not 1")
     return density
 
 
@@ -403,7 +395,9 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
             q = np.asarray(q, dtype=float)
             r = np.abs(2 * q - 1.0)
             v = betaincinv(sh1, sh2, 1.0 - r)
-            u = np.where(r >= 1.0, math.inf, (1.0 / v - 1.0) / (1.0 - p))
+            # v = 0 only where r >= 1, an element np.where sets to inf.
+            with np.errstate(divide="ignore"):
+                u = np.where(r >= 1.0, math.inf, (1.0 / v - 1.0) / (1.0 - p))
             return np.sign(q - 0.5) * t * u ** (1.0 / alpha)
 
         quant = _vec(_quantp)
@@ -482,44 +476,26 @@ def make_weighted_density(f: Density, weight) -> Density:
         singularities=tuple(f.singularities) + tuple(weight.kinks)
     )
 
-    def _chi_integrand(x):
-        fx = np.asarray(f.pdf(x), dtype=float)
-        out = np.zeros_like(fx)
-        m = fx > 0
-        if np.any(m):
-            out[m] = np.asarray(weight(x[m]), dtype=float) * fx[m]
-        return out
-
-    res = integrate(_vec(_chi_integrand), f.support, cfg)
-    chi = res.value
-    if not (math.isfinite(chi) and chi > 0) or res.status == "divergent":
+    res = integrate(
+        _masked(f, lambda x, fx: np.asarray(weight(x), dtype=float) * fx), f.support, cfg
+    )
+    chi, _, _ = res.checked("weight normalizer E_f[phi]")
+    if not chi > 0:
         raise DomainError(f"weight normalizer E_f[phi] = {chi!r} is unusable")
 
     # Evaluate the weight only where the base density is positive so
     # that weights which overflow on the dead tail stay harmless.
-    def _pdf(x):
-        fx = np.asarray(f.pdf(x), dtype=float)
-        out = np.zeros_like(fx)
-        m = fx > 0
-        if np.any(m):
-            out[m] = np.asarray(weight(x[m]), dtype=float) * fx[m] / chi
-        return out
-
-    def _dpdf(x):
-        fx = np.asarray(f.pdf(x), dtype=float)
-        out = np.zeros_like(fx)
-        m = fx > 0
-        if np.any(m):
-            xm = x[m]
-            out[m] = (
-                np.asarray(weight.derivative(xm), dtype=float) * fx[m]
-                + np.asarray(weight(xm), dtype=float)
-                * np.asarray(f.dpdf(xm), dtype=float)
-            ) / chi
-        return out
-
-    pdf = _vec(_pdf)
-    dpdf = _vec(_dpdf)
+    pdf = _vec(_masked(f, lambda x, fx: np.asarray(weight(x), dtype=float) * fx / chi))
+    dpdf = _vec(
+        _masked(
+            f,
+            lambda x, fx: (
+                np.asarray(weight.derivative(x), dtype=float) * fx
+                + np.asarray(weight(x), dtype=float) * np.asarray(f.dpdf(x), dtype=float)
+            )
+            / chi,
+        )
+    )
     dens = Density(
         family="weighted",
         params={"base": f, "weight": weight, "chi": chi},
@@ -619,7 +595,10 @@ def cdf(f: Density, x):
             vals = f.cdf_fn(xs)
         else:
             lo, cfg = f.support[0], f.quad_config()
-            vals = [integrate(f.pdf, (lo, float(xi)), cfg).value for xi in xs]
+            vals = []
+            for xi in xs:
+                v, _, _ = integrate(f.pdf, (lo, float(xi)), cfg).checked("CDF integral")
+                vals.append(v)
         return np.minimum(np.maximum(vals, 0.0), 1.0)
 
     return on_support(x, f.support, 0.0, 1.0, interior)

@@ -71,6 +71,7 @@ from .densities import gg_norm_const, make_generalized_gaussian
 from .errors import DomainError, InputError
 from .numerics import (
     QuadratureConfig,
+    _masked,
     beta_fn,
     essential_supremum,
     gamma_fn,
@@ -149,20 +150,10 @@ class AuxiliaryLaw:
                 rel_tol=1e-10,
                 singularities=(0.0,) if self.shape1 < 1 else (),
             )
-
-            def integrand(x):
-                x = np.asarray(x, dtype=float)
-                pdfv = self.pdf(x)
-                out = np.zeros_like(pdfv)
-                m = pdfv > 0
-                if np.any(m):
-                    out[m] = np.asarray(fn(x[m]), dtype=float) * pdfv[m]
-                return out
-
+            integrand = _masked(self, lambda x, px: np.asarray(fn(x), dtype=float) * px)
             res = integrate(integrand, (0.0, math.inf), cfg)
-            if res.status == "divergent" or not math.isfinite(res.value):
-                raise DomainError("auxiliary expectation diverges")
-            return res.value
+            value, _, _ = res.checked("auxiliary expectation")
+            return value
 
         s1, s2 = self.shape1, self.shape2
         norm = beta_fn(s1, s2)
@@ -192,10 +183,8 @@ class AuxiliaryLaw:
                 rel_tol=1e-10,
                 singularities=(0.0,) if shape < 1 else (),
             )
-            res = integrate(g, (0.0, 0.5), cfg)
-            if res.status == "divergent" or not math.isfinite(res.value):
-                raise DomainError("auxiliary expectation diverges")
-            total += res.value
+            value, _, _ = integrate(g, (0.0, 0.5), cfg).checked("auxiliary expectation")
+            total += value
         return total
 
 

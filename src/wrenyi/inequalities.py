@@ -83,7 +83,6 @@ from .gaussian_forms import case_laws, lambda_bar, lambda_tilde, select_case, th
 from .measures import (
     MeasureValue,
     OrderParams,
-    _masked,
     expectation,
     fisher_information,
     generalized_deviation,
@@ -94,6 +93,7 @@ from .measures import (
 )
 from .numerics import (
     QuadratureConfig,
+    _masked,
     differentiate,
     essential_supremum,
     gamma_fn,
@@ -385,10 +385,8 @@ class _Problem:
         cfg = QuadratureConfig(
             abs_tol=1e-9, rel_tol=1e-7, singularities=tuple(f.singularities)
         )
-        res = integrate(integrand, f.support, cfg)
-        if res.status == "divergent":
-            raise DomainError(f"{what} diverges")
-        return res.value
+        value, _, _ = integrate(integrand, f.support, cfg).checked(what)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +483,10 @@ def check_scaling_identity(
     )
     rhs_fn = _masked(g, lambda x, gx: np.asarray(w(t * x), dtype=float) * gx**p)
 
-    lhs = integrate(lhs_fn, gt.support, cfg_l)
-    rhs = integrate(rhs_fn, g.support, cfg_r)
-    if lhs.status == "divergent" or rhs.status == "divergent":
-        raise DomainError("scaling-identity integrals diverge")
-    rhs_val = t ** (1.0 - p) * rhs.value
-    return abs(lhs.value - rhs_val) / (1.0 + abs(lhs.value))
+    lhs, _, _ = integrate(lhs_fn, gt.support, cfg_l).checked("scaling-identity lhs")
+    rhs, _, _ = integrate(rhs_fn, g.support, cfg_r).checked("scaling-identity rhs")
+    rhs_val = t ** (1.0 - p) * rhs
+    return abs(lhs - rhs_val) / (1.0 + abs(lhs))
 
 
 # ---------------------------------------------------------------------------
@@ -830,9 +826,8 @@ def check_cor4(
     def moment(core):
         cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-7, singularities=hints)
         res = integrate(_masked(f, lambda x, fx: core(x) * fx), f.support, cfg)
-        if res.status == "divergent":
-            raise DomainError("transport moment diverges")
-        return res.value
+        value, _, _ = res.checked("transport moment")
+        return value
 
     def s_and_ds(x):
         return np.asarray(s(x), dtype=float), np.asarray(s.derivative(x), dtype=float)
@@ -950,8 +945,10 @@ def lemma4_residual(f, g, domain, hints=(), df=None, dg=None) -> float:
     cfg = QuadratureConfig(
         abs_tol=1e-10, rel_tol=1e-9, singularities=tuple(hints)
     )
-    i1 = integrate(lambda x: f_vec(x) * dg_vec(x), (a, b), cfg)
-    i2 = integrate(lambda x: df_vec(x) * g_vec(x), (a, b), cfg)
-    if i1.status == "divergent" or i2.status == "divergent":
-        raise DomainError("integration-by-parts integrals diverge")
-    return abs(i1.value + i2.value) / (1.0 + abs(i1.value))
+    i1, _, _ = integrate(lambda x: f_vec(x) * dg_vec(x), (a, b), cfg).checked(
+        "integration-by-parts int f g'"
+    )
+    i2, _, _ = integrate(lambda x: df_vec(x) * g_vec(x), (a, b), cfg).checked(
+        "integration-by-parts int f' g"
+    )
+    return abs(i1 + i2) / (1.0 + abs(i1))

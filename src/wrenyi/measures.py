@@ -40,6 +40,7 @@ from .densities import Density
 from .errors import DomainError, InputError
 from .numerics import (
     QuadratureConfig,
+    _masked,
     essential_supremum,
     gamma_fn,
     integrate,
@@ -106,32 +107,15 @@ def _config(f: Density, w: WeightFunction | None = None, extra=()) -> Quadrature
 
 
 def _quad(integrand, f: Density, w=None, extra=(), what="integral"):
-    res = integrate(integrand, f.support, _config(f, w, extra))
-    if res.status == "divergent" or not math.isfinite(res.value):
-        raise DomainError(f"{what} diverges for {f.family} density")
-    warns = ()
-    if not res.converged:
-        warns = (f"{what}: quadrature tolerance not met (err={res.error:.2e})",)
-    return res.value, res.error, warns
+    return integrate(integrand, f.support, _config(f, w, extra)).checked(what)
 
 
-def _masked(f: Density, core, fill: float = 0.0):
-    """Integrand equal to core(x, f(x)) where f > 0 and ``fill`` elsewhere.
-
-    Evaluating weights only on {f > 0} keeps inf * 0 = nan artifacts from
-    tails where the density underflows.
-    """
-
-    def integrand(x):
-        x = np.asarray(x, dtype=float)
-        fx = np.asarray(f.pdf(x), dtype=float)
-        out = np.full_like(fx, fill)
-        m = fx > 0
-        if np.any(m):
-            out[m] = core(x[m], fx[m])
-        return out
-
-    return integrand
+def _exp(log_value: float, what: str) -> float:
+    """exp of a log-value; an overflow is a DomainError, not a crash."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"{what} overflows: exp({log_value!r})") from None
 
 
 def _warn_negativity(w: WeightFunction, f: Density):
@@ -308,7 +292,7 @@ def weighted_renyi_power(
         e = expectation(f, w, method)
         if not e.value > 0:
             raise DomainError(f"E_f[phi] = {e.value!r} must be positive at p = 1")
-        val = math.exp(h.value / e.value)
+        val = _exp(h.value / e.value, "weighted Renyi power")
         err = val * (h.error / e.value + abs(h.value) * e.error / e.value**2)
         return MeasureValue(
             val,
@@ -318,7 +302,7 @@ def weighted_renyi_power(
             h.warnings + e.warnings,
         )
     h = weighted_renyi_entropy(f, w, p, method)
-    val = math.exp(h.value)
+    val = _exp(h.value, "weighted Renyi power")
     return MeasureValue(val, val * h.error, h.branch, h.flags, h.warnings)
 
 
@@ -415,7 +399,7 @@ def relative_renyi_power(
 ) -> MeasureValue:
     """N_{phi,p}(f, g) = exp(D_{phi,p}(f||g))."""
     d = relative_renyi_entropy(f, g, w, p, method)
-    val = math.exp(d.value)
+    val = _exp(d.value, "relative Renyi power")
     return MeasureValue(val, val * d.error, d.branch, d.flags, d.warnings)
 
 
@@ -491,7 +475,7 @@ def generalized_deviation(
         lval, lerr, qwarns = _quad(
             integrand, f, w, extra=(0.0, -1.0, 1.0), what="log-moment"
         )
-        val = math.exp(lval / e.value)
+        val = _exp(lval / e.value, "alpha = 0 deviation")
         err = val * (lerr / e.value + abs(lval) * e.error / e.value**2)
         return MeasureValue(
             val, err, "alpha=0-log", {"E_f[phi]": e.value}, warns + e.warnings + qwarns

@@ -10,7 +10,14 @@ Every routine is a pure function of its inputs; there is no shared
 mutable state, so unrestricted concurrent use is safe.
 
 Integrands are expected to be vectorized: called with a float ndarray,
-they must return an ndarray of the same shape.
+they must return an ndarray of the same shape.  :func:`_masked` builds
+the usual integrand against a density, core(x, f(x)) on {f > 0} only.
+
+One status rule turns a quadrature result into a value, and every
+caller goes through it: :meth:`IntegralResult.checked` raises
+``DomainError("<what> diverges")`` on a divergent integral, returns the
+warning ``"<what>: quadrature tolerance not met (err=...)"`` with an
+unconverged one and no warning with a converged one.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import EvaluationError, InputError, UnboundedError
+from .errors import DomainError, EvaluationError, InputError, UnboundedError
 
 __all__ = [
     "QuadratureConfig",
@@ -49,6 +56,26 @@ def _vec(impl):
     return fn
 
 
+def _masked(f, core, fill: float = 0.0):
+    """Integrand equal to core(x, f(x)) where f > 0 and ``fill`` elsewhere.
+
+    ``f`` is anything with a vectorized ``pdf``.  Evaluating weights only
+    on {f > 0} keeps inf * 0 = nan artifacts from tails where the density
+    underflows.
+    """
+
+    def integrand(x):
+        x = np.asarray(x, dtype=float)
+        fx = np.asarray(f.pdf(x), dtype=float)
+        out = np.full_like(fx, fill)
+        m = fx > 0
+        if np.any(m):
+            out[m] = core(x[m], fx[m])
+        return out
+
+    return integrand
+
+
 # ---------------------------------------------------------------------------
 # Configuration / result types
 # ---------------------------------------------------------------------------
@@ -64,14 +91,11 @@ class QuadratureConfig:
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    max_depth: int = 60
     singularities: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise InputError("quadrature tolerances must be strictly positive")
-        if self.max_depth < 1:
-            raise InputError("max_depth must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -83,6 +107,20 @@ class IntegralResult:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+    def checked(self, what: str) -> tuple[float, float, tuple[str, ...]]:
+        """(value, error, warnings) of an integral described by ``what``.
+
+        A divergent integral raises :class:`DomainError`; one whose
+        tolerance was not met comes with one warning.
+        """
+        if self.status == "divergent":
+            raise DomainError(f"{what} diverges")
+        if self.status == "tolerance-not-met":
+            return self.value, self.error, (
+                f"{what}: quadrature tolerance not met (err={self.error:.2e})",
+            )
+        return self.value, self.error, ()
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -145,7 +183,10 @@ def _gk15(fn, a: float, b: float) -> tuple[float, float]:
     return k15, abs(k15 - g7)
 
 
-def _adaptive_gk(fn, a, b, abs_tol, rel_tol, max_depth):
+_MAX_DEPTH = 60  # bisections below one starting panel
+
+
+def _adaptive_gk(fn, a, b, abs_tol, rel_tol):
     """Adaptive bisection with GK15 panels on the finite interval [a, b]."""
     v, e = _gk15(fn, a, b)
     leaves = [(e, a, b, v, 0)]  # (error, lo, hi, value, depth)
@@ -160,7 +201,7 @@ def _adaptive_gk(fn, a, b, abs_tol, rel_tol, max_depth):
         leaves.sort(key=lambda l: l[0])
         worst = leaves.pop()
         we, wa, wb, _, wd = worst
-        if wd >= max_depth or (wb - wa) <= 4 * _EPS * max(abs(wa), abs(wb), 1.0):
+        if wd >= _MAX_DEPTH or (wb - wa) <= 4 * _EPS * max(abs(wa), abs(wb), 1.0):
             frozen.append(worst)
             continue
         m = 0.5 * (wa + wb)
@@ -178,9 +219,10 @@ def _adaptive_gk(fn, a, b, abs_tol, rel_tol, max_depth):
 # ---------------------------------------------------------------------------
 
 _DE_CUT = 4.3  # |u| <= _DE_CUT keeps exp((pi/2) sinh u) inside float range
+_DE_MAX_LEVEL = 10
 
 
-def _de_levels(max_level: int = 10):
+def _de_levels():
     """Abscissae u for each refinement level of the trapezoid in u.
 
     Level 0 holds the integer multiples of h=1 inside [-cut, cut]; level
@@ -189,7 +231,7 @@ def _de_levels(max_level: int = 10):
     """
     k0 = int(math.floor(_DE_CUT))
     levels = [np.arange(-k0, k0 + 1, 1.0)]
-    for j in range(1, max_level + 1):
+    for j in range(1, _DE_MAX_LEVEL + 1):
         h = 2.0**-j
         k_max = int(math.floor(_DE_CUT / h))
         ks = np.arange(1, k_max + 1, 2)
@@ -216,7 +258,7 @@ def _tanh_sinh_nodes(u):
     return delta, w
 
 
-def _tanh_sinh(fn, a, b, abs_tol, rel_tol, max_level=10):
+def _tanh_sinh(fn, a, b, abs_tol, rel_tol):
     """Double-exponential rule on the finite interval [a, b]."""
     c = 0.5 * (a + b)
     d = 0.5 * (b - a)
@@ -224,7 +266,7 @@ def _tanh_sinh(fn, a, b, abs_tol, rel_tol, max_level=10):
     prev = None
     err = math.inf
     h = 1.0
-    for level, u in enumerate(_DE_U[: max_level + 1]):
+    for level, u in enumerate(_DE_U):
         if level > 0:
             h *= 0.5
         delta, w = _tanh_sinh_nodes(u)
@@ -248,13 +290,13 @@ def _tanh_sinh(fn, a, b, abs_tol, rel_tol, max_level=10):
     return est, err, False
 
 
-def _exp_sinh(fn, a, sign, abs_tol, rel_tol, max_level=10):
+def _exp_sinh(fn, a, sign, abs_tol, rel_tol):
     """Double-exponential rule on (a, +inf) (sign=+1) or (-inf, a) (-1)."""
     total = 0.0
     prev = None
     err = math.inf
     h = 1.0
-    for level, u in enumerate(_DE_U[: max_level + 1]):
+    for level, u in enumerate(_DE_U):
         if level > 0:
             h *= 0.5
         t = 0.5 * np.pi * np.sinh(u)
@@ -334,22 +376,16 @@ def integrate(fn, domain, config: QuadratureConfig | None = None) -> IntegralRes
                 abs(lo - h) <= 1e-12 * scale or abs(hi - h) <= 1e-12 * scale
                 for h in hint_set
             )
-            if endpoint_singular:
-                v, e, ok = _tanh_sinh(fn, lo, hi, atol_piece, cfg.rel_tol)
-                if not ok:
-                    v2, e2, ok2 = _adaptive_gk(
-                        fn, lo, hi, atol_piece, cfg.rel_tol, cfg.max_depth
-                    )
-                    if ok2 or e2 < e:
-                        v, e, ok = v2, e2, ok2
-            else:
-                v, e, ok = _adaptive_gk(
-                    fn, lo, hi, atol_piece, cfg.rel_tol, cfg.max_depth
-                )
-                if not ok:
-                    v2, e2, ok2 = _tanh_sinh(fn, lo, hi, atol_piece, cfg.rel_tol)
-                    if ok2 or e2 < e:
-                        v, e, ok = v2, e2, ok2
+            primary, fallback = (
+                (_tanh_sinh, _adaptive_gk)
+                if endpoint_singular
+                else (_adaptive_gk, _tanh_sinh)
+            )
+            v, e, ok = primary(fn, lo, hi, atol_piece, cfg.rel_tol)
+            if not ok:
+                v2, e2, ok2 = fallback(fn, lo, hi, atol_piece, cfg.rel_tol)
+                if ok2 or e2 < e:
+                    v, e, ok = v2, e2, ok2
         if not math.isfinite(v) or abs(v) > 1e100:
             return IntegralResult(v, math.inf, "divergent")
         value += v

@@ -383,9 +383,8 @@ def _psi_quadrature(fn, kinks):
         lo, hi = (0.0, x) if x > 0 else (x, 0.0)
         cfg = QuadratureConfig(singularities=tuple(kinks))
         res = integrate(_vec(lambda t: np.asarray(fn(t), dtype=float)), (lo, hi), cfg)
-        if res.status == "divergent" or not math.isfinite(res.value):
-            raise DomainError("antiderivative quadrature diverged")
-        return res.value if x > 0 else -res.value
+        value, _, _ = res.checked("antiderivative integral")
+        return value if x > 0 else -value
 
     return psi
 

@@ -91,6 +91,16 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["residual"] <= 1e-7
 
+    @pytest.mark.parametrize("f", ["laplace:1", "gg:2,0.8"])
+    def test_renyi_power_overflow_is_a_numeric_error(self, f):
+        # N_rho1(G) with rho1 = phi^10 overflows exp() inside cri.
+        argv = ["verify", "cri", "--f", f, "--w", "abspoly:1,0.1", "--alpha", "2", "--p", "0.8"]
+        code, out = run_cli(argv)
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["type"] == "numeric"
+        assert error["message"].startswith("weighted Renyi power overflows")
+
     def test_unknown_check(self):
         code, _ = run_cli(["verify", "nope", "--f", "tent"])
         assert code == 2
@@ -224,6 +234,30 @@ class TestSweep:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "input"
         assert "tol must be a number, got 'tight'" in json.loads(out)["error"]["message"]
+
+    def test_list_elements_follow_the_scalar_rule(self, tmp_path):
+        body = (
+            "id = list\nf = gg:inf,2\nw = expw:0.1\np = 2,abc\nalpha = 2,oo\n"
+            f"verify = mei\nout_csv = {tmp_path}/l.csv\n"
+        )
+        code, _ = run_cli(["sweep", str(self._scenario(tmp_path, body=body))])
+        assert code == 3
+        rows = list(csv.DictReader(open(tmp_path / "l.csv")))
+        assert [(r["p"], r["alpha"]) for r in rows] == [
+            ("2", "2"), ("2", "oo"), ("abc", "2"), ("abc", "oo")
+        ]
+        assert rows[0]["error"] == rows[1]["error"] == ""
+        assert rows[1]["mei.verdict"] == "holds"
+        assert rows[2]["error"] == rows[3]["error"] == "InputError: p must be a number, got 'abc'"
+
+    @pytest.mark.parametrize(
+        "grid", ["linspace:0,abc,3", "interior:1,2,x", "linspace:1,2", "interior:one,2,3"]
+    )
+    def test_bad_grid_rejected(self, tmp_path, grid):
+        body = f"id = grid\nf = gg:2,2\np = 2\nalpha = {grid}\nverify = mei\n"
+        code, out = run_cli(["sweep", str(self._scenario(tmp_path, body=body))])
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "input"
 
     @pytest.mark.parametrize("cid", ["scaling", "lemma4", "id2.11"])
     def test_verify_only_checks_not_sweepable(self, tmp_path, cid):

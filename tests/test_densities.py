@@ -164,6 +164,14 @@ class TestCdfValues:
         assert make_laplace(b).cdf_fn(xs).tolist() == ref.tolist()
 
 
+class TestQuantileTails:
+    def test_gg_p_below_one_quantile_ends(self):
+        # At the levels 0 and 1 betaincinv returns 0; np.where must not
+        # warn about the 1/0 it discards there.
+        q = make_generalized_gaussian(2.0, 0.8).quantile_fn(np.array([0.0, 0.5, 1.0]))
+        assert q.tolist() == [-math.inf, 0.0, math.inf]
+
+
 class TestScaleDensity:
     def test_identity_scale(self):
         tent = make_tent()

@@ -18,7 +18,7 @@ from wrenyi.densities import (
     quantile,
     scale_density,
 )
-from wrenyi.errors import DomainError, InputError
+from wrenyi.errors import DomainError, InputError, WrenyiError
 from wrenyi.inequalities import (
     TransportMap,
     build_transport,
@@ -318,6 +318,16 @@ class TestCor3:
 
 
 class TestFiiCri:
+    def test_gg_p_below_one_target_raises_no_runtime_warning(self):
+        # The target G = gg(2, 0.8) evaluates the p < 1 quantile at the
+        # levels 0 and 1: a verdict or a WrenyiError, never a RuntimeWarning.
+        f = make_generalized_gaussian(2.0, 0.8)
+        try:
+            v = check_fii(f, make_power(0.3), 2.0, 0.8)
+        except WrenyiError:
+            return
+        assert v.verdict in ("holds", "violated", "assumptions-unmet", "inconclusive")
+
     def test_reduction_constants_vanish(self):
         g = make_generalized_gaussian(2.0, 2.0)
         terms = check_fii(g, ONE, 2.0, 2.0).terms

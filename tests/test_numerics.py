@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrenyi.errors import InputError
+from wrenyi.errors import DomainError, InputError
 from wrenyi.numerics import (
+    IntegralResult,
     QuadratureConfig,
+    _masked,
     beta_fn,
     differentiate,
     essential_supremum,
@@ -188,5 +190,121 @@ class TestQuadratureConfig:
     def test_invalid_tolerances_rejected(self):
         with pytest.raises(InputError):
             QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(InputError):
-            QuadratureConfig(max_depth=0)
+
+
+class TestChecked:
+    def test_converged(self):
+        assert IntegralResult(1.5, 2e-12, "converged").checked("x") == (1.5, 2e-12, ())
+
+    def test_tolerance_not_met_warns(self):
+        value, error, warns = IntegralResult(3.9e17, 3.3e17, "tolerance-not-met").checked(
+            "E[Z^-1.5]"
+        )
+        assert (value, error) == (3.9e17, 3.3e17)
+        assert warns == ("E[Z^-1.5]: quadrature tolerance not met (err=3.30e+17)",)
+
+    def test_divergent_raises(self):
+        with pytest.raises(DomainError) as exc:
+            IntegralResult(math.inf, math.inf, "divergent").checked("int phi f^p")
+        assert str(exc.value) == "int phi f^p diverges"
+
+    def test_real_results(self):
+        ok = integrate(lambda x: np.exp(-x), (0.0, math.inf)).checked("e")
+        assert ok[0] == pytest.approx(1.0, abs=1e-10) and ok[2] == ()
+        with pytest.raises(DomainError, match="^tail diverges$"):
+            integrate(lambda x: np.full_like(x, 1e120), (0.0, 1.0)).checked("tail")
+
+
+class _Law:
+    """A pdf that vanishes outside (0, 1)."""
+
+    @staticmethod
+    def pdf(x):
+        return np.where((x > 0) & (x < 1), 2.0 * x, 0.0)
+
+
+class TestMasked:
+    def test_fill_outside_support(self):
+        fn = _masked(_Law, lambda x, fx: fx + 1.0)
+        assert fn(np.array([-1.0, 0.5, 2.0])).tolist() == [0.0, 2.0, 0.0]
+        fn = _masked(_Law, lambda x, fx: fx + 1.0, fill=-np.inf)
+        assert fn(np.array([-1.0, 0.5, 2.0])).tolist() == [-np.inf, 2.0, -np.inf]
+
+    def test_core_never_sees_zero_density(self):
+        seen = []
+
+        def core(x, fx):
+            seen.append((x.copy(), fx.copy()))
+            return np.log(fx) * x  # -inf * 0 = nan if f = 0 got through
+
+        out = _masked(_Law, core)(np.linspace(-1.0, 2.0, 31))
+        assert np.all(np.isfinite(out))
+        xs = np.concatenate([x for x, _ in seen])
+        assert np.all((xs > 0) & (xs < 1))
+        assert np.all(np.concatenate([fx for _, fx in seen]) > 0)
+
+    def test_all_zero_skips_core(self):
+        def core(x, fx):
+            raise AssertionError("core called with no point where f > 0")
+
+        assert _masked(_Law, core, fill=7.0)(np.array([-2.0, 3.0])).tolist() == [7.0, 7.0]
+
+
+class TestEveryResultChecked:
+    """Every integral the package takes is turned into a value by checked()."""
+
+    def test_integrate_and_checked_calls_match(self, monkeypatch):
+        import sys
+
+        from wrenyi import numerics
+        from wrenyi.densities import cdf, make_generalized_gaussian, make_tent, parse_density
+        from wrenyi.gaussian_forms import beta_law, gamma_law
+        from wrenyi.inequalities import (
+            check_cor4,
+            check_fii,
+            check_scaling_identity,
+            lemma4_residual,
+        )
+        from wrenyi.measures import weighted_entropy
+        from wrenyi.weights import (
+            antiderivatives,
+            make_exp_linear,
+            make_power,
+            parse_weight,
+            power_of,
+        )
+
+        original, original_checked = numerics.integrate, IntegralResult.checked
+        results, checked, sites = [], [], set()
+
+        def counted_integrate(*args, **kwargs):
+            caller = sys._getframe(1)
+            sites.add((caller.f_code.co_filename, caller.f_lineno))
+            res = original(*args, **kwargs)
+            results.append(res)
+            return res
+
+        def counted_checked(self, what):
+            checked.append(self)
+            return original_checked(self, what)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("wrenyi") and getattr(mod, "integrate", None) is original:
+                monkeypatch.setattr(mod, "integrate", counted_integrate)
+        monkeypatch.setattr(IntegralResult, "checked", counted_checked)
+
+        g22 = make_generalized_gaussian(2.0, 2.0)
+        weighted = parse_density("weighted:gg:2,2;expw:0.3")
+        cdf(weighted, 0.1)
+        beta_law(2.5, 1.5).expectation(lambda z: z)
+        gamma_law(1.5).expectation(lambda z: z)
+        antiderivatives(power_of(make_exp_linear(0.5), 2.0)).psi(0.7)
+        weighted_entropy(make_tent(), make_power(1.0))
+        check_fii(g22, parse_weight("expw:0.1"), 2.0, 2.0)
+        check_cor4(make_tent(), 0.2)
+        check_scaling_identity(make_exp_linear(0.3), g22, 1.7, 2.0)
+        lemma4_residual(g22, lambda x: x**3, None, dg=lambda x: 3 * x * x)
+
+        assert len(sites) == 13
+        assert len(checked) == len(results)
+        assert {id(r) for r in checked} == {id(r) for r in results}
