@@ -9,7 +9,6 @@ from .densities import (
     make_laplace,
     make_tabulated,
     make_tent,
-    make_uniform,
     make_weighted_density,
     parse_density,
     scale_density,

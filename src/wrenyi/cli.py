@@ -353,8 +353,10 @@ def parse_scenario(path: str) -> dict:
             scalars[key] = raw[key]
             continue
         parsed = parse_values(raw[key])
-        if key == "tol" and isinstance(parsed, str):
-            raise InputError(f"{path}: tol must be a number, got {parsed!r}")
+        if key == "tol":
+            for v in parsed if isinstance(parsed, list) else [parsed]:
+                if isinstance(v, str):
+                    raise InputError(f"{path}: tol must be a number, got {v!r}")
         if isinstance(parsed, list):
             grids[key] = parsed
         else:
@@ -404,7 +406,7 @@ def evaluate_row(scenario: dict, params: dict) -> dict:
         descriptors = {k: _subst(scalars[k], env) for k in ("f", "g", "w") if k in scalars}
         values = _values(
             **descriptors,
-            tol=scalars.get("tol"),
+            tol=env.get("tol"),
             **{k: _resolve_order(scenario, env, k) for k in ORDER_KEYS},
         )
         for mid in _id_list(scalars.get("compute", "")):

@@ -24,6 +24,22 @@ with normalization
 
 valid for p > 1 - alpha (p > 1 when alpha = 0, p > 0 when alpha = inf).
 The scaled family is G_t(x) = G(x/t) / t.
+
+Every branch but alpha = inf is symmetric, so its CDF and quantile come
+from one pair of functions of u >= 0: H(u), half the mass of [-u, u]
+under G, and its inverse R(r), the u with H(u) = r/2:
+
+    H(u) = I((p-1) u^alpha; 1/alpha, p/(p-1)) / 2                   p > 1
+    H(u) = P(1/alpha, u^alpha) / 2                                  p = 1
+    H(u) = (1 - I(1 / (1 + (1-p) u^alpha); 1/(1-p) - 1/alpha, 1/alpha)) / 2
+                                                                    p < 1
+    H(u) = Q(p/(p-1), -log u) / 2                                   alpha = 0
+
+(I the regularized incomplete Beta function, P and Q the regularized
+lower and upper incomplete Gamma functions; u is clipped to the support
+where it is bounded).  Then
+
+    F_t(x) = 1/2 + sign(x) H(|x|/t),    Q_t(q) = sign(q - 1/2) t R(|2q - 1|).
 """
 
 from __future__ import annotations
@@ -46,11 +62,9 @@ from .numerics import QuadratureConfig, _masked, _vec, beta_fn, gamma_fn, integr
 
 __all__ = [
     "Density",
-    "GeneralizedGaussianParams",
     "make_exponential",
     "make_laplace",
     "make_tent",
-    "make_uniform",
     "make_generalized_gaussian",
     "scale_density",
     "make_weighted_density",
@@ -79,43 +93,6 @@ class Density:
 
     def quad_config(self) -> QuadratureConfig:
         return QuadratureConfig(singularities=self.singularities)
-
-
-@dataclass(frozen=True)
-class GeneralizedGaussianParams:
-    """Validated (alpha, p, a, t) record of a generalized p-Gaussian.
-
-    Validity region: p > 1 - alpha, with p > 1 required at alpha = 0 and
-    p > 0 at alpha = inf; the normalization constant must match the
-    closed form for the branch.
-    """
-
-    alpha: float
-    p: float
-    norm_const: float
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.scale > 0:
-            raise InputError(f"scale must be positive, got {self.scale}")
-        expected = gg_norm_const(self.alpha, self.p)  # also validates (alpha, p)
-        if not math.isclose(self.norm_const, expected, rel_tol=1e-12):
-            raise InputError(
-                f"normalization constant {self.norm_const!r} does not match "
-                f"the closed form {expected!r} for (alpha, p) = "
-                f"({self.alpha}, {self.p})"
-            )
-
-    @property
-    def support_bound(self) -> float:
-        """Half-width of the support (inf for the unbounded branches)."""
-        if math.isinf(self.alpha):
-            return self.scale
-        if self.alpha == 0.0:
-            return self.scale
-        if self.p > 1:
-            return self.scale * (self.p - 1.0) ** (-1.0 / self.alpha)
-        return math.inf
 
 
 def _check_normalization(density: Density) -> Density:
@@ -213,11 +190,6 @@ def make_tent() -> Density:
     )
 
 
-def make_uniform(half_width: float = 1.0) -> Density:
-    """Uniform density on [-t, t] (the alpha = inf generalized Gaussian)."""
-    return make_generalized_gaussian(math.inf, 2.0, half_width)
-
-
 # ---------------------------------------------------------------------------
 # Generalized p-Gaussian
 # ---------------------------------------------------------------------------
@@ -253,40 +225,43 @@ def gg_norm_const(alpha: float, p: float) -> float:
 
 
 def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density:
-    """Generalized p-Gaussian of moment order alpha at scale t."""
+    """Generalized p-Gaussian of moment order alpha at scale t.
+
+    Every branch but alpha = inf gives its pdf, its derivative and the
+    pair of the module docstring: H(u) (``half_mass``), half the mass of
+    [-t u, t u], and R(r) (``radius``), the u at which that interval
+    holds mass r.  One symmetric wrapper turns them into the CDF
+    1/2 +- H(|x/t|) (+ for x >= 0) and the quantile
+    sign(q - 1/2) t R(|2q - 1|).  At alpha = inf, G_t is uniform on
+    [-t, t] with a linear CDF and quantile.
+    """
     alpha, p, t = float(alpha), float(p), float(t)
     if not t > 0:
         raise InputError(f"scale must be positive, got {t}")
     a = gg_norm_const(alpha, p)
-    record = GeneralizedGaussianParams(alpha, p, a, t)
-    params = {"alpha": alpha, "p": p, "a": a, "t": t, "record": record}
+    support = (-math.inf, math.inf)
 
     if math.isinf(alpha):
-        lo, hi = -t, t
+        support = (-t, t)
         val = 0.5 / t
-        pdf = _vec(
-            lambda x: np.where(np.abs(x) <= t, val, 0.0)
-        )
-        dpdf = _vec(lambda x: np.zeros_like(x))
-        cdf_fn = _vec(lambda x: np.clip((x + t) / (2 * t), 0.0, 1.0))
-        quant = _vec(lambda q: t * (2 * q - 1.0))
-        dens = Density(
-            "generalized-gaussian", params, (lo, hi), pdf, dpdf, cdf_fn, quant, ()
-        )
-        return _check_normalization(dens)
+        pdf = lambda x: np.where(np.abs(x) <= t, val, 0.0)
+        dpdf = np.zeros_like
+        cdf_fn = lambda x: np.clip((x + t) / (2 * t), 0.0, 1.0)
+        quant = lambda q: t * (2 * q - 1.0)
 
-    if alpha == 0.0:
+    elif alpha == 0.0:
         # pdf positive on 0 < |x| < t, unbounded at x = 0.
+        support = (-t, t)
         e = 1.0 / (p - 1.0)
 
-        def _pdf0(x):
+        def pdf(x):
             u = np.abs(x) / t
             out = np.zeros_like(u)
             inside = (u < 1.0) & (u > 0.0)
             out[inside] = (a / t) * (-np.log(u[inside])) ** e
             return out
 
-        def _dpdf0(x):
+        def dpdf(x):
             u = x / t
             au = np.abs(u)
             out = np.zeros_like(au)
@@ -297,39 +272,24 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
 
         shape = p / (p - 1.0)
 
-        def _cdf0(x):
-            u = np.clip(np.abs(x) / t, 0.0, 1.0)
+        def half_mass(u):
+            u = np.clip(u, 0.0, 1.0)
             half = np.zeros_like(u)
             pos = u > 0
             half[pos] = 0.5 * gammaincc(shape, -np.log(u[pos]))
-            return np.where(np.asarray(x) >= 0, 0.5 + half, 0.5 - half)
+            return half
 
-        def _quant0(q):
-            q = np.asarray(q, dtype=float)
-            r = np.abs(2 * q - 1.0)
-            u = np.where(
+        def radius(r):
+            return np.where(
                 r >= 1.0, 1.0, np.exp(-gammainccinv(shape, np.minimum(r, 1.0)))
             )
-            return np.sign(q - 0.5) * t * u
 
-        dens = Density(
-            "generalized-gaussian",
-            params,
-            (-t, t),
-            _vec(_pdf0),
-            _vec(_dpdf0),
-            _vec(_cdf0),
-            _vec(_quant0),
-            (0.0,),
-        )
-        return _check_normalization(dens)
+    elif p == 1.0:
 
-    if p == 1.0:
-
-        def _pdf1(x):
+        def pdf(x):
             return (a / t) * np.exp(-np.abs(x / t) ** alpha)
 
-        def _dpdf1(x):
+        def dpdf(x):
             u = x / t
             au = np.abs(u)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -340,101 +300,82 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
 
         inv_alpha = 1.0 / alpha
 
-        def _cdf1(x):
-            u = np.abs(np.asarray(x, dtype=float) / t) ** alpha
-            half = 0.5 * gammainc(inv_alpha, u)
-            return np.where(np.asarray(x) >= 0, 0.5 + half, 0.5 - half)
+        def half_mass(u):
+            return 0.5 * gammainc(inv_alpha, u**alpha)
 
-        def _quant1(q):
-            q = np.asarray(q, dtype=float)
-            r = np.abs(2 * q - 1.0)
-            u = gammaincinv(inv_alpha, np.minimum(r, 1.0))
-            return np.sign(q - 0.5) * t * u ** (1.0 / alpha)
+        def radius(r):
+            return gammaincinv(inv_alpha, np.minimum(r, 1.0)) ** (1.0 / alpha)
 
-        dens = Density(
-            "generalized-gaussian",
-            params,
-            (-math.inf, math.inf),
-            _vec(_pdf1),
-            _vec(_dpdf1),
-            _vec(_cdf1),
-            _vec(_quant1),
-            (0.0,) if alpha < 2.0 else (),
-        )
-        return _check_normalization(dens)
-
-    # p != 1, alpha in (0, inf)
-    e = 1.0 / (p - 1.0)
-    if p > 1:
-        kappa = record.support_bound
-        support = (-kappa, kappa)
-        sh1, sh2 = 1.0 / alpha, p / (p - 1.0)
-
-        def _cdfp(x):
-            u = np.clip((p - 1.0) * np.abs(np.asarray(x, dtype=float) / t) ** alpha, 0.0, 1.0)
-            half = 0.5 * betainc(sh1, sh2, u)
-            return np.where(np.asarray(x) >= 0, 0.5 + half, 0.5 - half)
-
-        def _quantp(q):
-            q = np.asarray(q, dtype=float)
-            r = np.abs(2 * q - 1.0)
-            u = betaincinv(sh1, sh2, np.minimum(r, 1.0))
-            return np.sign(q - 0.5) * t * (u / (p - 1.0)) ** (1.0 / alpha)
-
-        quant = _vec(_quantp)
     else:
-        support = (-math.inf, math.inf)
-        sh1, sh2 = 1.0 / (1.0 - p) - 1.0 / alpha, 1.0 / alpha
+        e = 1.0 / (p - 1.0)
 
-        def _cdfp(x):
-            v = 1.0 / (1.0 + (1.0 - p) * np.abs(np.asarray(x, dtype=float) / t) ** alpha)
-            half = 0.5 * (1.0 - betainc(sh1, sh2, v))
-            return np.where(np.asarray(x) >= 0, 0.5 + half, 0.5 - half)
+        def pdf(x):
+            u = np.abs(x / t) ** alpha
+            base = 1.0 + (1.0 - p) * u
+            out = np.zeros_like(base)
+            inside = base > 0
+            out[inside] = (a / t) * base[inside] ** e
+            return out
 
-        def _quantp(q):
-            q = np.asarray(q, dtype=float)
-            r = np.abs(2 * q - 1.0)
-            v = betaincinv(sh1, sh2, 1.0 - r)
-            # v = 0 only where r >= 1, an element np.where sets to inf.
-            with np.errstate(divide="ignore"):
-                u = np.where(r >= 1.0, math.inf, (1.0 / v - 1.0) / (1.0 - p))
-            return np.sign(q - 0.5) * t * u ** (1.0 / alpha)
+        def dpdf(x):
+            u = x / t
+            au = np.abs(u)
+            base = 1.0 + (1.0 - p) * au**alpha
+            out = np.zeros_like(base)
+            inside = (base > 0) & (au > 0)
+            out[inside] = (
+                -(a / t**2)
+                * alpha
+                * au[inside] ** (alpha - 1.0)
+                * np.sign(u[inside])
+                * base[inside] ** (e - 1.0)
+            )
+            return out
 
-        quant = _vec(_quantp)
+        if p > 1:
+            kappa = t * (p - 1.0) ** (-1.0 / alpha)
+            support = (-kappa, kappa)
+            sh1, sh2 = 1.0 / alpha, p / (p - 1.0)
 
-    def _pdfp(x):
-        u = np.abs(x / t) ** alpha
-        base = 1.0 + (1.0 - p) * u
-        out = np.zeros_like(base)
-        inside = base > 0
-        out[inside] = (a / t) * base[inside] ** e
-        return out
+            def half_mass(u):
+                return 0.5 * betainc(sh1, sh2, np.clip((p - 1.0) * u**alpha, 0.0, 1.0))
 
-    def _dpdfp(x):
-        u = x / t
-        au = np.abs(u)
-        base = 1.0 + (1.0 - p) * au**alpha
-        out = np.zeros_like(base)
-        inside = (base > 0) & (au > 0)
-        out[inside] = (
-            -(a / t**2)
-            * alpha
-            * au[inside] ** (alpha - 1.0)
-            * np.sign(u[inside])
-            * base[inside] ** (e - 1.0)
-        )
-        return out
+            def radius(r):
+                u = betaincinv(sh1, sh2, np.minimum(r, 1.0))
+                return (u / (p - 1.0)) ** (1.0 / alpha)
 
-    sing: tuple[float, ...] = (0.0,) if alpha < 2.0 else ()
+        else:
+            sh1, sh2 = 1.0 / (1.0 - p) - 1.0 / alpha, 1.0 / alpha
+
+            def half_mass(u):
+                v = 1.0 / (1.0 + (1.0 - p) * u**alpha)
+                return 0.5 * (1.0 - betainc(sh1, sh2, v))
+
+            def radius(r):
+                v = betaincinv(sh1, sh2, 1.0 - r)
+                # v = 0 only where r >= 1, an element np.where sets to inf.
+                with np.errstate(divide="ignore"):
+                    u = np.where(r >= 1.0, math.inf, (1.0 / v - 1.0) / (1.0 - p))
+                return u ** (1.0 / alpha)
+
+    if not math.isinf(alpha):
+
+        def cdf_fn(x):
+            half = half_mass(np.abs(x / t))
+            return np.where(x >= 0, 0.5 + half, 0.5 - half)
+
+        def quant(q):
+            return np.sign(q - 0.5) * t * radius(np.abs(2 * q - 1.0))
+
     dens = Density(
         "generalized-gaussian",
-        params,
+        {"alpha": alpha, "p": p, "a": a, "t": t},
         support,
-        _vec(_pdfp),
-        _vec(_dpdfp),
-        _vec(_cdfp),
-        quant,
-        sing,
+        _vec(pdf),
+        _vec(dpdf),
+        _vec(cdf_fn),
+        _vec(quant),
+        (0.0,) if alpha < 2.0 else (),
     )
     return _check_normalization(dens)
 

@@ -421,10 +421,6 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
     else:
         n_power = 2.0 ** (p / (p - 1.0)) * psi_diff ** (1.0 / (1.0 - p))
     sigma = _esssup_weighted(w, lambda x: np.abs(x), (-1.0, 1.0))
-    # The plain essential supremum of phi is also recorded: it differs
-    # from the deviation (esssup of phi(x)|x|) whenever the weighted
-    # maximum is attained away from the support edge.
-    sigma_sup_phi = _esssup_weighted(w, lambda x: np.ones_like(x), (-1.0, 1.0))
     fisher = psi_diff / (p * 2.0**p) - 2.0 ** (-1.0 - p) * psib_diff
     return GaussianMeasureSet(
         n_power,
@@ -432,11 +428,7 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
         fisher,
         "alpha=inf-display",
         "alpha=inf",
-        {
-            "psi_diff": psi_diff,
-            "psib_diff": psib_diff,
-            "esssup_phi": sigma_sup_phi,
-        },
+        {"psi_diff": psi_diff, "psib_diff": psib_diff},
     )
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "make_density_polynomial",
     "make_density_power",
     "power_of",
-    "product",
     "compose_with_map",
     "derive_phi_star",
     "derive_rho12",
@@ -246,21 +245,6 @@ def power_of(w: WeightFunction, r: float) -> WeightFunction:
 
     return WeightFunction(
         "power-of", {"base": w, "r": r}, _vec(_f), _vec(_df), kinks=w.kinks
-    )
-
-
-def product(w1: WeightFunction, w2: WeightFunction) -> WeightFunction:
-    def _f(x):
-        return np.asarray(w1.fn(x)) * np.asarray(w2.fn(x))
-
-    def _df(x):
-        return np.asarray(w1.dfn(x)) * np.asarray(w2.fn(x)) + np.asarray(
-            w1.fn(x)
-        ) * np.asarray(w2.dfn(x))
-
-    kinks = tuple(sorted(set(w1.kinks) | set(w2.kinks)))
-    return WeightFunction(
-        "product", {"left": w1, "right": w2}, _vec(_f), _vec(_df), kinks=kinks
     )
 
 

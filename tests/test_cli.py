@@ -235,6 +235,24 @@ class TestSweep:
         assert json.loads(out)["error"]["type"] == "input"
         assert "tol must be a number, got 'tight'" in json.loads(out)["error"]["message"]
 
+    def test_non_numeric_tol_list_element_rejected(self, tmp_path):
+        body = "id = tol\nf = tent\nc = 0\ntol = 1e-8,tight\nverify = cor2\n"
+        code, out = run_cli(["sweep", str(self._scenario(tmp_path, body=body))])
+        assert code == 2
+        assert "tol must be a number, got 'tight'" in json.loads(out)["error"]["message"]
+
+    def test_each_row_uses_its_own_tol(self, tmp_path):
+        body = (
+            "id = tol\nf = gg:2,2\nw = expw:0.1\nalpha = 2\np = 2\ntol = 1e-30,0.5\n"
+            f"verify = mei\nout_csv = {tmp_path}/t.csv\n"
+        )
+        code, _ = run_cli(["sweep", str(self._scenario(tmp_path, body=body))])
+        assert code == 0
+        rows = list(csv.DictReader(open(tmp_path / "t.csv")))
+        assert [(float(r["tol"]), r["mei.verdict"]) for r in rows] == [
+            (1e-30, "inconclusive"), (0.5, "holds")
+        ]
+
     def test_list_elements_follow_the_scalar_rule(self, tmp_path):
         body = (
             "id = list\nf = gg:inf,2\nw = expw:0.1\np = 2,abc\nalpha = 2,oo\n"

@@ -1,0 +1,17 @@
+"""Every name a wrenyi module exports in ``__all__`` exists."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import wrenyi
+
+MODULES = ["wrenyi"] + [f"wrenyi.{m.name}" for m in pkgutil.iter_modules(wrenyi.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_exist(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

@@ -26,7 +26,6 @@ from wrenyi.weights import (
     nonnegativity_violation,
     parse_weight,
     power_of,
-    product,
 )
 
 
@@ -99,12 +98,6 @@ class TestAlgebra:
         # scalar pow implementations.
         w = make_exp_linear(0.4)
         assert power_of(w, r)(x) == pytest.approx(w(x) ** r, rel=5e-16)
-
-    def test_product_rule(self):
-        w = product(make_exp_linear(0.2), make_power(2.0))
-        x = 1.3
-        expected = 0.2 * math.exp(0.26) * x * x + math.exp(0.26) * 2 * x
-        assert w.derivative(x) == pytest.approx(expected, rel=1e-12)
 
     def test_compose_with_map(self):
         w = compose_with_map(make_exp_linear(2.0), _LogMap())
