@@ -40,6 +40,7 @@ from .densities import Density
 from .errors import DomainError, InputError
 from .numerics import (
     QuadratureConfig,
+    _exp,
     _masked,
     essential_supremum,
     gamma_fn,
@@ -108,14 +109,6 @@ def _config(f: Density, w: WeightFunction | None = None, extra=()) -> Quadrature
 
 def _quad(integrand, f: Density, w=None, extra=(), what="integral"):
     return integrate(integrand, f.support, _config(f, w, extra)).checked(what)
-
-
-def _exp(log_value: float, what: str) -> float:
-    """exp of a log-value; an overflow is a DomainError, not a crash."""
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise DomainError(f"{what} overflows: exp({log_value!r})") from None
 
 
 def _warn_negativity(w: WeightFunction, f: Density):

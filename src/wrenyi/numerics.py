@@ -56,6 +56,14 @@ def _vec(impl):
     return fn
 
 
+def _exp(log_value: float, what: str) -> float:
+    """exp of a log-value; an overflow is a DomainError, not a crash."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"{what} overflows: exp({log_value!r})") from None
+
+
 def _masked(f, core, fill: float = 0.0):
     """Integrand equal to core(x, f(x)) where f > 0 and ``fill`` elsewhere.
 
@@ -470,23 +478,39 @@ def find_root(fn, bracket) -> float:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(fn, lo, hi, iters=80):
-    a, b = lo, hi
+def _golden_lockstep(fn, lo, hi, sign=1.0):
+    """Golden-section maxima of ``sign * fn`` on the brackets [lo[k], hi[k]].
+
+    The brackets run in lockstep (Kiefer, 1953): after one ``fn`` call on
+    every starting pair, each step makes one ``fn`` call on the next
+    point of every bracket still open.  A bracket freezes once
+    b - a < 1e-13 max(1, |a|, |b|) or after 80 steps, so each visits
+    exactly the points of its own scalar run.  Returns, per bracket,
+    ``fd if fd > fc else fc`` of its last two points.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    sign = np.broadcast_to(np.asarray(sign, dtype=float), a.shape)
+    if a.size == 0:
+        return a
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = float(fn(c)), float(fn(d))
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = float(fn(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = float(fn(d))
-        if b - a < 1e-13 * max(1.0, abs(a), abs(b)):
+    y = np.asarray(fn(np.concatenate([c, d])), dtype=float)
+    fc, fd = sign * y[: a.size], sign * y[a.size :]
+    k = np.arange(a.size)
+    for _ in range(80):
+        left = fc[k] >= fd[k]
+        ak, bk = np.where(left, a[k], c[k]), np.where(left, d[k], b[k])
+        x = np.where(left, bk - _GOLDEN * (bk - ak), ak + _GOLDEN * (bk - ak))
+        fx = sign[k] * np.asarray(fn(x), dtype=float)
+        c[k], d[k], fc[k], fd[k] = (
+            np.where(left, x, d[k]), np.where(left, c[k], x),
+            np.where(left, fx, fd[k]), np.where(left, fc[k], fx),
+        )
+        a[k], b[k] = ak, bk
+        k = k[~(bk - ak < 1e-13 * np.maximum(np.maximum(1.0, np.abs(ak)), np.abs(bk)))]
+        if k.size == 0:
             break
-    return max(fc, fd)
+    return np.where(fd > fc, fd, fc)
 
 
 def _sup_grid(support):
@@ -511,7 +535,8 @@ def essential_supremum(fn, support) -> float:
 
     Grid scan (4097 points, endpoint-dense for infinite intervals)
     followed by a golden-section polish around the five best grid
-    maxima, with a refinement-growth check standing in for boundedness.
+    maxima, run in lockstep (one ``fn`` call per step for all five), with
+    a refinement-growth check standing in for boundedness.
     """
     grid = _sup_grid(support)
     vals = np.asarray(fn(grid), dtype=float)
@@ -530,12 +555,11 @@ def essential_supremum(fn, support) -> float:
         raise UnboundedError("supremum keeps growing under grid refinement")
 
     order = np.argsort(vals)[::-1][:5]
+    lo = grid[np.maximum(order - 1, 0)]
+    hi = grid[np.minimum(order + 1, grid.size - 1)]
     best = m1
-    for i in order:
-        lo = grid[max(int(i) - 1, 0)]
-        hi = grid[min(int(i) + 1, grid.size - 1)]
-        if hi > lo:
-            best = max(best, _golden_max(fn, float(lo), float(hi)))
+    for peak in _golden_lockstep(fn, lo[hi > lo], hi[hi > lo]).tolist():
+        best = max(best, peak)
     return best
 
 
@@ -547,38 +571,32 @@ def essential_supremum(fn, support) -> float:
 def _clip_window(fn, support):
     """A finite window outside which |fn| is negligible (or constant)."""
     a, b = support
-    if math.isfinite(a) and math.isfinite(b):
+    open_lo, open_hi = not math.isfinite(a), not math.isfinite(b)
+    if not (open_lo or open_hi):
         return a, b, True, True
-    lo = a if math.isfinite(a) else -8.0
-    hi = b if math.isfinite(b) else 8.0
+    lo = -8.0 if open_lo else a
+    hi = 8.0 if open_hi else b
     for _ in range(12):
-        settled = True
-        if not math.isfinite(a):
-            slope = abs(
-                float(fn(np.array([lo]))[0]) - float(fn(np.array([lo + 1e-3]))[0])
-            )
-            if slope > 1e-13:
-                lo *= 2.0
-                settled = False
-        if not math.isfinite(b):
-            slope = abs(
-                float(fn(np.array([hi]))[0]) - float(fn(np.array([hi - 1e-3]))[0])
-            )
-            if slope > 1e-13:
-                hi *= 2.0
-                settled = False
-        if settled:
+        # One fn call on the open ends: lo, lo + 1e-3 and hi - 1e-3, hi.
+        ends = [lo, lo + 1e-3] * open_lo + [hi - 1e-3, hi] * open_hi
+        v = np.asarray(fn(np.array(ends)), dtype=float).tolist()
+        grow_lo = open_lo and abs(v[0] - v[1]) > 1e-13
+        grow_hi = open_hi and abs(v[-1] - v[-2]) > 1e-13
+        if not (grow_lo or grow_hi):
             break
-    return lo, hi, math.isfinite(a), math.isfinite(b)
+        lo *= 2.0 if grow_lo else 1.0
+        hi *= 2.0 if grow_hi else 1.0
+    return lo, hi, not open_lo, not open_hi
 
 
 def total_variation(fn, support, jump_hints=()) -> float:
     """Total variation of ``fn`` over ``support``, treating fn as 0 outside.
 
     Piecewise-monotone decomposition on a dense grid with golden-section
-    polish of interior extrema; jumps at finite support endpoints where
-    fn does not vanish, and at hinted interior discontinuities, are added
-    as their one-sided magnitudes.
+    polish of interior extrema, all peaks and troughs of one refinement
+    level in lockstep; jumps at finite support endpoints where fn does
+    not vanish, and at hinted interior discontinuities, are added as
+    their one-sided magnitudes.
     """
     lo, hi, left_edge, right_edge = _clip_window(fn, support)
     if hi <= lo:
@@ -588,22 +606,21 @@ def total_variation(fn, support, jump_hints=()) -> float:
     hints = sorted({float(t) for t in jump_hints if lo < t < hi})
     seg_edges = [lo] + hints + [hi]
 
+    # Edge jumps (fn is 0 outside the support), then hinted interior jumps.
+    ends = [lo + h_edge] * left_edge + [hi - h_edge] * right_edge
+    sides = [t + e for t in hints for e in (-h_edge, h_edge)]
+    pts = ends + sides
+    v = np.asarray(fn(np.array(pts)), dtype=float).tolist() if pts else []
     var = 0.0
-    # Edge jumps: fn is 0 outside the support.
-    if left_edge:
-        var += abs(float(fn(np.array([lo + h_edge]))[0]))
-    if right_edge:
-        var += abs(float(fn(np.array([hi - h_edge]))[0]))
-    # Interior hinted jumps.
-    for t in hints:
-        fl = float(fn(np.array([t - h_edge]))[0])
-        fr = float(fn(np.array([t + h_edge]))[0])
+    for jump in v[: len(ends)]:
+        var += abs(jump)
+    for fl, fr in zip(v[len(ends) :: 2], v[len(ends) + 1 :: 2]):
         var += abs(fr - fl)
 
     prev_total = None
     n = 8193
     for _ in range(3):
-        smooth = 0.0
+        pieces, brackets = [], []
         for s_lo, s_hi in zip(seg_edges[:-1], seg_edges[1:]):
             g_lo, g_hi = s_lo + h_edge, s_hi - h_edge
             if g_hi <= g_lo:
@@ -613,17 +630,24 @@ def total_variation(fn, support, jump_hints=()) -> float:
             if not np.all(np.isfinite(y)):
                 raise EvaluationError("non-finite values inside a smooth piece")
             d = np.diff(y)
-            # Polish interior extrema so monotone-run sums are sharp.
             sgn = np.sign(d)
-            turn = np.nonzero(sgn[1:] * sgn[:-1] < 0)[0] + 1
+            turn = np.nonzero(sgn[1:] * sgn[:-1] < 0)[0][:64] + 1
+            pieces.append((y, d, sgn, turn))
+            # (lo, hi, +1 before a peak or -1 before a trough)
+            brackets += [(x[i - 1], x[i + 1], sgn[i - 1]) for i in turn]
+        # Polish interior extrema so monotone-run sums are sharp: all of
+        # this level at once, a trough as the negated peak of -fn.
+        br = np.array(brackets, dtype=float).reshape(-1, 3)
+        polished = iter(_golden_lockstep(fn, br[:, 0], br[:, 1], br[:, 2]).tolist())
+        smooth = 0.0
+        for y, d, sgn, turn in pieces:
             extra = 0.0
-            for i in turn[:64]:
-                bracket_lo, bracket_hi = float(x[i - 1]), float(x[i + 1])
+            for i in turn:
                 if sgn[i - 1] > 0:  # local max
-                    peak = _golden_max(fn, bracket_lo, bracket_hi)
+                    peak = next(polished)
                     extra += 2.0 * max(0.0, peak - max(y[i], y[i - 1], y[i + 1]))
                 else:  # local min
-                    trough = -_golden_max(lambda z: -fn(z), bracket_lo, bracket_hi)
+                    trough = -next(polished)
                     extra += 2.0 * max(0.0, min(y[i], y[i - 1], y[i + 1]) - trough)
             smooth += float(np.sum(np.abs(d))) + extra
         total = var + smooth

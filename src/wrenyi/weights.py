@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .numerics import QuadratureConfig, _vec, integrate
+from .numerics import QuadratureConfig, _exp, _vec, integrate
 
 __all__ = [
     "WeightFunction",
@@ -383,9 +383,10 @@ def antiderivatives(w: WeightFunction) -> Antiderivatives:
         g = w.params["gamma"]
         if g == 0.0:
             return Antiderivatives(lambda x: float(x), lambda x: 0.0)
+        what = "exp-linear antiderivative"
         return Antiderivatives(
-            lambda x: (math.exp(g * float(x)) - 1.0) / g,
-            lambda x: math.exp(g * float(x)) - 1.0,
+            lambda x: (_exp(g * float(x), what) - 1.0) / g,
+            lambda x: _exp(g * float(x), what) - 1.0,
         )
     if fam == "power":
         c = w.params["c"]

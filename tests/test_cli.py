@@ -101,6 +101,22 @@ class TestVerify:
         assert error["type"] == "numeric"
         assert error["message"].startswith("weighted Renyi power overflows")
 
+    @pytest.mark.parametrize(
+        "w, p, message",
+        [
+            # psi(x) = (e^{gx} - 1)/g at x = +-1 overflows for |g| = 800.
+            ("expw:800", "2", "exp-linear antiderivative overflows: exp(800.0)"),
+            ("expw:-800", "2", "exp-linear antiderivative overflows: exp(800.0)"),
+            # psi stays finite, but N(G) = 2^{p/(p-1)} psi^{1/(1-p)} does not.
+            ("expw:700", "0.5", "weighted Renyi power of G overflows"),
+            ("expw:0.3", "1.0000000001", "weighted Renyi power of G overflows"),
+        ],
+    )
+    def test_alpha_inf_gaussian_overflow_is_a_numeric_error(self, w, p, message):
+        code, out = run_cli(["verify", "id2.22", "--w", w, "--p", p, "--alpha", "inf"])
+        assert code == 3
+        assert json.loads(out)["error"] == {"type": "numeric", "message": message}
+
     def test_unknown_check(self):
         code, _ = run_cli(["verify", "nope", "--f", "tent"])
         assert code == 2

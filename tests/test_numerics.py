@@ -11,6 +11,7 @@ from wrenyi.errors import DomainError, InputError
 from wrenyi.numerics import (
     IntegralResult,
     QuadratureConfig,
+    _golden_lockstep,
     _masked,
     beta_fn,
     differentiate,
@@ -184,6 +185,179 @@ class TestTotalVariation:
         lo, hi = fn(np.array([-2.0]))[0], fn(np.array([3.0]))[0]
         v = total_variation(fn, (-2.0, 3.0))
         assert v == pytest.approx(abs(hi - lo) + lo + hi, abs=1e-8)
+
+
+# Scalar golden-section search, one fn call per point of one bracket:
+# the reference the lockstep helper must match bit for bit.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max_ref(fn, lo, hi, iters=80):
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = float(fn(c)), float(fn(d))
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = float(fn(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = float(fn(d))
+        if b - a < 1e-13 * max(1.0, abs(a), abs(b)):
+            break
+    return max(fc, fd)
+
+
+def _total_variation_ref(fn, support, jump_hints=()):
+    """total_variation with one scalar polish per extremum and 1-point probes."""
+    a, b = support
+    lo = a if math.isfinite(a) else -8.0
+    hi = b if math.isfinite(b) else 8.0
+    at = lambda t: float(fn(np.array([t]))[0])
+    for _ in range(12 if not (math.isfinite(a) and math.isfinite(b)) else 0):
+        settled = True
+        if not math.isfinite(a) and abs(at(lo) - at(lo + 1e-3)) > 1e-13:
+            lo, settled = lo * 2.0, False
+        if not math.isfinite(b) and abs(at(hi) - at(hi - 1e-3)) > 1e-13:
+            hi, settled = hi * 2.0, False
+        if settled:
+            break
+    h_edge = 1e-9 * max(1.0, abs(lo), abs(hi))
+    hints = sorted({float(t) for t in jump_hints if lo < t < hi})
+    var = 0.0
+    if math.isfinite(a):
+        var += abs(at(lo + h_edge))
+    if math.isfinite(b):
+        var += abs(at(hi - h_edge))
+    for t in hints:
+        fl, fr = at(t - h_edge), at(t + h_edge)
+        var += abs(fr - fl)
+    prev_total, n = None, 8193
+    for _ in range(3):
+        smooth = 0.0
+        edges = [lo] + hints + [hi]
+        for s_lo, s_hi in zip(edges[:-1], edges[1:]):
+            x = np.linspace(s_lo + h_edge, s_hi - h_edge, n)
+            y = np.asarray(fn(x), dtype=float)
+            d = np.diff(y)
+            sgn = np.sign(d)
+            extra = 0.0
+            for i in (np.nonzero(sgn[1:] * sgn[:-1] < 0)[0] + 1)[:64]:
+                blo, bhi = float(x[i - 1]), float(x[i + 1])
+                if sgn[i - 1] > 0:
+                    peak = _golden_max_ref(fn, blo, bhi)
+                    extra += 2.0 * max(0.0, peak - max(y[i], y[i - 1], y[i + 1]))
+                else:
+                    trough = -_golden_max_ref(lambda z: -fn(z), blo, bhi)
+                    extra += 2.0 * max(0.0, min(y[i], y[i - 1], y[i + 1]) - trough)
+            smooth += float(np.sum(np.abs(d))) + extra
+        total = var + smooth
+        if prev_total is not None and abs(total - prev_total) <= 1e-9 * max(1.0, abs(total)):
+            return total
+        prev_total, n = total, 2 * (n - 1) + 1
+    return prev_total
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestLockstepPolish:
+    """_golden_lockstep visits the points of one scalar run per bracket."""
+
+    def check(self, fn, brackets, sign=1.0):
+        lo, hi = (np.array(v, dtype=float) for v in zip(*brackets))
+        signs = np.broadcast_to(np.asarray(sign, dtype=float), lo.shape)
+        got = _golden_lockstep(fn, lo, hi, sign)
+        want = [
+            _golden_max_ref(lambda z, s=s: s * np.asarray(fn(z), dtype=float), a, b)
+            for a, b, s in zip(lo.tolist(), hi.tolist(), signs.tolist())
+        ]
+        assert _hex(got) == _hex(want)
+
+    def test_brackets_stopping_at_different_steps(self):
+        fn = lambda x: np.sin(3.0 * x) / (1.0 + 1e-3 * np.asarray(x, dtype=float) ** 2)
+        # Widths from 1 to 1e-12, one far from 0 and one that runs to the cap.
+        self.check(fn, [(0.0, 1.0), (0.4, 0.4 + 1e-6), (2.0, 2.0 + 1e-12),
+                        (1e6, 1e6 + 3.0), (-1e20, 1e20)])
+
+    def test_empty_bracket(self):
+        self.check(lambda x: np.cos(x), [(0.5, 0.5), (0.0, 2.0)])
+
+    def test_ties(self):
+        self.check(lambda x: np.full_like(np.asarray(x, dtype=float), 0.25),
+                   [(0.0, 1.0), (-3.0, 5.0)])
+        self.check(lambda x: -np.asarray(x, dtype=float) ** 2, [(-1.0, 1.0), (-2.0, 2.0)])
+
+    def test_minus_inf_fill_and_nan(self):
+        def fn(x):
+            x = np.asarray(x, dtype=float)
+            y = np.where(x < 0.2, -np.inf, np.sin(5.0 * x))
+            return np.where((x > 0.55) & (x < 0.6), np.nan, y)
+
+        self.check(fn, [(0.0, 1.0), (0.1, 0.3), (0.5, 0.65), (0.0, 0.2)])
+        self.check(fn, [(0.0, 1.0), (0.5, 0.65)], sign=[-1.0, 1.0])
+
+    def test_values_one_ulp_apart(self):
+        up = np.nextafter(1.0, 2.0)
+        fn = lambda x: np.where(np.sin(40.0 * np.asarray(x, dtype=float)) > 0, up, 1.0)
+        self.check(fn, [(0.0, 1.0), (0.3, 0.9), (-2.0, 0.1)])
+        self.check(fn, [(0.0, 1.0), (0.3, 0.9)], sign=-1.0)
+
+    def test_troughs_as_negated_peaks(self):
+        fn = lambda x: np.cos(2.0 * np.asarray(x, dtype=float))
+        self.check(fn, [(1.0, 2.0), (-0.5, 0.5), (2.5, 4.0)], sign=[-1.0, 1.0, -1.0])
+
+    def test_one_fn_call_per_step(self):
+        calls = []
+
+        def fn(x):
+            calls.append(np.size(x))
+            return -np.asarray(x, dtype=float) ** 2
+
+        _golden_lockstep(fn, np.array([-1.0, -2.0, 0.1]), np.array([1.0, 3.0, 0.2]))
+        assert calls[0] == 6 and 1 + 1 <= len(calls) <= 1 + 80
+        assert all(n <= 3 for n in calls[1:])
+
+    def test_total_variation_matches_scalar_polish(self):
+        def fn(x):
+            x = np.asarray(x, dtype=float)
+            return np.exp(-0.5 * x * x) * (1.0 + 0.3 * np.sin(6.0 * x)) + 0.1 * (x > 0.7)
+
+        for support, hints in [((-math.inf, math.inf), (0.7,)), ((-2.0, 3.0), (0.7,)),
+                               ((0.0, math.inf), ())]:
+            got = total_variation(fn, support, jump_hints=hints)
+            assert got.hex() == _total_variation_ref(fn, support, hints).hex()
+
+
+class TestCallCounts:
+    def test_essential_supremum_calls(self):
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            return np.sin(7.0 * np.asarray(x, dtype=float))
+
+        essential_supremum(fn, (0.0, 10.0))
+        assert len(calls) <= 2 + 1 + 80
+
+    def test_cor4_transport_calls(self, monkeypatch):
+        from wrenyi.densities import make_tent
+        from wrenyi.inequalities import TransportMap, check_cor4
+
+        calls = []
+        original = TransportMap.__call__
+
+        def counted(self, x):
+            calls.append(1)
+            return original(self, x)
+
+        monkeypatch.setattr(TransportMap, "__call__", counted)
+        check_cor4(make_tent(), 0.2)
+        assert len(calls) <= 250
 
 
 class TestQuadratureConfig:
