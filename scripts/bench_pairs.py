@@ -2,14 +2,14 @@
 """Benchmark a change against its parent in alternating pairs.
 
     python scripts/bench_pairs.py <parent-checkout> --pr 8 [--pairs 10]
-        [--seconds 27] [--seed 801] [--workloads measures bounds ...]
 
 ``<parent-checkout>`` is a checkout of the parent commit (e.g. made with
-``git archive``).  For every workload, pair i runs
-``perfbench/run.py --workload W --seed <seed+i> --trace 0`` once on the
-parent checkout and once on this one, the side that goes first
-alternating from pair to pair; then each tree makes one ``--trace 1``
-run at the first seed.  Each run is the tree's own ``perfbench/run.py``
+``git archive``).  For every workload of ``WORKLOADS``, pair i runs
+``perfbench/run.py --workload W --seed <801+i> --seconds 27 --trace 0``
+once on the parent checkout and once on this one, the side that goes
+first alternating from pair to pair; then each tree makes one
+``--trace 1`` run at seed 801.  The 27 s run length is the one
+``BENCHMARK.json`` fixes.  Each run is the tree's own ``perfbench/run.py``
 in its own interpreter, one run at a time.
 
 The result goes to ``BENCH_<pr>.json`` at the root of this checkout:
@@ -34,6 +34,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("measures", "bounds", "bounds-quadcdf")
+RUN_SECONDS = 27
+FIRST_SEED = 801
 END_TO_END = ("setup_s", "ops_per_s", "op_ms.p50", "op_ms.tail", "peak_rss_mb")
 HIGHER_IS_BETTER = {"ops_per_s"}
 TRACED = (
@@ -44,11 +46,11 @@ TRACED = (
 )
 
 
-def run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(tree: str, workload: str, seed: int, trace: int) -> dict:
     """One ``perfbench/run.py`` run of ``tree``: its last stdout line, parsed."""
     argv = [
         sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        "--seed", str(seed), "--seconds", str(RUN_SECONDS), "--trace", str(trace),
     ]
     p = subprocess.run(argv, capture_output=True, text=True, cwd=tree)
     if p.returncode != 0:
@@ -71,12 +73,12 @@ def host() -> dict:
     return {"cpu": model, "cpus": os.cpu_count(), "python": platform.python_version()}
 
 
-def bench(trees: dict, workload: str, seeds: list[int], seconds: float) -> dict:
+def bench(trees: dict, workload: str, seeds: list[int]) -> dict:
     runs = {side: [] for side in trees}
     for i, seed in enumerate(seeds):
         order = list(trees) if i % 2 == 0 else list(trees)[::-1]
         for side in order:
-            r = run(trees[side], workload, seed, seconds, 0)
+            r = run(trees[side], workload, seed, 0)
             runs[side].append(r)
             sys.stderr.write(
                 f"{workload} seed {seed} {side}: correct={r['correct']} failed={r['failed']} "
@@ -84,7 +86,7 @@ def bench(trees: dict, workload: str, seeds: list[int], seconds: float) -> dict:
             )
     result = {}
     for side, tree in trees.items():
-        traced = run(tree, workload, seeds[0], seconds, 1)
+        traced = run(tree, workload, seeds[0], 1)
         result[side] = {
             "median": {k: statistics.median(r["metrics"][k] for r in runs[side]) for k in END_TO_END},
             "runs": runs[side],
@@ -125,23 +127,20 @@ def main(argv=None) -> int:
     ap.add_argument("parent", help="checkout of the parent commit")
     ap.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=27.0)
-    ap.add_argument("--seed", type=int, default=801, help="seed of the first pair")
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
     args = ap.parse_args(argv)
     parent = os.path.abspath(args.parent)
     if not os.path.isfile(os.path.join(parent, "perfbench", "run.py")):
         ap.error(f"no perfbench/run.py under {parent}")
 
     trees = {"parent": parent, "change": ROOT}
-    seeds = [args.seed + i for i in range(args.pairs)]
+    seeds = [FIRST_SEED + i for i in range(args.pairs)]
     report = {
         "pr": args.pr,
         "host": host(),
         "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": RUN_SECONDS,
         "seeds": seeds,
-        "workloads": {w: bench(trees, w, seeds, args.seconds) for w in args.workloads},
+        "workloads": {w: bench(trees, w, seeds) for w in WORKLOADS},
     }
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w", encoding="utf-8") as fh:

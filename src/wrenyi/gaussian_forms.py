@@ -422,7 +422,9 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
         try:
             n_power = 2.0 ** (p / (p - 1.0)) * psi_diff ** (1.0 / (1.0 - p))
         except OverflowError:
-            raise DomainError("weighted Renyi power of G overflows") from None
+            n_power = math.inf
+        if not math.isfinite(n_power):
+            raise DomainError("weighted Renyi power of G overflows")
     sigma = _esssup_weighted(w, lambda x: np.abs(x), (-1.0, 1.0))
     fisher = psi_diff / (p * 2.0**p) - 2.0 ** (-1.0 - p) * psib_diff
     return GaussianMeasureSet(

@@ -110,6 +110,8 @@ class TestVerify:
             # psi stays finite, but N(G) = 2^{p/(p-1)} psi^{1/(1-p)} does not.
             ("expw:700", "0.5", "weighted Renyi power of G overflows"),
             ("expw:0.3", "1.0000000001", "weighted Renyi power of G overflows"),
+            # Both powers are finite, their product 2^1001 * 2^1000 is not.
+            ("pow:3", "1.001", "weighted Renyi power of G overflows"),
         ],
     )
     def test_alpha_inf_gaussian_overflow_is_a_numeric_error(self, w, p, message):
