@@ -58,7 +58,18 @@ from scipy.special import (
 )
 
 from .errors import DomainError, InputError
-from .numerics import QuadratureConfig, _masked, _vec, beta_fn, gamma_fn, integrate
+from .numerics import (
+    _EPS,
+    _WG15,
+    _WGK,
+    _XGK,
+    QuadratureConfig,
+    _masked,
+    _vec,
+    beta_fn,
+    gamma_fn,
+    integrate,
+)
 
 __all__ = [
     "Density",
@@ -527,40 +538,168 @@ def cdf(f: Density, x):
     ndarray of its shape.  Points at or below the lower end of the
     support give 0, points at or above the upper end give 1, and every
     other value is clipped to [0, 1].  Families without ``cdf_fn`` (the
-    weighted densities) integrate the pdf from the lower end once per
-    point.
+    weighted densities) get all points from one sorted sweep
+    (:func:`_swept_cdf`), so a value may differ in its last digits with
+    the batch it comes in.
     """
 
     def interior(xs):
-        if f.cdf_fn is not None:
-            vals = f.cdf_fn(xs)
-        else:
-            lo, cfg = f.support[0], f.quad_config()
-            vals = []
-            for xi in xs:
-                v, _, _ = integrate(f.pdf, (lo, float(xi)), cfg).checked("CDF integral")
-                vals.append(v)
+        vals = f.cdf_fn(xs) if f.cdf_fn is not None else _swept_cdf(f, xs)
         return np.minimum(np.maximum(vals, 0.0), 1.0)
 
     return on_support(x, f.support, 0.0, 1.0, interior)
 
 
-def quantile(f: Density, q: float) -> float:
-    """F_f^{-1}(q) for q in (0, 1) by bracketed root finding."""
-    if not 0.0 < q < 1.0:
-        raise InputError(f"quantile level must be in (0,1), got {q}")
+# Smallest absolute error budget of one gap: below it a relative budget
+# would ask adaptive quadrature for digits subnormal floats do not hold.
+_MIN_BUDGET = 1e-300
+
+
+def _panels(f: Density, a, b):
+    """One GK15 panel of ``f.pdf`` on every gap [a_k, b_k], in one pdf call.
+
+    Returns (K15, |K15 - G7|); a gap with a non-finite pdf value gets
+    K15 = 0 and an infinite error, so it is always refined.
+    """
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    nodes = (c[:, None] + h[:, None] * _XGK).ravel()
+    y = np.asarray(f.pdf(nodes), dtype=float).reshape(a.size, _XGK.size)
+    with np.errstate(invalid="ignore"):
+        k15 = h * (y @ _WGK)
+        err = np.abs(k15 - h * (y @ _WG15))
+    bad = ~np.isfinite(err)
+    return np.where(bad, 0.0, k15), np.where(bad, math.inf, err)
+
+
+def _budget(below, k15, n_gaps: int, cfg: QuadratureConfig):
+    """Error budget of gaps with F(a_k) = ``below`` and panel masses ``k15``.
+
+    min(abs_tol / n_gaps, rel_tol F(b_k)): the gaps of one batch share
+    the absolute tolerance, and a gap in the lower tail is held to the
+    relative accuracy of the level above it.
+    """
+    level = below + k15
+    return np.maximum(
+        np.minimum(cfg.abs_tol / n_gaps, cfg.rel_tol * np.abs(level)), _MIN_BUDGET
+    )
+
+
+def _masses(f: Density, a, b, k15, err, budget, cfg: QuadratureConfig):
+    """Mass of f on every gap [a_k, b_k] from its GK15 panel (k15, err).
+
+    A gap keeps its panel when |K15 - G7| is within its ``budget``; every
+    other gap goes through :func:`integrate` with its budget as the
+    absolute tolerance, and its result through ``checked``.
+    """
+    out = np.array(k15, dtype=float)
+    for k in np.nonzero(~(np.asarray(err) <= budget))[0].tolist():
+        gap_cfg = replace(cfg, abs_tol=float(budget[k]))
+        res = integrate(f.pdf, (float(a[k]), float(b[k])), gap_cfg)
+        out[k], _, _ = res.checked("CDF integral")
+    return out
+
+
+def _swept_cdf(f: Density, xs):
+    """F_f on the points ``xs`` (1-d, inside the support) in one sorted sweep.
+
+    The points and the singularities between them become sorted nodes,
+    so no gap spans a kink.  The mass below the first node is one
+    integral from the lower end of the support with the density's own
+    tolerance, taken again to ``rel_tol`` where that tolerance is looser
+    than ``rel_tol`` of the mass (the lower tail).  The gaps between
+    consecutive nodes get one GK15 panel each, all in one pdf call; only
+    those that miss their :func:`_budget` are integrated.  A cumulative
+    sum gives F at the nodes: the batched-interval idea of QUADPACK
+    ``qag`` (Piessens et al., 1983), applied to a running integral.
+    """
+    cfg = f.quad_config()
+    kinks = [s for s in f.singularities if xs.min() < s < xs.max()]
+    nodes = np.unique(np.concatenate([xs, kinks]))
+    lower = [f.support[0]]
+    head = _masses(f, lower, nodes[:1], [0.0], [math.inf], [cfg.abs_tol], cfg)
+    if 0.0 < cfg.rel_tol * head[0] < cfg.abs_tol:
+        # A lower-tail level: integrate again to its relative accuracy.
+        budget = _budget(0.0, head, 1, cfg)
+        head = _masses(f, lower, nodes[:1], head, [math.inf], budget, cfg)
+    a, b = nodes[:-1], nodes[1:]
+    k15, err = _panels(f, a, b)
+    below = head[0] + np.concatenate([[0.0], np.cumsum(k15)[:-1]])
+    masses = _masses(f, a, b, k15, err, _budget(below, k15, max(a.size, 1), cfg), cfg)
+    return np.cumsum(np.concatenate([head, masses]))[np.searchsorted(nodes, xs)]
+
+
+# Cells of the CDF table that brackets the levels of one quantile batch.
+_TABLE_CELLS = 128
+
+
+def quantile(f: Density, q):
+    """F_f^{-1}(q) for levels q in (0, 1).
+
+    A scalar gives a float, an array an ndarray of its shape.  Analytic
+    when the family provides ``quantile_fn``.  Otherwise every level is
+    bracketed in one CDF table of ``_TABLE_CELLS`` cells (plus the
+    singularities) on [blo, bhi]; an infinite side of the support starts
+    at -1 or 1 and doubles until the table holds every level.  All
+    levels are then polished together by a safeguarded Newton step with
+    f = F', kept inside a shrinking bracket and bisecting when a step
+    leaves it.  F at an iterate is the table value at the cell's left
+    node plus the mass from that node (one GK15 panel, see
+    :func:`_masses`), or ``cdf_fn`` where the family has one.
+    """
+    arr = np.asarray(q, dtype=float)
+    levels = arr.ravel()
+    bad = ~((levels > 0.0) & (levels < 1.0))
+    if bad.any():
+        shown = q if arr.ndim == 0 else levels[bad][0]
+        raise InputError(f"quantile level must be in (0,1), got {shown}")
     if f.quantile_fn is not None:
-        return float(f.quantile_fn(q))
+        out = np.asarray(f.quantile_fn(levels), dtype=float)
+    else:
+        out = _polished_quantile(f, levels)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _polished_quantile(f: Density, levels):
+    """The safeguarded Newton polish of :func:`quantile` for 1-d ``levels``."""
     lo, hi = f.support
     blo = lo if math.isfinite(lo) else -1.0
     bhi = hi if math.isfinite(hi) else 1.0
-    while not math.isfinite(lo) and cdf(f, blo) > q:
+    while not math.isfinite(lo) and cdf(f, blo) > levels.min():
         blo *= 2.0
-    while not math.isfinite(hi) and cdf(f, bhi) < q:
+    while not math.isfinite(hi) and cdf(f, bhi) < levels.max():
         bhi *= 2.0
-    from .numerics import find_root
-
-    return find_root(lambda x: cdf(f, x) - q, (blo, bhi))
+    kinks = [s for s in f.singularities if blo < s < bhi]
+    grid = np.union1d(np.linspace(blo, bhi, _TABLE_CELLS + 1), kinks)
+    table = cdf(f, grid)
+    i = np.clip(np.searchsorted(table, levels, side="right") - 1, 0, grid.size - 2)
+    left, base = grid[i], table[i]
+    a, b = left.copy(), grid[i + 1]
+    rise = table[i + 1] - base
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(rise > 0, a + (levels - base) / rise * (b - a), 0.5 * (a + b))
+    x = np.clip(x, a, b)
+    cfg = f.quad_config()
+    k = np.arange(levels.size)
+    for _ in range(100):
+        if f.cdf_fn is not None:
+            level = np.minimum(np.maximum(f.cdf_fn(x[k]), 0.0), 1.0)
+        else:
+            k15, err = _panels(f, left[k], x[k])
+            budget = _budget(base[k], k15, 1, cfg)
+            level = base[k] + _masses(f, left[k], x[k], k15, err, budget, cfg)
+        d = level - levels[k]
+        a[k] = np.where(d < 0, x[k], a[k])
+        b[k] = np.where(d > 0, x[k], b[k])
+        fx = np.asarray(f.pdf(x[k]), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x[k] - d / fx
+        step = np.where((step > a[k]) & (step < b[k]), step, 0.5 * (a[k] + b[k]))
+        done = (d == 0) | (np.abs(step - x[k]) <= 1e-15 + 4 * _EPS * np.abs(x[k]))
+        x[k] = np.where(d == 0, x[k], step)
+        k = k[~done]
+        if k.size == 0:
+            break
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,8 @@ def power_of(w: WeightFunction, r: float) -> WeightFunction:
 def compose_with_map(w: WeightFunction, s) -> WeightFunction:
     """phi~(x) = phi(s(x)) with chain-rule derivative s'(x) phi'(s(x)).
 
-    ``s`` must expose callables ``s(x)`` and ``s.derivative(x)``.
+    ``s`` must be callable and expose ``s.value_and_derivative(x)``,
+    which returns (s(x), s'(x)) from one evaluation of s.
     """
     if w.is_constant:
         return w
@@ -260,9 +261,8 @@ def compose_with_map(w: WeightFunction, s) -> WeightFunction:
         return np.asarray(w.fn(s(x)), dtype=float)
 
     def _df(x):
-        return np.asarray(s.derivative(x), dtype=float) * np.asarray(
-            w.dfn(s(x)), dtype=float
-        )
+        sx, dsx = s.value_and_derivative(x)
+        return np.asarray(dsx, dtype=float) * np.asarray(w.dfn(sx), dtype=float)
 
     return WeightFunction("composed", {"base": w, "map": s}, _vec(_f), _vec(_df))
 
@@ -325,8 +325,7 @@ def derive_rho_s(w: WeightFunction, s, p: float) -> WeightFunction:
 
     def _df(x):
         x = np.asarray(x, dtype=float)
-        sx = np.asarray(s(x), dtype=float)
-        dsx = np.asarray(s.derivative(x), dtype=float)
+        sx, dsx = s.value_and_derivative(x)
         phi_s = np.asarray(w.fn(sx), dtype=float)
         dphi_s = np.asarray(w.dfn(sx), dtype=float)
         phi_x = np.asarray(w.fn(x), dtype=float)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -71,3 +72,69 @@ INTEGRAND_SUITE = [
 @pytest.fixture(scope="session")
 def integrand_suite():
     return INTEGRAND_SUITE
+
+
+# 30-digit closed forms of F for two weighted sources without an
+# analytic CDF in the package (both kinked at 0).
+def _expw_laplace_cdf(x):
+    # pdf proportional to exp(-|x| + 0.2 x) / 2
+    g = mp.mpf("0.2")
+    z = (1 / (1 - g) + 1 / (1 + g)) / 2
+    if x <= 0:
+        return mp.exp((1 + g) * x) / (2 * (1 + g)) / z
+    return (1 / (2 * (1 + g)) - mp.expm1(-(1 - g) * x) / (2 * (1 - g))) / z
+
+
+def _abspoly_laplace_cdf(x):
+    # pdf proportional to (1 + 0.5 |x|) exp(-|x| / 0.9) / 1.8
+    b, c = mp.mpf("0.9"), mp.mpf("0.5")
+    if x > 0:
+        return 1 - _abspoly_laplace_cdf(-x)
+    return mp.exp(x / b) * (1 + c * (b - x)) / (2 * (1 + c * b))
+
+
+def _abspoly_laplace_pdf(x):
+    b, c = mp.mpf("0.9"), mp.mpf("0.5")
+    return (1 + c * abs(x)) * mp.exp(-abs(x) / b) / (2 * b * (1 + c * b))
+
+
+def _expw_laplace_pdf(x):
+    g = mp.mpf("0.2")
+    z = (1 / (1 - g) + 1 / (1 + g)) / 2
+    return mp.exp(-abs(x) + g * x) / (2 * z)
+
+
+class WeightedOracle:
+    """F and F^{-1} of one weighted source at 30 digits."""
+
+    def __init__(self, cdf, pdf):
+        self._cdf, self._pdf = cdf, pdf
+
+    def cdf(self, x):
+        with mp.workdps(30):
+            return float(self._cdf(mp.mpf(float(x))))
+
+    def quantile(self, q, start):
+        """The root of F(x) = q by Newton's method from ``start``."""
+        with mp.workdps(30):
+            q, x = mp.mpf(float(q)), mp.mpf(float(start))
+            for _ in range(60):
+                step = (self._cdf(x) - q) / self._pdf(x)
+                x -= step
+                if abs(step) <= mp.mpf(10) ** -25 * max(1, abs(x)):
+                    break
+            assert abs(self._cdf(x) - q) <= mp.mpf(10) ** -25 * q
+            return float(x)
+
+
+WEIGHTED_ORACLES = {
+    "weighted:laplace:1;expw:0.2": WeightedOracle(_expw_laplace_cdf, _expw_laplace_pdf),
+    "weighted:laplace:0.9;abspoly:1,0.5": WeightedOracle(
+        _abspoly_laplace_cdf, _abspoly_laplace_pdf
+    ),
+}
+
+
+@pytest.fixture(scope="session")
+def weighted_oracles():
+    return WEIGHTED_ORACLES

@@ -470,6 +470,8 @@ class TestEveryResultChecked:
         g22 = make_generalized_gaussian(2.0, 2.0)
         weighted = parse_density("weighted:gg:2,2;expw:0.3")
         cdf(weighted, 0.1)
+        # One sorted sweep: the wide gaps are integrated one by one.
+        cdf(parse_density("weighted:laplace:1;expw:0.2"), np.array([-30.0, -1.0, 0.5, 30.0]))
         beta_law(2.5, 1.5).expectation(lambda z: z)
         gamma_law(1.5).expectation(lambda z: z)
         antiderivatives(power_of(make_exp_linear(0.5), 2.0)).psi(0.7)

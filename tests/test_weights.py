@@ -38,6 +38,9 @@ class _LogMap:
     def derivative(self, x):
         return 1.0 / (1.0 + np.asarray(x, dtype=float))
 
+    def value_and_derivative(self, x):
+        return self(x), self.derivative(x)
+
 
 class _DoubleMap:
     def __call__(self, x):
@@ -46,6 +49,9 @@ class _DoubleMap:
     def derivative(self, x):
         return np.full_like(np.asarray(x, dtype=float), 2.0)
 
+    def value_and_derivative(self, x):
+        return self(x), self.derivative(x)
+
 
 class _IdentityMap:
     def __call__(self, x):
@@ -53,6 +59,9 @@ class _IdentityMap:
 
     def derivative(self, x):
         return np.ones_like(np.asarray(x, dtype=float))
+
+    def value_and_derivative(self, x):
+        return self(x), self.derivative(x)
 
 
 class TestFamilies:
