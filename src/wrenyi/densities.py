@@ -554,21 +554,56 @@ def cdf(f: Density, x):
 # would ask adaptive quadrature for digits subnormal floats do not hold.
 _MIN_BUDGET = 1e-300
 
+# Probes between each end of a gap and its outermost Kronrod node, at
+# 8^-1, 8^-3, 8^-6, ..., 8^-55 (about 1e-50) of the node's distance from
+# the end, and one float from the end.  Mass that falls from the end shows
+# at the last probe however narrow it is.  Mass that rises from a zero at
+# the end shows at a probe inside its rise: the probes are dense just
+# inside the node, where the node still sees part of a rise, and sparse
+# deep down, where the node sees nothing and any nonzero probe shows it.
+_RUNGS = 8.0 ** -(np.arange(1, 11) * np.arange(2, 12) / 2)
+
+
+def _ladder(end, reach):
+    """Distances from ``end`` of its probes, one row per gap, nearest last."""
+    floor = np.maximum(np.spacing(np.abs(end)), 1e-300)[:, None]
+    return np.maximum(np.concatenate([reach[:, None] * _RUNGS, floor], axis=1), floor)
+
 
 def _panels(f: Density, a, b):
     """One GK15 panel of ``f.pdf`` on every gap [a_k, b_k], in one pdf call.
 
-    Returns (K15, |K15 - G7|); a gap with a non-finite pdf value gets
-    K15 = 0 and an infinite error, so it is always refined.
+    Returns (K15, error, blind).  The error is |K15 - G7|, except at a
+    blind end: where the pdf at a probe between the end and the outermost
+    Kronrod node exceeds twice its value at that node, both rules can
+    miss the mass near the end (a gap wide against the density's scale),
+    so the error is raised to a bound on that mass: the probe value
+    nearest the end times the distance from the end to the node when
+    that value is the largest, else infinity.  A gap with a non-finite
+    pdf value is blind, with K15 = 0 and an infinite error.
     """
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = (c[:, None] + h[:, None] * _XGK).ravel()
-    y = np.asarray(f.pdf(nodes), dtype=float).reshape(a.size, _XGK.size)
+    reach = h * (1.0 + _XGK[0])
+    kronrod = c[:, None] + h[:, None] * _XGK
+    nodes = np.concatenate(
+        [kronrod, a[:, None] + _ladder(a, reach), b[:, None] - _ladder(b, reach)], axis=1
+    )
+    y = np.asarray(f.pdf(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    yk, n = y[:, : _XGK.size], _RUNGS.size + 1
     with np.errstate(invalid="ignore"):
-        k15 = h * (y @ _WGK)
-        err = np.abs(k15 - h * (y @ _WG15))
-    bad = ~np.isfinite(err)
-    return np.where(bad, 0.0, k15), np.where(bad, math.inf, err)
+        k15 = h * (yk @ _WGK)
+        err = np.abs(k15 - h * (yk @ _WG15))
+        ends = 0.0
+        for probes, outer in ((y[:, -2 * n : -n], yk[:, 0]), (y[:, -n:], yk[:, -1])):
+            peak = probes.max(axis=1)
+            # A pdf that falls from the end holds at most peak * reach
+            # before the node; one with its peak inside the ladder, no bound.
+            bound = np.where(peak == probes[:, -1], peak * reach, math.inf)
+            ends = ends + np.where(peak > 2.0 * outer, bound, 0.0)
+    bad = ~np.all(np.isfinite(y), axis=1)
+    blind = bad | (ends > 0.0)
+    err = np.where(bad, math.inf, np.maximum(err, ends))
+    return np.where(bad, 0.0, k15), err, blind
 
 
 def _budget(below, k15, n_gaps: int, cfg: QuadratureConfig):
@@ -584,18 +619,22 @@ def _budget(below, k15, n_gaps: int, cfg: QuadratureConfig):
     )
 
 
-def _masses(f: Density, a, b, k15, err, budget, cfg: QuadratureConfig):
-    """Mass of f on every gap [a_k, b_k] from its GK15 panel (k15, err).
+def _masses(f: Density, a, b, panels, budget, cfg: QuadratureConfig):
+    """Mass of f on every gap [a_k, b_k] from its :func:`_panels` result.
 
-    A gap keeps its panel when |K15 - G7| is within its ``budget``; every
-    other gap goes through :func:`integrate` with its budget as the
-    absolute tolerance, and its result through ``checked``.
+    A gap keeps its panel when the panel's error is within its
+    ``budget``; every other gap goes through :func:`integrate` with its
+    budget as the absolute tolerance, and its result through
+    ``checked``.  A blind gap is integrated with both ends as
+    singularity hints, so tanh-sinh clusters its nodes at the ends.
     """
+    k15, err, blind = panels
     out = np.array(k15, dtype=float)
-    for k in np.nonzero(~(np.asarray(err) <= budget))[0].tolist():
-        gap_cfg = replace(cfg, abs_tol=float(budget[k]))
-        res = integrate(f.pdf, (float(a[k]), float(b[k])), gap_cfg)
-        out[k], _, _ = res.checked("CDF integral")
+    for k in np.nonzero(~(err <= budget))[0].tolist():
+        lo, hi = float(a[k]), float(b[k])
+        hints = (lo, hi) if blind[k] else cfg.singularities
+        gap_cfg = replace(cfg, abs_tol=float(budget[k]), singularities=hints)
+        out[k], _, _ = integrate(f.pdf, (lo, hi), gap_cfg).checked("CDF integral")
     return out
 
 
@@ -603,7 +642,11 @@ def _swept_cdf(f: Density, xs):
     """F_f on the points ``xs`` (1-d, inside the support) in one sorted sweep.
 
     The points and the singularities between them become sorted nodes,
-    so no gap spans a kink.  The mass below the first node is one
+    so no gap spans a kink.  The anchors of the normalization integral,
+    where its rules cluster their nodes (the singularities, the finite
+    ends of the support and, on the whole line, 0), are nodes and
+    singularity hints too, so a lone point far in a tail still sees the
+    bulk of the density.  The mass below the first node is one
     integral from the lower end of the support with the density's own
     tolerance, taken again to ``rel_tol`` where that tolerance is looser
     than ``rel_tol`` of the mass (the lower tail).  The gaps between
@@ -612,24 +655,31 @@ def _swept_cdf(f: Density, xs):
     sum gives F at the nodes: the batched-interval idea of QUADPACK
     ``qag`` (Piessens et al., 1983), applied to a running integral.
     """
-    cfg = f.quad_config()
-    kinks = [s for s in f.singularities if xs.min() < s < xs.max()]
-    nodes = np.unique(np.concatenate([xs, kinks]))
-    lower = [f.support[0]]
-    head = _masses(f, lower, nodes[:1], [0.0], [math.inf], [cfg.abs_tol], cfg)
-    if 0.0 < cfg.rel_tol * head[0] < cfg.abs_tol:
+    lo, hi = f.support
+    anchors = set(f.singularities) | {e for e in (lo, hi) if math.isfinite(e)}
+    if math.isinf(lo) and math.isinf(hi):
+        anchors.add(0.0)
+    cfg = replace(f.quad_config(), singularities=tuple(sorted(anchors)))
+    inside = [s for s in cfg.singularities if xs.min() < s < xs.max()]
+    nodes = np.unique(np.concatenate([xs, inside]))
+    lower = (lo, float(nodes[0]))
+    head, _, _ = integrate(f.pdf, lower, cfg).checked("CDF integral")
+    if 0.0 < cfg.rel_tol * head < cfg.abs_tol:
         # A lower-tail level: integrate again to its relative accuracy.
-        budget = _budget(0.0, head, 1, cfg)
-        head = _masses(f, lower, nodes[:1], head, [math.inf], budget, cfg)
+        tail_cfg = replace(cfg, abs_tol=max(cfg.rel_tol * head, _MIN_BUDGET))
+        head, _, _ = integrate(f.pdf, lower, tail_cfg).checked("CDF integral")
     a, b = nodes[:-1], nodes[1:]
-    k15, err = _panels(f, a, b)
-    below = head[0] + np.concatenate([[0.0], np.cumsum(k15)[:-1]])
-    masses = _masses(f, a, b, k15, err, _budget(below, k15, max(a.size, 1), cfg), cfg)
-    return np.cumsum(np.concatenate([head, masses]))[np.searchsorted(nodes, xs)]
+    panels = _panels(f, a, b)
+    below = head + np.concatenate([[0.0], np.cumsum(panels[0])[:-1]])
+    masses = _masses(f, a, b, panels, _budget(below, panels[0], max(a.size, 1), cfg), cfg)
+    return np.cumsum(np.concatenate([[head], masses]))[np.searchsorted(nodes, xs)]
 
 
 # Cells of the CDF table that brackets the levels of one quantile batch.
 _TABLE_CELLS = 128
+# Newton/bisection steps after which a level that has not converged is an
+# error.
+_POLISH_STEPS = 100
 
 
 def quantile(f: Density, q):
@@ -644,7 +694,8 @@ def quantile(f: Density, q):
     f = F', kept inside a shrinking bracket and bisecting when a step
     leaves it.  F at an iterate is the table value at the cell's left
     node plus the mass from that node (one GK15 panel, see
-    :func:`_masses`), or ``cdf_fn`` where the family has one.
+    :func:`_masses`), or ``cdf_fn`` where the family has one.  A level
+    still open after ``_POLISH_STEPS`` steps raises :class:`DomainError`.
     """
     arr = np.asarray(q, dtype=float)
     levels = arr.ravel()
@@ -680,13 +731,13 @@ def _polished_quantile(f: Density, levels):
     x = np.clip(x, a, b)
     cfg = f.quad_config()
     k = np.arange(levels.size)
-    for _ in range(100):
+    for _ in range(_POLISH_STEPS):
         if f.cdf_fn is not None:
             level = np.minimum(np.maximum(f.cdf_fn(x[k]), 0.0), 1.0)
         else:
-            k15, err = _panels(f, left[k], x[k])
-            budget = _budget(base[k], k15, 1, cfg)
-            level = base[k] + _masses(f, left[k], x[k], k15, err, budget, cfg)
+            panels = _panels(f, left[k], x[k])
+            budget = _budget(base[k], panels[0], 1, cfg)
+            level = base[k] + _masses(f, left[k], x[k], panels, budget, cfg)
         d = level - levels[k]
         a[k] = np.where(d < 0, x[k], a[k])
         b[k] = np.where(d > 0, x[k], b[k])
@@ -698,8 +749,8 @@ def _polished_quantile(f: Density, levels):
         x[k] = np.where(d == 0, x[k], step)
         k = k[~done]
         if k.size == 0:
-            break
-    return x
+            return x
+    raise DomainError(f"quantile polish did not converge at level {levels[k[0]]!r}")
 
 
 # ---------------------------------------------------------------------------

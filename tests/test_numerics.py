@@ -470,8 +470,9 @@ class TestEveryResultChecked:
         g22 = make_generalized_gaussian(2.0, 2.0)
         weighted = parse_density("weighted:gg:2,2;expw:0.3")
         cdf(weighted, 0.1)
-        # One sorted sweep: the wide gaps are integrated one by one.
-        cdf(parse_density("weighted:laplace:1;expw:0.2"), np.array([-30.0, -1.0, 0.5, 30.0]))
+        # One sorted sweep: the wide gaps are integrated one by one, the
+        # blind [30, 8000] with tanh-sinh.
+        cdf(parse_density("weighted:laplace:1;expw:0.2"), np.array([-30.0, -1.0, 0.5, 30.0, 8000.0]))
         beta_law(2.5, 1.5).expectation(lambda z: z)
         gamma_law(1.5).expectation(lambda z: z)
         antiderivatives(power_of(make_exp_linear(0.5), 2.0)).psi(0.7)
@@ -481,6 +482,6 @@ class TestEveryResultChecked:
         check_scaling_identity(make_exp_linear(0.3), g22, 1.7, 2.0)
         lemma4_residual(g22, lambda x: x**3, None, dg=lambda x: 3 * x * x)
 
-        assert len(sites) == 13
+        assert len(sites) == 15
         assert len(checked) == len(results)
         assert {id(r) for r in checked} == {id(r) for r in results}

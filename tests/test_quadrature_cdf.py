@@ -2,19 +2,20 @@
 
 ``cdf`` takes every point of a batch from one sorted sweep and
 ``quantile`` polishes every level of a batch together; both are checked
-against 30-digit closed forms (``conftest.WEIGHTED_ORACLES``), and the
-number of ``integrate`` calls is pinned so that a per-point loop cannot
-come back.
+against 30-digit closed forms (``conftest.WEIGHTED_ORACLES``, and
+``EXACT`` below for sparse batches of far points), and the number of
+``integrate`` calls is pinned so that a per-point loop cannot come back.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from wrenyi import densities
 from wrenyi.densities import cdf, make_generalized_gaussian, make_laplace, parse_density, quantile
-from wrenyi.errors import InputError
+from wrenyi.errors import DomainError, InputError
 from wrenyi.inequalities import build_transport
 
 SOURCES = ["weighted:laplace:1;expw:0.2", "weighted:laplace:0.9;abspoly:1,0.5"]
@@ -48,6 +49,30 @@ class TestWeightedOracle:
             assert type(got) is float
             assert abs(got - ref) <= 1e-10 * (ref if x < 0 else 1.0), x
 
+    @pytest.mark.parametrize(
+        "batch", [[0.5, 8000.0], [-1e4, 0.5, 2e4], [-8000.0, -0.5], [-1e4, -5.0, 0.0, 1e4]]
+    )
+    def test_sparse_batch_matches_oracle(self, source, batch):
+        # Gaps far wider than the density's scale: the Kronrod nodes of
+        # [0.5, 8000] start at 34.7, where the pdf is 4e-13, so both rules
+        # of a lone panel would miss the mass near 0.5.
+        f, oracle = source
+        xs = np.array(batch)
+        ref = np.array([oracle.cdf(x) for x in xs])
+        assert np.max(np.abs(cdf(f, xs) - ref)) <= 1e-10
+
+    def test_random_sparse_batches_match_oracle(self, source):
+        # Up to five points spread over 14 decades on either side of 0.
+        f, oracle = source
+        rng = np.random.default_rng(83)
+        for _ in range(40):
+            n = rng.integers(1, 6)
+            xs = np.sign(rng.standard_normal(n)) * 10.0 ** rng.uniform(-10.0, 4.5, n)
+            ref = np.array([oracle.cdf(x) for x in xs])
+            # Below 0 the level is held to relative accuracy.
+            scale = np.where(xs < 0, ref, 1.0)
+            assert np.all(np.abs(cdf(f, xs) - ref) <= 1e-10 * scale), xs.tolist()
+
     def test_quantile_matches_oracle(self, source):
         f, oracle = source
         kink = oracle.cdf(0.0)
@@ -75,6 +100,65 @@ class TestWeightedOracle:
             assert abs(cdf(f, one) - cdf(f, x)) <= 1e-12
 
 
+# Exact F at 30 digits of sources whose pdf does not fall from a node.
+EXACT = {
+    # pdf proportional to exp(-(x - 0.15)^2) on the whole line, no singularity
+    "weighted:gg:2,1;expw:0.3": lambda x: mp.erfc(mp.mpf("0.15") - x) / 2,
+    # Exp(0.7) on (0, inf), no singularity
+    "weighted:exp:1;expw:0.3": lambda x: -mp.expm1(-mp.mpf("0.7") * x),
+    # x^2 exp(-|x|) / 4: the pdf rises from 0 at the kink
+    "weighted:laplace:1;pow:2": lambda x: (
+        mp.exp(x) * (1 - x + x * x / 2) / 2
+        if x <= 0
+        else 1 - mp.exp(-x) * (1 + x + x * x / 2) / 2
+    ),
+}
+
+
+class TestFarPoints:
+    """Far points see the mass through the anchors and the end probes."""
+
+    @pytest.mark.parametrize(
+        "desc, batch",
+        [
+            ("weighted:gg:2,1;expw:0.3", [1000.0]),
+            ("weighted:gg:2,1;expw:0.3", [-1e4, 2e4]),
+            ("weighted:gg:2,1;expw:0.3", [-1e4, 0.1, 2e4]),
+            ("weighted:gg:2,1;expw:0.3", [-25.0]),
+            ("weighted:gg:2,1;expw:0.3", [-20.0, -3.0, 0.5, 7.0]),
+            ("weighted:exp:1;expw:0.3", [1e6]),
+            ("weighted:exp:1;expw:0.3", [1e-12, 1e12]),
+            ("weighted:exp:1;expw:0.3", [1e-9, 0.5, 3.0, 40.0]),
+            ("weighted:laplace:1;pow:2", [0.0, 1e15]),
+            ("weighted:laplace:1;pow:2", [1e-300, 1e15]),
+            ("weighted:laplace:1;pow:2", [-1e15, -1e-3, 0.0]),
+            ("weighted:laplace:1;pow:2", [-40.0, 0.5, 8000.0]),
+        ],
+    )
+    def test_sparse_batch_matches_exact(self, desc, batch):
+        # An integral anchored only at a lone point 1000 (or on [0, 1e6]
+        # at one GK15 panel) never samples the bulk, and on [0, 1e15] the
+        # x^2 rise sits between the ladder's probes: F read 0 or 0.5 there.
+        f = parse_density(desc)
+        xs = np.array(batch)
+        with mp.workdps(30):
+            ref = np.array([float(EXACT[desc](mp.mpf(float(x)))) for x in xs])
+        # Up to 0.15 (the Gaussian's centre) a level is held to relative accuracy.
+        scale = np.where(xs < 0.15, ref, 1.0)
+        assert np.all(np.abs(cdf(f, xs) - ref) <= 1e-10 * scale)
+
+
+class TestPanels:
+    def test_gap_wide_against_the_scale_is_blind(self):
+        f = parse_density(SOURCES[0])
+        a, b = np.array([0.5, 0.5, -8.0]), np.array([8000.0, 1.0, -7.9])
+        k15, err, blind = densities._panels(f, a, b)
+        assert blind.tolist() == [True, False, False]
+        # The raised error bounds the mass the panel cannot see near 0.5.
+        assert k15[0] < 1e-10 and err[0] > 0.4
+        assert np.all(err[1:] < 1e-15)
+
+
 class TestQuantileContract:
     def test_array_shape_kept(self):
         f = parse_density(SOURCES[0])
@@ -94,6 +178,11 @@ class TestQuantileContract:
             quantile(f, bad)
         with pytest.raises(InputError):
             quantile(f, np.array([0.5, bad]))
+
+    def test_unconverged_level_raises(self, monkeypatch):
+        monkeypatch.setattr(densities, "_POLISH_STEPS", 1)
+        with pytest.raises(DomainError, match="did not converge"):
+            quantile(parse_density(SOURCES[0]), np.array([0.3, 0.6]))
 
 
 @pytest.fixture
