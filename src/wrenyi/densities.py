@@ -493,6 +493,17 @@ def make_tabulated(xs, ys) -> Density:
         dx = x - xs[idx]
         return cum[idx] + ys[idx] * dx + 0.5 * slopes[idx] * dx * dx
 
+    def _quant(q):
+        # The cell with cum[i] <= q < cum[i + 1] has mass; its quadratic
+        # 0.5 s dx^2 + y dx = r has the stable root 2r / (y + sqrt(y^2 + 2sr)).
+        i = np.clip(np.searchsorted(cum, q, side="right") - 1, 0, xs.size - 2)
+        r = q - cum[i]
+        y, sl = ys[i], slopes[i]
+        root = np.sqrt(np.maximum(y * y + 2.0 * sl * r, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = np.where(r > 0, 2.0 * r / (y + root), 0.0)
+        return np.clip(xs[i] + dx, xs[i], xs[i + 1])
+
     # Renormalization by the trapezoid mass is exact for the piecewise
     # linear interpolant, so no quadrature-based check is needed here.
     return Density(
@@ -502,7 +513,7 @@ def make_tabulated(xs, ys) -> Density:
         pdf=_vec(_pdf),
         dpdf=_vec(_dpdf),
         cdf_fn=_vec(_cdf),
-        quantile_fn=None,
+        quantile_fn=_vec(_quant),
         singularities=(),
     )
 
@@ -686,16 +697,16 @@ def quantile(f: Density, q):
     """F_f^{-1}(q) for levels q in (0, 1).
 
     A scalar gives a float, an array an ndarray of its shape.  Analytic
-    when the family provides ``quantile_fn``.  Otherwise every level is
-    bracketed in one CDF table of ``_TABLE_CELLS`` cells (plus the
-    singularities) on [blo, bhi]; an infinite side of the support starts
-    at -1 or 1 and doubles until the table holds every level.  All
-    levels are then polished together by a safeguarded Newton step with
-    f = F', kept inside a shrinking bracket and bisecting when a step
-    leaves it.  F at an iterate is the table value at the cell's left
-    node plus the mass from that node (one GK15 panel, see
-    :func:`_masses`), or ``cdf_fn`` where the family has one.  A level
-    still open after ``_POLISH_STEPS`` steps raises :class:`DomainError`.
+    when the family provides ``quantile_fn``.  Otherwise (the weighted
+    densities, which have no CDF either) every level is bracketed in one
+    CDF table of ``_TABLE_CELLS`` cells (plus the singularities) on
+    [blo, bhi]; an infinite side of the support starts at -1 or 1 and
+    doubles until the table holds every level.  All levels are then
+    polished together by a safeguarded Newton step with f = F', kept
+    inside a shrinking bracket and bisecting when a step leaves it.  F at
+    an iterate is the table value at the cell's left node plus the mass
+    from that node (one GK15 panel, see :func:`_masses`).  A level still
+    open after ``_POLISH_STEPS`` steps raises :class:`DomainError`.
     """
     arr = np.asarray(q, dtype=float)
     levels = arr.ravel()
@@ -732,12 +743,9 @@ def _polished_quantile(f: Density, levels):
     cfg = f.quad_config()
     k = np.arange(levels.size)
     for _ in range(_POLISH_STEPS):
-        if f.cdf_fn is not None:
-            level = np.minimum(np.maximum(f.cdf_fn(x[k]), 0.0), 1.0)
-        else:
-            panels = _panels(f, left[k], x[k])
-            budget = _budget(base[k], panels[0], 1, cfg)
-            level = base[k] + _masses(f, left[k], x[k], panels, budget, cfg)
+        panels = _panels(f, left[k], x[k])
+        budget = _budget(base[k], panels[0], 1, cfg)
+        level = base[k] + _masses(f, left[k], x[k], panels, budget, cfg)
         d = level - levels[k]
         a[k] = np.where(d < 0, x[k], a[k])
         b[k] = np.where(d > 0, x[k], b[k])

@@ -299,7 +299,6 @@ class GaussianMeasureSet:
     n_power: float
     deviation: float
     fisher: float | None
-    fisher_branch: str
     case: str
     aux: dict = field(default_factory=dict)
 
@@ -333,7 +332,6 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
         )
         sigma = (lam_y / (2.0 * (p * alpha + p - 1.0))) ** (1.0 / alpha)
         fisher = None
-        branch = "not-defined"
         if alpha > 1.0:
             beta = holder_conjugate(alpha)
             fisher = (
@@ -342,7 +340,6 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
                 * lam_y
                 / (2.0 * (alpha * p + p - 1.0))
             )
-            branch = "integral"
         elif alpha == 1.0:
             # beta = inf: J^(1/beta) is the esssup of phi |G^{p-2} G'|,
             # which is a^(p-1) * sup phi over the support of G.
@@ -350,12 +347,10 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
             fisher = _esssup_weighted(
                 w, lambda x: a ** (p - 1.0) * np.ones_like(x), g.support
             )
-            branch = "alpha=1-esssup"
         return GaussianMeasureSet(
             n_power,
             sigma,
             fisher,
-            branch,
             case,
             {"lambda_z": lam_z, "lambda_y": lam_y, "a": a},
         )
@@ -369,22 +364,18 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
         n_power = (1.0 / a) * math.exp(th_w / (alpha * th_wb))
         sigma = (th_w / (2.0 * alpha)) ** (1.0 / alpha)
         fisher = None
-        branch = "not-defined"
         if alpha > 1.0:
             beta = holder_conjugate(alpha)
             fisher = 0.5 * alpha ** (beta - 1.0) * th_w
-            branch = "integral"
         elif alpha == 1.0:
             # |G^{-1} G'| = 1, so the esssup object is sup phi over R.
             fisher = _esssup_weighted(
                 w, lambda x: np.ones_like(x), (-math.inf, math.inf)
             )
-            branch = "alpha=1-esssup"
         return GaussianMeasureSet(
             n_power,
             sigma,
             fisher,
-            branch,
             case,
             {"theta_w": th_w, "theta_wbar": th_wb, "a": a},
         )
@@ -405,7 +396,6 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
             n_power,
             sigma,
             None,
-            "not-defined",
             case,
             {"upsilon_x": up_x, "upsilon_xtilde": up_xt, "a": a},
         )
@@ -431,7 +421,6 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
         n_power,
         sigma,
         fisher,
-        "alpha=inf-display",
         "alpha=inf",
         {"psi_diff": psi_diff, "psib_diff": psib_diff},
     )
@@ -444,26 +433,18 @@ def verify_identity(case: str, w: WeightFunction, alpha: float, p: float) -> flo
         raise InputError(f"(alpha, p) = ({alpha}, {p}) is in case {actual!r}, not {case!r}")
     ms = gaussian_measures(w, alpha, p)
 
-    if case in ("p>1", "p<1"):
+    if case in ("p>1", "p<1", "p=1"):
         if ms.fisher is None:
             raise InputError("identity needs alpha >= 1 so J is defined")
+        # J^(1/beta); at alpha = 1 (beta = inf) J is the esssup object itself.
         beta = holder_conjugate(alpha)
-        j_root = ms.fisher if ms.fisher_branch == "alpha=1-esssup" else ms.fisher ** (
-            1.0 / beta
-        )
-        lhs = ms.n_power ** (1.0 - p)
-        rhs = p * ms.deviation * j_root * ms.aux["lambda_z"] / ms.aux["lambda_y"]
-        return abs(lhs - rhs) / (1.0 + abs(lhs))
-
-    if case == "p=1":
-        if ms.fisher is None:
-            raise InputError("identity needs alpha >= 1 so J is defined")
-        beta = holder_conjugate(alpha)
-        j_root = ms.fisher if ms.fisher_branch == "alpha=1-esssup" else ms.fisher ** (
-            1.0 / beta
-        )
-        lhs = 2.0 * ms.deviation * j_root
-        rhs = ms.aux["theta_w"]
+        j_root = ms.fisher if alpha == 1.0 else ms.fisher ** (1.0 / beta)
+        if case == "p=1":
+            lhs = 2.0 * ms.deviation * j_root
+            rhs = ms.aux["theta_w"]
+        else:
+            lhs = ms.n_power ** (1.0 - p)
+            rhs = p * ms.deviation * j_root * ms.aux["lambda_z"] / ms.aux["lambda_y"]
         return abs(lhs - rhs) / (1.0 + abs(lhs))
 
     if case == "alpha=inf":

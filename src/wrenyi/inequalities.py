@@ -381,18 +381,23 @@ class _Problem:
         """int s(x) weight'(x) f(x)^q dx over the support of f."""
         if weight.is_constant:
             return 0.0
-        f, s = self.f, self.s
-        integrand = _masked(
-            f,
-            lambda x, fx: np.asarray(s(x), dtype=float)
-            * np.asarray(weight.derivative(x), dtype=float)
-            * fx**q,
+        s = self.s
+        return _transport_moment(
+            self.f,
+            lambda x: np.asarray(s(x), dtype=float)
+            * np.asarray(weight.derivative(x), dtype=float),
+            q,
+            self.f.singularities,
+            what,
         )
-        cfg = QuadratureConfig(
-            abs_tol=1e-9, rel_tol=1e-7, singularities=tuple(f.singularities)
-        )
-        value, _, _ = integrate(integrand, f.support, cfg).checked(what)
-        return value
+
+
+def _transport_moment(f: Density, core, q: float, hints, what: str) -> float:
+    """int core(x) f(x)^q dx over the support of f, split at ``hints``."""
+    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-7, singularities=tuple(hints))
+    integrand = _masked(f, lambda x, fx: core(x) * fx**q)
+    value, _, _ = integrate(integrand, f.support, cfg).checked(what)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -829,12 +834,6 @@ def check_cor4(
     median = _source_median(f)
     hints = tuple(f.singularities) + ((median,) if math.isfinite(median) else ())
 
-    def moment(core):
-        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-7, singularities=hints)
-        res = integrate(_masked(f, lambda x, fx: core(x) * fx), f.support, cfg)
-        value, _, _ = res.checked("transport moment")
-        return value
-
     def a_core(x):
         sx, dsx = s.value_and_derivative(x)
         return np.abs(sx) ** c * dsx  # s^2 |s|^{c-2} = |s|^c
@@ -843,8 +842,8 @@ def check_cor4(
         sx, dsx = s.value_and_derivative(x)
         return sx * dsx * np.exp(-c * sx)
 
-    a_term = moment(a_core)
-    b_term = moment(b_core)
+    a_term = _transport_moment(f, a_core, 1.0, hints, "transport moment")
+    b_term = _transport_moment(f, b_core, 1.0, hints, "transport moment")
 
     def log_slope_sup(weight_fn):
         def core(x, fx):
@@ -909,17 +908,18 @@ def _source_median(f: Density) -> float:
 # ---------------------------------------------------------------------------
 
 
-def lemma4_residual(f, g, domain, hints=(), df=None, dg=None) -> float:
+def lemma4_residual(f, g, domain, df=None, dg=None) -> float:
     """|int f g' + int f' g| / (1 + |int f g'|) on the domain.
 
     ``f`` must vanish at both endpoints (checked numerically) and ``g``
     be increasing.  Densities may be passed for f, in which case their
     pdf/derivative/support are used.
     """
+    hints = ()
     if isinstance(f, Density):
         if df is None:
             df = f.dpdf
-        hints = tuple(hints) + tuple(f.singularities)
+        hints = f.singularities
         if domain is None:
             domain = f.support
         f = f.pdf

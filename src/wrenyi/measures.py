@@ -154,10 +154,10 @@ def _exp_phi_fp(lam: float, gamma: float, p: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def expectation(f: Density, w: WeightFunction, method: str = "auto") -> MeasureValue:
-    """E_f[phi].  ``method="quadrature"`` bypasses the closed forms."""
+def expectation(f: Density, w: WeightFunction) -> MeasureValue:
+    """E_f[phi]."""
     g = _explinear_gamma(w)
-    if method == "auto" and _is_exponential(f) and g is not None:
+    if _is_exponential(f) and g is not None:
         lam = _exp_rate(f)
         val, margin = _exp_phi_fp(lam, g, 1.0)
         val *= _const_factor(w)
@@ -171,13 +171,11 @@ def expectation(f: Density, w: WeightFunction, method: str = "auto") -> MeasureV
     return MeasureValue(val, err, "quadrature", {}, warns)
 
 
-def weighted_entropy(
-    f: Density, w: WeightFunction, method: str = "auto"
-) -> MeasureValue:
+def weighted_entropy(f: Density, w: WeightFunction) -> MeasureValue:
     """h_phi(f) = -int phi f log f, with the 0 log 0 = 0 convention."""
     warns = _warn_negativity(w, f)
     g = _explinear_gamma(w)
-    if method == "auto" and _is_exponential(f) and g is not None:
+    if _is_exponential(f) and g is not None:
         lam = _exp_rate(f)
         if lam - g <= 0:
             raise DomainError(f"entropy integral diverges: lam - gamma <= 0")
@@ -194,12 +192,12 @@ def weighted_entropy(
 
 
 def relative_weighted_entropy(
-    f: Density, g: Density, w: WeightFunction, method: str = "auto"
+    f: Density, g: Density, w: WeightFunction
 ) -> MeasureValue:
     """D_phi(f||g) = int phi f log(f/g); +inf when f charges {g = 0}."""
     warns = _warn_negativity(w, f)
     gam = _explinear_gamma(w)
-    if method == "auto" and _is_exponential(f) and _is_exponential(g) and gam is not None:
+    if _is_exponential(f) and _is_exponential(g) and gam is not None:
         l1, l2 = _exp_rate(f), _exp_rate(g)
         if l1 - gam <= 0:
             raise DomainError("relative entropy integral diverges: lam1 - gamma <= 0")
@@ -236,10 +234,10 @@ def relative_weighted_entropy(
     return MeasureValue(val, err, "quadrature", {}, warns + qwarns)
 
 
-def _phi_fp_integral(f: Density, w: WeightFunction, p: float, method: str = "auto"):
+def _phi_fp_integral(f: Density, w: WeightFunction, p: float):
     """(int phi f^p, error, flags, warnings, branch)."""
     g = _explinear_gamma(w)
-    if method == "auto" and _is_exponential(f) and g is not None:
+    if _is_exponential(f) and g is not None:
         lam = _exp_rate(f)
         val, margin = _exp_phi_fp(lam, g, p)
         return (
@@ -255,9 +253,7 @@ def _phi_fp_integral(f: Density, w: WeightFunction, p: float, method: str = "aut
     return val, err, {}, warns, "quadrature"
 
 
-def weighted_renyi_entropy(
-    f: Density, w: WeightFunction, p: float, method: str = "auto"
-) -> MeasureValue:
+def weighted_renyi_entropy(f: Density, w: WeightFunction, p: float) -> MeasureValue:
     """h_{phi,p}(f) = log(int phi f^p)/(1-p) for p > 0, p != 1."""
     if not p > 0:
         raise InputError(f"Renyi order p must be positive, got {p}")
@@ -266,7 +262,7 @@ def weighted_renyi_entropy(
             "p = 1 has no Renyi-entropy branch; use weighted_renyi_power"
         )
     warns = _warn_negativity(w, f)
-    ival, ierr, flags, qwarns, branch = _phi_fp_integral(f, w, p, method)
+    ival, ierr, flags, qwarns, branch = _phi_fp_integral(f, w, p)
     if not ival > 0:
         raise DomainError(f"int phi f^p = {ival!r}, log undefined")
     val = math.log(ival) / (1.0 - p)
@@ -274,15 +270,13 @@ def weighted_renyi_entropy(
     return MeasureValue(val, err, branch, flags, warns + qwarns)
 
 
-def weighted_renyi_power(
-    f: Density, w: WeightFunction, p: float, method: str = "auto"
-) -> MeasureValue:
+def weighted_renyi_power(f: Density, w: WeightFunction, p: float) -> MeasureValue:
     """N_{phi,p}(f) = exp(h_{phi,p}(f)); at p = 1, exp(h_phi(f)/E_f[phi])."""
     if not p > 0:
         raise InputError(f"Renyi order p must be positive, got {p}")
     if p == 1.0:
-        h = weighted_entropy(f, w, method)
-        e = expectation(f, w, method)
+        h = weighted_entropy(f, w)
+        e = expectation(f, w)
         if not e.value > 0:
             raise DomainError(f"E_f[phi] = {e.value!r} must be positive at p = 1")
         val = _exp(h.value / e.value, "weighted Renyi power")
@@ -294,17 +288,15 @@ def weighted_renyi_power(
             {**h.flags, "E_f[phi]": e.value},
             h.warnings + e.warnings,
         )
-    h = weighted_renyi_entropy(f, w, p, method)
+    h = weighted_renyi_entropy(f, w, p)
     val = _exp(h.value, "weighted Renyi power")
     return MeasureValue(val, val * h.error, h.branch, h.flags, h.warnings)
 
 
-def _relative_integrals(
-    f: Density, g: Density, w: WeightFunction, p: float, method: str = "auto"
-):
+def _relative_integrals(f: Density, g: Density, w: WeightFunction, p: float):
     """The three integrals of the relative Renyi power, with flags."""
     gam = _explinear_gamma(w)
-    if method == "auto" and _is_exponential(f) and _is_exponential(g) and gam is not None:
+    if _is_exponential(f) and _is_exponential(g) and gam is not None:
         l1, l2 = _exp_rate(f), _exp_rate(g)
         c = _const_factor(w)
         m_cross = l2 * (p - 1.0) + l1 - gam
@@ -339,8 +331,8 @@ def _relative_integrals(
 
     cross = _masked(f, core)
     iv1, ie1, w1 = _quad(cross, f, w, extra=g.singularities, what="int phi g^(p-1) f")
-    iv2, ie2, flg2, w2, _ = _phi_fp_integral(g, w, p, method)
-    iv3, ie3, flg3, w3, _ = _phi_fp_integral(f, w, p, method)
+    iv2, ie2, flg2, w2, _ = _phi_fp_integral(g, w, p)
+    iv3, ie3, flg3, w3, _ = _phi_fp_integral(f, w, p)
     return (
         (iv1, iv2, iv3),
         (ie1, ie2, ie3),
@@ -351,27 +343,25 @@ def _relative_integrals(
 
 
 def relative_renyi_entropy(
-    f: Density, g: Density, w: WeightFunction, p: float, method: str = "auto"
+    f: Density, g: Density, w: WeightFunction, p: float
 ) -> MeasureValue:
     """D_{phi,p}(f||g); at p = 1 this is D_phi(f||g) / E_f[phi]."""
     if not p > 0:
         raise InputError(f"order p must be positive, got {p}")
     warns = _warn_negativity(w, f)
     if p == 1.0:
-        d = relative_weighted_entropy(f, g, w, method)
-        e = expectation(f, w, method)
+        d = relative_weighted_entropy(f, g, w)
+        e = expectation(f, w)
         if not e.value > 0:
             raise DomainError(f"E_f[phi] = {e.value!r} must be positive at p = 1")
-        eg = expectation(g, w, method)
+        eg = expectation(g, w)
         val = d.value / e.value
         err = d.error / e.value + abs(d.value) * e.error / e.value**2
         flags = {**d.flags, "E_f[phi]-E_g[phi]": e.value - eg.value}
         return MeasureValue(
             val, err, "p=1-" + d.branch, flags, warns + d.warnings + e.warnings
         )
-    (i1, i2, i3), (e1, e2, e3), flags, qwarns, branch = _relative_integrals(
-        f, g, w, p, method
-    )
+    (i1, i2, i3), (e1, e2, e3), flags, qwarns, branch = _relative_integrals(f, g, w, p)
     if min(i1, i2, i3) <= 0:
         raise DomainError("relative Renyi integrals must be positive")
     val = (
@@ -388,10 +378,10 @@ def relative_renyi_entropy(
 
 
 def relative_renyi_power(
-    f: Density, g: Density, w: WeightFunction, p: float, method: str = "auto"
+    f: Density, g: Density, w: WeightFunction, p: float
 ) -> MeasureValue:
     """N_{phi,p}(f, g) = exp(D_{phi,p}(f||g))."""
-    d = relative_renyi_entropy(f, g, w, p, method)
+    d = relative_renyi_entropy(f, g, w, p)
     val = _exp(d.value, "relative Renyi power")
     return MeasureValue(val, val * d.error, d.branch, d.flags, d.warnings)
 
@@ -401,14 +391,12 @@ def relative_renyi_power(
 # ---------------------------------------------------------------------------
 
 
-def generalized_moment(
-    f: Density, w: WeightFunction, alpha: float, method: str = "auto"
-) -> MeasureValue:
+def generalized_moment(f: Density, w: WeightFunction, alpha: float) -> MeasureValue:
     """mu_{phi,alpha}(f) = int phi |x|^alpha f for alpha in (0, inf)."""
     if not (alpha > 0 and math.isfinite(alpha)):
         raise InputError(f"moment order must be in (0, inf), got {alpha}")
     warns = _warn_negativity(w, f)
-    if method == "auto" and _is_exponential(f):
+    if _is_exponential(f):
         lam = _exp_rate(f)
         if w.family in ("constant", "power", "abs-polynomial"):
             if w.family == "constant":
@@ -447,13 +435,11 @@ def generalized_moment(
     return MeasureValue(val, err, "quadrature", {}, warns + qwarns)
 
 
-def generalized_deviation(
-    f: Density, w: WeightFunction, alpha: float, method: str = "auto"
-) -> MeasureValue:
+def generalized_deviation(f: Density, w: WeightFunction, alpha: float) -> MeasureValue:
     """sigma_{phi,alpha}(f) over all three branches of the moment order."""
     warns = _warn_negativity(w, f)
     if alpha == 0.0:
-        e = expectation(f, w, method)
+        e = expectation(f, w)
         if not e.value > 0:
             raise DomainError(f"E_f[phi] = {e.value!r} must be positive at alpha = 0")
 
@@ -481,7 +467,7 @@ def generalized_deviation(
         if not math.isfinite(val):
             raise DomainError("esssup of phi(x)|x| is not finite on the support")
         return MeasureValue(val, 1e-10 * max(1.0, abs(val)), "alpha=inf-esssup", {}, warns)
-    mu = generalized_moment(f, w, alpha, method)
+    mu = generalized_moment(f, w, alpha)
     if not mu.value > 0:
         raise DomainError(f"generalized moment {mu.value!r} must be positive")
     val = mu.value ** (1.0 / alpha)
@@ -494,22 +480,27 @@ def generalized_deviation(
 # ---------------------------------------------------------------------------
 
 
-def _score_integrand(f: Density, w, p: float, beta: float):
-    """phi * |f^{p-2} f'|^beta * f, computed in log space."""
+def _score_term(f: Density, w, p: float, beta: float, times_f: bool, fill=0.0):
+    """x -> phi |f^{p-2} f'|^beta, times f if ``times_f``, computed in log space.
 
-    def integrand(x):
+    ``fill`` where f = 0 or f' is 0 or not finite; ``w`` None is phi = 1.
+    """
+
+    def fn(x):
         x = np.asarray(x, dtype=float)
         fx = np.asarray(f.pdf(x), dtype=float)
         dfx = np.asarray(f.dpdf(x), dtype=float)
-        out = np.zeros_like(fx)
+        out = np.full_like(fx, fill)
         m = (fx > 0) & (dfx != 0) & np.isfinite(dfx)
         if np.any(m):
-            log_core = (p - 2.0) * np.log(fx[m]) + np.log(np.abs(dfx[m]))
+            log_f = np.log(fx[m])
+            log_score = (p - 2.0) * log_f + np.log(np.abs(dfx[m]))
             wx = np.asarray(w(x[m]), dtype=float) if w is not None else 1.0
-            out[m] = wx * np.exp(beta * log_core + np.log(fx[m]))
+            log_t = beta * log_score + log_f if times_f else beta * log_score
+            out[m] = wx * np.exp(log_t)
         return out
 
-    return integrand
+    return fn
 
 
 def fisher_information(f: Density, alpha: float, p: float) -> MeasureValue:
@@ -519,7 +510,7 @@ def fisher_information(f: Density, alpha: float, p: float) -> MeasureValue:
         raise InputError(f"Fisher information needs alpha in (1, inf), got {alpha}")
     beta = holder_conjugate(alpha)
     raw, err, warns = _quad(
-        _score_integrand(f, None, p, beta), f, None, what="Fisher integral"
+        _score_term(f, None, p, beta, True), f, None, what="Fisher integral"
     )
     if raw < 0:
         raise DomainError("Fisher integral must be nonnegative")
@@ -564,20 +555,7 @@ def weighted_fisher_information(
             warns + qwarns,
         )
     if alpha == 1.0:
-
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            fx = np.asarray(f.pdf(x), dtype=float)
-            dfx = np.asarray(f.dpdf(x), dtype=float)
-            out = np.full_like(fx, -np.inf)
-            m = (fx > 0) & (dfx != 0) & np.isfinite(dfx)
-            if np.any(m):
-                wx = np.asarray(w(x[m]), dtype=float)
-                out[m] = wx * np.exp(
-                    (p - 2.0) * np.log(fx[m]) + np.log(np.abs(dfx[m]))
-                )
-            return out
-
+        fn = _score_term(f, w, p, 1.0, False, fill=-np.inf)
         val = essential_supremum(fn, f.support)
         if not math.isfinite(val):
             raise DomainError("esssup of phi |f^{p-2} f'| is not finite")
@@ -588,6 +566,6 @@ def weighted_fisher_information(
         raise InputError(f"weighted Fisher information needs alpha >= 1, got {alpha}")
     beta = holder_conjugate(alpha)
     raw, err, qwarns = _quad(
-        _score_integrand(f, w, p, beta), f, w, what="weighted Fisher integral"
+        _score_term(f, w, p, beta, True), f, w, what="weighted Fisher integral"
     )
     return MeasureValue(raw, err, "integral", {"beta": beta}, warns + qwarns)

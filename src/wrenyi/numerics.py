@@ -251,55 +251,45 @@ def _de_levels():
 _DE_U = _de_levels()
 
 
-def _tanh_sinh_nodes(u):
-    """Offsets from the interval endpoints and weights on (-1, 1).
+def _tanh_sinh_place(a, b):
+    """Nodes and weights of the tanh-sinh rule on the finite [a, b].
 
-    Returns (delta, w) with delta = 1 - |tanh((pi/2) sinh u)| computed
-    stably so that endpoint singularities are never evaluated at the
+    The offset delta = 1 - |tanh((pi/2) sinh u)| of a node from its end is
+    computed stably, so an endpoint singularity is never evaluated at the
     endpoint itself.
     """
-    t = 0.5 * np.pi * np.sinh(u)
-    at = np.abs(t)
-    e2 = np.exp(-2.0 * at)
-    delta = 2.0 * e2 / (1.0 + e2)
-    w = 0.5 * np.pi * np.cosh(u) * (4.0 * e2 / (1.0 + e2) ** 2)
-    return delta, w
-
-
-def _tanh_sinh(fn, a, b, abs_tol, rel_tol):
-    """Double-exponential rule on the finite interval [a, b]."""
-    c = 0.5 * (a + b)
     d = 0.5 * (b - a)
-    total = 0.0
-    prev = None
-    err = math.inf
-    h = 1.0
-    for level, u in enumerate(_DE_U):
-        if level > 0:
-            h *= 0.5
-        delta, w = _tanh_sinh_nodes(u)
+
+    def place(u):
+        e2 = np.exp(-2.0 * np.abs(0.5 * np.pi * np.sinh(u)))
+        delta = 2.0 * e2 / (1.0 + e2)
+        w = 0.5 * np.pi * np.cosh(u) * (4.0 * e2 / (1.0 + e2) ** 2)
         x = np.where(u >= 0, b - d * delta, a + d * delta)
-        x = np.clip(x, np.nextafter(a, b), np.nextafter(b, a))
-        y = np.asarray(fn(x), dtype=float)
-        contrib = d * w * y
-        bad = ~np.isfinite(contrib)
-        if np.any(bad):
-            if np.any(np.abs(d * w[bad]) > 1e-280):
-                raise EvaluationError(f"integrand not finite inside ({a}, {b})")
-            contrib = np.where(bad, 0.0, contrib)
-        total += float(np.sum(contrib))
-        est = h * total
-        if prev is not None:
-            err = abs(est - prev)
-            if err <= max(abs_tol, rel_tol * abs(est)) and level >= 2:
-                return est, err, True
-        prev = est
-    est = prev if prev is not None else 0.0
-    return est, err, False
+        return np.clip(x, np.nextafter(a, b), np.nextafter(b, a)), d * w
+
+    return place
 
 
-def _exp_sinh(fn, a, sign, abs_tol, rel_tol):
-    """Double-exponential rule on (a, +inf) (sign=+1) or (-inf, a) (-1)."""
+def _exp_sinh_place(lo, hi):
+    """Nodes and weights of the exp-sinh rule on (lo, +inf) or (-inf, hi)."""
+    a, sign = (lo, 1.0) if math.isinf(hi) else (hi, -1.0)
+
+    def place(u):
+        r = np.exp(0.5 * np.pi * np.sinh(u))
+        return a + sign * r, 0.5 * np.pi * np.cosh(u) * r
+
+    return place
+
+
+def _double_exponential(fn, place, abs_tol, rel_tol, where):
+    """Trapezoid rule in u on the nodes and weights ``place(u)`` gives.
+
+    Each level halves the step (Takahasi and Mori, 1974); the result is
+    accepted once two successive levels agree, from level 2 on.  A
+    non-finite contribution w * fn(x) at a node whose weight exceeds
+    1e-280 raises ``EvaluationError("integrand not finite <where>")``; one
+    at a smaller weight, deep in an end where fn may overflow, is dropped.
+    """
     total = 0.0
     prev = None
     err = math.inf
@@ -307,16 +297,14 @@ def _exp_sinh(fn, a, sign, abs_tol, rel_tol):
     for level, u in enumerate(_DE_U):
         if level > 0:
             h *= 0.5
-        t = 0.5 * np.pi * np.sinh(u)
-        r = np.exp(t)
-        x = a + sign * r
-        w = 0.5 * np.pi * np.cosh(u) * r
+        x, w = place(u)
         y = np.asarray(fn(x), dtype=float)
-        contrib = w * y
+        with np.errstate(over="ignore", invalid="ignore"):
+            contrib = w * y
         bad = ~np.isfinite(contrib)
         if np.any(bad):
-            if np.any(~np.isfinite(y[bad]) & (w[bad] > 1e-280)):
-                raise EvaluationError("integrand not finite on infinite tail")
+            if np.any(np.abs(w[bad]) > 1e-280):
+                raise EvaluationError(f"integrand not finite {where}")
             contrib = np.where(bad, 0.0, contrib)
         total += float(np.sum(contrib))
         est = h * total
@@ -325,18 +313,12 @@ def _exp_sinh(fn, a, sign, abs_tol, rel_tol):
             if err <= max(abs_tol, rel_tol * abs(est)) and level >= 2:
                 return est, err, True
         prev = est
-    est = prev if prev is not None else 0.0
-    return est, err, False
+    return prev, err, False
 
 
 # ---------------------------------------------------------------------------
 # integrate
 # ---------------------------------------------------------------------------
-
-
-def _split_points(a, b, hints):
-    pts = sorted({float(h) for h in hints if a < h < b})
-    return pts
 
 
 def integrate(fn, domain, config: QuadratureConfig | None = None) -> IntegralResult:
@@ -353,29 +335,26 @@ def integrate(fn, domain, config: QuadratureConfig | None = None) -> IntegralRes
     if a == b:
         return IntegralResult(0.0, 0.0, "converged")
 
-    cuts = _split_points(a, b, cfg.singularities)
+    cuts = sorted({float(h) for h in cfg.singularities if a < h < b})
     if math.isinf(a) and math.isinf(b) and not cuts:
         cuts = [0.0]
     edges = [a] + cuts + [b]
+    pieces = list(zip(edges[:-1], edges[1:]))
 
-    pieces = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pieces.append((lo, hi))
-
-    n = len(pieces)
-    atol_piece = cfg.abs_tol / n
+    atol_piece = cfg.abs_tol / len(pieces)
     hint_set = {float(h) for h in cfg.singularities}
     value = 0.0
     error = 0.0
     all_ok = True
     for lo, hi in pieces:
-        if math.isinf(lo) and math.isinf(hi):
-            raise InputError("cannot integrate a doubly infinite piece")
-        if math.isinf(hi):
-            v, e, ok = _exp_sinh(fn, lo, +1.0, atol_piece, cfg.rel_tol)
-        elif math.isinf(lo):
-            v, e, ok = _exp_sinh(fn, hi, -1.0, atol_piece, cfg.rel_tol)
+        if math.isinf(lo) or math.isinf(hi):
+            place, where = _exp_sinh_place(lo, hi), "on infinite tail"
+            v, e, ok = _double_exponential(fn, place, atol_piece, cfg.rel_tol, where)
         else:
+            gk = lambda: _adaptive_gk(fn, lo, hi, atol_piece, cfg.rel_tol)
+            de = lambda: _double_exponential(
+                fn, _tanh_sinh_place(lo, hi), atol_piece, cfg.rel_tol, f"inside ({lo}, {hi})"
+            )
             # Pieces whose endpoint is a hinted singularity (or which were
             # produced by splitting at one) go straight to tanh-sinh, which
             # clusters nodes double-exponentially at the endpoints.
@@ -384,14 +363,10 @@ def integrate(fn, domain, config: QuadratureConfig | None = None) -> IntegralRes
                 abs(lo - h) <= 1e-12 * scale or abs(hi - h) <= 1e-12 * scale
                 for h in hint_set
             )
-            primary, fallback = (
-                (_tanh_sinh, _adaptive_gk)
-                if endpoint_singular
-                else (_adaptive_gk, _tanh_sinh)
-            )
-            v, e, ok = primary(fn, lo, hi, atol_piece, cfg.rel_tol)
+            primary, fallback = (de, gk) if endpoint_singular else (gk, de)
+            v, e, ok = primary()
             if not ok:
-                v2, e2, ok2 = fallback(fn, lo, hi, atol_piece, cfg.rel_tol)
+                v2, e2, ok2 = fallback()
                 if ok2 or e2 < e:
                     v, e, ok = v2, e2, ok2
         if not math.isfinite(v) or abs(v) > 1e100:
@@ -435,21 +410,28 @@ def beta_fn(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def differentiate(fn, x: float) -> float:
+def differentiate(fn, x):
     """Central difference with one Richardson extrapolation step.
 
-    Step h = cbrt(machine eps) * max(1, |x|).
+    Step h = cbrt(machine eps) * max(1, |x|).  ``x`` may be an array, for
+    a vectorized ``fn``; a scalar gives a float.
     """
-    x = float(x)
-    h = _EPS ** (1.0 / 3.0) * max(1.0, abs(x))
-    f1p, f1m = float(fn(x + h)), float(fn(x - h))
-    f2p, f2m = float(fn(x + 0.5 * h)), float(fn(x - 0.5 * h))
-    for v in (f1p, f1m, f2p, f2m):
-        if not math.isfinite(v):
-            raise EvaluationError(f"function not finite near x={x}")
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
+    h = _EPS ** (1.0 / 3.0) * np.maximum(1.0, np.abs(arr))
+    if scalar:
+        arr, h = float(arr), float(h)
+    f1p, f1m, f2p, f2m = (
+        np.asarray(fn(arr + s * h), dtype=float) for s in (1.0, -1.0, 0.5, -0.5)
+    )
+    bad = ~(np.isfinite(f1p) & np.isfinite(f1m) & np.isfinite(f2p) & np.isfinite(f2m))
+    if np.any(bad):
+        near = np.atleast_1d(arr)[np.atleast_1d(bad)][0]
+        raise EvaluationError(f"function not finite near x={near}")
     d1 = (f1p - f1m) / (2.0 * h)
     d2 = (f2p - f2m) / h
-    return (4.0 * d2 - d1) / 3.0
+    out = (4.0 * d2 - d1) / 3.0
+    return float(out) if scalar else out
 
 
 def find_root(fn, bracket) -> float:

@@ -24,6 +24,7 @@ from .densities import (
     make_laplace,
     make_tabulated,
     make_tent,
+    scale_density,
 )
 from .errors import InputError
 from .gaussian_forms import verify_identity
@@ -74,7 +75,9 @@ def _regime(name, l1, l2, gammas, want_margin_nonneg, want_d_nonneg, check_quad)
         if not want_d_nonneg and d.value >= 0:
             ok = False
         if check_quad:
-            dq = relative_renyi_entropy(f, g, w, 1.0, method="quadrature")
+            # The same laws under another family name take the quadrature path.
+            fq, gq = scale_density(f, 1.0), scale_density(g, 1.0)
+            dq = relative_renyi_entropy(fq, gq, w, 1.0)
             rel = abs(dq.value - closed) / max(1e-12, abs(closed))
             worst = max(worst, rel)
             if rel > 1e-6:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .numerics import QuadratureConfig, _exp, _vec, integrate
+from .numerics import QuadratureConfig, _exp, _vec, differentiate, integrate
 
 __all__ = [
     "WeightFunction",
@@ -192,19 +192,18 @@ def make_density_power(k: float, m: float, density) -> WeightFunction:
         return np.where((fx > 0) & ((dfx > 0) | (m == 0)), out, 0.0)
 
     def _df(x):
-        # d/dx [f^k |f'|^m] = f^k |f'|^m (k f'/f + m f''/f') with f'' numeric.
-        from .numerics import differentiate
-
-        x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        for i, xi in enumerate(x):
-            fx = float(density.pdf(xi))
-            dfx = float(density.dpdf(xi))
-            if fx <= 0 or (dfx == 0 and m != 0):
-                out[i] = 0.0
-                continue
-            d2 = differentiate(density.dpdf, float(xi))
-            out[i] = (fx**k * abs(dfx) ** m) * (k * dfx / fx + m * d2 / dfx)
+        # d/dx [f^k |f'|^m] = f^k |f'|^m (k f'/f + m f''/f') with f'' numeric;
+        # at m = 0 the second term is absent, also where f' = 0.
+        fx = np.asarray(density.pdf(x), dtype=float)
+        dfx = np.asarray(density.dpdf(x), dtype=float)
+        out = np.zeros_like(fx)
+        live = (fx > 0) & ((dfx != 0) | (m == 0))
+        if np.any(live):
+            fl, dl = fx[live], dfx[live]
+            rate = k * dl / fl
+            if m != 0:
+                rate = rate + m * differentiate(density.dpdf, x[live]) / dl
+            out[live] = (fl**k * np.abs(dl) ** m) * rate
         return out
 
     return WeightFunction(
@@ -434,14 +433,12 @@ def antiderivatives(w: WeightFunction) -> Antiderivatives:
 # ---------------------------------------------------------------------------
 
 
-def nonnegativity_violation(
-    w: WeightFunction, support, n: int = 1001
-) -> float | None:
+def nonnegativity_violation(w: WeightFunction, support) -> float | None:
     """Most negative sampled value of the weight, or None if none found."""
     lo, hi = support
     lo = lo if math.isfinite(lo) else -20.0
     hi = hi if math.isfinite(hi) else 20.0
-    x = np.linspace(lo, hi, n)
+    x = np.linspace(lo, hi, 1001)
     vals = np.asarray(w.fn(x), dtype=float)
     vals = vals[np.isfinite(vals)]
     if vals.size and float(vals.min()) < -1e-12:

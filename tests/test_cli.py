@@ -41,6 +41,15 @@ class TestCompute:
         code, out = run_cli(["compute", "zzz", "--f", "exp:1"])
         assert code == 2
 
+    @pytest.mark.parametrize("f, value", [("gg:2,2", 27 / 64), ("gg:inf,2", 0.125)])
+    def test_density_power_weight_with_m_zero(self, f, value):
+        # fpow:1,0 is f itself: its derivative has no f''/f' term, not even
+        # where f' = 0 (x = 0 on gg:2,2, everywhere on gg:inf,2).
+        argv = ["compute", "wfi", "--f", f, "--w", "fpow:1,0", "--p", "2", "--alpha", "inf"]
+        code, out = run_cli(argv)
+        assert code == 0
+        assert json.loads(out)["value"] == value
+
     def test_deterministic_bytes(self):
         argv = ["compute", "wrp", "--f", "gg:2,2", "--w", "expw:0.1", "--p", "2"]
         _, out1 = run_cli(argv)
@@ -118,6 +127,13 @@ class TestVerify:
         code, out = run_cli(["verify", "id2.22", "--w", w, "--p", p, "--alpha", "inf"])
         assert code == 3
         assert json.loads(out)["error"] == {"type": "numeric", "message": message}
+
+    @pytest.mark.parametrize("f", ["gg:2,2", "gg:inf,2"])
+    def test_fii_with_density_power_weight_reports_json(self, f):
+        argv = ["verify", "fii", "--f", f, "--w", "fpow:1,0", "--p", "2", "--alpha", "inf"]
+        code, out = run_cli(argv)
+        assert code in (0, 3)
+        assert isinstance(json.loads(out), dict)
 
     def test_unknown_check(self):
         code, _ = run_cli(["verify", "nope", "--f", "tent"])

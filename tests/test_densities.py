@@ -246,6 +246,27 @@ class TestTabulated:
         assert res.value == pytest.approx(1.0, abs=2e-7)
         assert cdf(d, 1.0) == pytest.approx(1.0, abs=1e-12)
 
+    # Zero-density end cells, rising, flat and falling cells, and an
+    # interior cell with no mass ([1, 2]).
+    TABLE = ([-3, -2, -1, 0, 1, 2, 3, 4, 5], [0, 0, 1, 1, 0, 0, 1, 0, 0])
+
+    def test_quantile_inverts_cdf(self):
+        t = make_tabulated(*self.TABLE)
+        assert t.quantile_fn is not None
+        nodes = cdf(t, np.asarray(self.TABLE[0], dtype=float)).tolist()
+        boundaries = [q for q in nodes if 0.0 < q < 1.0]  # 1/6, 1/2, 2/3, 2/3, 5/6
+        inside = [1e-300, 1e-17, 0.05, 0.3, 0.6, 0.75, 0.9, 1.0 - 1e-16]
+        assert len(boundaries) == 5
+        for q in boundaries + inside:
+            assert abs(cdf(t, quantile(t, q)) - q) <= 1e-14, q
+        assert quantile(t, 0.3) == pytest.approx(-0.6, abs=1e-15)  # flat cell
+        assert 1.0 <= quantile(t, boundaries[2]) <= 2.0  # F on the cell with no mass
+
+    def test_quantile_scalar_and_array_agree(self):
+        t = make_tabulated(*self.TABLE)
+        qs = np.array([1e-300, 1.0 / 6.0, 0.3, 0.5, 2.0 / 3.0, 0.9, 1.0 - 1e-16])
+        assert quantile(t, qs).tolist() == [quantile(t, float(q)) for q in qs]
+
     def test_bad_grid_rejected(self):
         with pytest.raises(InputError):
             make_tabulated([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])

@@ -144,10 +144,17 @@ class TestTransport:
             assert type(s(x)) is float
 
     def test_target_without_quantile_rejected(self):
-        table = make_tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
-        assert table.quantile_fn is None
+        weighted = parse_density("weighted:laplace:1;expw:0.2")
+        assert weighted.quantile_fn is None
         with pytest.raises(InputError):
-            build_transport(make_laplace(1.0), table)
+            build_transport(make_laplace(1.0), weighted)
+
+    def test_table_target(self):
+        # A table has a closed-form quantile, so it can be a target; the
+        # build checks the CDF match at 21 probes.
+        table = make_tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+        s = build_transport(make_laplace(1.0), table)
+        assert s(0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def _scalar_cdf(f, x):

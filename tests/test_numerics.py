@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrenyi.errors import DomainError, InputError
+from wrenyi.errors import DomainError, EvaluationError, InputError
 from wrenyi.numerics import (
     IntegralResult,
     QuadratureConfig,
@@ -71,6 +71,24 @@ class TestIntegrate:
         )
         assert res.value == pytest.approx(2.0, rel=1e-8)
 
+    def test_nan_inside_tanh_sinh_piece_raises(self):
+        # The hint at 0 sends [0, 1] to tanh-sinh first; its middle node is 0.5.
+        fn = lambda x: np.where(np.abs(x - 0.5) < 1e-3, np.nan, 1.0)
+        with pytest.raises(EvaluationError, match="integrand not finite inside"):
+            integrate(fn, (0.0, 1.0), QuadratureConfig(singularities=(0.0,)))
+
+    def test_inf_on_exp_sinh_tail_raises(self):
+        fn = lambda x: np.where(x > 5.0, np.inf, np.exp(-x))
+        with pytest.raises(EvaluationError, match="integrand not finite on infinite tail"):
+            integrate(fn, (0.0, math.inf))
+
+    def test_overflowing_tail_contribution_raises(self):
+        # w * f(x) overflows where f is finite: the contribution is not
+        # dropped (it was, and the integral read 1.0 "converged").
+        fn = lambda x: np.where(x > 1e20, 1e300, np.exp(-np.minimum(x, 700.0)))
+        with pytest.raises(EvaluationError, match="integrand not finite on infinite tail"):
+            integrate(fn, (0.0, math.inf))
+
     @settings(max_examples=25, deadline=None)
     @given(
         a=st.floats(-2, 2),
@@ -129,6 +147,19 @@ class TestDifferentiate:
     def test_tent_slope(self):
         tent = lambda x: max(1 - abs(x), 0.0)
         assert differentiate(tent, 0.5) == pytest.approx(-1.0, abs=1e-9)
+
+    def test_array_matches_scalar_calls(self):
+        cubic = lambda x: x * x * x - 2.0 * x
+        xs = np.array([-2.0, 0.0, 0.5, 3.0])
+        got = differentiate(cubic, xs)
+        assert isinstance(got, np.ndarray)
+        assert isinstance(differentiate(cubic, 0.5), float)
+        assert got.tolist() == [differentiate(cubic, float(x)) for x in xs]
+        assert got == pytest.approx(3.0 * xs * xs - 2.0, abs=1e-7)
+
+    def test_non_finite_value_raises(self):
+        with pytest.raises(EvaluationError, match="not finite near x=2.0"):
+            differentiate(lambda x: np.where(x > 1.5, np.inf, x), np.array([0.0, 2.0]))
 
 
 class TestFindRoot:
@@ -482,6 +513,6 @@ class TestEveryResultChecked:
         check_scaling_identity(make_exp_linear(0.3), g22, 1.7, 2.0)
         lemma4_residual(g22, lambda x: x**3, None, dg=lambda x: 3 * x * x)
 
-        assert len(sites) == 15
+        assert len(sites) == 14
         assert len(checked) == len(results)
         assert {id(r) for r in checked} == {id(r) for r in results}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrenyi.densities import make_exponential, make_tent
+from wrenyi.densities import make_exponential, make_generalized_gaussian, make_tent
 from wrenyi.errors import DomainError, InputError
 from wrenyi.numerics import QuadratureConfig, integrate
 from wrenyi.weights import (
@@ -84,6 +84,15 @@ class TestFamilies:
         tent = make_tent()
         w = make_density_power(1.0, 2.0, tent)  # f |f'|^2 = f on the tent
         assert w(0.25) == pytest.approx(0.75, abs=1e-12)
+
+    def test_density_power_derivative(self):
+        g22 = make_generalized_gaussian(2.0, 2.0)  # 0.75 (1 - x^2)_+
+        xs = np.array([-0.5, 0.0, 0.3, 1.5])
+        itself = make_density_power(1.0, 0.0, g22)  # f, derivative -1.5 x
+        assert itself.derivative(xs) == pytest.approx([0.75, 0.0, -0.45, 0.0], abs=1e-15)
+        slope = make_density_power(0.0, 1.0, g22)  # |f'| = 1.5 |x|
+        assert slope.derivative(xs) == pytest.approx([-1.5, 0.0, 1.5, 0.0], rel=1e-6)
+        assert [slope.derivative(float(x)) for x in xs] == slope.derivative(xs).tolist()
 
     def test_derivative_consistency(self):
         for w in (
