@@ -41,6 +41,8 @@ HIGHER_IS_BETTER = {"ops_per_s"}
 TRACED = (
     "densities.cdf.calls",
     "numerics.integrate.calls",
+    "numerics.integrate.points",
+    "numerics.integrand.self_s",
     "numerics.find_root.calls",
     "known_failures.still_failing",
     "numerics.essential_supremum.self_s",

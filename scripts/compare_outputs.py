@@ -20,21 +20,147 @@ two trees is printed with both sides; stderr is not compared.  An
 exception that escapes ``main`` counts as exit code ``"exception"`` with
 its type and message as output.  The exit status is 1 if anything
 differs, else 0.  ``perfbench/`` is only imported, never written.
+
+``--summary`` prints one line per differing input instead: the largest
+move over its numeric fields (JSON values, CSV cells and the numbers
+inside strings and text lines) in each class of ``MOVES`` (values and
+error estimates relative to their size; slacks, margins and values
+below ``FLOOR`` in magnitude, such as residuals, in absolute terms),
+and a flag for every difference in exit code, verdict, warnings or
+other text.  Both modes end with the totals.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import itertools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+# A number standing on its own: not part of an identifier such as id2.14.
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
+FLAGS = ("exit code", "verdict", "warnings", "other text")
+FLOOR = 1e-9
+
+
+def fields(res: dict) -> dict:
+    """{field: number or number-masked string} of one result.
+
+    stdout and every written file are parsed as JSON (whole or line by
+    line) or CSV, else taken line by line; a string value contributes its
+    text with numbers masked as ``#`` and each number as a field of its own.
+    """
+    out = {"exit": str(res["rc"])}
+
+    def add(key, value):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                add(f"{key}.{k}", v)
+        elif isinstance(value, list):
+            for i, v in enumerate(value):
+                add(f"{key}[{i}]", v)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            out[key] = float(value)
+        else:
+            text = str(value)
+            out[key] = NUMBER.sub("#", text)
+            for i, tok in enumerate(NUMBER.findall(text)):
+                out[f"{key}#{i}"] = float(tok)
+
+    for name, text in [("stdout", res["stdout"]), *sorted(res["files"].items())]:
+        if name.endswith(".csv"):
+            for i, row in enumerate(csv.DictReader(io.StringIO(text))):
+                for col, cell in row.items():
+                    try:
+                        add(f"{name}:{i}.{col}", float(cell))
+                    except (TypeError, ValueError):
+                        add(f"{name}:{i}.{col}", cell)
+            continue
+        try:
+            add(name, json.loads(text))
+            continue
+        except ValueError:
+            pass
+        for n, line in enumerate(text.splitlines(), 1):
+            try:
+                add(f"{name}:{n}", json.loads(line))
+            except ValueError:
+                add(f"{name}:{n}", line)
+    return out
+
+
+def _flag(key: str, this, other) -> str:
+    if key == "exit":
+        return "exit code"
+    texts = f"{key} {this} {other}"
+    if "verdict" in key or "[PASS]" in texts or "[FAIL]" in texts:
+        return "verdict"
+    return "warnings" if "warnings" in key else "other text"
+
+
+# How a numeric field moves, per class: (name, relative?).  An error
+# estimate (an "error" field, a number in a warning) depends on the
+# refinement path; a difference (a slack or a margin) and any value below
+# the floor in magnitude are rounding noise around zero, so they move by
+# absolute amounts; every other value moves relative to its size.
+MOVES = (("value", True), ("error estimate", True), ("difference", False), ("near zero", False))
+
+
+def _move_class(key: str, big: float) -> str:
+    if "warnings" in key or key.endswith("error"):
+        return "error estimate"
+    if "slack" in key or "margin" in key:
+        return "difference"
+    return "near zero" if big < FLOOR else "value"
+
+
+def compare(this: dict, other: dict) -> dict:
+    """Flags and, per class of :data:`MOVES`, the largest move of one input."""
+    a, b = fields(this), fields(other)
+    flags, moves = set(), {}
+    for key in sorted(set(a) | set(b)):
+        x, y = a.get(key), b.get(key)
+        if x == y or (isinstance(x, float) and isinstance(y, float) and math.isnan(x) and math.isnan(y)):
+            continue
+        if not (isinstance(x, float) and isinstance(y, float)):
+            flags.add(_flag(key, x, y))
+            continue
+        big = max(abs(x), abs(y))
+        kind = _move_class(key, big)
+        move = abs(x - y)
+        if dict(MOVES)[kind]:
+            move = move / big if math.isfinite(big) else math.inf
+        moves[kind] = max(moves.get(kind, (0.0, "")), (move, f"{key} ({y!r} -> {x!r})"))
+    return {"flags": [f for f in FLAGS if f in flags], "moves": moves}
+
+
+def _moves_text(moves: dict) -> list[str]:
+    out = []
+    for kind, relative in MOVES:
+        if kind in moves:
+            move, where = moves[kind]
+            name = f"{kind} (below {FLOOR:g})" if kind == "near zero" else kind
+            out.append(f"{name} {'rel' if relative else 'abs'} {move:.2e} at {where}")
+    return out
+
+
+def describe(moves: dict) -> str:
+    """One summary line: the largest moves (other -> this) and the flags."""
+    parts = _moves_text(moves["moves"])
+    if moves["flags"]:
+        parts.append("FLAGGED " + ", ".join(moves["flags"]))
+    return "; ".join(parts) or "no field moved"
 
 
 def cases(seeds, work: str) -> list[dict]:
@@ -108,6 +234,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", help="source dir holding the other tree's wrenyi package")
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 29, 83, 801])
+    parser.add_argument("--summary", action="store_true", help="one line per differing input")
     args = parser.parse_args(argv)
 
     trees = {"this": os.path.join(ROOT, "src"), "other": os.path.abspath(args.other)}
@@ -132,10 +259,20 @@ def main(argv=None) -> int:
                 results[side] = json.load(fh)
 
     differ = 0
+    flagged = dict.fromkeys(FLAGS, 0)
+    worst = {}
     for case, this, other in zip(job, results["this"], results["other"]):
         if this == other:
             continue
         differ += 1
+        moves = compare(this, other)
+        for flag in moves["flags"]:
+            flagged[flag] += 1
+        for kind, (move, field) in moves["moves"].items():
+            worst[kind] = max(worst.get(kind, (0.0, "")), (move, f"{case['name']} {field}"))
+        if args.summary:
+            print(f"DIFF {case['name']}: {describe(moves)}")
+            continue
         print(f"DIFF {case['name']}: {' '.join(case['argv'])}")
         for side, res in (("this", this), ("other", other)):
             print(f"  {side:5} exit {res['rc']}: {res['stdout'].rstrip()}")
@@ -145,6 +282,10 @@ def main(argv=None) -> int:
                 if a != b:
                     print(f"  {path}:{n}\n    this  {a}\n    other {b}")
     print(f"{len(job)} inputs, {differ} differ")
+    if differ:
+        print("flagged: " + ", ".join(f"{n} in {flag}" for flag, n in flagged.items()))
+        for line in _moves_text(worst):
+            print(f"largest {line}")
     return 1 if differ else 0
 
 

@@ -60,10 +60,10 @@ from scipy.special import (
 from .errors import DomainError, InputError
 from .numerics import (
     _EPS,
-    _WG15,
-    _WGK,
     _XGK,
     QuadratureConfig,
+    _gk15_nodes,
+    _gk15_sums,
     _masked,
     _vec,
     beta_fn,
@@ -593,17 +593,15 @@ def _panels(f: Density, a, b):
     that value is the largest, else infinity.  A gap with a non-finite
     pdf value is blind, with K15 = 0 and an infinite error.
     """
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    kronrod, h = _gk15_nodes(a, b)
     reach = h * (1.0 + _XGK[0])
-    kronrod = c[:, None] + h[:, None] * _XGK
     nodes = np.concatenate(
         [kronrod, a[:, None] + _ladder(a, reach), b[:, None] - _ladder(b, reach)], axis=1
     )
     y = np.asarray(f.pdf(nodes.ravel()), dtype=float).reshape(nodes.shape)
     yk, n = y[:, : _XGK.size], _RUNGS.size + 1
     with np.errstate(invalid="ignore"):
-        k15 = h * (yk @ _WGK)
-        err = np.abs(k15 - h * (yk @ _WG15))
+        k15, err = _gk15_sums(h, yk)
         ends = 0.0
         for probes, outer in ((y[:, -2 * n : -n], yk[:, 0]), (y[:, -n:], yk[:, -1])):
             peak = probes.max(axis=1)

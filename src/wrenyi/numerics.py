@@ -6,6 +6,14 @@ transforms for infinite tails and stubborn endpoint singularities),
 Gamma/Beta special functions, central-difference differentiation,
 bracketed root finding, essential suprema and total variation.
 
+An integrand call, not a point, is the unit of cost: an integrand such
+as the transport map runs a whole CDF sweep per call.  So the kernel
+batches.  Adaptive GK15 refines in rounds: the worst leaves of a heap
+are bisected together and every child panel comes from one integrand
+call.  The double-exponential rules are tabulated per level at import;
+levels 0-3 come from one integrand call and each later level from one
+more, and the levels are consumed in order.
+
 Every routine is a pure function of its inputs; there is no shared
 mutable state, so unrestricted concurrent use is safe.
 
@@ -22,6 +30,7 @@ unconverged one and no warning with a converged one.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -140,34 +149,34 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 _XGK_HALF = np.array(
     [
-        0.991455371120813,
-        0.949107912342759,
-        0.864864423359769,
-        0.741531185599394,
-        0.586087235467691,
-        0.405845151377397,
-        0.207784955007898,
+        0.991455371120812639206854697526329,
+        0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926,
+        0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013,
+        0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245,
         0.0,
     ]
 )
 _WGK_HALF = np.array(
     [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
+        0.022935322010529224963732008058970,
+        0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518,
+        0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550,
+        0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649,
+        0.209482141084727828012999174891714,
     ]
 )
 _WG_HALF = np.array(
     [
-        0.129484966168870,
-        0.279705391489277,
-        0.381830050505119,
-        0.417959183673469,
+        0.129484966168869693270611432679082,
+        0.279705391489276667901467771423780,
+        0.381830050505118944950369775488975,
+        0.417959183673469387755102040816327,
     ]
 )
 
@@ -178,47 +187,104 @@ _WG15 = np.zeros(15)
 _WG15[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 
-def _gk15(fn, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 15 panel on [a, b]: (estimate, error estimate)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c + h * _XGK
-    y = np.asarray(fn(x), dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise EvaluationError(f"integrand not finite inside ({a}, {b})")
-    k15 = h * float(_WGK @ y)
-    g7 = h * float(_WG15 @ y)
-    return k15, abs(k15 - g7)
+def _gk15_nodes(a, b):
+    """Kronrod nodes of the panels [a_k, b_k], one row each, and their half-widths."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    return c[:, None] + h[:, None] * _XGK, h
+
+
+def _gk15_sums(h, y):
+    """(K15, |K15 - G7|) per panel from its half-width and its row of values."""
+    k15 = h * (y @ _WGK)
+    return k15, np.abs(k15 - h * (y @ _WG15))
+
+
+def _gk15(fn, a, b):
+    """GK15 panels on every [a_k, b_k] from one fn call: (K15, |K15 - G7|).
+
+    A non-finite value raises ``EvaluationError`` naming its panel.
+    """
+    x, h = _gk15_nodes(a, b)
+    y = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+    bad = ~np.all(np.isfinite(y), axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise EvaluationError(f"integrand not finite inside ({float(a[k])}, {float(b[k])})")
+    return _gk15_sums(h, y)
+
+
+def _fsum(values) -> float:
+    """math.fsum, or the plain sum (inf or nan) where the floats overflow."""
+    values = list(values)
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return sum(values)
 
 
 _MAX_DEPTH = 60  # bisections below one starting panel
+_MAX_PANELS = 8193  # the starting panel and 4,096 bisections
+_MAX_ROUND = 512  # bisections per round, so one fn call sees at most 15,360 nodes
 
 
 def _adaptive_gk(fn, a, b, abs_tol, rel_tol):
-    """Adaptive bisection with GK15 panels on the finite interval [a, b]."""
-    v, e = _gk15(fn, a, b)
-    leaves = [(e, a, b, v, 0)]  # (error, lo, hi, value, depth)
+    """Adaptive bisection with GK15 panels on the finite interval [a, b].
+
+    The leaves sit in a heap, worst error first, under running totals of
+    value and error.  Each round pops the fewest worst leaves whose errors
+    add up to more than err - tol, bisects them all and takes every
+    child's panel from one fn call: the batched-interval refinement of
+    QUADPACK ``qag`` (Piessens et al., 1983).  A leaf at depth
+    ``_MAX_DEPTH``, or too narrow to bisect, is frozen.  The refinement
+    stops once the error meets the tolerance, when no leaf is left to
+    bisect, after ``_MAX_PANELS`` panels or once the error is not finite
+    (a panel overflowed); the value and error returned are exact sums
+    over the leaves.
+    """
+    v, e = _gk15(fn, np.array([a]), np.array([b]))
+    leaves = [(-float(e[0]), a, b, float(v[0]), 0)]  # (-error, lo, hi, value, depth)
     frozen: list[tuple[float, float, float, float, int]] = []
-    for _ in range(4096):
-        total = sum(l[3] for l in leaves) + sum(l[3] for l in frozen)
-        err = sum(l[0] for l in leaves) + sum(l[0] for l in frozen)
-        if err <= max(abs_tol, rel_tol * abs(total)):
-            return total, err, True
-        if not leaves:
-            break
-        leaves.sort(key=lambda l: l[0])
-        worst = leaves.pop()
-        we, wa, wb, _, wd = worst
-        if wd >= _MAX_DEPTH or (wb - wa) <= 4 * _EPS * max(abs(wa), abs(wb), 1.0):
-            frozen.append(worst)
+    total, err, panels = float(v[0]), float(e[0]), 1
+
+    def exact():
+        every = leaves + frozen
+        return _fsum(l[3] for l in every), _fsum(-l[0] for l in every)
+
+    while leaves and panels < _MAX_PANELS and math.isfinite(err):
+        tol = max(abs_tol, rel_tol * abs(total))
+        if err <= tol:
+            # The running totals drift by rounding: confirm on exact sums.
+            total, err = exact()
+            tol = max(abs_tol, rel_tol * abs(total))
+            if err <= tol:
+                break
+        room = min((_MAX_PANELS - panels) // 2, _MAX_ROUND)
+        picked, lo, hi, depth = [], [], [], []
+        gain = 0.0
+        while leaves and len(picked) < room and gain <= err - tol:
+            leaf = heapq.heappop(leaves)
+            we, wa, wb, _, wd = leaf
+            if wd >= _MAX_DEPTH or (wb - wa) <= 4 * _EPS * max(abs(wa), abs(wb), 1.0):
+                frozen.append(leaf)
+                continue
+            picked.append(leaf)
+            lo.append(wa)
+            hi.append(wb)
+            depth.append(wd + 1)
+            gain -= we
+        if not picked:
             continue
-        m = 0.5 * (wa + wb)
-        v1, e1 = _gk15(fn, wa, m)
-        v2, e2 = _gk15(fn, m, wb)
-        leaves.append((e1, wa, m, v1, wd + 1))
-        leaves.append((e2, m, wb, v2, wd + 1))
-    total = sum(l[3] for l in leaves) + sum(l[3] for l in frozen)
-    err = sum(l[0] for l in leaves) + sum(l[0] for l in frozen)
+        lo, hi = np.array(lo), np.array(hi)
+        mid = 0.5 * (lo + hi)
+        v, e = _gk15(fn, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        panels += v.size
+        total += _fsum(v) - _fsum(l[3] for l in picked)
+        err += _fsum(e) - _fsum(-l[0] for l in picked)
+        ends = np.concatenate([lo, mid, hi]).tolist()
+        n = len(picked)
+        for k, (vk, ek) in enumerate(zip(v.tolist(), e.tolist())):
+            heapq.heappush(leaves, (-ek, ends[k], ends[k + n], vk, depth[k % n]))
+    total, err = exact()
     return total, err, err <= max(abs_tol, rel_tol * abs(total))
 
 
@@ -251,54 +317,86 @@ def _de_levels():
 _DE_U = _de_levels()
 
 
-def _tanh_sinh_place(a, b):
-    """Nodes and weights of the tanh-sinh rule on the finite [a, b].
+def _de_tables():
+    """Unit rules of every level, tabulated once.
 
-    The offset delta = 1 - |tanh((pi/2) sinh u)| of a node from its end is
-    computed stably, so an endpoint singularity is never evaluated at the
-    endpoint itself.
+    Tanh-sinh: u >= 0, the offset delta = 1 - |tanh((pi/2) sinh u)| of a
+    node from its end (computed stably, so an endpoint singularity is
+    never evaluated at the endpoint itself) and the weight on [-1, 1].
+    Exp-sinh: r = exp((pi/2) sinh u) and its weight.
     """
-    d = 0.5 * (b - a)
-
-    def place(u):
+    tanh_sinh, exp_sinh = [], []
+    for u in _DE_U:
         e2 = np.exp(-2.0 * np.abs(0.5 * np.pi * np.sinh(u)))
-        delta = 2.0 * e2 / (1.0 + e2)
         w = 0.5 * np.pi * np.cosh(u) * (4.0 * e2 / (1.0 + e2) ** 2)
-        x = np.where(u >= 0, b - d * delta, a + d * delta)
-        return np.clip(x, np.nextafter(a, b), np.nextafter(b, a)), d * w
+        tanh_sinh.append((u >= 0, 2.0 * e2 / (1.0 + e2), w))
+        r = np.exp(0.5 * np.pi * np.sinh(u))
+        exp_sinh.append((r, 0.5 * np.pi * np.cosh(u) * r))
+    return tanh_sinh, exp_sinh
+
+
+_TANH_SINH, _EXP_SINH = _de_tables()
+_DE_SHARED = 4  # levels 0-3 share the first fn call
+
+
+def _tanh_sinh_place(a, b):
+    """Nodes and weights of level j of the tanh-sinh rule on the finite [a, b]."""
+    d = 0.5 * (b - a)
+    inner = np.nextafter(a, b), np.nextafter(b, a)
+
+    def place(j):
+        pos, delta, w = _TANH_SINH[j]
+        x = np.where(pos, b - d * delta, a + d * delta)
+        return np.clip(x, *inner), d * w
 
     return place
 
 
 def _exp_sinh_place(lo, hi):
-    """Nodes and weights of the exp-sinh rule on (lo, +inf) or (-inf, hi)."""
+    """Nodes and weights of level j of the exp-sinh rule on (lo, +inf) or (-inf, hi)."""
     a, sign = (lo, 1.0) if math.isinf(hi) else (hi, -1.0)
 
-    def place(u):
-        r = np.exp(0.5 * np.pi * np.sinh(u))
-        return a + sign * r, 0.5 * np.pi * np.cosh(u) * r
+    def place(j):
+        r, w = _EXP_SINH[j]
+        return a + sign * r, w
 
     return place
 
 
+def _de_values(fn, place):
+    """(weights, fn values) of every level in order, each fn call made on demand.
+
+    Levels 0-3 come from one fn call, every later level from one call of
+    its own.
+    """
+    first = [place(j) for j in range(_DE_SHARED)]
+    y = np.asarray(fn(np.concatenate([x for x, _ in first])), dtype=float)
+    cuts = np.cumsum([x.size for x, _ in first])[:-1]
+    for (_, w), yj in zip(first, np.split(y, cuts)):
+        yield w, yj
+    for j in range(_DE_SHARED, len(_DE_U)):
+        x, w = place(j)
+        yield w, np.asarray(fn(x), dtype=float)
+
+
 def _double_exponential(fn, place, abs_tol, rel_tol, where):
-    """Trapezoid rule in u on the nodes and weights ``place(u)`` gives.
+    """Trapezoid rule in u on the nodes and weights ``place(j)`` gives per level.
 
     Each level halves the step (Takahasi and Mori, 1974); the result is
-    accepted once two successive levels agree, from level 2 on.  A
-    non-finite contribution w * fn(x) at a node whose weight exceeds
-    1e-280 raises ``EvaluationError("integrand not finite <where>")``; one
-    at a smaller weight, deep in an end where fn may overflow, is dropped.
+    accepted once two successive levels agree, from level 2 on.  The
+    levels are consumed in order, so a value at a level past the one
+    accepted is never looked at.  A non-finite contribution w * fn(x) at
+    a node whose weight exceeds 1e-280 raises ``EvaluationError("integrand
+    not finite <where>")``; one at a smaller weight, deep in an end where
+    fn may overflow, is dropped.
     """
     total = 0.0
     prev = None
     err = math.inf
     h = 1.0
-    for level, u in enumerate(_DE_U):
+    for level, (w, y) in enumerate(_de_values(fn, place)):
         if level > 0:
             h *= 0.5
-        x, w = place(u)
-        y = np.asarray(fn(x), dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             contrib = w * y
         bad = ~np.isfinite(contrib)

@@ -49,10 +49,6 @@ def _closed_form_d1(l1: float, l2: float, g: float) -> float:
     return math.log(l1 / l2) + (l2 - l1) / (l1 - g)
 
 
-def _closed_form_margin(l1: float, l2: float, g: float) -> float:
-    return l1 / (l1 - g) - l2 / (l2 - g)
-
-
 def _regime(name, l1, l2, gammas, want_margin_nonneg, want_d_nonneg, check_quad):
     f = make_exponential(l1)
     g = make_exponential(l2)

@@ -8,6 +8,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from wrenyi import cli
 from wrenyi.cli import main, parse_scenario, to_json
 
 
@@ -342,3 +343,33 @@ class TestJsonRendering:
         path.write_text("id = t\nf = exp:1\np = 0.5,2\ncompute = wrp\n")
         sc = parse_scenario(str(path))
         assert sc["grids"]["p"] == [0.5, 2.0]
+
+
+class TestParser:
+    def test_two_calls_build_the_parser_once(self, monkeypatch):
+        built = []
+        original = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            assert run_cli(["compute", "mom", "--f", "exp:1", "--alpha", "2"])[0] == 0
+            assert run_cli(["verify", "cor2", "--f", "tent", "--c", "0"])[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["compute", "--help"], ["verify", "--help"]])
+    def test_help_text_of_a_fresh_parser(self, argv, capsys):
+        main(["compute", "mom", "--f", "exp:1", "--alpha", "2"])  # the shared parser exists
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(argv)
+        shared = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        assert shared == capsys.readouterr().out

@@ -8,9 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrenyi.errors import DomainError, EvaluationError, InputError
+from wrenyi import numerics
 from wrenyi.numerics import (
+    _MAX_PANELS,
+    _WG15,
+    _WGK,
+    _XGK,
     IntegralResult,
     QuadratureConfig,
+    _adaptive_gk,
     _golden_lockstep,
     _masked,
     beta_fn,
@@ -107,6 +113,124 @@ class TestIntegrate:
             s * rf.value + t * rg.value,
             abs=1e-9 + lhs.error + abs(s) * rf.error + abs(t) * rg.error,
         )
+
+
+def _counted(fn):
+    """fn and the sizes of the arrays it was called on."""
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return fn(x)
+
+    return counted, sizes
+
+
+class TestBatchedKernel:
+    """One integrand call per refinement round or per batch of DE levels."""
+
+    def test_gk15_weights_sum_to_two(self):
+        assert abs(math.fsum(_WGK) - 2.0) <= 4e-16
+        assert abs(math.fsum(_WG15) - 2.0) <= 4e-16
+
+    def test_kronrod_rule_exact_to_degree_22(self):
+        for k in range(0, 23, 2):
+            assert math.fsum(_WGK * _XGK**k) == pytest.approx(2.0 / (k + 1), rel=1e-15, abs=0)
+
+    def test_de_piece_converged_by_level_3_makes_one_call(self):
+        fn, sizes = _counted(lambda x: x**-0.5)
+        res = integrate(fn, (0.0, 1.0), QuadratureConfig(singularities=(0.0,)))
+        assert res.converged and res.value == pytest.approx(2.0, rel=1e-14)
+        # Levels 0-3 of the tanh-sinh rule: 9 + 8 + 18 + 34 nodes.
+        assert sizes == [69]
+
+    def test_de_levels_placed_as_computed_from_u(self):
+        # The tabulated rules equal the formulas evaluated on each level.
+        for a, b in [(0.0, 1.0), (-3.5, 1e-3), (2.0, 1e20)]:
+            place = numerics._tanh_sinh_place(a, b)
+            for j, u in enumerate(numerics._DE_U):
+                e2 = np.exp(-2.0 * np.abs(0.5 * np.pi * np.sinh(u)))
+                d = 0.5 * (b - a)
+                x = np.where(u >= 0, b - d * (2.0 * e2 / (1.0 + e2)), a + d * (2.0 * e2 / (1.0 + e2)))
+                x = np.clip(x, np.nextafter(a, b), np.nextafter(b, a))
+                w = d * (0.5 * np.pi * np.cosh(u) * (4.0 * e2 / (1.0 + e2) ** 2))
+                got = place(j)
+                assert _hex(got[0]) == _hex(x) and _hex(got[1]) == _hex(w)
+        for lo, hi in [(1.5, math.inf), (-math.inf, -2.0)]:
+            place = numerics._exp_sinh_place(lo, hi)
+            for j, u in enumerate(numerics._DE_U):
+                r = np.exp(0.5 * np.pi * np.sinh(u))
+                end, sign = (lo, 1.0) if math.isinf(hi) else (hi, -1.0)
+                got = place(j)
+                assert _hex(got[0]) == _hex(end + sign * r)
+                assert _hex(got[1]) == _hex(0.5 * np.pi * np.cosh(u) * r)
+
+    def test_de_value_past_the_accepted_level_is_never_read(self):
+        # The first call holds levels 0-3 (9 + 8 + 18 + 34 nodes); a NaN
+        # among level 3's nodes is no error when level 2 is accepted, and
+        # raises as before when level 3 is needed.
+        def fn_with(core):
+            def fn(x):
+                y = core(x)
+                if x.size == 69:
+                    y[35:] = np.nan
+                return y
+
+            return fn
+
+        place = numerics._tanh_sinh_place(0.0, 1.0)
+        v, _, ok = numerics._double_exponential(
+            fn_with(np.ones_like), place, 1e-3, 1e-3, "inside (0, 1)"
+        )
+        assert ok and v == pytest.approx(1.0, rel=1e-3)
+        with pytest.raises(EvaluationError, match="integrand not finite inside"):
+            numerics._double_exponential(
+                fn_with(lambda x: np.cos(40.0 * x)), place, 1e-10, 1e-8, "inside (0, 1)"
+            )
+
+    def test_adaptive_gk_fewer_calls_than_panels(self, integrand_suite):
+        name, fn, dom, _, exact = next(c for c in integrand_suite if c[0] == "logmild")
+        counted, sizes = _counted(fn)
+        v, e, ok = _adaptive_gk(counted, *dom, 1e-10, 1e-8)
+        panels = sum(sizes) // 15
+        assert ok and abs(v - exact) <= e
+        assert panels >= 16 and len(sizes) < panels
+        assert all(n % 15 == 0 for n in sizes)
+
+    def test_panel_cap_ends_in_tolerance_not_met(self):
+        rng = np.random.default_rng(7)
+        noise, sizes = _counted(lambda x: rng.random(np.shape(x)))
+        v, e, ok = _adaptive_gk(noise, 0.0, 1.0, 1e-300, 1e-300)
+        assert not ok and sum(sizes) // 15 == _MAX_PANELS
+        noise = lambda x: rng.random(np.shape(x))
+        assert integrate(noise, (0.0, 1.0)).status == "tolerance-not-met"
+
+    def test_non_finite_value_in_a_batched_round_names_its_panel(self):
+        seen = []
+
+        def fn(x):
+            seen.append(np.array(x))
+            y = np.abs(x - 0.3) ** 0.5
+            if len(seen) == 3:  # inside the second round of bisections
+                y[-1] = np.nan
+            return y
+
+        with pytest.raises(EvaluationError, match="integrand not finite inside") as exc:
+            integrate(fn, (0.0, 1.0))
+        lo, hi = (float(t) for t in str(exc.value).split("(")[1].rstrip(")").split(", "))
+        assert seen[2].size > 15
+        assert 0.0 <= lo < hi <= 1.0 and lo <= seen[2][-1] <= hi
+        assert hi - lo < 0.5
+
+    def test_overflowing_panel_ends_the_refinement(self):
+        # A panel sum that overflows leaves a nan error: the rounds stop
+        # there, and integrate reports the non-finite value as divergent.
+        fn, sizes = _counted(lambda x: np.where(x < 1.3, 1e300, 1.5e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, e, ok = _adaptive_gk(fn, 0.0, 3.0, 1e-10, 1e-8)
+        assert not ok and math.isinf(v) and len(sizes) == 1
+        fn = lambda x: np.where(x < 1.3, 1e300, 1e-3)
+        assert integrate(fn, (0.0, 3.0)).status == "divergent"
 
 
 class TestSpecialFunctions:
