@@ -7,6 +7,12 @@ vectorized pdf, its derivative, an analytic CDF where the family has
 one, the support interval and the list of points where the pdf or its
 derivative is singular (quadrature is told to split there).
 
+Every integral and essential supremum of a core against a density goes
+through :func:`integral` and :func:`supremum`: they mask the core to
+{f > 0}, run over the support, split at the one breakpoint set
+(singularities of f, kinks of the weight, the caller's hints) and apply
+the one status rule.
+
 Generalized p-Gaussian, scale t = 1:
 
     G(x) = a * (1 + (1-p) |x|^alpha)_+^(1/(p-1))      p != 1
@@ -61,18 +67,22 @@ from .errors import DomainError, InputError
 from .numerics import (
     _EPS,
     _XGK,
+    DEFAULT_CONFIG,
     QuadratureConfig,
     _gk15_nodes,
     _gk15_sums,
     _masked,
     _vec,
     beta_fn,
+    essential_supremum,
     gamma_fn,
     integrate,
 )
 
 __all__ = [
     "Density",
+    "integral",
+    "supremum",
     "make_exponential",
     "make_laplace",
     "make_tent",
@@ -106,9 +116,31 @@ class Density:
         return QuadratureConfig(singularities=self.singularities)
 
 
+def integral(f: Density, core, what: str, w=None, hints=(), config=DEFAULT_CONFIG):
+    """(value, error, warnings) of int core(x, f(x)) dx over {f > 0}.
+
+    The support is split at the singularities of f, the kinks of the
+    weight ``w`` when one is given, and ``hints``; ``config`` gives the
+    tolerances.  A divergent integral raises ``DomainError("<what>
+    diverges")``, an unconverged one comes with a warning.
+    """
+    cuts = set(f.singularities) | set(hints) | set(() if w is None else w.kinks)
+    cfg = replace(config, singularities=tuple(sorted(cuts)))
+    return integrate(_masked(f, core), f.support, cfg).checked(what)
+
+
+def supremum(f: Density, core, what: str) -> float:
+    """Essential supremum of core(x, f(x)) over {f > 0}; it must be finite."""
+    val = essential_supremum(_masked(f, core, fill=-np.inf), f.support)
+    if not math.isfinite(val):
+        raise DomainError(f"{what} is not finite")
+    return val
+
+
 def _check_normalization(density: Density) -> Density:
-    res = integrate(density.pdf, density.support, density.quad_config())
-    value, _, warns = res.checked(f"{density.family} density normalization")
+    value, _, warns = integral(
+        density, lambda x, fx: fx, f"{density.family} density normalization"
+    )
     if warns:
         return replace(density, warnings=density.warnings + warns)
     if abs(value - 1.0) > _NORM_TOL:
@@ -424,14 +456,12 @@ def scale_density(f: Density, t: float) -> Density:
 
 def make_weighted_density(f: Density, weight) -> Density:
     """Reweighted density phi*f/chi with chi = E_f[phi]."""
-    cfg = QuadratureConfig(
-        singularities=tuple(f.singularities) + tuple(weight.kinks)
+    chi, _, _ = integral(
+        f,
+        lambda x, fx: np.asarray(weight(x), dtype=float) * fx,
+        "weight normalizer E_f[phi]",
+        w=weight,
     )
-
-    res = integrate(
-        _masked(f, lambda x, fx: np.asarray(weight(x), dtype=float) * fx), f.support, cfg
-    )
-    chi, _, _ = res.checked("weight normalizer E_f[phi]")
     if not chi > 0:
         raise DomainError(f"weight normalizer E_f[phi] = {chi!r} is unusable")
 

@@ -112,10 +112,6 @@ class AuxiliaryLaw:
                 f"({self.shape1}, {self.shape2})"
             )
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (0.0, 1.0) if self.family == "beta" else (0.0, math.inf)
-
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -145,11 +141,7 @@ class AuxiliaryLaw:
         collapse onto the endpoint).
         """
         if self.family == "gamma":
-            cfg = QuadratureConfig(
-                abs_tol=1e-11,
-                rel_tol=1e-10,
-                singularities=(0.0,) if self.shape1 < 1 else (),
-            )
+            cfg = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10)
             integrand = _masked(self, lambda x, px: np.asarray(fn(x), dtype=float) * px)
             res = integrate(integrand, (0.0, math.inf), cfg)
             value, _, _ = res.checked("auxiliary expectation")

@@ -72,17 +72,19 @@ import numpy as np
 from .densities import (
     Density,
     cdf,
+    integral,
     make_generalized_gaussian,
     make_laplace,
+    make_tent,
     on_support,
     quantile,
     scale_density,
+    supremum,
 )
 from .errors import DomainError, InputError, WrenyiError
 from .gaussian_forms import case_laws, lambda_bar, lambda_tilde, select_case, theta
 from .measures import (
     MeasureValue,
-    OrderParams,
     expectation,
     fisher_information,
     generalized_deviation,
@@ -91,14 +93,7 @@ from .measures import (
     weighted_fisher_information,
     weighted_renyi_power,
 )
-from .numerics import (
-    QuadratureConfig,
-    _masked,
-    differentiate,
-    essential_supremum,
-    gamma_fn,
-    integrate,
-)
+from .numerics import QuadratureConfig, differentiate, gamma_fn, integrate
 from .weights import (
     WeightFunction,
     antiderivatives,
@@ -131,6 +126,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 MARGIN_TOL = 1e-9
+# Tolerances of the transport moments int s(x) weight'(x) f(x)^q dx.
+_MOMENT_CONFIG = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-7)
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
@@ -382,22 +379,13 @@ class _Problem:
         if weight.is_constant:
             return 0.0
         s = self.s
-        return _transport_moment(
-            self.f,
-            lambda x: np.asarray(s(x), dtype=float)
-            * np.asarray(weight.derivative(x), dtype=float),
-            q,
-            self.f.singularities,
-            what,
-        )
 
+        def core(x, fx):
+            sx = np.asarray(s(x), dtype=float)
+            return sx * np.asarray(weight.derivative(x), dtype=float) * fx**q
 
-def _transport_moment(f: Density, core, q: float, hints, what: str) -> float:
-    """int core(x) f(x)^q dx over the support of f, split at ``hints``."""
-    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-7, singularities=tuple(hints))
-    integrand = _masked(f, lambda x, fx: core(x) * fx**q)
-    value, _, _ = integrate(integrand, f.support, cfg).checked(what)
-    return value
+        value, _, _ = integral(self.f, core, what, config=_MOMENT_CONFIG)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +471,18 @@ def check_scaling_identity(
     """Relative residual of int phi G_t^p = t^(1-p) int phi(t x) G^p dx."""
     if not t > 0:
         raise InputError(f"scale must be positive, got {t}")
-    gt = scale_density(g, t)
-    cfg_l = QuadratureConfig(
-        singularities=tuple(gt.singularities) + tuple(w.kinks)
+    lhs, _, _ = integral(
+        scale_density(g, t),
+        lambda x, gx: np.asarray(w(x), dtype=float) * gx**p,
+        "scaling-identity lhs",
+        w,
     )
-    lhs_fn = _masked(gt, lambda x, gx: np.asarray(w(x), dtype=float) * gx**p)
-    scaled_kinks = tuple(k / t for k in w.kinks)
-    cfg_r = QuadratureConfig(
-        singularities=tuple(g.singularities) + scaled_kinks
+    rhs, _, _ = integral(
+        g,
+        lambda x, gx: np.asarray(w(t * x), dtype=float) * gx**p,
+        "scaling-identity rhs",
+        hints=tuple(k / t for k in w.kinks),
     )
-    rhs_fn = _masked(g, lambda x, gx: np.asarray(w(t * x), dtype=float) * gx**p)
-
-    lhs, _, _ = integrate(lhs_fn, gt.support, cfg_l).checked("scaling-identity lhs")
-    rhs, _, _ = integrate(rhs_fn, g.support, cfg_r).checked("scaling-identity rhs")
     rhs_val = t ** (1.0 - p) * rhs
     return abs(lhs - rhs_val) / (1.0 + abs(lhs))
 
@@ -597,8 +584,6 @@ def check_cor2(f: Density, c: float, tol: float = DEFAULT_TOL) -> InequalityVerd
         + n2.error / n2.value**2
     )
     terms = {"m(c)": _m_constant(c), "E|X|^{c+1}": mom.value, "int|x|^c f^2": rhs}
-    from .densities import make_tent
-
     equality = _densities_close(f, make_tent()) and abs(rhs - lhs) <= max(
         tol, err, 1e-7
     )
@@ -678,7 +663,7 @@ def _fii(pr: _Problem, tol: float) -> InequalityVerdict:
         if lam_z <= 0:
             raise DomainError("Lambda(Z) must be positive")
         lambda_ratio = lam_y / lam_z
-        beta = OrderParams(p, alpha).beta
+        beta = holder_conjugate(alpha)
         n_g, n_rho1, n_f = pr.n_g, pr.n_rho1, pr.n_f
         j_f = weighted_fisher_information(f, rho2, alpha, p)
         j_g = weighted_fisher_information(g, rho1, alpha, p)
@@ -713,7 +698,7 @@ def _fii(pr: _Problem, tol: float) -> InequalityVerdict:
     if case == "p=1":
         if alpha < 1.0:
             raise InputError("the Fisher bound needs alpha >= 1")
-        beta = OrderParams(p, alpha).beta
+        beta = holder_conjugate(alpha)
         e_g, n_g = pr.e_g, pr.n_g
         phi_tilde = compose_with_map(w, pr.s)
         n_f = weighted_renyi_power(f, phi_tilde, 1.0)
@@ -832,27 +817,24 @@ def check_cor4(
     s = build_transport(f, lap)
 
     median = _source_median(f)
-    hints = tuple(f.singularities) + ((median,) if math.isfinite(median) else ())
+    hints = (median,) if math.isfinite(median) else ()
 
-    def a_core(x):
+    def a_core(x, fx):
         sx, dsx = s.value_and_derivative(x)
-        return np.abs(sx) ** c * dsx  # s^2 |s|^{c-2} = |s|^c
+        return np.abs(sx) ** c * dsx * fx  # s^2 |s|^{c-2} = |s|^c
 
-    def b_core(x):
+    def b_core(x, fx):
         sx, dsx = s.value_and_derivative(x)
-        return sx * dsx * np.exp(-c * sx)
+        return sx * dsx * np.exp(-c * sx) * fx
 
-    a_term = _transport_moment(f, a_core, 1.0, hints, "transport moment")
-    b_term = _transport_moment(f, b_core, 1.0, hints, "transport moment")
+    a_term, _, _ = integral(f, a_core, "transport moment", hints=hints, config=_MOMENT_CONFIG)
+    b_term, _, _ = integral(f, b_core, "transport moment", hints=hints, config=_MOMENT_CONFIG)
 
     def log_slope_sup(weight_fn):
         def core(x, fx):
             return weight_fn(x) * np.abs(np.asarray(f.dpdf(x), dtype=float) / fx)
 
-        val = essential_supremum(_masked(f, core, fill=-np.inf), f.support)
-        if not math.isfinite(val):
-            raise DomainError("sup of the weighted log-slope is not finite")
-        return val
+        return supremum(f, core, "sup of the weighted log-slope")
 
     # First display: weight |s|^c.
     phi1 = compose_with_map(make_power(c), s)

@@ -36,17 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import Density
+from .densities import Density, integral, supremum
 from .errors import DomainError, InputError
-from .numerics import (
-    QuadratureConfig,
-    _exp,
-    _masked,
-    essential_supremum,
-    gamma_fn,
-    integrate,
-    total_variation,
-)
+from .numerics import _exp, _masked, gamma_fn, total_variation
 from .weights import WeightFunction, holder_conjugate, nonnegativity_violation
 
 __all__ = [
@@ -93,22 +85,6 @@ class MeasureValue:
 
     def __float__(self) -> float:
         return self.value
-
-
-# ---------------------------------------------------------------------------
-# Quadrature plumbing
-# ---------------------------------------------------------------------------
-
-
-def _config(f: Density, w: WeightFunction | None = None, extra=()) -> QuadratureConfig:
-    hints = set(f.singularities) | set(extra)
-    if w is not None:
-        hints |= set(w.kinks)
-    return QuadratureConfig(singularities=tuple(sorted(hints)))
-
-
-def _quad(integrand, f: Density, w=None, extra=(), what="integral"):
-    return integrate(integrand, f.support, _config(f, w, extra)).checked(what)
 
 
 def _warn_negativity(w: WeightFunction, f: Density):
@@ -162,11 +138,8 @@ def expectation(f: Density, w: WeightFunction) -> MeasureValue:
         val, margin = _exp_phi_fp(lam, g, 1.0)
         val *= _const_factor(w)
         return MeasureValue(val, 0.0, "closed-form", {"lam-gamma": margin})
-    val, err, warns = _quad(
-        _masked(f, lambda x, fx: np.asarray(w(x), dtype=float) * fx),
-        f,
-        w,
-        what="E_f[phi]",
+    val, err, warns = integral(
+        f, lambda x, fx: np.asarray(w(x), dtype=float) * fx, "E_f[phi]", w
     )
     return MeasureValue(val, err, "quadrature", {}, warns)
 
@@ -184,10 +157,12 @@ def weighted_entropy(f: Density, w: WeightFunction) -> MeasureValue:
         val = _const_factor(w) * (-math.log(lam) * m0 + lam * m1)
         return MeasureValue(val, 0.0, "closed-form", {"lam-gamma": lam - g}, warns)
 
-    integrand = _masked(
-        f, lambda x, fx: -np.asarray(w(x), dtype=float) * fx * np.log(fx)
+    val, err, qwarns = integral(
+        f,
+        lambda x, fx: -np.asarray(w(x), dtype=float) * fx * np.log(fx),
+        "weighted entropy",
+        w,
     )
-    val, err, qwarns = _quad(integrand, f, w, what="weighted entropy")
     return MeasureValue(val, err, "quadrature", {}, warns + qwarns)
 
 
@@ -227,9 +202,8 @@ def relative_weighted_entropy(
             t = np.where(gx > 0, np.log(fx) - np.log(gx), 0.0)
         return wx * fx * t
 
-    integrand = _masked(f, core)
-    val, err, qwarns = _quad(
-        integrand, f, w, extra=g.singularities, what="relative weighted entropy"
+    val, err, qwarns = integral(
+        f, core, "relative weighted entropy", w, hints=g.singularities
     )
     return MeasureValue(val, err, "quadrature", {}, warns + qwarns)
 
@@ -248,8 +222,9 @@ def _phi_fp_integral(f: Density, w: WeightFunction, p: float):
             "closed-form",
         )
 
-    integrand = _masked(f, lambda x, fx: np.asarray(w(x), dtype=float) * fx**p)
-    val, err, warns = _quad(integrand, f, w, what="int phi f^p")
+    val, err, warns = integral(
+        f, lambda x, fx: np.asarray(w(x), dtype=float) * fx**p, "int phi f^p", w
+    )
     return val, err, {}, warns, "quadrature"
 
 
@@ -329,8 +304,7 @@ def _relative_integrals(f: Density, g: Density, w: WeightFunction, p: float):
             t = np.where(gx > 0, gx ** (p - 1.0), 0.0)
         return wx * t * fx
 
-    cross = _masked(f, core)
-    iv1, ie1, w1 = _quad(cross, f, w, extra=g.singularities, what="int phi g^(p-1) f")
+    iv1, ie1, w1 = integral(f, core, "int phi g^(p-1) f", w, hints=g.singularities)
     iv2, ie2, flg2, w2, _ = _phi_fp_integral(g, w, p)
     iv3, ie3, flg3, w3, _ = _phi_fp_integral(f, w, p)
     return (
@@ -427,11 +401,13 @@ def generalized_moment(f: Density, w: WeightFunction, alpha: float) -> MeasureVa
                 val, 0.0, "closed-form", {"lam-gamma": lam - gam}, warns
             )
 
-    integrand = _masked(
+    val, err, qwarns = integral(
         f,
         lambda x, fx: np.asarray(w(x), dtype=float) * np.abs(x) ** alpha * fx,
+        "generalized moment",
+        w,
+        hints=(0.0,),
     )
-    val, err, qwarns = _quad(integrand, f, w, extra=(0.0,), what="generalized moment")
     return MeasureValue(val, err, "quadrature", {}, warns + qwarns)
 
 
@@ -450,22 +426,18 @@ def generalized_deviation(f: Density, w: WeightFunction, alpha: float) -> Measur
                 t = np.where(ax > 0, np.log(ax), 0.0)
             return wx * fx * t
 
-        integrand = _masked(f, core)
-        lval, lerr, qwarns = _quad(
-            integrand, f, w, extra=(0.0, -1.0, 1.0), what="log-moment"
-        )
+        lval, lerr, qwarns = integral(f, core, "log-moment", w, hints=(0.0, -1.0, 1.0))
         val = _exp(lval / e.value, "alpha = 0 deviation")
         err = val * (lerr / e.value + abs(lval) * e.error / e.value**2)
         return MeasureValue(
             val, err, "alpha=0-log", {"E_f[phi]": e.value}, warns + e.warnings + qwarns
         )
     if math.isinf(alpha):
-        fn = _masked(
-            f, lambda x, fx: np.asarray(w(x), dtype=float) * np.abs(x), fill=-np.inf
+        val = supremum(
+            f,
+            lambda x, fx: np.asarray(w(x), dtype=float) * np.abs(x),
+            "esssup of phi(x)|x|",
         )
-        val = essential_supremum(fn, f.support)
-        if not math.isfinite(val):
-            raise DomainError("esssup of phi(x)|x| is not finite on the support")
         return MeasureValue(val, 1e-10 * max(1.0, abs(val)), "alpha=inf-esssup", {}, warns)
     mu = generalized_moment(f, w, alpha)
     if not mu.value > 0:
@@ -481,17 +453,16 @@ def generalized_deviation(f: Density, w: WeightFunction, alpha: float) -> Measur
 
 
 def _score_term(f: Density, w, p: float, beta: float, times_f: bool, fill=0.0):
-    """x -> phi |f^{p-2} f'|^beta, times f if ``times_f``, computed in log space.
+    """The core (x, f(x)) -> phi |f^{p-2} f'|^beta, times f if ``times_f``,
+    computed in log space on {f > 0}.
 
-    ``fill`` where f = 0 or f' is 0 or not finite; ``w`` None is phi = 1.
+    ``fill`` where f' is 0 or not finite; ``w`` None is phi = 1.
     """
 
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        fx = np.asarray(f.pdf(x), dtype=float)
+    def core(x, fx):
         dfx = np.asarray(f.dpdf(x), dtype=float)
         out = np.full_like(fx, fill)
-        m = (fx > 0) & (dfx != 0) & np.isfinite(dfx)
+        m = (dfx != 0) & np.isfinite(dfx)
         if np.any(m):
             log_f = np.log(fx[m])
             log_score = (p - 2.0) * log_f + np.log(np.abs(dfx[m]))
@@ -500,7 +471,7 @@ def _score_term(f: Density, w, p: float, beta: float, times_f: bool, fill=0.0):
             out[m] = wx * np.exp(log_t)
         return out
 
-    return fn
+    return core
 
 
 def fisher_information(f: Density, alpha: float, p: float) -> MeasureValue:
@@ -509,9 +480,7 @@ def fisher_information(f: Density, alpha: float, p: float) -> MeasureValue:
     if not (1.0 < alpha < math.inf):
         raise InputError(f"Fisher information needs alpha in (1, inf), got {alpha}")
     beta = holder_conjugate(alpha)
-    raw, err, warns = _quad(
-        _score_term(f, None, p, beta, True), f, None, what="Fisher integral"
-    )
+    raw, err, warns = integral(f, _score_term(f, None, p, beta, True), "Fisher integral")
     if raw < 0:
         raise DomainError("Fisher integral must be nonnegative")
     root = raw ** (1.0 / (beta * p)) if raw > 0 else 0.0
@@ -539,12 +508,11 @@ def weighted_fisher_information(
         hints = tuple(f.singularities) + tuple(w.kinks)
         tv = total_variation(fn, f.support, jump_hints=hints)
 
-        corr = _masked(
-            f, lambda x, fx: np.asarray(w.derivative(x), dtype=float) * fx**p / p
-        )
-
-        cval, cerr, qwarns = (0.0, 0.0, ()) if w.is_constant else _quad(
-            corr, f, w, what="int phi' f^p / p"
+        cval, cerr, qwarns = (0.0, 0.0, ()) if w.is_constant else integral(
+            f,
+            lambda x, fx: np.asarray(w.derivative(x), dtype=float) * fx**p / p,
+            "int phi' f^p / p",
+            w,
         )
         val = tv - cval
         return MeasureValue(
@@ -555,17 +523,15 @@ def weighted_fisher_information(
             warns + qwarns,
         )
     if alpha == 1.0:
-        fn = _score_term(f, w, p, 1.0, False, fill=-np.inf)
-        val = essential_supremum(fn, f.support)
-        if not math.isfinite(val):
-            raise DomainError("esssup of phi |f^{p-2} f'| is not finite")
+        core = _score_term(f, w, p, 1.0, False, fill=-np.inf)
+        val = supremum(f, core, "esssup of phi |f^{p-2} f'|")
         return MeasureValue(
             val, 1e-9 * max(1.0, abs(val)), "alpha=1-esssup", {}, warns
         )
     if not alpha > 1.0:
         raise InputError(f"weighted Fisher information needs alpha >= 1, got {alpha}")
     beta = holder_conjugate(alpha)
-    raw, err, qwarns = _quad(
-        _score_term(f, w, p, beta, True), f, w, what="weighted Fisher integral"
+    raw, err, qwarns = integral(
+        f, _score_term(f, w, p, beta, True), "weighted Fisher integral", w
     )
     return MeasureValue(raw, err, "integral", {"beta": beta}, warns + qwarns)

@@ -19,7 +19,9 @@ mutable state, so unrestricted concurrent use is safe.
 
 Integrands are expected to be vectorized: called with a float ndarray,
 they must return an ndarray of the same shape.  :func:`_masked` builds
-the usual integrand against a density, core(x, f(x)) on {f > 0} only.
+the usual integrand against a density, core(x, f(x)) on {f > 0} only;
+``densities.integral`` and ``densities.supremum`` wrap it with the
+support, the breakpoints and the status rule.
 
 One status rule turns a quadrature result into a value, and every
 caller goes through it: :meth:`IntegralResult.checked` raises

@@ -131,52 +131,40 @@ def make_power(c: float) -> WeightFunction:
     return WeightFunction("power", {"c": c}, _vec(_f), _vec(_df), kinks=(0.0,))
 
 
-def make_abs_polynomial(coeffs) -> WeightFunction:
-    """sum_i a_i |x|^i; may take negative values for sign-mixed a_i."""
+def _polynomial(family: str, coeffs, params: dict, u, du, kinks) -> WeightFunction:
+    """sum_i a_i u(x)^i, with derivative (sum_i i a_i u(x)^(i-1)) u'(x)."""
     a = tuple(float(c) for c in coeffs)
     if not a:
-        raise InputError("abs-polynomial needs at least one coefficient")
+        raise InputError(f"{family} needs at least one coefficient")
     powers = np.arange(len(a))
     arr = np.asarray(a)
 
     def _f(x):
-        ax = np.abs(x)[:, None]
-        return (arr * ax**powers).sum(axis=1)
+        ux = np.asarray(u(x))[:, None]
+        return (arr * ux**powers).sum(axis=1)
 
     def _df(x):
-        ax = np.abs(x)[:, None]
-        terms = arr[1:] * powers[1:] * ax ** (powers[1:] - 1)
-        return terms.sum(axis=1) * np.sign(x)
+        ux = np.asarray(u(x))[:, None]
+        terms = arr[1:] * powers[1:] * ux ** (powers[1:] - 1)
+        return terms.sum(axis=1) * np.asarray(du(x))
 
-    return WeightFunction(
-        "abs-polynomial", {"coeffs": a}, _vec(_f), _vec(_df), kinks=(0.0,)
-    )
+    return WeightFunction(family, {"coeffs": a, **params}, _vec(_f), _vec(_df), kinks)
+
+
+def make_abs_polynomial(coeffs) -> WeightFunction:
+    """sum_i a_i |x|^i; may take negative values for sign-mixed a_i."""
+    return _polynomial("abs-polynomial", coeffs, {}, np.abs, np.sign, (0.0,))
 
 
 def make_density_polynomial(coeffs, density) -> WeightFunction:
     """sum_i b_i f(x)^i for a fixed density f."""
-    b = tuple(float(c) for c in coeffs)
-    if not b:
-        raise InputError("density-polynomial needs at least one coefficient")
-    powers = np.arange(len(b))
-    arr = np.asarray(b)
-
-    def _f(x):
-        fx = np.asarray(density.pdf(x))[:, None]
-        return (arr * fx**powers).sum(axis=1)
-
-    def _df(x):
-        fx = np.asarray(density.pdf(x))[:, None]
-        dfx = np.asarray(density.dpdf(x))
-        terms = arr[1:] * powers[1:] * fx ** (powers[1:] - 1)
-        return terms.sum(axis=1) * dfx
-
-    return WeightFunction(
+    return _polynomial(
         "density-polynomial",
-        {"coeffs": b, "density": density},
-        _vec(_f),
-        _vec(_df),
-        kinks=tuple(density.singularities),
+        coeffs,
+        {"density": density},
+        density.pdf,
+        density.dpdf,
+        tuple(density.singularities),
     )
 
 

@@ -1,8 +1,10 @@
 """Golden CLI outputs, compared byte for byte.
 
 Each case is one ``wrenyi`` argv: every CLI example of the README,
-``repro all``, one missing-value case per measure and check id, and one
-case per branch of the mei/cor1/fii/cri bounds.  The
+``repro all``, one missing-value case per measure and check id, one
+case per branch of the mei/cor1/fii/cri bounds, and one successful case
+per integral or supremum against a density that no other case reaches.
+The
 stdout, the exit code and every file the command writes (sweep reports)
 are pinned in ``golden/cli_golden.json``.  Re-record it only for an
 intended change of output:
@@ -79,7 +81,26 @@ BOUND_CASES = [
     ["verify", "fii", "--f", "tent", "--w", "const:1", "--alpha", "inf", "--p", "1"],
 ]
 
-CASES = README_EXAMPLES + MISSING_VALUE + BOUND_CASES
+# Successful runs through the integrals and suprema against a density
+# that the cases above leave out: the scaling identity, cor2-cor4, the
+# lemma4 residual, the weighted-density normalizer, the cross term of
+# the relative entropy, the alpha = inf deviation and the alpha = 1,
+# alpha = inf and unweighted Fisher informations.
+INTEGRAL_CASES = [
+    ["verify", "scaling", "--f", "gg:2,2", "--w", "pow:1.5", "--p", "2", "--t", "1.7"],
+    ["verify", "cor2", "--f", "tent", "--c", "0"],
+    ["verify", "cor3", "--f", "gg:2,2"],
+    ["verify", "cor4", "--f", "laplace:1", "--c", "0.2"],
+    ["verify", "lemma4", "--f", "tent", "--gfn", "atan"],
+    ["compute", "we", "--f", "weighted:laplace:1;expw:0.2", "--w", "pow:1"],
+    ["compute", "rwe", "--f", "laplace:1", "--g", "gg:2,1", "--w", "fpoly:1,0.5"],
+    ["compute", "dev", "--f", "gg:2,2", "--w", "abspoly:1,0.5", "--alpha", "inf"],
+    ["compute", "wfi", "--f", "gg:2,2", "--w", "pow:1", "--p", "2", "--alpha", "1"],
+    ["compute", "wfi", "--f", "gg:2,2", "--w", "expw:0.2", "--p", "1.5", "--alpha", "inf"],
+    ["compute", "fi", "--f", "gg:2,2", "--p", "2", "--alpha", "2"],
+]
+
+CASES = README_EXAMPLES + MISSING_VALUE + BOUND_CASES + INTEGRAL_CASES
 
 
 def run_case(argv, workdir):

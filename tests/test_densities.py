@@ -6,6 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from wrenyi import densities
 from wrenyi.densities import (
     cdf,
     gg_norm_const,
@@ -18,6 +21,7 @@ from wrenyi.densities import (
     parse_density,
     quantile,
     scale_density,
+    supremum,
 )
 from wrenyi.errors import DomainError, InputError
 from wrenyi.numerics import integrate
@@ -303,3 +307,88 @@ class TestDescriptors:
             parse_density("cauchy:1")
         with pytest.raises(InputError):
             parse_density("gg:2")
+
+
+class TestIntegralHelpers:
+    """One breakpoint rule and one finiteness rule for every integral and
+    supremum against a density."""
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        """The configs ``densities.integrate`` receives; the test clears the
+        list once its inputs are built (building a density integrates it)."""
+        seen = []
+
+        def recording(fn, domain, config=None):
+            seen.append(config)
+            return integrate(fn, domain, config)
+
+        monkeypatch.setattr(densities, "integrate", recording)
+        return seen
+
+    @staticmethod
+    def cuts(*point_sets):
+        return tuple(sorted({float(x) for pts in point_sets for x in pts}))
+
+    def test_weighted_entropy_splits_at_f_and_w(self, configs):
+        from wrenyi.measures import weighted_entropy
+
+        f, w = make_tent(), make_power(1.0)
+        configs.clear()
+        weighted_entropy(f, w)
+        assert [c.singularities for c in configs] == [self.cuts(f.singularities, w.kinks)]
+
+    def test_relative_entropy_adds_g_singularities(self, configs):
+        from wrenyi.measures import relative_weighted_entropy
+
+        f = make_laplace(1.0)
+        g = replace(parse_density("gg:2,1"), singularities=(-0.5, 2.0))
+        w = replace(make_exp_linear(0.1), kinks=(0.25,))
+        configs.clear()
+        relative_weighted_entropy(f, g, w)
+        assert [c.singularities for c in configs] == [
+            self.cuts(f.singularities, w.kinks, g.singularities)
+        ]
+        assert configs[0].singularities == (-0.5, 0.0, 0.25, 2.0)
+
+    def test_generalized_moment_adds_zero(self, configs):
+        from wrenyi.measures import generalized_moment
+
+        f = scale_density(make_generalized_gaussian(2.0, 2.0), 2.0)
+        w = replace(make_exp_linear(0.1), kinks=(0.5,))
+        configs.clear()
+        generalized_moment(f, w, 1.5)
+        assert [c.singularities for c in configs] == [(0.0, 0.5)]
+
+    def test_scaling_identity_sides(self, configs):
+        from wrenyi.inequalities import check_scaling_identity
+
+        g, t = make_generalized_gaussian(2.0, 2.0), 1.7
+        w = replace(make_power(1.5), kinks=(0.0, 0.6))
+        configs.clear()
+        check_scaling_identity(w, g, t, 2.0)
+        lhs, rhs = (c.singularities for c in configs)
+        assert lhs == self.cuts(scale_density(g, t).singularities, w.kinks)
+        assert rhs == self.cuts(g.singularities, [k / t for k in w.kinks])
+        assert rhs == (0.0, 0.6 / t)
+
+    def test_cor4_moments_use_median_and_moment_tolerance(self, configs):
+        from wrenyi.inequalities import check_cor4
+
+        f = make_exponential(1.0)
+        configs.clear()
+        check_cor4(f, 0.2)
+        moments = [c for c in configs if (c.abs_tol, c.rel_tol) == (1e-9, 1e-7)]
+        assert [c.singularities for c in moments] == [(quantile(f, 0.5),)] * 2
+
+    def test_unbounded_supremum_names_what(self, monkeypatch):
+        monkeypatch.setattr(densities, "essential_supremum", lambda fn, support: math.inf)
+        with pytest.raises(DomainError, match=r"^sup of the test core is not finite$"):
+            supremum(make_tent(), lambda x, fx: fx, "sup of the test core")
+
+    def test_supremum_masks_to_positive_density(self):
+        def core(x, fx):
+            assert np.all(fx > 0)
+            return np.abs(x)
+
+        assert supremum(make_tent(), core, "sup |x|") == pytest.approx(1.0, abs=1e-6)

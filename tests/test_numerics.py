@@ -637,6 +637,6 @@ class TestEveryResultChecked:
         check_scaling_identity(make_exp_linear(0.3), g22, 1.7, 2.0)
         lemma4_residual(g22, lambda x: x**3, None, dg=lambda x: 3 * x * x)
 
-        assert len(sites) == 14
+        assert len(sites) == 9
         assert len(checked) == len(results)
         assert {id(r) for r in checked} == {id(r) for r in results}
