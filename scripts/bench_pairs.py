@@ -12,12 +12,21 @@ first alternating from pair to pair; then each tree makes one
 ``BENCHMARK.json`` fixes.  Each run is the tree's own ``perfbench/run.py``
 in its own interpreter, one run at a time.
 
+Before the workloads, ``cold_cli`` times one-shot CLI runs: every argv
+of ``COLD_CLI`` runs ``COLD_RUNS`` times per tree as
+``python -m wrenyi.cli <argv>`` in a fresh interpreter, the side that
+goes first alternating from run to run, after one untimed warm-up start
+of each tree (it writes the bytecode).  One more ``-X importtime`` run
+per argv and tree tells whether it loaded ``scipy.special``.
+
 The result goes to ``BENCH_<pr>.json`` at the root of this checkout:
 per workload and side, the median of every end-to-end metric, the
 ``correct``/``failed`` fields and metrics of every run, and the traced
 work counts of ``TRACED``; plus, per metric, the change/parent ratio of
 the medians, the number of pairs the change won and the distance
-between the quartiles of the parent's runs.
+between the quartiles of the parent's runs.  Per ``COLD_CLI`` argv:
+the median wall time of each side, their ratio, the runs the change
+won, the exit code and whether ``scipy.special`` was loaded.
 The script writes nothing but that file; ``perfbench/run.py`` keeps its
 scratch files in each tree's ``.perfbench_out/``.
 """
@@ -31,6 +40,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("measures", "bounds", "bounds-quadcdf")
@@ -47,6 +57,21 @@ TRACED = (
     "known_failures.still_failing",
     "numerics.essential_supremum.self_s",
     "numerics.total_variation.self_s",
+    "import.scipy_special_s",
+    "import.wrenyi_self_s",
+)
+COLD_RUNS = 7
+# One-shot runs: a compute on each kind of source (Laplace, tent,
+# weighted, generalized Gaussian), three checks and the help text.
+COLD_CLI = (
+    ("compute", "we", "--f", "laplace:1", "--w", "pow:2", "--p", "2"),
+    ("compute", "mom", "--f", "tent", "--w", "const:1", "--alpha", "2"),
+    ("compute", "wre", "--f", "weighted:laplace:1;expw:0.2", "--w", "const:1", "--p", "2"),
+    ("compute", "wrp", "--f", "gg:2,2", "--w", "const:1", "--p", "2"),
+    ("verify", "thm1.1", "--f", "exp:3.5", "--g", "exp:1.5", "--w", "expw:-1", "--p", "1"),
+    ("verify", "cor2", "--f", "tent", "--c", "0"),
+    ("verify", "fii", "--f", "laplace:1", "--w", "expw:0.1", "--alpha", "2", "--p", "2"),
+    ("--help",),
 )
 
 
@@ -62,6 +87,47 @@ def run(tree: str, workload: str, seed: int, trace: int) -> dict:
     out = json.loads(p.stdout.strip().splitlines()[-1])
     metrics = {k: v["value"] for k, v in out["metrics"].items()}
     return {"seed": seed, "correct": out["correct"], "failed": out["failed"], "metrics": metrics}
+
+
+def cli(tree: str, argv, importtime: bool = False) -> tuple[float, subprocess.CompletedProcess]:
+    """Wall time and result of one fresh ``python -m wrenyi.cli`` run of ``tree``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env.pop("PYTHONSTARTUP", None)
+    cmd = [sys.executable, *(["-X", "importtime"] if importtime else []), "-m", "wrenyi.cli", *argv]
+    t0 = time.perf_counter()
+    p = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=tree)
+    return time.perf_counter() - t0, p
+
+
+def cold_cli(trees: dict) -> list[dict]:
+    for tree in trees.values():
+        cli(tree, ["--help"])
+    rows = []
+    for argv in COLD_CLI:
+        times = {side: [] for side in trees}
+        for i in range(COLD_RUNS):
+            for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
+                times[side].append(cli(trees[side], argv)[0])
+        row = {"argv": " ".join(argv)}
+        for side, tree in trees.items():
+            _, p = cli(tree, argv, importtime=True)
+            loaded = {line.rsplit("|", 1)[-1].strip() for line in p.stderr.splitlines()}
+            row[side] = {
+                "median_s": statistics.median(times[side]),
+                "runs_s": times[side],
+                "exit": p.returncode,
+                "loads_scipy_special": "scipy.special" in loaded,
+            }
+        row["change_over_parent"] = row["change"]["median_s"] / row["parent"]["median_s"]
+        row["runs_won_by_change"] = sum(
+            tc < tp for tp, tc in zip(times["parent"], times["change"])
+        )
+        sys.stderr.write(
+            f"cold {row['argv']}: parent {row['parent']['median_s']:.3f} s, "
+            f"change {row['change']['median_s']:.3f} s\n"
+        )
+        rows.append(row)
+    return rows
 
 
 def host() -> dict:
@@ -144,6 +210,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "seconds": RUN_SECONDS,
         "seeds": seeds,
+        "cold_cli": {"runs": COLD_RUNS, "rows": cold_cli(trees)},
         "workloads": {w: bench(trees, w, seeds) for w in WORKLOADS},
     }
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")

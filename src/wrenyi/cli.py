@@ -31,7 +31,7 @@ import numpy as np
 from . import measures as M
 from .densities import _parse_float, parse_density
 from .errors import DomainError, InputError, WrenyiError
-from .gaussian_forms import verify_identity
+from .gaussian_forms import IDENTITY_CASE, verify_identity
 from .inequalities import (
     InequalityVerdict,
     check_cor1,
@@ -45,7 +45,6 @@ from .inequalities import (
     check_thm11,
     lemma4_residual,
 )
-from .repro import IDENTITY_CASE, run_repro
 from .weights import make_constant, parse_weight
 
 EXIT_OK = 0
@@ -511,6 +510,9 @@ def _write_file(path: str, text: str) -> None:
 
 
 def cmd_repro(args) -> int:
+    # Imported here: no other subcommand needs the reproduction bundle.
+    from .repro import run_repro
+
     rows = run_repro(args.example)
     failed = 0
     for name, ok, detail in rows:

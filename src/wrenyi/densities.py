@@ -54,14 +54,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import (
-    betainc,
-    betaincinv,
-    gammainc,
-    gammaincc,
-    gammainccinv,
-    gammaincinv,
-)
 
 from .errors import DomainError, InputError
 from .numerics import (
@@ -130,8 +122,13 @@ def integral(f: Density, core, what: str, w=None, hints=(), config=DEFAULT_CONFI
 
 
 def supremum(f: Density, core, what: str) -> float:
-    """Essential supremum of core(x, f(x)) over {f > 0}; it must be finite."""
-    val = essential_supremum(_masked(f, core, fill=-np.inf), f.support)
+    """Essential supremum of core(x, f(x)) over {f > 0}; it must be finite.
+
+    A core that overflows on the scan grid reads inf there, and an
+    infinite supremum is the DomainError below, not a RuntimeWarning.
+    """
+    with np.errstate(over="ignore"):
+        val = essential_supremum(_masked(f, core, fill=-np.inf), f.support)
     if not math.isfinite(val):
         raise DomainError(f"{what} is not finite")
     return val
@@ -277,6 +274,10 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
     1/2 +- H(|x/t|) (+ for x >= 0) and the quantile
     sign(q - 1/2) t R(|2q - 1|).  At alpha = inf, G_t is uniform on
     [-t, t] with a linear CDF and quantile.
+
+    H and R import their incomplete Gamma/Beta function when called:
+    scipy.special costs more to import than numpy, and only a CDF or
+    quantile of G needs it.
     """
     alpha, p, t = float(alpha), float(p), float(t)
     if not t > 0:
@@ -316,6 +317,8 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
         shape = p / (p - 1.0)
 
         def half_mass(u):
+            from scipy.special import gammaincc
+
             u = np.clip(u, 0.0, 1.0)
             half = np.zeros_like(u)
             pos = u > 0
@@ -323,6 +326,8 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
             return half
 
         def radius(r):
+            from scipy.special import gammainccinv
+
             return np.where(
                 r >= 1.0, 1.0, np.exp(-gammainccinv(shape, np.minimum(r, 1.0)))
             )
@@ -344,9 +349,13 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
         inv_alpha = 1.0 / alpha
 
         def half_mass(u):
+            from scipy.special import gammainc
+
             return 0.5 * gammainc(inv_alpha, u**alpha)
 
         def radius(r):
+            from scipy.special import gammaincinv
+
             return gammaincinv(inv_alpha, np.minimum(r, 1.0)) ** (1.0 / alpha)
 
     else:
@@ -381,9 +390,13 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
             sh1, sh2 = 1.0 / alpha, p / (p - 1.0)
 
             def half_mass(u):
+                from scipy.special import betainc
+
                 return 0.5 * betainc(sh1, sh2, np.clip((p - 1.0) * u**alpha, 0.0, 1.0))
 
             def radius(r):
+                from scipy.special import betaincinv
+
                 u = betaincinv(sh1, sh2, np.minimum(r, 1.0))
                 return (u / (p - 1.0)) ** (1.0 / alpha)
 
@@ -391,10 +404,14 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
             sh1, sh2 = 1.0 / (1.0 - p) - 1.0 / alpha, 1.0 / alpha
 
             def half_mass(u):
+                from scipy.special import betainc
+
                 v = 1.0 / (1.0 + (1.0 - p) * u**alpha)
                 return 0.5 * (1.0 - betainc(sh1, sh2, v))
 
             def radius(r):
+                from scipy.special import betaincinv
+
                 v = betaincinv(sh1, sh2, 1.0 - r)
                 # v = 0 only where r >= 1, an element np.where sets to inf.
                 with np.errstate(divide="ignore"):

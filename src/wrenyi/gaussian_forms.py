@@ -65,7 +65,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv, gammaincinv
 
 from .densities import gg_norm_const, make_generalized_gaussian
 from .errors import DomainError, InputError
@@ -126,6 +125,8 @@ class AuxiliaryLaw:
             return np.where(x > 0, out, 0.0)
 
     def ppf(self, q):
+        from scipy.special import betaincinv, gammaincinv
+
         q = np.asarray(q, dtype=float)
         if self.family == "beta":
             return betaincinv(self.shape1, self.shape2, q)
@@ -416,6 +417,15 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
         "alpha=inf",
         {"psi_diff": psi_diff, "psib_diff": psib_diff},
     )
+
+
+# The regime case of each consistency identity, by its check id.
+IDENTITY_CASE = {
+    "id2.11": "p>1",
+    "id2.14": "p<1",
+    "id2.18": "p=1",
+    "id2.22": "alpha=inf",
+}
 
 
 def verify_identity(case: str, w: WeightFunction, alpha: float, p: float) -> float:

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, EvaluationError, InputError, UnboundedError
 
@@ -86,8 +85,13 @@ def _masked(f, core, fill: float = 0.0):
     def integrand(x):
         x = np.asarray(x, dtype=float)
         fx = np.asarray(f.pdf(x), dtype=float)
-        out = np.full_like(fx, fill)
         m = fx > 0
+        if m.size and m.all():
+            # f > 0 at every node (most panels inside the support): no mask.
+            out = np.empty_like(fx)
+            out[...] = core(x, fx)
+            return out
+        out = np.full_like(fx, fill)
         if np.any(m):
             out[m] = core(x[m], fx[m])
         return out
@@ -502,6 +506,10 @@ def beta_fn(a: float, b: float) -> float:
     """B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) for a, b > 0."""
     if not (a > 0 and b > 0):
         raise InputError(f"beta_fn requires positive arguments, got ({a}, {b})")
+    # Imported here, as in every other scipy.special user: scipy.special
+    # costs more to import than numpy, and most runs never need it.
+    from scipy.special import gammaln
+
     return float(math.exp(gammaln(a) + gammaln(b) - gammaln(a + b)))
 
 

@@ -27,7 +27,7 @@ from .densities import (
     scale_density,
 )
 from .errors import InputError
-from .gaussian_forms import verify_identity
+from .gaussian_forms import IDENTITY_CASE, verify_identity
 from .inequalities import check_cor1, check_cor2, check_cor3
 from .measures import generalized_deviation, relative_renyi_entropy
 from .weights import (
@@ -244,13 +244,6 @@ IDENTITY_GRID = {
         (math.inf, 2.0),
         (math.inf, 0.5),
     ],
-}
-
-IDENTITY_CASE = {
-    "id2.11": "p>1",
-    "id2.14": "p<1",
-    "id2.18": "p=1",
-    "id2.22": "alpha=inf",
 }
 
 

@@ -304,6 +304,13 @@ class TestDeviations:
         assert got.value == pytest.approx(math.exp(-2.0), rel=1e-8)
         assert got.branch == "alpha=0-log"
 
+    def test_overflowing_sup_is_a_domain_error(self):
+        # phi(x)|x| = e^x |x| overflows on the scan grid; under the suite's
+        # error::RuntimeWarning setting an overflow warning would surface
+        # here instead of the DomainError.
+        with pytest.raises(DomainError, match=r"esssup of phi\(x\)\|x\| is not finite"):
+            generalized_deviation(make_laplace(1.0), make_exp_linear(1.0), math.inf)
+
     def test_continuity_in_alpha(self):
         for d, w in [
             (make_exponential(1.0), ONE),

@@ -578,6 +578,17 @@ class TestMasked:
 
         assert _masked(_Law, core, fill=7.0)(np.array([-2.0, 3.0])).tolist() == [7.0, 7.0]
 
+    @pytest.mark.parametrize("core", [lambda x, fx: np.log(fx) * x**3, lambda x, fx: 2])
+    def test_all_positive_matches_the_masked_path(self, core):
+        # With f > 0 at every node the core sees the whole batch; one node
+        # outside the support sends the same points through the mask.
+        x = np.linspace(0.01, 0.99, 97)
+        inside = _masked(_Law, core)(x)
+        masked = _masked(_Law, core)(np.append(x, 2.0))
+        assert inside.dtype == float and inside.shape == x.shape
+        assert inside.tobytes() == masked[:-1].tobytes()
+        inside[0] = -1.0  # a fresh, writable array, as on the masked path
+
 
 class TestEveryResultChecked:
     """Every integral the package takes is turned into a value by checked()."""
