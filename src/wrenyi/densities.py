@@ -7,11 +7,12 @@ vectorized pdf, its derivative, an analytic CDF where the family has
 one, the support interval and the list of points where the pdf or its
 derivative is singular (quadrature is told to split there).
 
-Every integral and essential supremum of a core against a density goes
-through :func:`integral` and :func:`supremum`: they mask the core to
-{f > 0}, run over the support, split at the one breakpoint set
-(singularities of f, kinks of the weight, the caller's hints) and apply
-the one status rule.
+Every integral, essential supremum and total variation of a core
+against a density goes through :func:`integral`, :func:`supremum` and
+:func:`variation`: they mask the core to {f > 0}, run over the support,
+split at the one breakpoint set (singularities of f, kinks of the
+weight, the caller's hints), apply the one status rule and return a
+:class:`~wrenyi.numerics.Value` that carries the density's own warnings.
 
 Generalized p-Gaussian, scale t = 1:
 
@@ -61,20 +62,24 @@ from .numerics import (
     _XGK,
     DEFAULT_CONFIG,
     QuadratureConfig,
+    Value,
     _gk15_nodes,
     _gk15_sums,
     _masked,
+    _merge,
     _vec,
     beta_fn,
     essential_supremum,
     gamma_fn,
     integrate,
+    total_variation,
 )
 
 __all__ = [
     "Density",
     "integral",
     "supremum",
+    "variation",
     "make_exponential",
     "make_laplace",
     "make_tent",
@@ -88,6 +93,8 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-8
+# Relative accuracy credited to a grid-and-polish supremum or total variation.
+_SEARCH_REL_ERR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,20 +115,26 @@ class Density:
         return QuadratureConfig(singularities=self.singularities)
 
 
-def integral(f: Density, core, what: str, w=None, hints=(), config=DEFAULT_CONFIG):
-    """(value, error, warnings) of int core(x, f(x)) dx over {f > 0}.
+def integral(f: Density, core, what: str, w=None, hints=(), config=DEFAULT_CONFIG) -> Value:
+    """int core(x, f(x)) dx over {f > 0}, with its error and warnings.
 
     The support is split at the singularities of f, the kinks of the
     weight ``w`` when one is given, and ``hints``; ``config`` gives the
     tolerances.  A divergent integral raises ``DomainError("<what>
-    diverges")``, an unconverged one comes with a warning.
+    diverges")``, an unconverged one comes with a warning after those of f.
     """
     cuts = set(f.singularities) | set(hints) | set(() if w is None else w.kinks)
     cfg = replace(config, singularities=tuple(sorted(cuts)))
-    return integrate(_masked(f, core), f.support, cfg).checked(what)
+    v = integrate(_masked(f, core), f.support, cfg).checked(what)
+    return replace(v, warnings=_merge(f.warnings, v.warnings)) if f.warnings else v
 
 
-def supremum(f: Density, core, what: str) -> float:
+def _searched(f: Density, val: float) -> Value:
+    """A supremum or variation found by grid search and polish, as a Value."""
+    return Value(val, _SEARCH_REL_ERR * max(1.0, abs(val)), f.warnings)
+
+
+def supremum(f: Density, core, what: str) -> Value:
     """Essential supremum of core(x, f(x)) over {f > 0}; it must be finite.
 
     A core that overflows on the scan grid reads inf there, and an
@@ -131,17 +144,24 @@ def supremum(f: Density, core, what: str) -> float:
         val = essential_supremum(_masked(f, core, fill=-np.inf), f.support)
     if not math.isfinite(val):
         raise DomainError(f"{what} is not finite")
-    return val
+    return _searched(f, val)
+
+
+def variation(f: Density, core, hints=()) -> Value:
+    """Total variation of core(x, f(x)) (0 off {f > 0}) over the support.
+
+    The jumps looked for are at the singularities of f and ``hints``.
+    """
+    jumps = tuple(f.singularities) + tuple(hints)
+    return _searched(f, total_variation(_masked(f, core), f.support, jump_hints=jumps))
 
 
 def _check_normalization(density: Density) -> Density:
-    value, _, warns = integral(
-        density, lambda x, fx: fx, f"{density.family} density normalization"
-    )
-    if warns:
-        return replace(density, warnings=density.warnings + warns)
-    if abs(value - 1.0) > _NORM_TOL:
-        raise DomainError(f"{density.family} density integrates to {value!r}, not 1")
+    mass = integral(density, lambda x, fx: fx, f"{density.family} density normalization")
+    if mass.warnings:  # the density's own warnings come first in them
+        return replace(density, warnings=mass.warnings)
+    if abs(mass.value - 1.0) > _NORM_TOL:
+        raise DomainError(f"{density.family} density integrates to {mass.value!r}, not 1")
     return density
 
 
@@ -473,12 +493,12 @@ def scale_density(f: Density, t: float) -> Density:
 
 def make_weighted_density(f: Density, weight) -> Density:
     """Reweighted density phi*f/chi with chi = E_f[phi]."""
-    chi, _, _ = integral(
+    chi = integral(
         f,
         lambda x, fx: np.asarray(weight(x), dtype=float) * fx,
         "weight normalizer E_f[phi]",
         w=weight,
-    )
+    ).value
     if not chi > 0:
         raise DomainError(f"weight normalizer E_f[phi] = {chi!r} is unusable")
 
@@ -690,7 +710,7 @@ def _masses(f: Density, a, b, panels, budget, cfg: QuadratureConfig):
         lo, hi = float(a[k]), float(b[k])
         hints = (lo, hi) if blind[k] else cfg.singularities
         gap_cfg = replace(cfg, abs_tol=float(budget[k]), singularities=hints)
-        out[k], _, _ = integrate(f.pdf, (lo, hi), gap_cfg).checked("CDF integral")
+        out[k] = integrate(f.pdf, (lo, hi), gap_cfg).checked("CDF integral").value
     return out
 
 
@@ -719,11 +739,11 @@ def _swept_cdf(f: Density, xs):
     inside = [s for s in cfg.singularities if xs.min() < s < xs.max()]
     nodes = np.unique(np.concatenate([xs, inside]))
     lower = (lo, float(nodes[0]))
-    head, _, _ = integrate(f.pdf, lower, cfg).checked("CDF integral")
+    head = integrate(f.pdf, lower, cfg).checked("CDF integral").value
     if 0.0 < cfg.rel_tol * head < cfg.abs_tol:
         # A lower-tail level: integrate again to its relative accuracy.
         tail_cfg = replace(cfg, abs_tol=max(cfg.rel_tol * head, _MIN_BUDGET))
-        head, _, _ = integrate(f.pdf, lower, tail_cfg).checked("CDF integral")
+        head = integrate(f.pdf, lower, tail_cfg).checked("CDF integral").value
     a, b = nodes[:-1], nodes[1:]
     panels = _panels(f, a, b)
     below = head + np.concatenate([[0.0], np.cumsum(panels[0])[:-1]])

@@ -145,7 +145,7 @@ class AuxiliaryLaw:
             cfg = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10)
             integrand = _masked(self, lambda x, px: np.asarray(fn(x), dtype=float) * px)
             res = integrate(integrand, (0.0, math.inf), cfg)
-            value, _, _ = res.checked("auxiliary expectation")
+            value = res.checked("auxiliary expectation").value
             return value
 
         s1, s2 = self.shape1, self.shape2
@@ -176,7 +176,7 @@ class AuxiliaryLaw:
                 rel_tol=1e-10,
                 singularities=(0.0,) if shape < 1 else (),
             )
-            value, _, _ = integrate(g, (0.0, 0.5), cfg).checked("auxiliary expectation")
+            value = integrate(g, (0.0, 0.5), cfg).checked("auxiliary expectation").value
             total += value
         return total
 

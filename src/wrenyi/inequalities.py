@@ -5,15 +5,16 @@ the bound, the slack (oriented so that the bound holds iff slack is
 nonnegative within tolerance), the margins of every assumption consumed,
 and a four-state verdict:
 
+    assumptions-unmet a required margin is below -MARGIN_TOL: the bound
+                      makes no claim there, whatever the slack
+    inconclusive      |slack| is inside the error budget
     holds             margins satisfied, slack >= -tol
-    violated          slack < -tol beyond the numeric error budget
-    assumptions-unmet a required margin is negative while the bound
-                      itself is not numerically violated
-    inconclusive      |slack| is inside the quadrature error budget
+    violated          slack < -tol beyond the error budget
 
-(When a margin is negative and the bound is also numerically violated
-the verdict reports "violated": the inequality is false there, which is
-strictly more information than "assumptions-unmet".)
+Each side is a numerics.Value built from its terms with plain
+operators, so the error budget is the first-order propagation of every
+term's quadrature error into the slack, and the warnings are those of
+every term of both sides and of the margins.
 
 Checks implemented, with G the generalized p-Gaussian of the same
 (alpha, p) order as the check:
@@ -40,9 +41,10 @@ Checks implemented, with G the generalized p-Gaussian of the same
         <= 2^-1 (J^{phi~}_{alpha,1}(f)/J^{phi}_{alpha,1}(G))^(1/beta)
            * Theta_alpha(W) - E_f[S phi~'],            (p = 1)
 
-  (both sides are additionally raised to the power E_G[phi] in the
-  reported lhs/rhs; the verdict is taken on the base inequality, which
-  is equivalent for positive sides);
+  (both sides are raised to the power E_G[phi] in the reported lhs/rhs
+  and the verdict is taken on these powered sides, which order as the
+  base sides do while both are positive; a base rhs <= 0 is reported as
+  rhs = 0);
 
       [N_{phi,p}(G)/N_{phi,p}(f)]^p
         <= J^{rho_s}_{inf,p}(f)/J^{phi}_{inf,p}(G) - Delta,  (alpha = inf)
@@ -93,7 +95,7 @@ from .measures import (
     weighted_fisher_information,
     weighted_renyi_power,
 )
-from .numerics import QuadratureConfig, differentiate, gamma_fn, integrate
+from .numerics import QuadratureConfig, Value, _merge, differentiate, gamma_fn, integrate
 from .weights import (
     WeightFunction,
     antiderivatives,
@@ -153,37 +155,44 @@ class InequalityVerdict:
 
 def _decide(
     inequality_id: str,
-    lhs: float,
-    rhs: float,
-    margins: dict,
+    lhs: Value,
+    rhs: Value,
+    margins: dict[str, Value],
     tol: float,
-    err: float,
-    terms: dict | None = None,
-    warnings: tuple[str, ...] = (),
-    equality: bool = False,
+    terms: dict,
+    extremal: tuple[Density, Density],
+    floor: float = 0.0,
 ) -> InequalityVerdict:
+    """The verdict on lhs <= rhs.
+
+    The error is that of the slack rhs - lhs, and the warnings are those
+    of both sides and of the margins.  ``extremal`` is the pair (f, the
+    density of the equality case): the bound is an equality when f is
+    close to it and |slack| <= max(tol, error, floor).
+    """
     slack = rhs - lhs
-    margin_bad = any(v < -MARGIN_TOL for v in margins.values())
-    if margin_bad:
-        verdict = "violated" if slack < -max(tol, err) else "assumptions-unmet"
-    elif abs(slack) <= err and err > tol:
+    err = slack.error
+    if any(m.value < -MARGIN_TOL for m in margins.values()):
+        verdict = "assumptions-unmet"
+    elif abs(slack.value) <= err and err > tol:
         verdict = "inconclusive"
-    elif slack >= -tol:
+    elif slack.value >= -tol:
         verdict = "holds"
     else:
         verdict = "violated"
+    equality = _densities_close(*extremal) and abs(slack.value) <= max(tol, err, floor)
     return InequalityVerdict(
         inequality_id,
-        lhs,
-        rhs,
-        slack,
-        margins,
+        lhs.value,
+        rhs.value,
+        slack.value,
+        {k: m.value for k, m in margins.items()},
         verdict,
         tol,
         err,
         equality,
-        terms or {},
-        warnings,
+        terms,
+        _merge(slack.warnings, *(m.warnings for m in margins.values())),
     )
 
 
@@ -248,7 +257,7 @@ class TransportMap:
         sx = np.atleast_1d(np.asarray(self(flat), dtype=float))
         fx = np.asarray(self.source.pdf(flat), dtype=float)
         gx = np.asarray(self.target.pdf(sx), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             dsx = np.where(gx > 0, fx / gx, 0.0)
         if arr.ndim == 0:
             return float(sx[0]), float(dsx[0])
@@ -370,22 +379,21 @@ class _Problem:
         return expectation(self.g, self.w_star)
 
     @cached_property
-    def eta(self) -> float:
+    def eta(self) -> Value:
         """int s rho_s' f^p over the support of f."""
         return self.s_moment(self.rho_s, self.p, "eta integral")
 
-    def s_moment(self, weight: WeightFunction, q: float, what: str) -> float:
+    def s_moment(self, weight: WeightFunction, q: float, what: str) -> Value:
         """int s(x) weight'(x) f(x)^q dx over the support of f."""
         if weight.is_constant:
-            return 0.0
+            return Value(0.0)
         s = self.s
 
         def core(x, fx):
             sx = np.asarray(s(x), dtype=float)
             return sx * np.asarray(weight.derivative(x), dtype=float) * fx**q
 
-        value, _, _ = integral(self.f, core, what, config=_MOMENT_CONFIG)
-        return value
+        return integral(self.f, core, what, config=_MOMENT_CONFIG)
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +408,9 @@ def check_thm11(
     d = relative_renyi_entropy(f, g, w, p)
     margins = {}
     if p == 1.0:
-        margins["E_f[phi]-E_g[phi]"] = d.flags.get("E_f[phi]-E_g[phi]", 0.0)
+        margins["E_f[phi]-E_g[phi]"] = Value(d.flags.get("E_f[phi]-E_g[phi]", 0.0))
     terms = {"divergence": d.value, "branch": d.branch, **d.flags}
-    return _decide(
-        "thm1.1",
-        0.0,
-        d.value,
-        margins,
-        tol,
-        d.error,
-        terms,
-        d.warnings,
-        equality=_densities_close(f, g),
-    )
+    return _decide("thm1.1", Value(0.0), d, margins, tol, terms, (f, g))
 
 
 # ---------------------------------------------------------------------------
@@ -436,22 +434,12 @@ def check_mei(
     g, sigma_f, sigma_g, _ = pr.g, pr.sigma_f, pr.sigma_g, pr.w_star
     n_f, n_g, n_g_star = pr.n_f, pr.n_g, pr.n_g_star
     e_f, e_g = pr.e_f, pr.e_g
-    margins = {"E_f[phi]-E_G[phi]": e_f.value - e_g.value}
+    margins = {"E_f[phi]-E_G[phi]": e_f - e_g}
     if p == 1.0:
-        margins["E_f[phi]-E_G[phi*]"] = e_f.value - pr.e_g_star.value
+        margins["E_f[phi]-E_G[phi*]"] = e_f - pr.e_g_star
 
-    lhs = n_f.value / sigma_f.value
-    rhs = n_g.value**p * n_g_star.value ** (1.0 - p) / sigma_g.value
-    err = (
-        n_f.error / sigma_f.value
-        + lhs * sigma_f.error / sigma_f.value
-        + abs(rhs)
-        * (
-            p * n_g.error / n_g.value
-            + abs(1.0 - p) * n_g_star.error / n_g_star.value
-            + sigma_g.error / sigma_g.value
-        )
-    )
+    lhs = n_f / sigma_f
+    rhs = n_g**p * n_g_star ** (1.0 - p) / sigma_g
     terms = {
         "t_phi": sigma_f.value / sigma_g.value,
         "N_f": n_f.value,
@@ -460,9 +448,7 @@ def check_mei(
         "sigma_f": sigma_f.value,
         "sigma_G": sigma_g.value,
     }
-    warns = n_f.warnings + sigma_f.warnings + n_g.warnings + sigma_g.warnings
-    equality = _densities_close(f, g) and abs(rhs - lhs) <= max(tol, err)
-    return _decide("mei", lhs, rhs, margins, tol, err, terms, warns, equality)
+    return _decide("mei", lhs, rhs, margins, tol, terms, (f, g))
 
 
 def check_scaling_identity(
@@ -471,18 +457,18 @@ def check_scaling_identity(
     """Relative residual of int phi G_t^p = t^(1-p) int phi(t x) G^p dx."""
     if not t > 0:
         raise InputError(f"scale must be positive, got {t}")
-    lhs, _, _ = integral(
+    lhs = integral(
         scale_density(g, t),
         lambda x, gx: np.asarray(w(x), dtype=float) * gx**p,
         "scaling-identity lhs",
         w,
-    )
-    rhs, _, _ = integral(
+    ).value
+    rhs = integral(
         g,
         lambda x, gx: np.asarray(w(t * x), dtype=float) * gx**p,
         "scaling-identity rhs",
         hints=tuple(k / t for k in w.kinks),
-    )
+    ).value
     rhs_val = t ** (1.0 - p) * rhs
     return abs(lhs - rhs_val) / (1.0 + abs(lhs))
 
@@ -518,40 +504,27 @@ def check_cor1(
         e_c1 = expectation(f, make_power(c + 1.0))
         fact_c = gamma_fn(c + 1.0)
         margins = {
-            "E|X|^c - c!": e_c.value - fact_c,
-            "E|X|^c - (E|X|^{c+1})^c/(c+1)": e_c.value
-            - e_c1.value**c / (c + 1.0),
+            "E|X|^c - c!": e_c - fact_c,
+            "E|X|^c - (E|X|^{c+1})^c/(c+1)": e_c - e_c1**c / (c + 1.0),
         }
         n_f = weighted_renyi_power(f, w, 1.0)
-        lhs = gamma_fn(c + 2.0) * n_f.value / (2.0 * math.exp(c + 1.0))
-        rhs = e_c1.value
-        err = gamma_fn(c + 2.0) * n_f.error / (2.0 * math.exp(c + 1.0)) + e_c1.error
+        lhs = gamma_fn(c + 2.0) * n_f / (2.0 * math.exp(c + 1.0))
         terms = {"N_f": n_f.value, "E|X|^c": e_c.value, "E|X|^{c+1}": e_c1.value}
-        equality = _densities_close(f, make_laplace(1.0)) and abs(
-            rhs - lhs
-        ) <= max(tol, err, 1e-7)
-        return _decide(
-            "cor1", lhs, rhs, margins, tol, err, terms, n_f.warnings, equality
-        )
+        return _decide("cor1", lhs, e_c1, margins, tol, terms, (f, make_laplace(1.0)), floor=1e-7)
 
     pr = _Problem(f, w, alpha, p)
     g, sigma_f, sigma_g = pr.g, pr.sigma_f, pr.sigma_g
     n_f, n_g, e_f, e_g = pr.n_f, pr.n_g, pr.e_f, pr.e_g
-    margins = {"E_f[|X|^c]-E_G[|X|^c]": e_f.value - e_g.value}
+    margins = {"E_f[|X|^c]-E_G[|X|^c]": e_f - e_g}
     if p == 1.0:
         one = make_constant(1.0)
         s_f = generalized_deviation(f, one, c + alpha)
         s_g = generalized_deviation(g, one, c + alpha)
-        t_c = (s_f.value / s_g.value) ** (c * (c + alpha) / alpha)
-        margins["E_f[|X|^c]-t_c*E_G[|X|^c]"] = e_f.value - t_c * e_g.value
+        t_c = (s_f / s_g) ** (c * (c + alpha) / alpha)
+        margins["E_f[|X|^c]-t_c*E_G[|X|^c]"] = e_f - t_c * e_g
     # Displayed as sigma_f^{c+1}/N_f >= sigma_G^{c+1}/N_G; normalize to <=.
-    lhs = sigma_g.value ** (c + 1.0) / n_g.value
-    rhs = sigma_f.value ** (c + 1.0) / n_f.value
-    err = abs(lhs) * (
-        abs(c + 1.0) * sigma_g.error / sigma_g.value + n_g.error / n_g.value
-    ) + abs(rhs) * (
-        abs(c + 1.0) * sigma_f.error / sigma_f.value + n_f.error / n_f.value
-    )
+    lhs = sigma_g ** (c + 1.0) / n_g
+    rhs = sigma_f ** (c + 1.0) / n_f
     terms = {
         "sigma_f": sigma_f.value,
         "sigma_G": sigma_g.value,
@@ -559,8 +532,7 @@ def check_cor1(
         "N_G": n_g.value,
         "C_alpha": (c + 1.0) * (c + alpha) / alpha,
     }
-    equality = _densities_close(f, g) and abs(rhs - lhs) <= max(tol, err)
-    return _decide("cor1", lhs, rhs, margins, tol, err, terms, (), equality)
+    return _decide("cor1", lhs, rhs, margins, tol, terms, (f, g))
 
 
 def _m_constant(c: float) -> float:
@@ -574,23 +546,16 @@ def check_cor2(f: Density, c: float, tol: float = DEFAULT_TOL) -> InequalityVerd
         raise InputError(f"cor2 needs c + 2 > 0, got c={c}")
     w = make_power(c)
     e_c = expectation(f, w)
-    margins = {"E|X|^c - 2/((c+2)(c+1))": e_c.value - 2.0 / ((c + 2.0) * (c + 1.0))}
+    margins = {"E|X|^c - 2/((c+2)(c+1))": e_c - 2.0 / ((c + 2.0) * (c + 1.0))}
     mom = expectation(f, make_power(c + 1.0))
     n2 = weighted_renyi_power(f, w, 2.0)  # N = (int |x|^c f^2)^{-1}
-    rhs = 1.0 / n2.value
-    lhs = _m_constant(c) * mom.value ** (c - 1.0)
-    err = (
-        _m_constant(c) * abs(c - 1.0) * mom.value ** (c - 2.0) * mom.error
-        + n2.error / n2.value**2
-    )
-    terms = {"m(c)": _m_constant(c), "E|X|^{c+1}": mom.value, "int|x|^c f^2": rhs}
-    equality = _densities_close(f, make_tent()) and abs(rhs - lhs) <= max(
-        tol, err, 1e-7
-    )
-    return _decide("cor2", lhs, rhs, margins, tol, err, terms, n2.warnings, equality)
+    rhs = 1.0 / n2
+    lhs = _m_constant(c) * mom ** (c - 1.0)
+    terms = {"m(c)": _m_constant(c), "E|X|^{c+1}": mom.value, "int|x|^c f^2": rhs.value}
+    return _decide("cor2", lhs, rhs, margins, tol, terms, (f, make_tent()), floor=1e-7)
 
 
-def cor3_constant() -> dict:
+def cor3_constant() -> dict[str, Value]:
     """The quadratic-Gaussian constants of the fourth-moment bound.
 
     With G = (3/4)(1-x^2)_+ the bound reads
@@ -607,8 +572,8 @@ def cor3_constant() -> dict:
     g = make_generalized_gaussian(2.0, 2.0)
     j_52 = fisher_information(g, 2.0, 2.5)
     j_w = weighted_fisher_information(g, make_power(2.0), 2.0, 2.0)
-    w_const = (243.0 / 64.0) * j_52.value ** (-5.0) * j_w.value ** (-1.5)
-    return {"w(G)": w_const, "J_{2,5/2}(G)": j_52.value, "J^{w,x^2}_{2,2}(G)": j_w.value}
+    w_const = (243.0 / 64.0) * j_52 ** (-5.0) * j_w ** (-1.5)
+    return {"w(G)": w_const, "J_{2,5/2}(G)": j_52, "J^{w,x^2}_{2,2}(G)": j_w}
 
 
 def check_cor3(f: Density, tol: float = DEFAULT_TOL) -> InequalityVerdict:
@@ -619,15 +584,13 @@ def check_cor3(f: Density, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     consts = cor3_constant()
     j_22 = fisher_information(g, 2.0, 2.0)
     sigma2 = generalized_deviation(f, one, 2.0)
-    margins = {"sigma_2(f)-(2/3)J_{2,2}(G)^2": sigma2.value - (2.0 / 3.0) * j_22.value**2}
-    n2 = weighted_renyi_power(f, make_power(2.0), 2.0)
-    lhs = n2.value  # (int x^2 f^2)^{-1}
+    margins = {"sigma_2(f)-(2/3)J_{2,2}(G)^2": sigma2 - (2.0 / 3.0) * j_22**2}
+    n2 = weighted_renyi_power(f, make_power(2.0), 2.0)  # (int x^2 f^2)^{-1}
     m4 = generalized_moment(f, one, 4.0)
-    rhs = 2.0 * consts["w(G)"] * m4.value**1.5
-    err = n2.error + 3.0 * consts["w(G)"] * m4.value**0.5 * m4.error
-    terms = {**consts, "int x^4 f": m4.value, "sigma_2(f)": sigma2.value}
-    equality = _densities_close(f, g) and abs(rhs - lhs) <= max(tol, err, 1e-5)
-    return _decide("cor3", lhs, rhs, margins, tol, err, terms, (), equality)
+    rhs = 2.0 * consts["w(G)"] * m4**1.5
+    terms = {k: v.value for k, v in consts.items()}
+    terms.update({"int x^4 f": m4.value, "sigma_2(f)": sigma2.value})
+    return _decide("cor3", n2, rhs, margins, tol, terms, (f, g), floor=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +607,13 @@ def check_fii(
 ) -> InequalityVerdict:
     """The Fisher information bound in its three parameter regimes."""
     _require_nonneg_weight(w, f, "the Fisher information bound")
-    return _fii(_Problem(f, w, alpha, p), tol)
+    pr = _Problem(f, w, alpha, p)
+    lhs, rhs, detail = _fii_sides(pr)
+    return _decide("fii", lhs, rhs, {}, tol, detail, (f, pr.g), floor=1e-5)
 
 
-def _fii(pr: _Problem, tol: float) -> InequalityVerdict:
+def _fii_sides(pr: _Problem) -> tuple[Value, Value, dict]:
+    """(lhs, rhs, terms) of the Fisher information bound."""
     f, w, alpha, p = pr.f, pr.w, pr.alpha, pr.p
     case = select_case(alpha, p)
     # The transport is built, and checked, before any case-specific term.
@@ -655,7 +621,7 @@ def _fii(pr: _Problem, tol: float) -> InequalityVerdict:
 
     if case in ("p>1", "p<1"):
         rho1, rho2 = pr.rho12
-        kappa = pr.eta * pr.n_rho1.value ** (p - 1.0)
+        kappa = pr.eta * pr.n_rho1 ** (p - 1.0)
         laws = case_laws(alpha, p)
         lam = lambda_tilde if case == "p>1" else lambda_bar
         lam_y = lam(rho1, p, alpha, laws["Y"])
@@ -667,23 +633,12 @@ def _fii(pr: _Problem, tol: float) -> InequalityVerdict:
         n_g, n_rho1, n_f = pr.n_g, pr.n_rho1, pr.n_f
         j_f = weighted_fisher_information(f, rho2, alpha, p)
         j_g = weighted_fisher_information(g, rho1, alpha, p)
-        j_ratio_root = (j_f.value / j_g.value) ** (1.0 / beta)
-        lhs = (n_g.value / n_rho1.value) * (n_rho1.value / n_f.value) ** p
+        j_ratio_root = (j_f / j_g) ** (1.0 / beta)
+        lhs = (n_g / n_rho1) * (n_rho1 / n_f) ** p
         rhs = j_ratio_root * lambda_ratio - kappa
-        err = (
-            abs(lhs)
-            * (
-                n_g.error / n_g.value
-                + (1.0 + p) * n_rho1.error / n_rho1.value
-                + p * n_f.error / n_f.value
-            )
-            + abs(j_ratio_root * lambda_ratio)
-            * (j_f.error / max(j_f.value, 1e-300) + j_g.error / max(j_g.value, 1e-300))
-            / beta
-        )
         detail = {
-            "eta": pr.eta,
-            "kappa": kappa,
+            "eta": pr.eta.value,
+            "kappa": kappa.value,
             "lambda_ratio": lambda_ratio,
             "J^{rho2}(f)": j_f.value,
             "J^{rho1}(G)": j_g.value,
@@ -691,9 +646,7 @@ def _fii(pr: _Problem, tol: float) -> InequalityVerdict:
             "N_rho1_G": n_rho1.value,
             "N_f": n_f.value,
         }
-        warns = n_f.warnings + j_f.warnings
-        eq = _densities_close(f, g) and abs(rhs - lhs) <= max(tol, err, 1e-5)
-        return _decide("fii", lhs, rhs, {}, tol, err, detail, warns, eq)
+        return lhs, rhs, detail
 
     if case == "p=1":
         if alpha < 1.0:
@@ -705,32 +658,25 @@ def _fii(pr: _Problem, tol: float) -> InequalityVerdict:
         j_f = weighted_fisher_information(f, phi_tilde, alpha, 1.0)
         j_g = weighted_fisher_information(g, w, alpha, 1.0)
         if alpha == 1.0:
-            j_ratio_root = j_f.value / j_g.value  # esssup objects directly
+            j_ratio_root = j_f / j_g  # esssup objects directly
         else:
-            j_ratio_root = (j_f.value / j_g.value) ** (1.0 / beta)
+            j_ratio_root = (j_f / j_g) ** (1.0 / beta)
         theta_w = theta(w, alpha, case_laws(alpha, 1.0)["W"])
         s_phi_term = pr.s_moment(phi_tilde, 1.0, "E_f[S phi~']")
-        base_lhs = n_g.value * e_g.value / n_f.value
+        base_lhs = n_g * e_g / n_f
         base_rhs = 0.5 * j_ratio_root * theta_w - s_phi_term
-        exp_w = e_g.value
-        lhs = base_lhs**exp_w
-        rhs = base_rhs**exp_w if base_rhs > 0 else 0.0
-        err = (
-            abs(base_lhs)
-            * (n_g.error / n_g.value + n_f.error / n_f.value + e_g.error)
-            + 0.5 * abs(theta_w) * (j_f.error + j_g.error)
-        ) * max(1.0, exp_w)
+        lhs = base_lhs**e_g
+        rhs = base_rhs**e_g if base_rhs.value > 0 else Value(0.0, 0.0, base_rhs.warnings)
         detail = {
             "E_G[phi]": e_g.value,
             "Theta(W)": theta_w,
-            "E_f[S phi~']": s_phi_term,
+            "E_f[S phi~']": s_phi_term.value,
             "J^{phi~}(f)": j_f.value,
             "J^{phi}(G)": j_g.value,
-            "base_lhs": base_lhs,
-            "base_rhs": base_rhs,
+            "base_lhs": base_lhs.value,
+            "base_rhs": base_rhs.value,
         }
-        eq = _densities_close(f, g) and abs(base_rhs - base_lhs) <= max(tol, err, 1e-5)
-        return _decide("fii", lhs, rhs, {}, tol, err, detail, n_f.warnings, eq)
+        return lhs, rhs, detail
 
     if case == "alpha=inf":
         if p == 1.0:
@@ -739,23 +685,19 @@ def _fii(pr: _Problem, tol: float) -> InequalityVerdict:
         ad = antiderivatives(w)
         psib_diff = ad.psi_bar(1.0) - ad.psi_bar(-1.0)
         j_g = weighted_fisher_information(g, w, math.inf, p)
-        delta = (eta / p - 2.0 ** (-1.0 - p) * psib_diff) / j_g.value
+        delta = (eta / p - 2.0 ** (-1.0 - p) * psib_diff) / j_g
         n_g, n_f = pr.n_g, pr.n_f
         j_f = weighted_fisher_information(f, pr.rho_s, math.inf, p)
-        lhs = (n_g.value / n_f.value) ** p
-        rhs = j_f.value / j_g.value - delta
-        err = abs(lhs) * p * (n_g.error / n_g.value + n_f.error / n_f.value) + (
-            j_f.error + j_g.error
-        ) / max(j_g.value, 1e-300)
+        lhs = (n_g / n_f) ** p
+        rhs = j_f / j_g - delta
         detail = {
-            "eta": eta,
-            "Delta": delta,
+            "eta": eta.value,
+            "Delta": delta.value,
             "psib_diff": psib_diff,
             "J^{rho_s}(f)": j_f.value,
             "J^{phi}(G)": j_g.value,
         }
-        eq = _densities_close(f, g) and abs(rhs - lhs) <= max(tol, err, 1e-5)
-        return _decide("fii", lhs, rhs, {}, tol, err, detail, n_f.warnings, eq)
+        return lhs, rhs, detail
 
     raise InputError(f"no Fisher bound case for (alpha, p) = ({alpha}, {p})")
 
@@ -770,33 +712,27 @@ def check_cri(
     """Cramer-Rao bound: deviation-ratio left side, Fisher right side."""
     _require_nonneg_weight(w, f, "the Cramer-Rao bound")
     pr = _Problem(f, w, alpha, p)
-    fii = _fii(pr, tol)
+    _, rhs, fii_terms = _fii_sides(pr)
     g, sigma_f, sigma_g, e_f, e_g = pr.g, pr.sigma_f, pr.sigma_g, pr.e_f, pr.e_g
-    margins = {"E_f[phi]-E_G[phi]": e_f.value - e_g.value}
+    margins = {"E_f[phi]-E_G[phi]": e_f - e_g}
 
+    varpi = None
     if math.isinf(alpha):
-        lhs = sigma_g.value / sigma_f.value
-        varpi = None
+        lhs = sigma_g / sigma_f
     elif p == 1.0:
-        margins["E_f[phi]-E_G[phi*]"] = e_f.value - pr.e_g_star.value
-        lhs = (sigma_g.value * e_g.value / sigma_f.value) ** e_g.value
-        varpi = None
+        margins["E_f[phi]-E_G[phi*]"] = e_f - pr.e_g_star
+        lhs = (sigma_g * e_g / sigma_f) ** e_g
     else:
-        varpi = pr.n_g_star.value * pr.n_rho1.value / (pr.n_g.value * pr.n_f.value)
-        lhs = (sigma_g.value / sigma_f.value) * varpi ** (p - 1.0)
-    rhs = fii.rhs
-    err = fii.error + abs(lhs) * (
-        sigma_f.error / sigma_f.value + sigma_g.error / sigma_g.value
-    )
+        varpi = pr.n_g_star * pr.n_rho1 / (pr.n_g * pr.n_f)
+        lhs = (sigma_g / sigma_f) * varpi ** (p - 1.0)
     detail = {
-        "varpi": varpi,
+        "varpi": None if varpi is None else varpi.value,
         "sigma_f": sigma_f.value,
         "sigma_G": sigma_g.value,
-        "fii_rhs": fii.rhs,
-        **fii.terms,
+        "fii_rhs": rhs.value,
+        **fii_terms,
     }
-    eq = _densities_close(f, g) and abs(rhs - lhs) <= max(tol, err, 1e-5)
-    return _decide("cri", lhs, rhs, margins, tol, err, detail, fii.warnings, eq)
+    return _decide("cri", lhs, rhs, margins, tol, detail, (f, g), floor=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -819,16 +755,20 @@ def check_cor4(
     median = _source_median(f)
     hints = (median,) if math.isfinite(median) else ()
 
+    # An overflow in a deep tail gives a non-finite integrand, which the
+    # quadrature reports as a numeric error rather than a RuntimeWarning.
     def a_core(x, fx):
         sx, dsx = s.value_and_derivative(x)
-        return np.abs(sx) ** c * dsx * fx  # s^2 |s|^{c-2} = |s|^c
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.abs(sx) ** c * dsx * fx  # s^2 |s|^{c-2} = |s|^c
 
     def b_core(x, fx):
         sx, dsx = s.value_and_derivative(x)
-        return sx * dsx * np.exp(-c * sx) * fx
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sx * dsx * np.exp(-c * sx) * fx
 
-    a_term, _, _ = integral(f, a_core, "transport moment", hints=hints, config=_MOMENT_CONFIG)
-    b_term, _, _ = integral(f, b_core, "transport moment", hints=hints, config=_MOMENT_CONFIG)
+    a_term = integral(f, a_core, "transport moment", hints=hints, config=_MOMENT_CONFIG)
+    b_term = integral(f, b_core, "transport moment", hints=hints, config=_MOMENT_CONFIG)
 
     def log_slope_sup(weight_fn):
         def core(x, fx):
@@ -840,41 +780,31 @@ def check_cor4(
     phi1 = compose_with_map(make_power(c), s)
     n1 = weighted_renyi_power(f, phi1, 1.0)
     fact = gamma_fn(c + 1.0)
-    lhs1 = (2.0 * fact * math.exp(2.0**c) / n1.value) ** fact
+    lhs1 = (2.0 * fact * math.exp(2.0**c) / n1) ** fact
     sup1 = log_slope_sup(lambda x: np.abs(np.asarray(s(x), dtype=float)) ** c)
     rhs1 = fact * 2.0**c * sup1 - c * a_term
-    v1 = _decide(
-        "cor4-first",
-        lhs1,
-        rhs1,
-        {},
-        tol,
-        max(n1.error, 1e-9),
-        {"A_s": a_term, "sup|s|^c|(log f)'|": sup1, "N_{|s|^c,1}(f)": n1.value},
-        n1.warnings,
-        equality=_densities_close(f, lap) and abs(rhs1 - lhs1) <= max(tol, 1e-6),
-    )
+    terms1 = {
+        "A_s": a_term.value,
+        "sup|s|^c|(log f)'|": sup1.value,
+        "N_{|s|^c,1}(f)": n1.value,
+    }
+    v1 = _decide("cor4-first", lhs1, rhs1, {}, tol, terms1, (f, lap), floor=1e-6)
 
     # Second display: weight e^{-c s}.
     phi2 = compose_with_map(make_exp_linear(-c), s)
     n2 = weighted_renyi_power(f, phi2, 1.0)
     pref = 1.0 - 4.0 * c * c
     lhs2 = pref * (
-        2.0 * math.exp((1.0 - c * c) / pref) / ((1.0 - c * c) * n2.value)
+        2.0 * math.exp((1.0 - c * c) / pref) / ((1.0 - c * c) * n2)
     ) ** (1.0 / (1.0 - c * c))
     sup2 = log_slope_sup(lambda x: np.exp(-c * np.asarray(s(x), dtype=float)))
     rhs2 = sup2 + c * pref * b_term
-    v2 = _decide(
-        "cor4-second",
-        lhs2,
-        rhs2,
-        {},
-        tol,
-        max(n2.error, 1e-9),
-        {"B_s": b_term, "sup e^{-cs}|(log f)'|": sup2, "N_{e^{-cs},1}(f)": n2.value},
-        n2.warnings,
-        equality=_densities_close(f, lap) and abs(rhs2 - lhs2) <= max(tol, 1e-6),
-    )
+    terms2 = {
+        "B_s": b_term.value,
+        "sup e^{-cs}|(log f)'|": sup2.value,
+        "N_{e^{-cs},1}(f)": n2.value,
+    }
+    v2 = _decide("cor4-second", lhs2, rhs2, {}, tol, terms2, (f, lap), floor=1e-6)
     return v1, v2
 
 
@@ -930,10 +860,10 @@ def lemma4_residual(f, g, domain, df=None, dg=None) -> float:
     cfg = QuadratureConfig(
         abs_tol=1e-10, rel_tol=1e-9, singularities=tuple(hints)
     )
-    i1, _, _ = integrate(lambda x: f_vec(x) * dg_vec(x), (a, b), cfg).checked(
+    i1 = integrate(lambda x: f_vec(x) * dg_vec(x), (a, b), cfg).checked(
         "integration-by-parts int f g'"
-    )
-    i2, _, _ = integrate(lambda x: df_vec(x) * g_vec(x), (a, b), cfg).checked(
+    ).value
+    i2 = integrate(lambda x: df_vec(x) * g_vec(x), (a, b), cfg).checked(
         "integration-by-parts int f' g"
-    )
+    ).value
     return abs(i1 + i2) / (1.0 + abs(i1))

@@ -25,8 +25,10 @@ For a density f, weight phi >= 0 and orders p (entropy order) and alpha
 Exponential densities with constant or exp-linear weights use exact
 closed forms (the integral family int e^{gx} (l e^{-lx})^q dx =
 l^q/(ql - g), valid for ql > g); everything else is quadrature.
-Every operation returns a MeasureValue carrying the branch that fired,
-assumption margins and accumulated warnings.
+Every operation returns a MeasureValue: a numerics.Value (the number,
+its first-order error and its warnings) with the branch that fired and
+the assumption margins.  Each measure combines the Values of its
+integrals with plain operators, which propagate their errors.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import Density, integral, supremum
+from .densities import Density, integral, supremum, variation
 from .errors import DomainError, InputError
-from .numerics import _exp, _masked, gamma_fn, total_variation
+from .numerics import Value, _merge, gamma_fn
 from .weights import WeightFunction, holder_conjugate, nonnegativity_violation
 
 __all__ = [
@@ -76,15 +78,20 @@ class OrderParams:
 
 
 @dataclass(frozen=True)
-class MeasureValue:
-    value: float
-    error: float = 0.0
+class MeasureValue(Value):
+    """A Value with the branch that computed it and its assumption margins."""
+
     branch: str = ""
     flags: dict = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
 
-    def __float__(self) -> float:
-        return self.value
+
+def _measure(v: Value, branch: str, flags: dict, warns=()) -> MeasureValue:
+    """``v`` tagged with its branch and flags, ``warns`` before its warnings."""
+    return MeasureValue(v.value, v.error, _merge(warns, v.warnings), v.parts, branch, flags)
+
+
+def _closed(value: float, flags: dict, warns=()) -> MeasureValue:
+    return MeasureValue(value, 0.0, warns, None, "closed-form", flags)
 
 
 def _warn_negativity(w: WeightFunction, f: Density):
@@ -137,11 +144,9 @@ def expectation(f: Density, w: WeightFunction) -> MeasureValue:
         lam = _exp_rate(f)
         val, margin = _exp_phi_fp(lam, g, 1.0)
         val *= _const_factor(w)
-        return MeasureValue(val, 0.0, "closed-form", {"lam-gamma": margin})
-    val, err, warns = integral(
-        f, lambda x, fx: np.asarray(w(x), dtype=float) * fx, "E_f[phi]", w
-    )
-    return MeasureValue(val, err, "quadrature", {}, warns)
+        return _closed(val, {"lam-gamma": margin})
+    v = integral(f, lambda x, fx: np.asarray(w(x), dtype=float) * fx, "E_f[phi]", w)
+    return _measure(v, "quadrature", {})
 
 
 def weighted_entropy(f: Density, w: WeightFunction) -> MeasureValue:
@@ -155,15 +160,15 @@ def weighted_entropy(f: Density, w: WeightFunction) -> MeasureValue:
         m0 = lam / (lam - g)
         m1 = lam / (lam - g) ** 2
         val = _const_factor(w) * (-math.log(lam) * m0 + lam * m1)
-        return MeasureValue(val, 0.0, "closed-form", {"lam-gamma": lam - g}, warns)
+        return _closed(val, {"lam-gamma": lam - g}, warns)
 
-    val, err, qwarns = integral(
+    v = integral(
         f,
         lambda x, fx: -np.asarray(w(x), dtype=float) * fx * np.log(fx),
         "weighted entropy",
         w,
     )
-    return MeasureValue(val, err, "quadrature", {}, warns + qwarns)
+    return _measure(v, "quadrature", {}, warns)
 
 
 def relative_weighted_entropy(
@@ -179,17 +184,14 @@ def relative_weighted_entropy(
         m0 = l1 / (l1 - gam)
         m1 = l1 / (l1 - gam) ** 2
         val = _const_factor(w) * (math.log(l1 / l2) * m0 + (l2 - l1) * m1)
-        return MeasureValue(
-            val, 0.0, "closed-form", {"lam1-gamma": l1 - gam}, warns
-        )
+        return _closed(val, {"lam1-gamma": l1 - gam}, warns)
 
     # Divergence when f > 0 on a region where g = 0.
     lo_f, hi_f = f.support
     lo_g, hi_g = g.support
     if lo_f < lo_g or hi_f > hi_g:
-        return MeasureValue(
-            math.inf, math.inf, "divergent", {}, warns + ("supports not nested",)
-        )
+        warns += ("supports not nested",)
+        return _measure(Value(math.inf, math.inf), "divergent", {}, warns)
 
     def core(x, fx):
         gx = np.asarray(g.pdf(x), dtype=float)
@@ -202,30 +204,20 @@ def relative_weighted_entropy(
             t = np.where(gx > 0, np.log(fx) - np.log(gx), 0.0)
         return wx * fx * t
 
-    val, err, qwarns = integral(
-        f, core, "relative weighted entropy", w, hints=g.singularities
-    )
-    return MeasureValue(val, err, "quadrature", {}, warns + qwarns)
+    v = integral(f, core, "relative weighted entropy", w, hints=g.singularities)
+    return _measure(v, "quadrature", {}, warns)
 
 
-def _phi_fp_integral(f: Density, w: WeightFunction, p: float):
-    """(int phi f^p, error, flags, warnings, branch)."""
+def _phi_fp_integral(f: Density, w: WeightFunction, p: float) -> MeasureValue:
+    """int phi f^p."""
     g = _explinear_gamma(w)
     if _is_exponential(f) and g is not None:
         lam = _exp_rate(f)
         val, margin = _exp_phi_fp(lam, g, p)
-        return (
-            _const_factor(w) * val,
-            0.0,
-            {"p*lam-gamma": margin},
-            (),
-            "closed-form",
-        )
+        return _closed(_const_factor(w) * val, {"p*lam-gamma": margin})
 
-    val, err, warns = integral(
-        f, lambda x, fx: np.asarray(w(x), dtype=float) * fx**p, "int phi f^p", w
-    )
-    return val, err, {}, warns, "quadrature"
+    v = integral(f, lambda x, fx: np.asarray(w(x), dtype=float) * fx**p, "int phi f^p", w)
+    return _measure(v, "quadrature", {})
 
 
 def weighted_renyi_entropy(f: Density, w: WeightFunction, p: float) -> MeasureValue:
@@ -237,12 +229,10 @@ def weighted_renyi_entropy(f: Density, w: WeightFunction, p: float) -> MeasureVa
             "p = 1 has no Renyi-entropy branch; use weighted_renyi_power"
         )
     warns = _warn_negativity(w, f)
-    ival, ierr, flags, qwarns, branch = _phi_fp_integral(f, w, p)
-    if not ival > 0:
-        raise DomainError(f"int phi f^p = {ival!r}, log undefined")
-    val = math.log(ival) / (1.0 - p)
-    err = ierr / (abs(1.0 - p) * ival)
-    return MeasureValue(val, err, branch, flags, warns + qwarns)
+    i = _phi_fp_integral(f, w, p)
+    if not i.value > 0:
+        raise DomainError(f"int phi f^p = {i.value!r}, log undefined")
+    return _measure(i.log() / (1.0 - p), i.branch, i.flags, warns)
 
 
 def weighted_renyi_power(f: Density, w: WeightFunction, p: float) -> MeasureValue:
@@ -254,18 +244,10 @@ def weighted_renyi_power(f: Density, w: WeightFunction, p: float) -> MeasureValu
         e = expectation(f, w)
         if not e.value > 0:
             raise DomainError(f"E_f[phi] = {e.value!r} must be positive at p = 1")
-        val = _exp(h.value / e.value, "weighted Renyi power")
-        err = val * (h.error / e.value + abs(h.value) * e.error / e.value**2)
-        return MeasureValue(
-            val,
-            err,
-            "p=1-entropy-power",
-            {**h.flags, "E_f[phi]": e.value},
-            h.warnings + e.warnings,
-        )
+        n = (h / e).exp("weighted Renyi power")
+        return _measure(n, "p=1-entropy-power", {**h.flags, "E_f[phi]": e.value})
     h = weighted_renyi_entropy(f, w, p)
-    val = _exp(h.value, "weighted Renyi power")
-    return MeasureValue(val, val * h.error, h.branch, h.flags, h.warnings)
+    return _measure(h.exp("weighted Renyi power"), h.branch, h.flags)
 
 
 def _relative_integrals(f: Density, g: Density, w: WeightFunction, p: float):
@@ -290,7 +272,7 @@ def _relative_integrals(f: Density, g: Density, w: WeightFunction, p: float):
         i_cross = c * l1 * l2 ** (p - 1.0) / m_cross
         i_g = c * l2**p / m2
         i_f = c * l1**p / m1
-        return (i_cross, i_g, i_f), (0.0, 0.0, 0.0), flags, (), "closed-form"
+        return (Value(i_cross), Value(i_g), Value(i_f)), flags, "closed-form"
 
     def core(x, fx):
         gx = np.asarray(g.pdf(x), dtype=float)
@@ -304,16 +286,10 @@ def _relative_integrals(f: Density, g: Density, w: WeightFunction, p: float):
             t = np.where(gx > 0, gx ** (p - 1.0), 0.0)
         return wx * t * fx
 
-    iv1, ie1, w1 = integral(f, core, "int phi g^(p-1) f", w, hints=g.singularities)
-    iv2, ie2, flg2, w2, _ = _phi_fp_integral(g, w, p)
-    iv3, ie3, flg3, w3, _ = _phi_fp_integral(f, w, p)
-    return (
-        (iv1, iv2, iv3),
-        (ie1, ie2, ie3),
-        {**flg2, **flg3},
-        w1 + w2 + w3,
-        "quadrature",
-    )
+    i1 = integral(f, core, "int phi g^(p-1) f", w, hints=g.singularities)
+    i2 = _phi_fp_integral(g, w, p)
+    i3 = _phi_fp_integral(f, w, p)
+    return (i1, i2, i3), {**i2.flags, **i3.flags}, "quadrature"
 
 
 def relative_renyi_entropy(
@@ -329,26 +305,13 @@ def relative_renyi_entropy(
         if not e.value > 0:
             raise DomainError(f"E_f[phi] = {e.value!r} must be positive at p = 1")
         eg = expectation(g, w)
-        val = d.value / e.value
-        err = d.error / e.value + abs(d.value) * e.error / e.value**2
         flags = {**d.flags, "E_f[phi]-E_g[phi]": e.value - eg.value}
-        return MeasureValue(
-            val, err, "p=1-" + d.branch, flags, warns + d.warnings + e.warnings
-        )
-    (i1, i2, i3), (e1, e2, e3), flags, qwarns, branch = _relative_integrals(f, g, w, p)
-    if min(i1, i2, i3) <= 0:
+        return _measure(d / e, "p=1-" + d.branch, flags, warns)
+    (i1, i2, i3), flags, branch = _relative_integrals(f, g, w, p)
+    if min(i1.value, i2.value, i3.value) <= 0:
         raise DomainError("relative Renyi integrals must be positive")
-    val = (
-        math.log(i1) / (1.0 - p)
-        + math.log(i2) / p
-        - math.log(i3) / (p * (1.0 - p))
-    )
-    err = (
-        e1 / (abs(1.0 - p) * i1)
-        + e2 / (p * i2)
-        + e3 / (p * abs(1.0 - p) * i3)
-    )
-    return MeasureValue(val, err, branch, flags, warns + qwarns)
+    d = i1.log() / (1.0 - p) + i2.log() / p - i3.log() / (p * (1.0 - p))
+    return _measure(d, branch, flags, warns)
 
 
 def relative_renyi_power(
@@ -356,8 +319,7 @@ def relative_renyi_power(
 ) -> MeasureValue:
     """N_{phi,p}(f, g) = exp(D_{phi,p}(f||g))."""
     d = relative_renyi_entropy(f, g, w, p)
-    val = _exp(d.value, "relative Renyi power")
-    return MeasureValue(val, val * d.error, d.branch, d.flags, d.warnings)
+    return _measure(d.exp("relative Renyi power"), d.branch, d.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +348,7 @@ def generalized_moment(f: Density, w: WeightFunction, alpha: float) -> MeasureVa
                 if alpha + e <= -1.0:
                     raise DomainError(f"moment of order {alpha + e} diverges at 0")
                 val += c * gamma_fn(alpha + e + 1.0) / lam ** (alpha + e)
-            return MeasureValue(val, 0.0, "closed-form", {}, warns)
+            return _closed(val, {}, warns)
         gam = _explinear_gamma(w)
         if gam is not None:
             if lam - gam <= 0:
@@ -397,18 +359,16 @@ def generalized_moment(f: Density, w: WeightFunction, alpha: float) -> MeasureVa
                 * gamma_fn(alpha + 1.0)
                 / (lam - gam) ** (alpha + 1.0)
             )
-            return MeasureValue(
-                val, 0.0, "closed-form", {"lam-gamma": lam - gam}, warns
-            )
+            return _closed(val, {"lam-gamma": lam - gam}, warns)
 
-    val, err, qwarns = integral(
+    v = integral(
         f,
         lambda x, fx: np.asarray(w(x), dtype=float) * np.abs(x) ** alpha * fx,
         "generalized moment",
         w,
         hints=(0.0,),
     )
-    return MeasureValue(val, err, "quadrature", {}, warns + qwarns)
+    return _measure(v, "quadrature", {}, warns)
 
 
 def generalized_deviation(f: Density, w: WeightFunction, alpha: float) -> MeasureValue:
@@ -426,25 +386,20 @@ def generalized_deviation(f: Density, w: WeightFunction, alpha: float) -> Measur
                 t = np.where(ax > 0, np.log(ax), 0.0)
             return wx * fx * t
 
-        lval, lerr, qwarns = integral(f, core, "log-moment", w, hints=(0.0, -1.0, 1.0))
-        val = _exp(lval / e.value, "alpha = 0 deviation")
-        err = val * (lerr / e.value + abs(lval) * e.error / e.value**2)
-        return MeasureValue(
-            val, err, "alpha=0-log", {"E_f[phi]": e.value}, warns + e.warnings + qwarns
-        )
+        log_moment = integral(f, core, "log-moment", w, hints=(0.0, -1.0, 1.0))
+        sigma = (log_moment / e).exp("alpha = 0 deviation")
+        return _measure(sigma, "alpha=0-log", {"E_f[phi]": e.value}, warns)
     if math.isinf(alpha):
-        val = supremum(
+        sup = supremum(
             f,
             lambda x, fx: np.asarray(w(x), dtype=float) * np.abs(x),
             "esssup of phi(x)|x|",
         )
-        return MeasureValue(val, 1e-10 * max(1.0, abs(val)), "alpha=inf-esssup", {}, warns)
+        return _measure(sup, "alpha=inf-esssup", {}, warns)
     mu = generalized_moment(f, w, alpha)
     if not mu.value > 0:
         raise DomainError(f"generalized moment {mu.value!r} must be positive")
-    val = mu.value ** (1.0 / alpha)
-    err = val * mu.error / (alpha * mu.value)
-    return MeasureValue(val, err, "alpha-moment", mu.flags, mu.warnings)
+    return _measure(mu ** (1.0 / alpha), "alpha-moment", mu.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +435,11 @@ def fisher_information(f: Density, alpha: float, p: float) -> MeasureValue:
     if not (1.0 < alpha < math.inf):
         raise InputError(f"Fisher information needs alpha in (1, inf), got {alpha}")
     beta = holder_conjugate(alpha)
-    raw, err, warns = integral(f, _score_term(f, None, p, beta, True), "Fisher integral")
-    if raw < 0:
+    raw = integral(f, _score_term(f, None, p, beta, True), "Fisher integral")
+    if raw.value < 0:
         raise DomainError("Fisher integral must be nonnegative")
-    root = raw ** (1.0 / (beta * p)) if raw > 0 else 0.0
-    return MeasureValue(
-        root, err, "root", {"raw": raw, "beta*p": beta * p}, warns
-    )
+    root = raw ** (1.0 / (beta * p))
+    return _measure(root, "root", {"raw": raw.value, "beta*p": beta * p})
 
 
 def weighted_fisher_information(
@@ -501,37 +454,21 @@ def weighted_fisher_information(
     """
     warns = _warn_negativity(w, f)
     if math.isinf(alpha):
-        lo, hi = f.support
-
-        fn = _masked(f, lambda x, fx: np.asarray(w(x), dtype=float) * fx**p / p)
-
-        hints = tuple(f.singularities) + tuple(w.kinks)
-        tv = total_variation(fn, f.support, jump_hints=hints)
-
-        cval, cerr, qwarns = (0.0, 0.0, ()) if w.is_constant else integral(
+        tv = variation(f, lambda x, fx: np.asarray(w(x), dtype=float) * fx**p / p, w.kinks)
+        corr = Value(0.0) if w.is_constant else integral(
             f,
             lambda x, fx: np.asarray(w.derivative(x), dtype=float) * fx**p / p,
             "int phi' f^p / p",
             w,
         )
-        val = tv - cval
-        return MeasureValue(
-            val,
-            cerr + 1e-9 * max(1.0, abs(tv)),
-            "alpha=inf-variation",
-            {"variation": tv, "correction": cval},
-            warns + qwarns,
-        )
+        flags = {"variation": tv.value, "correction": corr.value}
+        return _measure(tv - corr, "alpha=inf-variation", flags, warns)
     if alpha == 1.0:
         core = _score_term(f, w, p, 1.0, False, fill=-np.inf)
-        val = supremum(f, core, "esssup of phi |f^{p-2} f'|")
-        return MeasureValue(
-            val, 1e-9 * max(1.0, abs(val)), "alpha=1-esssup", {}, warns
-        )
+        sup = supremum(f, core, "esssup of phi |f^{p-2} f'|")
+        return _measure(sup, "alpha=1-esssup", {}, warns)
     if not alpha > 1.0:
         raise InputError(f"weighted Fisher information needs alpha >= 1, got {alpha}")
     beta = holder_conjugate(alpha)
-    raw, err, qwarns = integral(
-        f, _score_term(f, w, p, beta, True), "weighted Fisher integral", w
-    )
-    return MeasureValue(raw, err, "integral", {"beta": beta}, warns + qwarns)
+    raw = integral(f, _score_term(f, w, p, beta, True), "weighted Fisher integral", w)
+    return _measure(raw, "integral", {"beta": beta}, warns)

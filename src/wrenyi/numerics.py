@@ -25,16 +25,18 @@ support, the breakpoints and the status rule.
 
 One status rule turns a quadrature result into a value, and every
 caller goes through it: :meth:`IntegralResult.checked` raises
-``DomainError("<what> diverges")`` on a divergent integral, returns the
-warning ``"<what>: quadrature tolerance not met (err=...)"`` with an
-unconverged one and no warning with a converged one.
+``DomainError("<what> diverges")`` on a divergent integral and otherwise
+returns a :class:`Value`, the integral with its error, carrying the
+warning ``"<what>: quadrature tolerance not met (err=...)"`` when it is
+unconverged.  Measures and checks combine Values with plain operators,
+which propagate the errors and merge the warnings.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .errors import DomainError, EvaluationError, InputError, UnboundedError
 __all__ = [
     "QuadratureConfig",
     "IntegralResult",
+    "Value",
     "integrate",
     "gamma_fn",
     "beta_fn",
@@ -121,6 +124,110 @@ class QuadratureConfig:
             raise InputError("quadrature tolerances must be strictly positive")
 
 
+def _merge(*warnings) -> tuple[str, ...]:
+    """The warnings of every tuple, in order, each once."""
+    return tuple(dict.fromkeys(w for ws in warnings for w in ws))
+
+
+@dataclass(frozen=True)
+class Value:
+    """A number with its first-order error and the warnings behind it.
+
+    Arithmetic (``+ - * /``, ``**`` with a float or Value exponent,
+    :meth:`log`, :meth:`exp`) computes the number exactly as the same
+    expression on floats does, merges the warnings of its operands and
+    propagates the error to first order: a result of the independent
+    estimates x_i with errors e_i has error sum_i |d result / d x_i| e_i.
+    ``parts`` keeps that sum term by term, keyed by estimate, so an
+    estimate that enters twice, as N in N^a / N^b, counts once with its
+    net sensitivity.  A float operand is exact.
+    """
+
+    value: float
+    error: float = 0.0
+    warnings: tuple[str, ...] = ()
+    parts: dict = field(default=None, repr=False, compare=False)
+
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __post_init__(self) -> None:
+        if self.parts is None:
+            object.__setattr__(self, "parts", {object(): self.error} if self.error else {})
+
+    def __float__(self) -> float:
+        return self.value
+
+    @staticmethod
+    def _of(value, *operands) -> "Value":
+        """``value`` from (operand, d value / d operand) pairs."""
+        parts: dict = {}
+        warns: list = []
+        for x, d in operands:
+            if isinstance(x, Value):
+                warns += x.warnings
+                if d != 0:
+                    for k, e in x.parts.items():
+                        parts[k] = parts.get(k, 0.0) + d * e
+        error = math.fsum(map(abs, parts.values()))
+        return Value(value, error if error == error else math.inf, _merge(warns), parts)
+
+    def __add__(self, other):
+        return Value._of(self.value + _num(other), (self, 1.0), (other, 1.0))
+
+    def __radd__(self, other):
+        return Value._of(other + self.value, (self, 1.0))
+
+    def __sub__(self, other):
+        return Value._of(self.value - _num(other), (self, 1.0), (other, -1.0))
+
+    def __rsub__(self, other):
+        return Value._of(other - self.value, (self, -1.0))
+
+    def __mul__(self, other):
+        y = _num(other)
+        return Value._of(self.value * y, (self, y), (other, self.value))
+
+    def __rmul__(self, other):
+        return Value._of(other * self.value, (self, other))
+
+    def __truediv__(self, other):
+        y = _num(other)
+        q = self.value / y
+        return Value._of(q, (self, 1.0 / y), (other, -q / y))
+
+    def __rtruediv__(self, other):
+        q = other / self.value
+        return Value._of(q, (self, -q / self.value))
+
+    def __pow__(self, other):
+        x, y = self.value, _num(other)
+        r = x**y
+        dx = _power_slope(x, y, r) if self.parts else 0.0
+        dy = 0.0
+        if isinstance(other, Value) and other.parts:
+            dy = r * math.log(x) if x > 0 else math.nan
+        return Value._of(r, (self, dx), (other, dy))
+
+    def log(self) -> "Value":
+        return Value._of(math.log(self.value), (self, 1.0 / self.value))
+
+    def exp(self, what: str) -> "Value":
+        """exp of a log-value; an overflow is a DomainError naming ``what``."""
+        r = _exp(self.value, what)
+        return Value._of(r, (self, r))
+
+
+def _num(x) -> float:
+    return x.value if isinstance(x, Value) else x
+
+
+def _power_slope(x: float, y: float, r: float) -> float:
+    """d x^y / d x from r = x^y; infinite at x = 0 for y < 1."""
+    if x == 0:
+        return math.inf if y < 1 else float(y == 1)
+    return y * r / x
+
+
 @dataclass(frozen=True)
 class IntegralResult:
     value: float
@@ -131,8 +238,8 @@ class IntegralResult:
     def converged(self) -> bool:
         return self.status == "converged"
 
-    def checked(self, what: str) -> tuple[float, float, tuple[str, ...]]:
-        """(value, error, warnings) of an integral described by ``what``.
+    def checked(self, what: str) -> Value:
+        """The :class:`Value` of an integral described by ``what``.
 
         A divergent integral raises :class:`DomainError`; one whose
         tolerance was not met comes with one warning.
@@ -140,10 +247,10 @@ class IntegralResult:
         if self.status == "divergent":
             raise DomainError(f"{what} diverges")
         if self.status == "tolerance-not-met":
-            return self.value, self.error, (
+            return Value(self.value, self.error, (
                 f"{what}: quadrature tolerance not met (err={self.error:.2e})",
-            )
-        return self.value, self.error, ()
+            ))
+        return Value(self.value, self.error)
 
 
 DEFAULT_CONFIG = QuadratureConfig()

@@ -353,7 +353,7 @@ def _psi_quadrature(fn, kinks):
         lo, hi = (0.0, x) if x > 0 else (x, 0.0)
         cfg = QuadratureConfig(singularities=tuple(kinks))
         res = integrate(_vec(lambda t: np.asarray(fn(t), dtype=float)), (lo, hi), cfg)
-        value, _, _ = res.checked("antiderivative integral")
+        value = res.checked("antiderivative integral").value
         return value if x > 0 else -value
 
     return psi

@@ -100,7 +100,16 @@ INTEGRAL_CASES = [
     ["compute", "fi", "--f", "gg:2,2", "--p", "2", "--alpha", "2"],
 ]
 
-CASES = README_EXAMPLES + MISSING_VALUE + BOUND_CASES + INTEGRAL_CASES
+# The error and warnings of a value computed from several terms: a
+# Fisher information's root, an unconverged Fisher integral inside a
+# Fisher bound, and a density whose own normalization is unconverged.
+ERROR_CASES = [
+    ["compute", "fi", "--f", "laplace:1", "--p", "2", "--alpha", "2"],
+    ["verify", "fii", "--f", "gg:1.662,1.894", "--w", "expw:-0.208", "--p", "1", "--alpha", "1.92"],
+    ["compute", "wre", "--f", "gg:0.3,0.71", "--w", "const:1", "--p", "2"],
+]
+
+CASES = README_EXAMPLES + MISSING_VALUE + BOUND_CASES + INTEGRAL_CASES + ERROR_CASES
 
 
 def run_case(argv, workdir):

@@ -391,4 +391,4 @@ class TestIntegralHelpers:
             assert np.all(fx > 0)
             return np.abs(x)
 
-        assert supremum(make_tent(), core, "sup |x|") == pytest.approx(1.0, abs=1e-6)
+        assert supremum(make_tent(), core, "sup |x|").value == pytest.approx(1.0, abs=1e-6)

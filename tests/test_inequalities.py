@@ -1,6 +1,7 @@
 """Transport maps, bound checks and their verdict gates."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from wrenyi.densities import (
     quantile,
     scale_density,
 )
-from wrenyi.errors import DomainError, InputError, WrenyiError
+from wrenyi.errors import DomainError, EvaluationError, InputError, WrenyiError
 from wrenyi.inequalities import (
     TransportMap,
     build_transport,
@@ -203,7 +204,8 @@ class TestThm11Verdicts:
         v = check_thm11(
             make_exponential(0.1), make_exponential(1.0), make_exp_linear(-2.0), 1.0
         )
-        assert v.verdict == "violated"
+        # The bound fails here, but so does its hypothesis: no claim is made.
+        assert v.verdict == "assumptions-unmet"
         assert v.slack < 0 and v.margins["E_f[phi]-E_g[phi]"] < 0
 
     def test_holds_without_margin(self):
@@ -245,7 +247,7 @@ class TestMei:
         w = make_exp_linear(3.0)
         v = check_mei(f, w, 2.0, 2.0)
         assert v.margins["E_f[phi]-E_G[phi]"] < 0
-        assert v.verdict in ("assumptions-unmet", "violated")
+        assert v.verdict == "assumptions-unmet"
 
     def test_order_precondition(self):
         with pytest.raises(InputError):
@@ -295,6 +297,12 @@ class TestCor1:
         assert abs(v.slack) <= 1e-6
         assert v.equality
 
+    def test_failed_hypothesis_makes_no_claim(self):
+        # The tent at c = 0.5 misses E|X|^c >= c!; its negative slack is no violation.
+        v = check_cor1(make_tent(), 0.5)
+        assert v.margins["E|X|^c - c!"] < 0 and v.slack < 0
+        assert v.verdict == "assumptions-unmet"
+
 
 class TestCor2:
     def test_tent_equality(self):
@@ -314,7 +322,7 @@ class TestCor2:
         f = scale_density(make_tent(), 0.05)
         v = check_cor2(f, 2.0)
         assert v.margins["E|X|^c - 2/((c+2)(c+1))"] < 0
-        assert v.verdict in ("assumptions-unmet", "violated")
+        assert v.verdict == "assumptions-unmet"
 
     def test_strict_for_perturbations(self):
         for i, eps in enumerate(np.linspace(0.03, 0.3, 10)):
@@ -344,7 +352,7 @@ class TestCor3:
         f = scale_density(make_generalized_gaussian(2.0, 2.0), 0.5)
         v = check_cor3(f)
         assert v.margins["sigma_2(f)-(2/3)J_{2,2}(G)^2"] < 0
-        assert v.verdict in ("assumptions-unmet", "violated")
+        assert v.verdict == "assumptions-unmet"
 
 
 class TestFiiCri:
@@ -480,6 +488,15 @@ class TestCor4:
     def test_order_gate(self):
         with pytest.raises(InputError):
             check_cor4(make_laplace(1.0), 0.6)
+
+    @pytest.mark.parametrize("spec", ["gg:2,1", "gg:0,2"])
+    def test_tail_overflow_is_a_numeric_error(self, spec):
+        # |s|^c s' f overflows in a deep tail; the non-finite integrand is
+        # the quadrature's EvaluationError, never a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EvaluationError, match="^integrand not finite"):
+                check_cor4(parse_density(spec), 0.2)
 
 
 class TestLemma4:

@@ -19,6 +19,7 @@ from wrenyi.densities import (
     make_laplace,
     make_tent,
     make_weighted_density,
+    parse_density,
     scale_density,
 )
 from wrenyi.errors import DomainError, InputError
@@ -109,6 +110,12 @@ class TestRelativeWeightedEntropy:
 
 
 class TestRenyiEntropyAndPower:
+    def test_density_warnings_reach_the_measure(self):
+        f = parse_density("gg:0.3,0.71")
+        (norm,) = f.warnings
+        assert norm.startswith("generalized-gaussian density normalization: quadrature")
+        assert weighted_renyi_entropy(f, ONE, 2.0).warnings == (norm,)
+
     def test_exponential_order_two(self):
         got = weighted_renyi_entropy(make_exponential(1.0), ONE, 2.0)
         assert got.value == pytest.approx(math.log(2.0), abs=1e-12)

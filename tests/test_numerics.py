@@ -16,6 +16,7 @@ from wrenyi.numerics import (
     _XGK,
     IntegralResult,
     QuadratureConfig,
+    Value,
     _adaptive_gk,
     _golden_lockstep,
     _masked,
@@ -523,14 +524,12 @@ class TestQuadratureConfig:
 
 class TestChecked:
     def test_converged(self):
-        assert IntegralResult(1.5, 2e-12, "converged").checked("x") == (1.5, 2e-12, ())
+        assert IntegralResult(1.5, 2e-12, "converged").checked("x") == Value(1.5, 2e-12, ())
 
     def test_tolerance_not_met_warns(self):
-        value, error, warns = IntegralResult(3.9e17, 3.3e17, "tolerance-not-met").checked(
-            "E[Z^-1.5]"
-        )
-        assert (value, error) == (3.9e17, 3.3e17)
-        assert warns == ("E[Z^-1.5]: quadrature tolerance not met (err=3.30e+17)",)
+        v = IntegralResult(3.9e17, 3.3e17, "tolerance-not-met").checked("E[Z^-1.5]")
+        assert (v.value, v.error) == (3.9e17, 3.3e17)
+        assert v.warnings == ("E[Z^-1.5]: quadrature tolerance not met (err=3.30e+17)",)
 
     def test_divergent_raises(self):
         with pytest.raises(DomainError) as exc:
@@ -539,9 +538,105 @@ class TestChecked:
 
     def test_real_results(self):
         ok = integrate(lambda x: np.exp(-x), (0.0, math.inf)).checked("e")
-        assert ok[0] == pytest.approx(1.0, abs=1e-10) and ok[2] == ()
+        assert ok.value == pytest.approx(1.0, abs=1e-10) and ok.warnings == ()
         with pytest.raises(DomainError, match="^tail diverges$"):
             integrate(lambda x: np.full_like(x, 1e120), (0.0, 1.0)).checked("tail")
+
+
+def _fd_error(fn, xs, errs, h=1e-6):
+    """sum_i |d fn / d x_i| e_i with central differences of relative step h."""
+    total = 0.0
+    for i, (x, e) in enumerate(zip(xs, errs)):
+        up, down = list(xs), list(xs)
+        up[i], down[i] = x * (1 + h), x * (1 - h)
+        total += abs((fn(*up) - fn(*down)) / (2 * h * x)) * e
+    return total
+
+
+class TestValue:
+    """First-order error propagation, warning merging and exact floats."""
+
+    BINARY = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "div": lambda a, b: a / b,
+        "pow": lambda a, b: a**b,
+    }
+    UNARY = {
+        "log": lambda a: a.log() if isinstance(a, Value) else math.log(a),
+        "exp": lambda a: a.exp("test") if isinstance(a, Value) else math.exp(a),
+        "pow-float": lambda a: a**1.7,
+        "radd": lambda a: 0.3 + a,
+        "rsub": lambda a: 0.3 - a,
+        "rmul": lambda a: 0.3 * a,
+        "rdiv": lambda a: 0.3 / a,
+    }
+
+    @pytest.mark.parametrize("op", sorted(BINARY))
+    def test_binary_error_is_first_order(self, op):
+        fn = self.BINARY[op]
+        rng = np.random.default_rng(7)
+        for a, b, ea, eb in rng.uniform([0.2, 0.2, 0, 0], [3.0, 3.0, 1e-6, 1e-6], (20, 4)):
+            r = fn(Value(a, ea), Value(b, eb))
+            assert r.value == fn(a, b)  # the same float operation
+            assert r.error == pytest.approx(_fd_error(fn, [a, b], [ea, eb]), rel=1e-6)
+
+    @pytest.mark.parametrize("op", sorted(UNARY))
+    def test_unary_error_is_first_order(self, op):
+        fn = self.UNARY[op]
+        rng = np.random.default_rng(11)
+        for a, ea in rng.uniform([0.2, 0], [3.0, 1e-6], (20, 2)):
+            r = fn(Value(a, ea))
+            assert r.value == fn(a)
+            assert r.error == pytest.approx(_fd_error(fn, [a], [ea]), rel=1e-6)
+
+    def test_float_operands_are_exact(self):
+        assert (Value(2.0) * 3.0 + 1.0).error == 0.0
+        assert (Value(2.0, 0.1) * 3.0).error == pytest.approx(0.3)
+
+    def test_a_term_used_twice_counts_once(self):
+        n_g, n_r, n_f, p = Value(1.3, 1e-8), Value(2.1, 1e-8), Value(0.7, 1e-8), 2.5
+        lhs = (n_g / n_r) * (n_r / n_f) ** p
+        exact = lambda g, r, f: g * r ** (p - 1) / f**p  # noqa: E731
+        assert lhs.error == pytest.approx(
+            _fd_error(exact, [1.3, 2.1, 0.7], [1e-8] * 3), rel=1e-6
+        )
+        n = Value(1.9, 1e-6)
+        assert (n / n).error == 0.0
+
+    def test_warnings_merge_in_order_without_duplicates(self):
+        a = Value(1.0, 0.0, ("a", "b"))
+        b = Value(2.0, 0.0, ("c", "a"))
+        c = Value(3.0, 0.0, ("b", "d"))
+        assert ((a + b) * c).warnings == ("a", "b", "c", "d")
+        assert (c / (b - a)).warnings == ("b", "d", "c", "a")
+        assert (a**b).log().warnings == ("a", "b", "c")
+
+    def test_exp_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^big overflows"):
+            Value(800.0, 1.0).exp("big")
+
+    def test_fisher_root_error_follows_the_root(self):
+        from wrenyi.densities import integral, make_laplace
+        from wrenyi.measures import _score_term, fisher_information
+
+        f = make_laplace(1.0)
+        raw = integral(f, _score_term(f, None, 2.0, 2.0, True), "Fisher integral")
+        fi = fisher_information(f, 2.0, 2.0)  # beta p = 4
+        assert fi.error == pytest.approx(fi.value * raw.error / (4.0 * raw.value), rel=1e-12)
+        assert fi.error != raw.error
+
+    def test_unconverged_fisher_integral_reaches_the_fii_verdict(self):
+        from wrenyi.densities import parse_density
+        from wrenyi.inequalities import check_fii
+        from wrenyi.weights import parse_weight
+
+        v = check_fii(parse_density("gg:1.662,1.894"), parse_weight("expw:-0.208"), 1.92, 1.0)
+        assert any(
+            w.startswith("weighted Fisher integral: quadrature tolerance not met")
+            for w in v.warnings
+        )
 
 
 class _Law:
