@@ -13,7 +13,10 @@ the same inputs in its own interpreter, every input as one in-process
   (``_PROBES``);
 * ``repro all``;
 * every ``scenarios/*.sweep``, together with the CSV and JSON files it
-  writes.
+  writes;
+* the argv of every case pinned in ``tests/golden/cli_golden.json``;
+* ``verify lemma4`` on each source of ``LEMMA4_SOURCES`` with each map
+  ``--gfn`` x, atan and cube (no deck op reaches lemma4).
 
 Every input whose stdout, exit code or written files differ between the
 two trees is printed with both sides; stderr is not compared.  An
@@ -52,6 +55,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
 FLAGS = ("exit code", "verdict", "warnings", "other text")
 FLOOR = 1e-9
+GOLDEN = os.path.join(ROOT, "tests", "golden", "cli_golden.json")
+LEMMA4_SOURCES = ("tent", "laplace:1", "gg:2,2", "exp:2", "gg:0,2")
 
 
 def fields(res: dict) -> dict:
@@ -181,6 +186,16 @@ def cases(seeds, work: str) -> list[dict]:
     for name in sorted(os.listdir(scenarios)):
         if name.endswith(".sweep"):
             out.append({"name": f"sweep {name}", "argv": ["sweep", os.path.join(scenarios, name)]})
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = [key.split(" ") for key in sorted(json.load(fh))]  # argv joined by spaces
+    lemma4 = [
+        ["verify", "lemma4", "--f", f, "--gfn", gfn]
+        for f, gfn in itertools.product(LEMMA4_SOURCES, ("x", "atan", "cube"))
+    ]
+    for argv in golden + lemma4:
+        argv = [os.path.join(ROOT, a) if a.startswith("scenarios/") else a for a in argv]
+        if all(case["argv"] != argv for case in out):
+            out.append({"name": " ".join(argv), "argv": argv})
     return out
 
 

@@ -99,8 +99,8 @@ def _measure_payload(mv: M.MeasureValue) -> dict:
     }
 
 
-def _verdict_payload(v: InequalityVerdict, with_terms: bool = True) -> dict:
-    out = {
+def _verdict_payload(v: InequalityVerdict) -> dict:
+    return {
         "id": v.inequality_id,
         "lhs": v.lhs,
         "rhs": v.rhs,
@@ -111,10 +111,8 @@ def _verdict_payload(v: InequalityVerdict, with_terms: bool = True) -> dict:
         "error": v.error,
         "margins": dict(v.margins),
         "warnings": list(v.warnings),
+        "terms": {k: t for k, t in v.terms.items() if _is_scalarish(t)},
     }
-    if with_terms:
-        out["terms"] = {k: t for k, t in v.terms.items() if _is_scalarish(t)}
-    return out
 
 
 def _is_scalarish(t) -> bool:
@@ -143,8 +141,8 @@ class Op(NamedTuple):
 
 
 _LEMMA4_MAPS = {
-    "x": (lambda x: x, lambda x: 1.0),
-    "atan": (math.atan, lambda x: 1.0 / (1.0 + x * x)),
+    "x": (np.positive, np.ones_like),
+    "atan": (np.arctan, lambda x: 1.0 / (1.0 + x * x)),
     "cube": (lambda x: x**3, lambda x: 3.0 * x * x),
 }
 
@@ -157,7 +155,7 @@ def _lemma4(f, tol, gfn):
     if gfn not in _LEMMA4_MAPS:
         raise InputError(f"unknown --gfn {gfn!r}; known: {', '.join(_LEMMA4_MAPS)}")
     g, dg = _LEMMA4_MAPS[gfn]
-    return _residual("lemma4", lemma4_residual(f, g, None, dg=dg), tol, 1e-7, gfn=gfn)
+    return _residual("lemma4", lemma4_residual(f, g, dg), tol, 1e-7, gfn=gfn)
 
 
 def _scaling(f, w, p, t, tol):

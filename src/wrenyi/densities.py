@@ -157,12 +157,18 @@ def variation(f: Density, core, hints=()) -> Value:
 
 
 def _check_normalization(density: Density) -> Density:
+    """The density with the warnings of its mass.
+
+    The mass must be 1 within the larger of _NORM_TOL and its own
+    quadrature error; otherwise a DomainError names the mass and error.
+    """
     mass = integral(density, lambda x, fx: fx, f"{density.family} density normalization")
-    if mass.warnings:  # the density's own warnings come first in them
-        return replace(density, warnings=mass.warnings)
-    if abs(mass.value - 1.0) > _NORM_TOL:
-        raise DomainError(f"{density.family} density integrates to {mass.value!r}, not 1")
-    return density
+    if abs(mass.value - 1.0) > max(_NORM_TOL, mass.error):
+        raise DomainError(
+            f"{density.family} density integrates to {mass.value!r} "
+            f"(error {mass.error:.2e}), not 1"
+        )
+    return replace(density, warnings=mass.warnings) if mass.warnings else density
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +499,13 @@ def scale_density(f: Density, t: float) -> Density:
 
 def make_weighted_density(f: Density, weight) -> Density:
     """Reweighted density phi*f/chi with chi = E_f[phi]."""
-    chi = integral(
+    norm = integral(
         f,
         lambda x, fx: np.asarray(weight(x), dtype=float) * fx,
         "weight normalizer E_f[phi]",
         w=weight,
-    ).value
+    )
+    chi = norm.value
     if not chi > 0:
         raise DomainError(f"weight normalizer E_f[phi] = {chi!r} is unusable")
 
@@ -524,6 +531,7 @@ def make_weighted_density(f: Density, weight) -> Density:
         cdf_fn=None,
         quantile_fn=None,
         singularities=tuple(sorted(set(f.singularities) | set(weight.kinks))),
+        warnings=norm.warnings,
     )
     return _check_normalization(dens)
 

@@ -57,6 +57,10 @@ Consistency identities checked by :func:`verify_identity`:
 (the sign of the psib term in the last identity is fixed so that it is
 an algebraic identity given the J display above; both sides then equal
 2^-p (psi(1)-psi(-1)) exactly).
+
+Every expectation, and every quadrature-backed psi/psib, is a
+numerics.Value, so N, sigma and J carry the errors of the integrals
+behind them.
 """
 
 from __future__ import annotations
@@ -70,11 +74,13 @@ from .densities import gg_norm_const, make_generalized_gaussian
 from .errors import DomainError, InputError
 from .numerics import (
     QuadratureConfig,
+    Value,
     _masked,
     beta_fn,
     essential_supremum,
     gamma_fn,
     integrate,
+    relative_residual,
 )
 from .weights import WeightFunction, antiderivatives, holder_conjugate
 
@@ -132,8 +138,8 @@ class AuxiliaryLaw:
             return betaincinv(self.shape1, self.shape2, q)
         return gammaincinv(self.shape1, q)
 
-    def expectation(self, fn) -> float:
-        """E[fn(Z)] by quadrature against the law's pdf.
+    def expectation(self, fn) -> Value:
+        """E[fn(Z)] by quadrature against the law's pdf, with its error.
 
         Beta expectations are split at 1/2 and the right half integrated
         in the reflected variable v = 1 - z, so that a (1-z)^(shape2-1)
@@ -141,12 +147,11 @@ class AuxiliaryLaw:
         offset (tanh-sinh nodes at 1 - v with v < 2^-53 would otherwise
         collapse onto the endpoint).
         """
+        what = "auxiliary expectation"
         if self.family == "gamma":
             cfg = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10)
             integrand = _masked(self, lambda x, px: np.asarray(fn(x), dtype=float) * px)
-            res = integrate(integrand, (0.0, math.inf), cfg)
-            value = res.checked("auxiliary expectation").value
-            return value
+            return integrate(integrand, (0.0, math.inf), cfg).checked(what)
 
         s1, s2 = self.shape1, self.shape2
         norm = beta_fn(s1, s2)
@@ -169,16 +174,12 @@ class AuxiliaryLaw:
                 / norm
             )
 
-        total = 0.0
-        for g, shape in ((left, s1), (right, s2)):
-            cfg = QuadratureConfig(
-                abs_tol=5e-12,
-                rel_tol=1e-10,
-                singularities=(0.0,) if shape < 1 else (),
-            )
-            value = integrate(g, (0.0, 0.5), cfg).checked("auxiliary expectation").value
-            total += value
-        return total
+        def half(g, shape):
+            sing = (0.0,) if shape < 1 else ()
+            cfg = QuadratureConfig(abs_tol=5e-12, rel_tol=1e-10, singularities=sing)
+            return integrate(g, (0.0, 0.5), cfg).checked(what)
+
+        return half(left, s1) + half(right, s2)
 
 
 def beta_law(shape1: float, shape2: float) -> AuxiliaryLaw:
@@ -251,7 +252,7 @@ def _phi_sum(w: WeightFunction, arg):
     return fn
 
 
-def lambda_tilde(w: WeightFunction, p: float, alpha: float, law: AuxiliaryLaw) -> float:
+def lambda_tilde(w: WeightFunction, p: float, alpha: float, law: AuxiliaryLaw) -> Value:
     """E[phi(-u) + phi(u)] with u = ((1-Z)/(p-1))^(1/alpha); needs p > 1."""
     if not p > 1:
         raise InputError(f"LambdaT is the p > 1 transform, got p = {p}")
@@ -260,7 +261,7 @@ def lambda_tilde(w: WeightFunction, p: float, alpha: float, law: AuxiliaryLaw) -
     )
 
 
-def lambda_bar(w: WeightFunction, p: float, alpha: float, law: AuxiliaryLaw) -> float:
+def lambda_bar(w: WeightFunction, p: float, alpha: float, law: AuxiliaryLaw) -> Value:
     """E[phi(-u) + phi(u)] with u = ((1-Z)/(Z(1-p)))^(1/alpha); needs p < 1."""
     if not p < 1:
         raise InputError(f"LambdaB is the p < 1 transform, got p = {p}")
@@ -272,12 +273,12 @@ def lambda_bar(w: WeightFunction, p: float, alpha: float, law: AuxiliaryLaw) -> 
     return law.expectation(_phi_sum(w, arg))
 
 
-def theta(w: WeightFunction, alpha: float, law: AuxiliaryLaw) -> float:
+def theta(w: WeightFunction, alpha: float, law: AuxiliaryLaw) -> Value:
     """E[phi(-Z^(1/alpha)) + phi(Z^(1/alpha))]."""
     return law.expectation(_phi_sum(w, lambda z: z ** (1.0 / alpha)))
 
 
-def upsilon(w: WeightFunction, law: AuxiliaryLaw) -> float:
+def upsilon(w: WeightFunction, law: AuxiliaryLaw) -> Value:
     """E[phi(-e^(-Z)) + phi(e^(-Z))]."""
     return law.expectation(_phi_sum(w, lambda z: np.exp(-z)))
 
@@ -289,9 +290,11 @@ def upsilon(w: WeightFunction, law: AuxiliaryLaw) -> float:
 
 @dataclass(frozen=True)
 class GaussianMeasureSet:
-    n_power: float
-    deviation: float
-    fisher: float | None
+    """N, sigma and J of G; a quadrature-backed one is a Value with its error."""
+
+    n_power: Value | float
+    deviation: Value | float
+    fisher: Value | float | None
     case: str
     aux: dict = field(default_factory=dict)
 
@@ -352,9 +355,9 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
         a = gg_norm_const(alpha, p)
         th_w = theta(w, alpha, laws["W"])
         th_wb = theta(w, alpha, laws["Wbar"])
-        if not th_wb > 0:
+        if not th_wb.value > 0:
             raise DomainError("Theta(Wbar) must be positive")
-        n_power = (1.0 / a) * math.exp(th_w / (alpha * th_wb))
+        n_power = (1.0 / a) * (th_w / (alpha * th_wb)).exp("Renyi power of G")
         sigma = (th_w / (2.0 * alpha)) ** (1.0 / alpha)
         fisher = None
         if alpha > 1.0:
@@ -377,14 +380,14 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
         a = gg_norm_const(alpha, p)
         up_x = upsilon(w, laws["X"])
         up_xt = upsilon(w, laws["Xtilde"])
-        if not up_xt > 0:
+        if not up_xt.value > 0:
             raise DomainError("Upsilon(Xtilde) must be positive")
         n_power = (
             (1.0 / a)
             * (p / (2.0 * (p - 1.0))) ** (1.0 / (1.0 - p))
             * up_x ** (1.0 / (1.0 - p))
         )
-        sigma = math.exp(-(p / (p - 1.0)) * up_x / up_xt)
+        sigma = (-(p / (p - 1.0)) * up_x / up_xt).exp("deviation of G")
         return GaussianMeasureSet(
             n_power,
             sigma,
@@ -397,7 +400,7 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
     ad = antiderivatives(w)
     psi_diff = ad.psi(1.0) - ad.psi(-1.0)
     psib_diff = ad.psi_bar(1.0) - ad.psi_bar(-1.0)
-    if not psi_diff > 0:
+    if not float(psi_diff) > 0:
         raise DomainError("int_{-1}^{1} phi must be positive")
     if p == 1.0:
         n_power = 2.0  # exp(h/E) with log G constant on the support
@@ -406,7 +409,7 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
             n_power = 2.0 ** (p / (p - 1.0)) * psi_diff ** (1.0 / (1.0 - p))
         except OverflowError:
             n_power = math.inf
-        if not math.isfinite(n_power):
+        if not math.isfinite(float(n_power)):
             raise DomainError("weighted Renyi power of G overflows")
     sigma = _esssup_weighted(w, lambda x: np.abs(x), (-1.0, 1.0))
     fisher = psi_diff / (p * 2.0**p) - 2.0 ** (-1.0 - p) * psib_diff
@@ -442,18 +445,14 @@ def verify_identity(case: str, w: WeightFunction, alpha: float, p: float) -> flo
         beta = holder_conjugate(alpha)
         j_root = ms.fisher if alpha == 1.0 else ms.fisher ** (1.0 / beta)
         if case == "p=1":
-            lhs = 2.0 * ms.deviation * j_root
-            rhs = ms.aux["theta_w"]
-        else:
-            lhs = ms.n_power ** (1.0 - p)
-            rhs = p * ms.deviation * j_root * ms.aux["lambda_z"] / ms.aux["lambda_y"]
-        return abs(lhs - rhs) / (1.0 + abs(lhs))
+            return relative_residual(2.0 * ms.deviation * j_root, ms.aux["theta_w"])
+        rhs = p * ms.deviation * j_root * ms.aux["lambda_z"] / ms.aux["lambda_y"]
+        return relative_residual(ms.n_power ** (1.0 - p), rhs)
 
     if case == "alpha=inf":
         if p == 1.0:
             raise InputError("the alpha = inf identity needs p != 1")
-        lhs = ms.n_power ** (1.0 - p)
         rhs = p * ms.fisher + p * 2.0 ** (-1.0 - p) * ms.aux["psib_diff"]
-        return abs(lhs - rhs) / (1.0 + abs(lhs))
+        return relative_residual(ms.n_power ** (1.0 - p), rhs)
 
     raise InputError(f"no consistency identity for case {case!r}")

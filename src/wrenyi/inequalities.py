@@ -95,7 +95,7 @@ from .measures import (
     weighted_fisher_information,
     weighted_renyi_power,
 )
-from .numerics import QuadratureConfig, Value, _merge, differentiate, gamma_fn, integrate
+from .numerics import QuadratureConfig, Value, _merge, gamma_fn, relative_residual
 from .weights import (
     WeightFunction,
     antiderivatives,
@@ -130,6 +130,8 @@ DEFAULT_TOL = 1e-8
 MARGIN_TOL = 1e-9
 # Tolerances of the transport moments int s(x) weight'(x) f(x)^q dx.
 _MOMENT_CONFIG = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-7)
+# Tolerances of the two integration-by-parts integrals of lemma4.
+_LEMMA4_CONFIG = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9)
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
@@ -262,10 +264,6 @@ class TransportMap:
         if arr.ndim == 0:
             return float(sx[0]), float(dsx[0])
         return sx, dsx
-
-    def derivative(self, x):
-        """s'(x) = f(x) / G(s(x)) wherever G(s(x)) > 0."""
-        return self.value_and_derivative(x)[1]
 
 
 def build_transport(f: Density, target: Density) -> TransportMap:
@@ -462,15 +460,14 @@ def check_scaling_identity(
         lambda x, gx: np.asarray(w(x), dtype=float) * gx**p,
         "scaling-identity lhs",
         w,
-    ).value
+    )
     rhs = integral(
         g,
         lambda x, gx: np.asarray(w(t * x), dtype=float) * gx**p,
         "scaling-identity rhs",
         hints=tuple(k / t for k in w.kinks),
-    ).value
-    rhs_val = t ** (1.0 - p) * rhs
-    return abs(lhs - rhs_val) / (1.0 + abs(lhs))
+    )
+    return relative_residual(lhs, t ** (1.0 - p) * rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +623,7 @@ def _fii_sides(pr: _Problem) -> tuple[Value, Value, dict]:
         lam = lambda_tilde if case == "p>1" else lambda_bar
         lam_y = lam(rho1, p, alpha, laws["Y"])
         lam_z = lam(rho1, p, alpha, laws["Z"])
-        if lam_z <= 0:
+        if lam_z.value <= 0:
             raise DomainError("Lambda(Z) must be positive")
         lambda_ratio = lam_y / lam_z
         beta = holder_conjugate(alpha)
@@ -639,7 +636,7 @@ def _fii_sides(pr: _Problem) -> tuple[Value, Value, dict]:
         detail = {
             "eta": pr.eta.value,
             "kappa": kappa.value,
-            "lambda_ratio": lambda_ratio,
+            "lambda_ratio": lambda_ratio.value,
             "J^{rho2}(f)": j_f.value,
             "J^{rho1}(G)": j_g.value,
             "N_G": n_g.value,
@@ -669,7 +666,7 @@ def _fii_sides(pr: _Problem) -> tuple[Value, Value, dict]:
         rhs = base_rhs**e_g if base_rhs.value > 0 else Value(0.0, 0.0, base_rhs.warnings)
         detail = {
             "E_G[phi]": e_g.value,
-            "Theta(W)": theta_w,
+            "Theta(W)": theta_w.value,
             "E_f[S phi~']": s_phi_term.value,
             "J^{phi~}(f)": j_f.value,
             "J^{phi}(G)": j_g.value,
@@ -693,7 +690,7 @@ def _fii_sides(pr: _Problem) -> tuple[Value, Value, dict]:
         detail = {
             "eta": eta.value,
             "Delta": delta.value,
-            "psib_diff": psib_diff,
+            "psib_diff": float(psib_diff),
             "J^{rho_s}(f)": j_f.value,
             "J^{phi}(G)": j_g.value,
         }
@@ -820,50 +817,17 @@ def _source_median(f: Density) -> float:
 # ---------------------------------------------------------------------------
 
 
-def lemma4_residual(f, g, domain, df=None, dg=None) -> float:
-    """|int f g' + int f' g| / (1 + |int f g'|) on the domain.
+def lemma4_residual(f: Density, g, dg) -> float:
+    """Relative residual of int f g' = -int f' g over the support of f.
 
-    ``f`` must vanish at both endpoints (checked numerically) and ``g``
-    be increasing.  Densities may be passed for f, in which case their
-    pdf/derivative/support are used.
+    ``f`` must vanish at both ends of its support (checked numerically);
+    ``g`` is increasing and ``dg`` its derivative, both vectorized.
     """
-    hints = ()
-    if isinstance(f, Density):
-        if df is None:
-            df = f.dpdf
-        hints = f.singularities
-        if domain is None:
-            domain = f.support
-        f = f.pdf
-    a, b = domain
-
-    def _fn1(fn):
-        def h(x):
-            arr = np.atleast_1d(np.asarray(x, dtype=float))
-            return np.array([float(fn(v)) for v in arr])
-
-        return h
-
-    f_vec = _fn1(f)
-    g_vec = _fn1(g)
-    # Boundary vanishing of f.
-    for edge in (a, b):
-        probe = edge
-        if math.isinf(probe):
-            probe = math.copysign(15.0, probe)
-        if abs(float(f_vec(np.array([probe]))[0])) > 1e-6:
+    for edge in f.support:
+        probe = edge if math.isfinite(edge) else math.copysign(15.0, edge)
+        if abs(float(f.pdf(probe))) > 1e-6:
             raise DomainError(f"f does not vanish at the boundary {edge}")
-
-    df_vec = _fn1(df) if df is not None else _fn1(lambda x: differentiate(f, x))
-    dg_vec = _fn1(dg) if dg is not None else _fn1(lambda x: differentiate(g, x))
-
-    cfg = QuadratureConfig(
-        abs_tol=1e-10, rel_tol=1e-9, singularities=tuple(hints)
-    )
-    i1 = integrate(lambda x: f_vec(x) * dg_vec(x), (a, b), cfg).checked(
-        "integration-by-parts int f g'"
-    ).value
-    i2 = integrate(lambda x: df_vec(x) * g_vec(x), (a, b), cfg).checked(
-        "integration-by-parts int f' g"
-    ).value
-    return abs(i1 + i2) / (1.0 + abs(i1))
+    what = "integration-by-parts int "
+    i1 = integral(f, lambda x, fx: fx * dg(x), what + "f g'", config=_LEMMA4_CONFIG)
+    i2 = integral(f, lambda x, fx: f.dpdf(x) * g(x), what + "f' g", config=_LEMMA4_CONFIG)
+    return relative_residual(i1, -i2)

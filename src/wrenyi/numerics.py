@@ -46,6 +46,7 @@ __all__ = [
     "QuadratureConfig",
     "IntegralResult",
     "Value",
+    "relative_residual",
     "integrate",
     "gamma_fn",
     "beta_fn",
@@ -183,6 +184,9 @@ class Value:
     def __rsub__(self, other):
         return Value._of(other - self.value, (self, -1.0))
 
+    def __neg__(self):
+        return Value._of(-self.value, (self, -1.0))
+
     def __mul__(self, other):
         y = _num(other)
         return Value._of(self.value * y, (self, y), (other, self.value))
@@ -221,6 +225,12 @@ def _num(x) -> float:
     return x.value if isinstance(x, Value) else x
 
 
+def relative_residual(lhs, rhs) -> float:
+    """|lhs - rhs| / (1 + |lhs|) of two floats or Values."""
+    lhs, rhs = _num(lhs), _num(rhs)
+    return abs(lhs - rhs) / (1.0 + abs(lhs))
+
+
 def _power_slope(x: float, y: float, r: float) -> float:
     """d x^y / d x from r = x^y; infinite at x = 0 for y < 1."""
     if x == 0:
@@ -233,10 +243,6 @@ class IntegralResult:
     value: float
     error: float
     status: str  # "converged" | "tolerance-not-met" | "divergent"
-
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
 
     def checked(self, what: str) -> Value:
         """The :class:`Value` of an integral described by ``what``.

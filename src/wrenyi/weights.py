@@ -16,7 +16,7 @@ the transport-reduced weight phi~(x) = phi(s(x)) and
 Each weight carries an evaluator, an analytic derivative and its kink
 points; antiderivatives psi(x) = int_0^x phi and psi_bar(x) = int_0^x
 phi' are analytic for the elementary families and quadrature-backed
-otherwise.
+otherwise, where they return the integral as a numerics.Value.
 """
 
 from __future__ import annotations
@@ -353,14 +353,14 @@ def _psi_quadrature(fn, kinks):
         lo, hi = (0.0, x) if x > 0 else (x, 0.0)
         cfg = QuadratureConfig(singularities=tuple(kinks))
         res = integrate(_vec(lambda t: np.asarray(fn(t), dtype=float)), (lo, hi), cfg)
-        value = res.checked("antiderivative integral").value
+        value = res.checked("antiderivative integral")
         return value if x > 0 else -value
 
     return psi
 
 
 def antiderivatives(w: WeightFunction) -> Antiderivatives:
-    """psi and psi_bar, analytic for the elementary families."""
+    """psi and psi_bar: floats for the elementary families, else Values."""
     fam = w.family
     if fam == "constant":
         v = w.params["v"]

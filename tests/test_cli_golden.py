@@ -102,7 +102,8 @@ INTEGRAL_CASES = [
 
 # The error and warnings of a value computed from several terms: a
 # Fisher information's root, an unconverged Fisher integral inside a
-# Fisher bound, and a density whose own normalization is unconverged.
+# Fisher bound, and a density whose mass is off 1 by more than its own
+# quadrature error (a numeric error).
 ERROR_CASES = [
     ["compute", "fi", "--f", "laplace:1", "--p", "2", "--alpha", "2"],
     ["verify", "fii", "--f", "gg:1.662,1.894", "--w", "expw:-0.208", "--p", "1", "--alpha", "1.92"],

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -45,3 +46,14 @@ def test_numbers_inside_text_and_csv():
     assert moves["moves"]["value"][0] == pytest.approx(2e-10, rel=1e-3)
     line = compare_outputs.describe(moves)
     assert "FLAGGED verdict" in line and "value rel 2.00e-10 at out/a.csv:0.rre.value" in line
+
+
+def test_cases_run_every_golden_argv_and_lemma4(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    argvs = [" ".join(case["argv"]) for case in compare_outputs.cases([], str(tmp_path))]
+    root = str(_PATH.parent.parent) + "/"
+    golden = json.loads(pathlib.Path(compare_outputs.GOLDEN).read_text(encoding="utf-8"))
+    assert {key.replace("scenarios/", root + "scenarios/") for key in golden} <= set(argvs)
+    assert len(argvs) == len(set(argvs))
+    assert sum(a.startswith("verify lemma4 --f") for a in argvs) == 15

@@ -108,6 +108,17 @@ class TestGeneralizedGaussian:
                 assert d.dpdf(x) == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
+class TestNormalizationCheck:
+    @pytest.mark.parametrize(
+        "spec, mass",
+        [("gg:0.3,0.71", "0.81274929"), ("gg:0.3,0.75", "0.99994")],
+    )
+    def test_mass_off_one_beyond_its_error_is_rejected(self, spec, mass):
+        # Unconverged masses: 0.8127 (err 1.8e-4) and 1 - 5.65e-5 (err 3.2e-7).
+        with pytest.raises(DomainError, match=rf"integrates to {mass}\d* \(error \d"):
+            parse_density(spec)
+
+
 class TestCdfValues:
     def test_exponential_median(self):
         assert cdf(make_exponential(1.0), math.log(2.0)) == pytest.approx(0.5, abs=1e-14)
@@ -239,6 +250,11 @@ class TestWeightedDensity:
         f = make_exponential(1.0)
         with pytest.raises(DomainError):
             make_weighted_density(f, make_constant(0.0))
+
+    def test_carries_the_warnings_of_its_normalizer(self):
+        f = replace(make_exponential(1.0), warnings=("exponential: a warning of f itself",))
+        fw = make_weighted_density(f, make_exp_linear(-1.0))
+        assert fw.warnings == f.warnings
 
 
 class TestTabulated:

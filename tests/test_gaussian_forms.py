@@ -24,6 +24,7 @@ from wrenyi.measures import (
     weighted_fisher_information,
     weighted_renyi_power,
 )
+from wrenyi.numerics import Value
 from wrenyi.oracle import OracleConfig, mc_expectation
 from wrenyi.weights import make_constant, make_exp_linear, make_power
 
@@ -67,27 +68,27 @@ class TestCaseSelection:
 
 class TestAuxiliaryExpectations:
     def test_constant_weight_gives_two(self):
-        assert lambda_tilde(ONE, 2.0, 2.0, beta_law(3.0, 0.5)) == pytest.approx(
+        assert lambda_tilde(ONE, 2.0, 2.0, beta_law(3.0, 0.5)).value == pytest.approx(
             2.0, abs=1e-10
         )
-        assert theta(ONE, 2.0, gamma_law(1.5)) == pytest.approx(2.0, abs=1e-10)
-        assert upsilon(ONE, gamma_law(3.0)) == pytest.approx(2.0, abs=1e-10)
+        assert theta(ONE, 2.0, gamma_law(1.5)).value == pytest.approx(2.0, abs=1e-10)
+        assert upsilon(ONE, gamma_law(3.0)).value == pytest.approx(2.0, abs=1e-10)
 
     def test_lambda_tilde_even_symmetry(self):
         # For even phi both summands coincide.
         law = beta_law(3.0, 0.5)
         lt = lambda_tilde(X2, 2.0, 2.0, law)
         half = law.expectation(lambda z: (1.0 - z) / (2.0 - 1.0))
-        assert lt == pytest.approx(2 * half, rel=1e-10)
+        assert lt.value == pytest.approx(2 * half.value, rel=1e-10)
 
     def test_theta_quadratic_weight_gamma_mean(self):
         # Theta with phi = x^2 and alpha = 2 is 2 E[W] for W ~ Gamma(3/2).
         val = theta(X2, 2.0, gamma_law(1.5))
-        assert val == pytest.approx(3.0, rel=1e-10)
+        assert val.value == pytest.approx(3.0, rel=1e-10)
 
     def test_beta_mean_against_closed_form(self):
         law = beta_law(2.0, 3.0)
-        assert law.expectation(lambda z: z) == pytest.approx(0.4, abs=1e-10)
+        assert law.expectation(lambda z: z).value == pytest.approx(0.4, abs=1e-10)
 
     @pytest.mark.parametrize(
         "maker,args",
@@ -99,7 +100,7 @@ class TestAuxiliaryExpectations:
     def test_lambda_tilde_monte_carlo(self, maker, args):
         w, p, alpha = args
         law = case_laws(alpha, p)["Z"]
-        quad = maker(w, p, alpha, law)
+        quad = maker(w, p, alpha, law).value
 
         def sample_fn(z):
             u = ((1.0 - z) / (p - 1.0)) ** (1.0 / alpha)
@@ -111,7 +112,7 @@ class TestAuxiliaryExpectations:
     def test_upsilon_monte_carlo(self):
         w = make_exp_linear(1.0)
         law = gamma_law(3.0)
-        quad = upsilon(w, law)
+        quad = upsilon(w, law).value
 
         def sample_fn(z):
             u = np.exp(-z)
@@ -122,7 +123,7 @@ class TestAuxiliaryExpectations:
 
     def test_theta_monte_carlo(self):
         law = gamma_law(1.5)
-        quad = theta(ABSX, 2.0, law)
+        quad = theta(ABSX, 2.0, law).value
         mean, se = mc_expectation(
             lambda z: 2.0 * np.sqrt(z), law, MC
         )
@@ -131,7 +132,7 @@ class TestAuxiliaryExpectations:
     def test_lambda_bar_monte_carlo(self):
         p, alpha = 0.8, 2.0
         law = case_laws(alpha, p)["Y"]
-        quad = lambda_bar(X2, p, alpha, law)
+        quad = lambda_bar(X2, p, alpha, law).value
 
         def sample_fn(z):
             u = ((1.0 - z) / (z * (1.0 - p))) ** (1.0 / alpha)
@@ -139,6 +140,35 @@ class TestAuxiliaryExpectations:
 
         mean, se = mc_expectation(sample_fn, law, MC)
         assert abs(quad - mean) <= 3 * se
+
+
+class TestErrorsCarried:
+    """Each semi-closed form is a Value carrying the errors of its integrals."""
+
+    @pytest.mark.parametrize(
+        "form, calls",
+        [
+            (lambda: lambda_tilde(E01, 2.0, 2.0, case_laws(2.0, 2.0)["Y"]), 2),
+            (lambda: lambda_bar(X2, 0.8, 2.0, case_laws(2.0, 0.8)["Y"]), 2),
+            (lambda: theta(E01, 2.0, gamma_law(1.5)), 1),
+            (lambda: upsilon(E01, gamma_law(3.0)), 1),
+        ],
+        ids=["lambda_tilde", "lambda_bar", "theta", "upsilon"],
+    )
+    def test_error_is_that_of_the_integrals(self, monkeypatch, form, calls):
+        import wrenyi.gaussian_forms as gaussian_forms
+
+        original, errors = gaussian_forms.integrate, []
+
+        def recorded(*args, **kwargs):
+            res = original(*args, **kwargs)
+            errors.append(res.error)
+            return res
+
+        monkeypatch.setattr(gaussian_forms, "integrate", recorded)
+        v = form()
+        assert isinstance(v, Value)
+        assert len(errors) == calls and v.error == math.fsum(errors) > 0
 
 
 CROSS_CASES = [
@@ -162,11 +192,11 @@ class TestCrossValidation:
             ms = gaussian_measures(w, alpha, p)
             n_direct = weighted_renyi_power(g, w, p).value
             s_direct = generalized_deviation(g, w, alpha).value
-            assert ms.n_power == pytest.approx(n_direct, rel=1e-5), w.family
-            assert ms.deviation == pytest.approx(s_direct, rel=1e-5), w.family
+            assert float(ms.n_power) == pytest.approx(n_direct, rel=1e-5), w.family
+            assert float(ms.deviation) == pytest.approx(s_direct, rel=1e-5), w.family
             if ms.fisher is not None and 1.0 <= alpha < math.inf:
                 j_direct = weighted_fisher_information(g, w, alpha, p).value
-                assert ms.fisher == pytest.approx(j_direct, rel=1e-5), w.family
+                assert float(ms.fisher) == pytest.approx(j_direct, rel=1e-5), w.family
 
     def test_variation_branch_constant_weight(self):
         # At alpha = inf the antiderivative display agrees with the
@@ -175,7 +205,7 @@ class TestCrossValidation:
             g = make_generalized_gaussian(math.inf, p)
             ms = gaussian_measures(ONE, math.inf, p)
             j_direct = weighted_fisher_information(g, ONE, math.inf, p).value
-            assert ms.fisher == pytest.approx(j_direct, rel=1e-8)
+            assert float(ms.fisher) == pytest.approx(j_direct, rel=1e-8)
 
 
 class TestIdentities:
@@ -206,7 +236,7 @@ class TestIdentities:
     def test_sigma_at_alpha_one_from_tent_display(self):
         # sigma_{1,1}(tent) through the Y-expectation equals int |x| tent = 1/3.
         ms = gaussian_measures(ONE, 1.0, 2.0)
-        assert ms.deviation == pytest.approx(1.0 / 3.0, rel=1e-10)
+        assert ms.deviation.value == pytest.approx(1.0 / 3.0, rel=1e-10)
 
     def test_alpha_inf_uniform_power(self):
         ms = gaussian_measures(ONE, math.inf, 2.0)
@@ -218,6 +248,6 @@ class TestIdentities:
         for alpha in (1.5, 2.0, 3.0):
             ms = gaussian_measures(ONE, alpha, 1.0)
             beta = alpha / (alpha - 1.0)
-            assert 2 * ms.deviation * ms.fisher ** (1 / beta) == pytest.approx(
+            assert (2 * ms.deviation * ms.fisher ** (1 / beta)).value == pytest.approx(
                 2.0, rel=1e-9
             )

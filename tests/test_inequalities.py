@@ -21,6 +21,7 @@ from wrenyi.densities import (
     scale_density,
 )
 from wrenyi.errors import DomainError, EvaluationError, InputError, WrenyiError
+from wrenyi.gaussian_forms import case_laws, lambda_tilde
 from wrenyi.inequalities import (
     TransportMap,
     build_transport,
@@ -35,9 +36,15 @@ from wrenyi.inequalities import (
     check_thm11,
     lemma4_residual,
 )
-from wrenyi.numerics import integrate
+from wrenyi.numerics import QuadratureConfig, integrate
 from wrenyi.repro import perturbed_quadratic_gaussian, perturbed_tent
-from wrenyi.weights import WeightFunction, make_constant, make_exp_linear, make_power
+from wrenyi.weights import (
+    WeightFunction,
+    derive_rho12,
+    make_constant,
+    make_exp_linear,
+    make_power,
+)
 
 ONE = make_constant(1.0)
 E01 = make_exp_linear(0.1)
@@ -49,7 +56,7 @@ class TestTransport:
         s = build_transport(g, g)
         xs = np.linspace(-0.95, 0.95, 21)
         assert np.max(np.abs(s(xs) - xs)) <= 1e-10
-        assert np.max(np.abs(s.derivative(xs) - 1.0)) <= 1e-8
+        assert np.max(np.abs(s.value_and_derivative(xs)[1] - 1.0)) <= 1e-8
 
     def test_scaling_halves(self):
         g = make_generalized_gaussian(2.0, 2.0)
@@ -418,6 +425,19 @@ class TestFiiCri:
         vc = check_cri(g, E01, math.inf, 2.0)
         assert vc.verdict == "holds"
 
+    def test_error_includes_the_lambda_ratio(self):
+        # rhs = (J ratio)^(1/beta) Lambda(Y)/Lambda(Z) - kappa: the errors of
+        # both Lambdas reach the slack's (1.02e-14 when they were dropped).
+        g = make_generalized_gaussian(2.0, 2.0)
+        v = check_fii(g, E01, 2.0, 2.0)
+        rho1, _ = derive_rho12(E01, 2.0, 2.0)
+        laws = case_laws(2.0, 2.0)
+        ratio = lambda_tilde(rho1, 2.0, 2.0, laws["Y"]) / lambda_tilde(rho1, 2.0, 2.0, laws["Z"])
+        assert ratio.value == v.terms["lambda_ratio"] and ratio.error > 1e-11
+        j_root = (v.terms["J^{rho2}(f)"] / v.terms["J^{rho1}(G)"]) ** 0.5
+        assert v.error >= j_root * ratio.error * (1 - 1e-12)
+        assert v.error == pytest.approx(5.6239e-11, rel=1e-4)
+
     def test_transport_term_sign_recorded(self):
         v = check_fii(make_exponential(1.0), make_power(2.0), 2.0, 1.0)
         assert "E_f[S phi~']" in v.terms
@@ -501,33 +521,49 @@ class TestCor4:
 
 class TestLemma4:
     def test_tent_pair(self):
-        res = lemma4_residual(make_tent(), lambda x: x, (-1, 1), dg=lambda x: 1.0)
+        res = lemma4_residual(make_tent(), np.positive, np.ones_like)
         assert res <= 1e-8
 
     def test_gaussian_arctangent(self):
         res = lemma4_residual(
-            lambda x: math.exp(-x * x),
-            math.atan,
-            (-math.inf, math.inf),
-            df=lambda x: -2 * x * math.exp(-x * x),
-            dg=lambda x: 1 / (1 + x * x),
+            make_generalized_gaussian(2.0, 1.0), np.arctan, lambda x: 1 / (1 + x * x)
         )
         assert res <= 1e-7
 
     def test_quadratic_gaussian_cubic(self):
         res = lemma4_residual(
-            make_generalized_gaussian(2.0, 2.0),
-            lambda x: x**3,
-            None,
-            dg=lambda x: 3 * x * x,
+            make_generalized_gaussian(2.0, 2.0), lambda x: x**3, lambda x: 3 * x * x
         )
         assert res <= 1e-7
 
+    @pytest.mark.parametrize("spec", ["tent", "laplace:1", "gg:2,2", "gg:0,2"])
+    @pytest.mark.parametrize(
+        "g, dg, g_point, dg_point",
+        [
+            (np.positive, np.ones_like, lambda x: x, lambda x: 1.0),
+            (np.arctan, lambda x: 1 / (1 + x * x), math.atan, lambda x: 1 / (1 + x * x)),
+            (lambda x: x**3, lambda x: 3 * x * x, lambda x: x**3, lambda x: 3 * x * x),
+        ],
+        ids=["x", "atan", "cube"],
+    )
+    def test_matches_the_per_point_loop(self, spec, g, dg, g_point, dg_point):
+        # The reference evaluates every integrand point by point on floats
+        # (math.atan for np.arctan, so the bound allows a last-bit move).
+        f = parse_density(spec)
+
+        def loop(*fns):
+            return lambda x: np.prod([[float(fn(v)) for v in x] for fn in fns], axis=0)
+
+        cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9, singularities=f.singularities)
+        i1 = integrate(loop(f.pdf, dg_point), f.support, cfg).value
+        i2 = integrate(loop(f.dpdf, g_point), f.support, cfg).value
+        ref = abs(i1 + i2) / (1.0 + abs(i1))
+        assert lemma4_residual(f, g, dg) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
     def test_boundary_gate(self):
-        with pytest.raises(DomainError):
-            lemma4_residual(
-                lambda x: 1.0, lambda x: x, (0.0, 1.0), df=lambda x: 0.0, dg=lambda x: 1.0
-            )
+        # The uniform gg:inf,2 is 1/2 at both ends of its support.
+        with pytest.raises(DomainError, match="does not vanish at the boundary"):
+            lemma4_residual(make_generalized_gaussian(math.inf, 2.0), np.positive, np.ones_like)
 
 
 class TestVerdictStability:

@@ -233,6 +233,23 @@ class TestAntiderivatives:
             ref = res.value if x > 0 else -res.value
             assert ad.psi(x) == pytest.approx(ref, abs=1e-8)
 
+    def test_quadrature_branch_carries_the_integral_errors(self, monkeypatch):
+        import wrenyi.weights as weights
+
+        errors = []
+
+        def recorded(*args, **kwargs):
+            res = integrate(*args, **kwargs)
+            errors.append(res.error)
+            return res
+
+        monkeypatch.setattr(weights, "integrate", recorded)
+        ad = antiderivatives(power_of(make_exp_linear(0.5), 2.0))  # e^x: no closed form here
+        psib_diff = ad.psi_bar(1.0) - ad.psi_bar(-1.0)
+        assert psib_diff.value == pytest.approx(2 * math.sinh(1.0), rel=1e-12)
+        assert len(errors) == 2 and psib_diff.error == math.fsum(errors) > 0
+        assert ad.psi(-0.5).value == pytest.approx(math.exp(-0.5) - 1.0, rel=1e-12)
+
 
 class TestGuards:
     def test_nonnegativity_flags_signed_polynomial(self):
