@@ -16,7 +16,9 @@ the same inputs in its own interpreter, every input as one in-process
   writes;
 * the argv of every case pinned in ``tests/golden/cli_golden.json``;
 * ``verify lemma4`` on each source of ``LEMMA4_SOURCES`` with each map
-  ``--gfn`` x, atan and cube (no deck op reaches lemma4).
+  ``--gfn`` x, atan and cube (no deck op reaches lemma4);
+* ``verify cor4 --c 0.2`` on each source of ``COR4_SOURCES`` (no deck
+  op runs cor4 on a weighted source).
 
 Every input whose stdout, exit code or written files differ between the
 two trees is printed with both sides; stderr is not compared.  An
@@ -57,6 +59,7 @@ FLAGS = ("exit code", "verdict", "warnings", "other text")
 FLOOR = 1e-9
 GOLDEN = os.path.join(ROOT, "tests", "golden", "cli_golden.json")
 LEMMA4_SOURCES = ("tent", "laplace:1", "gg:2,2", "exp:2", "gg:0,2")
+COR4_SOURCES = ("weighted:laplace:1;pow:1", "weighted:laplace:1;abspoly:1,0.5")
 
 
 def fields(res: dict) -> dict:
@@ -192,7 +195,8 @@ def cases(seeds, work: str) -> list[dict]:
         ["verify", "lemma4", "--f", f, "--gfn", gfn]
         for f, gfn in itertools.product(LEMMA4_SOURCES, ("x", "atan", "cube"))
     ]
-    for argv in golden + lemma4:
+    cor4 = [["verify", "cor4", "--f", f, "--c", "0.2"] for f in COR4_SOURCES]
+    for argv in golden + lemma4 + cor4:
         argv = [os.path.join(ROOT, a) if a.startswith("scenarios/") else a for a in argv]
         if all(case["argv"] != argv for case in out):
             out.append({"name": " ".join(argv), "argv": argv})

@@ -22,7 +22,6 @@ from .errors import (
 )
 from .measures import (
     MeasureValue,
-    OrderParams,
     expectation,
     fisher_information,
     generalized_deviation,

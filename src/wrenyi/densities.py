@@ -58,7 +58,6 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .numerics import (
-    _EPS,
     _XGK,
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -70,6 +69,7 @@ from .numerics import (
     _vec,
     beta_fn,
     essential_supremum,
+    find_root,
     gamma_fn,
     integrate,
     total_variation,
@@ -759,27 +759,16 @@ def _swept_cdf(f: Density, xs):
     return np.cumsum(np.concatenate([[head], masses]))[np.searchsorted(nodes, xs)]
 
 
-# Cells of the CDF table that brackets the levels of one quantile batch.
-_TABLE_CELLS = 128
-# Newton/bisection steps after which a level that has not converged is an
-# error.
-_POLISH_STEPS = 100
-
-
 def quantile(f: Density, q):
     """F_f^{-1}(q) for levels q in (0, 1).
 
     A scalar gives a float, an array an ndarray of its shape.  Analytic
     when the family provides ``quantile_fn``.  Otherwise (the weighted
-    densities, which have no CDF either) every level is bracketed in one
-    CDF table of ``_TABLE_CELLS`` cells (plus the singularities) on
-    [blo, bhi]; an infinite side of the support starts at -1 or 1 and
-    doubles until the table holds every level.  All levels are then
-    polished together by a safeguarded Newton step with f = F', kept
-    inside a shrinking bracket and bisecting when a step leaves it.  F at
-    an iterate is the table value at the cell's left node plus the mass
-    from that node (one GK15 panel, see :func:`_masses`).  A level still
-    open after ``_POLISH_STEPS`` steps raises :class:`DomainError`.
+    densities, which have no CDF either) each level is the root of
+    cdf(f, x) - q found by :func:`~wrenyi.numerics.find_root` on the
+    support; an infinite side of the bracket starts at -1 or 1 and
+    doubles until it holds the level.  A level whose root search does
+    not converge raises :class:`DomainError`.
     """
     arr = np.asarray(q, dtype=float)
     levels = arr.ravel()
@@ -790,48 +779,20 @@ def quantile(f: Density, q):
     if f.quantile_fn is not None:
         out = np.asarray(f.quantile_fn(levels), dtype=float)
     else:
-        out = _polished_quantile(f, levels)
+        out = np.array([_root_quantile(f, level) for level in levels.tolist()])
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _polished_quantile(f: Density, levels):
-    """The safeguarded Newton polish of :func:`quantile` for 1-d ``levels``."""
+def _root_quantile(f: Density, level: float) -> float:
+    """The x with F_f(x) = ``level``, by a bracketed root search."""
     lo, hi = f.support
     blo = lo if math.isfinite(lo) else -1.0
     bhi = hi if math.isfinite(hi) else 1.0
-    while not math.isfinite(lo) and cdf(f, blo) > levels.min():
+    while not math.isfinite(lo) and cdf(f, blo) > level:
         blo *= 2.0
-    while not math.isfinite(hi) and cdf(f, bhi) < levels.max():
+    while not math.isfinite(hi) and cdf(f, bhi) < level:
         bhi *= 2.0
-    kinks = [s for s in f.singularities if blo < s < bhi]
-    grid = np.union1d(np.linspace(blo, bhi, _TABLE_CELLS + 1), kinks)
-    table = cdf(f, grid)
-    i = np.clip(np.searchsorted(table, levels, side="right") - 1, 0, grid.size - 2)
-    left, base = grid[i], table[i]
-    a, b = left.copy(), grid[i + 1]
-    rise = table[i + 1] - base
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(rise > 0, a + (levels - base) / rise * (b - a), 0.5 * (a + b))
-    x = np.clip(x, a, b)
-    cfg = f.quad_config()
-    k = np.arange(levels.size)
-    for _ in range(_POLISH_STEPS):
-        panels = _panels(f, left[k], x[k])
-        budget = _budget(base[k], panels[0], 1, cfg)
-        level = base[k] + _masses(f, left[k], x[k], panels, budget, cfg)
-        d = level - levels[k]
-        a[k] = np.where(d < 0, x[k], a[k])
-        b[k] = np.where(d > 0, x[k], b[k])
-        fx = np.asarray(f.pdf(x[k]), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = x[k] - d / fx
-        step = np.where((step > a[k]) & (step < b[k]), step, 0.5 * (a[k] + b[k]))
-        done = (d == 0) | (np.abs(step - x[k]) <= 1e-15 + 4 * _EPS * np.abs(x[k]))
-        x[k] = np.where(d == 0, x[k], step)
-        k = k[~done]
-        if k.size == 0:
-            return x
-    raise DomainError(f"quantile polish did not converge at level {levels[k[0]]!r}")
+    return find_root(lambda x: cdf(f, x) - level, (blo, bhi))
 
 
 # ---------------------------------------------------------------------------

@@ -130,14 +130,6 @@ class AuxiliaryLaw:
             out = x ** (self.shape1 - 1.0) * np.exp(-x) / gamma_fn(self.shape1)
             return np.where(x > 0, out, 0.0)
 
-    def ppf(self, q):
-        from scipy.special import betaincinv, gammaincinv
-
-        q = np.asarray(q, dtype=float)
-        if self.family == "beta":
-            return betaincinv(self.shape1, self.shape2, q)
-        return gammaincinv(self.shape1, q)
-
     def expectation(self, fn) -> Value:
         """E[fn(Z)] by quadrature against the law's pdf, with its error.
 
@@ -322,7 +314,7 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
         scale = p * alpha / (p * alpha + p - 1.0)
         n_power = (
             (1.0 / a)
-            * 2.0 ** (1.0 / (p - 1.0))
+            * Value(2.0) ** (1.0 / (p - 1.0))
             * scale ** (1.0 / (1.0 - p))
             * lam_z ** (1.0 / (1.0 - p))
         )
@@ -407,7 +399,7 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
     else:
         try:
             n_power = 2.0 ** (p / (p - 1.0)) * psi_diff ** (1.0 / (1.0 - p))
-        except OverflowError:
+        except (OverflowError, DomainError):
             n_power = math.inf
         if not math.isfinite(float(n_power)):
             raise DomainError("weighted Renyi power of G overflows")

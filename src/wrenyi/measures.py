@@ -44,7 +44,6 @@ from .numerics import Value, _merge, gamma_fn
 from .weights import WeightFunction, holder_conjugate, nonnegativity_violation
 
 __all__ = [
-    "OrderParams",
     "MeasureValue",
     "expectation",
     "weighted_entropy",
@@ -58,23 +57,6 @@ __all__ = [
     "fisher_information",
     "weighted_fisher_information",
 ]
-
-
-@dataclass(frozen=True)
-class OrderParams:
-    """The (p, alpha, beta) triple with beta the Holder conjugate of alpha."""
-
-    p: float
-    alpha: float
-    beta: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.p > 0:
-            raise InputError(f"entropy order p must be positive, got {self.p}")
-        if self.alpha < 0:
-            raise InputError(f"moment order alpha must be >= 0, got {self.alpha}")
-        beta = holder_conjugate(self.alpha) if self.alpha >= 1 else math.nan
-        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,9 +137,11 @@ class Value:
 
     Arithmetic (``+ - * /``, ``**`` with a float or Value exponent,
     :meth:`log`, :meth:`exp`) computes the number exactly as the same
-    expression on floats does, merges the warnings of its operands and
-    propagates the error to first order: a result of the independent
-    estimates x_i with errors e_i has error sum_i |d result / d x_i| e_i.
+    expression on floats does (a ``/`` or ``**`` that overflows or
+    divides by zero raises DomainError), merges the warnings of its
+    operands and propagates the error to first order: a result of the
+    independent estimates x_i with errors e_i has error
+    sum_i |d result / d x_i| e_i.
     ``parts`` keeps that sum term by term, keyed by estimate, so an
     estimate that enters twice, as N in N^a / N^b, counts once with its
     net sensitivity.  A float operand is exact.
@@ -196,16 +199,16 @@ class Value:
 
     def __truediv__(self, other):
         y = _num(other)
-        q = self.value / y
+        q = _arith(operator.truediv, self.value, "/", y)
         return Value._of(q, (self, 1.0 / y), (other, -q / y))
 
     def __rtruediv__(self, other):
-        q = other / self.value
+        q = _arith(operator.truediv, other, "/", self.value)
         return Value._of(q, (self, -q / self.value))
 
     def __pow__(self, other):
         x, y = self.value, _num(other)
-        r = x**y
+        r = _arith(operator.pow, x, "**", y)
         dx = _power_slope(x, y, r) if self.parts else 0.0
         dy = 0.0
         if isinstance(other, Value) and other.parts:
@@ -223,6 +226,16 @@ class Value:
 
 def _num(x) -> float:
     return x.value if isinstance(x, Value) else x
+
+
+def _arith(op, x: float, sym: str, y: float) -> float:
+    """op(x, y) on floats; an overflow or a division by zero is a DomainError."""
+    try:
+        return op(x, y)
+    except OverflowError:
+        raise DomainError(f"{x!r} {sym} {y!r} overflows") from None
+    except ZeroDivisionError:
+        raise DomainError(f"{x!r} {sym} {y!r} divides by zero") from None
 
 
 def relative_residual(lhs, rhs) -> float:
@@ -656,22 +669,58 @@ def differentiate(fn, x):
 
 
 def find_root(fn, bracket) -> float:
-    """Root of ``fn`` inside ``bracket = (lo, hi)``; requires a sign change."""
+    """Root of ``fn`` inside ``bracket = (lo, hi)``; requires a sign change.
+
+    Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4) in the form of scipy's ``brentq``, whose
+    iterates it repeats, here without importing scipy.optimize: inverse
+    quadratic or secant steps, a bisection whenever a step would not
+    shrink the bracket fast enough, and a stop once the bracket is within
+    1e-15 + 4 eps |x|.  A root not found within 200 steps is a
+    DomainError.
+    """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise InputError(f"invalid bracket ({lo}, {hi})")
-    flo, fhi = float(fn(lo)), float(fn(hi))
-    if flo == 0.0:
+    xpre, xcur = lo, hi
+    fpre, fcur = float(fn(lo)), float(fn(hi))
+    if fpre == 0.0:
         return lo
-    if fhi == 0.0:
+    if fcur == 0.0:
         return hi
-    if flo * fhi > 0:
+    if (fpre < 0) == (fcur < 0):
         raise InputError(f"no sign change on bracket ({lo}, {hi})")
-    # Imported here: scipy.optimize takes a sizeable share of the package's
-    # start-up time and nothing else uses it.
-    from scipy.optimize import brentq
-
-    return float(brentq(fn, lo, hi, xtol=1e-15, rtol=4 * _EPS, maxiter=200))
+    # xcur is the best iterate, xblk the other end of the bracket, xpre
+    # the previous iterate; scur and spre are the last two steps.
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(200):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-15 + 4 * _EPS * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # a bisection unless an interpolation step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(fn(xcur))
+    raise DomainError(f"root search did not converge on bracket ({lo}, {hi})")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Midpoint Riemann sums on dense uniform grids and seeded inverse-CDF
 Monte Carlo.  These deliberately share no code with the adaptive
-quadrature path; they exist to validate it, not to be fast.
+quadrature path; they exist to validate it, not to be fast.  The tests
+import them as ``oracle``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import Density, quantile
-from .errors import EvaluationError, InputError
+from wrenyi.densities import Density, quantile
+from wrenyi.errors import EvaluationError, InputError
 
 __all__ = ["OracleConfig", "riemann", "clip_domain", "mc_expectation", "cross_validate"]
 
@@ -68,11 +69,21 @@ def riemann(integrand, domain, config: OracleConfig = DEFAULT_ORACLE) -> float:
     return float(h * y.sum())
 
 
+def ppf(law, q):
+    """Inverse CDF of a Beta or Gamma ``gaussian_forms.AuxiliaryLaw``."""
+    from scipy.special import betaincinv, gammaincinv
+
+    q = np.asarray(q, dtype=float)
+    if law.family == "beta":
+        return betaincinv(law.shape1, law.shape2, q)
+    return gammaincinv(law.shape1, q)
+
+
 def mc_expectation(fn, law, config: OracleConfig = DEFAULT_ORACLE):
-    """(mean, standard error) of fn(Z) by seeded inverse-CDF sampling."""
+    """(mean, standard error) of fn(Z), Z ~ ``law``, by seeded inverse-CDF sampling."""
     rng = np.random.default_rng(config.seed)
     u = rng.random(config.mc_draws)
-    x = np.asarray(law.ppf(u), dtype=float)
+    x = np.asarray(ppf(law, u), dtype=float)
     y = np.asarray(fn(x), dtype=float)
     if not np.all(np.isfinite(y)):
         raise EvaluationError("oracle draws produced non-finite values")

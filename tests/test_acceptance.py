@@ -52,7 +52,6 @@ from wrenyi.measures import (
     weighted_renyi_power,
 )
 from wrenyi.numerics import QuadratureConfig, beta_fn, differentiate, find_root, integrate
-from wrenyi.oracle import OracleConfig, clip_domain, mc_expectation, riemann
 from wrenyi.repro import (
     IDENTITY_CASE,
     IDENTITY_GRID,
@@ -66,6 +65,8 @@ from wrenyi.weights import (
     make_exp_linear,
     make_power,
 )
+
+from oracle import OracleConfig, clip_domain, mc_expectation, riemann
 
 ONE = make_constant(1.0)
 

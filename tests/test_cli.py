@@ -130,6 +130,24 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["error"] == {"type": "numeric", "message": message}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 2^{1/(p-1)} overflows in N(G).
+            "id2.11 --w const:1 --alpha 2 --p 1.00001",
+            # Lambda(Z)^{1/(1-p)} overflows in N(G).
+            "id2.14 --w const:1 --alpha 2 --p 0.99999",
+            # J^{rho1}(G) reads 0, so J(f)/J(G) divides by zero.
+            "fii --f laplace:1 --w const:1 --alpha 2 --p 1.00001",
+            "cri --f laplace:1 --w const:1 --alpha 2 --p 1.00001",
+        ],
+    )
+    def test_p_near_one_is_a_numeric_error(self, capsys, argv):
+        code, out = run_cli(["verify", *argv.split()])
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "numeric"
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("f", ["gg:2,2", "gg:inf,2"])
     def test_fii_with_density_power_weight_reports_json(self, f):
         argv = ["verify", "fii", "--f", f, "--w", "fpow:1,0", "--p", "2", "--alpha", "inf"]

@@ -17,7 +17,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "cli_golden.json").read_text(encoding="utf-8"))
-LAZY = ("scipy", "scipy.special", "wrenyi.repro")
+LAZY = ("scipy", "scipy.special", "scipy.optimize", "wrenyi.repro")
 
 # Runs argv through wrenyi.cli.main, then reports which of LAZY are loaded
 # on its last stdout line.
@@ -55,6 +55,16 @@ def test_laplace_compute_never_loads_scipy_special():
     assert p.returncode == 0, p.stderr
     *out, loaded = p.stdout.splitlines()
     assert json.loads(out[-1])["measure"] == "we"
+    assert json.loads(loaded) == []
+
+
+def test_weighted_cor4_median_loads_no_scipy():
+    # The median hint of cor4 is a root of the weighted source's CDF.
+    argv = ["verify", "cor4", "--f", "weighted:laplace:1;pow:1", "--c", "0.2"]
+    p = fresh("-c", RUN_AND_REPORT, *argv)
+    assert p.returncode == 0, p.stderr
+    *out, loaded = p.stdout.splitlines()
+    assert json.loads(out[-1])["id"] == "cor4"
     assert json.loads(loaded) == []
 
 

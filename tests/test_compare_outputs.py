@@ -57,3 +57,4 @@ def test_cases_run_every_golden_argv_and_lemma4(monkeypatch, tmp_path):
     assert {key.replace("scenarios/", root + "scenarios/") for key in golden} <= set(argvs)
     assert len(argvs) == len(set(argvs))
     assert sum(a.startswith("verify lemma4 --f") for a in argvs) == 15
+    assert sum(a.startswith("verify cor4 --f weighted:") for a in argvs) == 2

@@ -25,8 +25,9 @@ from wrenyi.measures import (
     weighted_renyi_power,
 )
 from wrenyi.numerics import Value
-from wrenyi.oracle import OracleConfig, mc_expectation
 from wrenyi.weights import make_constant, make_exp_linear, make_power
+
+from oracle import OracleConfig, mc_expectation
 
 ONE = make_constant(1.0)
 E01 = make_exp_linear(0.1)

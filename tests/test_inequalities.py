@@ -157,6 +157,13 @@ class TestTransport:
         with pytest.raises(InputError):
             build_transport(make_laplace(1.0), weighted)
 
+    def test_target_whose_quantile_misses_its_cdf_rejected(self):
+        # s stays increasing, so only the round trip F_G(Q_G(q)) = q fails.
+        lap = make_laplace(1.0)
+        shifted = replace(lap, quantile_fn=lambda q: lap.quantile_fn(q) + 0.1)
+        with pytest.raises(DomainError, match="transport CDF match failed at q=0.020"):
+            build_transport(make_laplace(1.0), shifted)
+
     def test_table_target(self):
         # A table has a closed-form quantile, so it can be a target; the
         # build checks the CDF match at 21 probes.

@@ -24,7 +24,6 @@ from wrenyi.densities import (
 )
 from wrenyi.errors import DomainError, InputError
 from wrenyi.measures import (
-    OrderParams,
     expectation,
     fisher_information,
     generalized_deviation,
@@ -48,19 +47,6 @@ from wrenyi.weights import (
 )
 
 ONE = make_constant(1.0)
-
-
-class TestOrderParams:
-    def test_conjugate_consistency(self):
-        assert OrderParams(2.0, 2.0).beta == 2.0
-        assert OrderParams(1.0, 1.0).beta == math.inf
-        assert OrderParams(1.0, math.inf).beta == 1.0
-
-    def test_invalid_orders(self):
-        with pytest.raises(InputError):
-            OrderParams(0.0, 2.0)
-        with pytest.raises(InputError):
-            OrderParams(1.0, -1.0)
 
 
 class TestWeightedEntropy:

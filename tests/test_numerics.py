@@ -29,7 +29,8 @@ from wrenyi.numerics import (
     relative_residual,
     total_variation,
 )
-from wrenyi.oracle import riemann
+
+from oracle import riemann
 
 
 class TestIntegrate:
@@ -303,6 +304,25 @@ class TestFindRoot:
     def test_no_sign_change_rejected(self):
         with pytest.raises(InputError):
             find_root(lambda x: x * x + 1.0, (-1.0, 1.0))
+
+    def test_repeats_scipy_brentq(self):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(5)
+        cases = [(lambda x: math.cos(x) - x, (0.0, 2.0)), (lambda x: x**5 - 3 * x + 1, (0.0, 1.0))]
+        for a, b, c in rng.normal(size=(60, 3)).tolist():
+            cases += [
+                (lambda x, a=a, b=b, c=c: math.atan(a * x) + b * x**3 + 0.1 * x - c, (-30.0, 30.0)),
+                (lambda x, a=a, c=c: math.tanh(20 * a * (x - c)) + 0.5 * c, (-5.0, 5.0)),
+            ]
+        n = 0
+        for fn, (lo, hi) in cases:
+            if (fn(lo) < 0) == (fn(hi) < 0):
+                continue
+            n += 1
+            want = brentq(fn, lo, hi, xtol=1e-15, rtol=4 * numerics._EPS, maxiter=200)
+            assert find_root(fn, (lo, hi)) == want, (lo, hi)
+        assert n >= 60
 
 
 class TestEssentialSupremum:
@@ -623,6 +643,21 @@ class TestValue:
     def test_exp_overflow_is_a_domain_error(self):
         with pytest.raises(DomainError, match="^big overflows"):
             Value(800.0, 1.0).exp("big")
+
+    @pytest.mark.parametrize(
+        "fn, message",
+        [
+            (lambda: Value(2.0) ** 1e5, "2.0 ** 100000.0 overflows"),
+            (lambda: Value(2.0, 1e-9) ** Value(1e5), "2.0 ** 100000.0 overflows"),
+            (lambda: Value(0.0) ** -1.0, "0.0 ** -1.0 divides by zero"),
+            (lambda: Value(1.5, 1e-9) / 0.0, "1.5 / 0.0 divides by zero"),
+            (lambda: Value(1.5) / Value(0.0, 1e-9), "1.5 / 0.0 divides by zero"),
+            (lambda: 1.5 / Value(0.0), "1.5 / 0.0 divides by zero"),
+        ],
+    )
+    def test_overflow_or_division_by_zero_is_a_domain_error(self, fn, message):
+        with pytest.raises(DomainError, match=f"^{message.replace('*', '[*]')}$"):
+            fn()
 
     def test_fisher_root_error_follows_the_root(self):
         from wrenyi.densities import integral, make_laplace

@@ -6,7 +6,8 @@ import pytest
 from wrenyi.densities import make_exponential, make_generalized_gaussian
 from wrenyi.errors import InputError
 from wrenyi.gaussian_forms import beta_law, gamma_law
-from wrenyi.oracle import OracleConfig, clip_domain, cross_validate, mc_expectation, riemann
+
+from oracle import OracleConfig, clip_domain, cross_validate, mc_expectation, riemann
 
 
 class TestRiemann:

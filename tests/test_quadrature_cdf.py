@@ -1,10 +1,12 @@
 """CDF and quantile of sources without an analytic CDF (weighted densities).
 
 ``cdf`` takes every point of a batch from one sorted sweep and
-``quantile`` polishes every level of a batch together; both are checked
-against 30-digit closed forms (``conftest.WEIGHTED_ORACLES``, and
-``EXACT`` below for sparse batches of far points), and the number of
-``integrate`` calls is pinned so that a per-point loop cannot come back.
+``quantile`` finds each level as a bracketed root of ``cdf``; both are
+checked against 30-digit closed forms (``conftest.WEIGHTED_ORACLES``, and
+``EXACT`` below for sparse batches of far points).  The number of
+``integrate`` calls is pinned so that a per-point CDF loop cannot come
+back, and ``build_transport`` reads such a source through one ``cdf`` of
+its monotonicity grid and no ``quantile``.
 """
 
 import math
@@ -13,9 +15,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from wrenyi import densities
+from wrenyi import densities, inequalities
 from wrenyi.densities import cdf, make_generalized_gaussian, make_laplace, parse_density, quantile
-from wrenyi.errors import DomainError, InputError
+from wrenyi.errors import InputError
 from wrenyi.inequalities import build_transport
 
 SOURCES = ["weighted:laplace:1;expw:0.2", "weighted:laplace:0.9;abspoly:1,0.5"]
@@ -179,11 +181,6 @@ class TestQuantileContract:
         with pytest.raises(InputError):
             quantile(f, np.array([0.5, bad]))
 
-    def test_unconverged_level_raises(self, monkeypatch):
-        monkeypatch.setattr(densities, "_POLISH_STEPS", 1)
-        with pytest.raises(DomainError, match="did not converge"):
-            quantile(parse_density(SOURCES[0]), np.array([0.3, 0.6]))
-
 
 @pytest.fixture
 def integrate_calls(monkeypatch):
@@ -212,9 +209,19 @@ class TestSweepWork:
         assert calls_for(1000) <= calls_for(10)
 
     @pytest.mark.parametrize("desc", SOURCES)
-    def test_build_transport_takes_fewer_integrals_than_probes(self, integrate_calls, desc):
-        # A per-point loop over the 21 probe levels alone would take at
-        # least one integral per level.
-        f = parse_density(desc)
-        build_transport(f, make_generalized_gaussian(2.0, 2.0))
-        assert 0 < len(integrate_calls) < 21
+    def test_build_transport_reads_the_source_by_one_cdf_of_its_grid(
+        self, integrate_calls, monkeypatch, desc
+    ):
+        # The 101-point monotonicity grid over [-20, 20] is all that
+        # build_transport evaluates of a whole-line source: no quantile.
+        levels = []
+        for module in (densities, inequalities):
+            monkeypatch.setattr(module, "quantile", lambda f, q: levels.append(q))
+        f, g = parse_density(desc), make_generalized_gaussian(2.0, 2.0)
+        integrate_calls.clear()
+        build_transport(f, g)
+        built = len(integrate_calls)
+        integrate_calls.clear()
+        cdf(f, np.linspace(-20.0, 20.0, 101))
+        assert levels == []
+        assert 0 < built == len(integrate_calls)
