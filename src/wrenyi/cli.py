@@ -7,8 +7,11 @@ Subcommands:
     sweep   <scenario>  parameter sweep from a scenario file -> CSV/JSON
     repro   <id>        bundled reproduction checks (pass/fail lines)
 
-The measure and check ids and the values each needs are the entries of
-``OPS``; ``wrenyi compute --help`` and ``wrenyi verify --help`` list them.
+The measure and check ids and the values each reads are the entries of
+``OPS``; ``wrenyi compute --help`` and ``wrenyi verify --help`` list them,
+and each of the two takes only the flags of the values its ids read.
+:func:`payload` renders what an id returns: ``compute`` and ``verify``
+print it, and a sweep row holds it flattened to ``<id>.<key>`` columns.
 
 Exit codes: 0 success, 2 input error, 3 numeric domain error,
 4 reproduction/acceptance failure.  JSON output is deterministic: keys
@@ -28,23 +31,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import gaussian_forms as G
+from . import inequalities as I
 from . import measures as M
 from .densities import _parse_float, parse_density
 from .errors import DomainError, InputError, WrenyiError
-from .gaussian_forms import IDENTITY_CASE, verify_identity
-from .inequalities import (
-    InequalityVerdict,
-    check_cor1,
-    check_cor2,
-    check_cor3,
-    check_cor4,
-    check_cri,
-    check_fii,
-    check_mei,
-    check_scaling_identity,
-    check_thm11,
-    lemma4_residual,
-)
 from .weights import make_constant, parse_weight
 
 EXIT_OK = 0
@@ -89,36 +80,6 @@ def _emit(obj) -> None:
     sys.stdout.write(to_json(obj) + "\n")
 
 
-def _measure_payload(mv: M.MeasureValue) -> dict:
-    return {
-        "value": mv.value,
-        "error": mv.error,
-        "branch": mv.branch,
-        "flags": dict(mv.flags),
-        "warnings": list(mv.warnings),
-    }
-
-
-def _verdict_payload(v: InequalityVerdict) -> dict:
-    return {
-        "id": v.inequality_id,
-        "lhs": v.lhs,
-        "rhs": v.rhs,
-        "slack": v.slack,
-        "verdict": v.verdict,
-        "equality": v.equality,
-        "tolerance": v.tolerance,
-        "error": v.error,
-        "margins": dict(v.margins),
-        "warnings": list(v.warnings),
-        "terms": {k: t for k, t in v.terms.items() if _is_scalarish(t)},
-    }
-
-
-def _is_scalarish(t) -> bool:
-    return isinstance(t, (int, float, str, np.integer, np.floating)) or t is None
-
-
 # ---------------------------------------------------------------------------
 # The measure and check ids
 # ---------------------------------------------------------------------------
@@ -129,15 +90,21 @@ class Op(NamedTuple):
 
     ``fn`` is called with the values named in ``needs`` (an InputError
     names the first one missing, in that order) and with those of
-    ``defaults``, each either as given or as its default.  A "check"
-    returns one verdict or a tuple of them; a "residual" check runs
-    under ``verify`` only and returns its JSON payload.
+    ``defaults``, each either as given or as its default.  A measure
+    returns a MeasureValue; a check returns a verdict, cor4's pair of
+    verdicts or its residual payload.  :func:`payload` renders each.
     """
 
-    kind: str  # "measure", "check" or "residual"
+    kind: str  # "measure" or "check"
     fn: Callable
     needs: tuple[str, ...]
     defaults: dict = {}
+
+
+def _late(module, name: str) -> Callable:
+    """``module.<name>``, looked up at each call, so that a rebinding of
+    the module attribute (a tracing wrapper, a test's patch) is what runs."""
+    return lambda **kwargs: getattr(module, name)(**kwargs)
 
 
 _LEMMA4_MAPS = {
@@ -155,48 +122,85 @@ def _lemma4(f, tol, gfn):
     if gfn not in _LEMMA4_MAPS:
         raise InputError(f"unknown --gfn {gfn!r}; known: {', '.join(_LEMMA4_MAPS)}")
     g, dg = _LEMMA4_MAPS[gfn]
-    return _residual("lemma4", lemma4_residual(f, g, dg), tol, 1e-7, gfn=gfn)
+    return _residual("lemma4", I.lemma4_residual(f, g, dg), tol, 1e-7, gfn=gfn)
 
 
 def _scaling(f, w, p, t, tol):
-    return _residual("scaling", check_scaling_identity(w, f, t, p), tol, 1e-7)
+    return _residual("scaling", I.check_scaling_identity(w, f, t, p), tol, 1e-7)
 
 
 def _identity(cid):
     def check(w, p, alpha, tol):
-        return _residual(cid, verify_identity(IDENTITY_CASE[cid], w, alpha, p), tol, 1e-5)
+        residual = G.verify_identity(G.IDENTITY_CASE[cid], w, alpha, p)
+        return _residual(cid, residual, tol, 1e-5)
 
-    return Op("residual", check, ("p", "alpha", "w", "tol"))
+    return Op("check", check, ("p", "alpha", "w", "tol"))
 
 
 OPS = {
-    "we": Op("measure", M.weighted_entropy, ("f", "w")),
-    "rwe": Op("measure", M.relative_weighted_entropy, ("f", "w", "g")),
-    "wre": Op("measure", M.weighted_renyi_entropy, ("f", "w", "p")),
-    "wrp": Op("measure", M.weighted_renyi_power, ("f", "w", "p")),
-    "rre": Op("measure", M.relative_renyi_entropy, ("f", "w", "g", "p")),
-    "rrp": Op("measure", M.relative_renyi_power, ("f", "w", "g", "p")),
-    "mom": Op("measure", M.generalized_moment, ("f", "w", "alpha")),
-    "dev": Op("measure", M.generalized_deviation, ("f", "w", "alpha")),
-    "fi": Op("measure", M.fisher_information, ("f", "p", "alpha")),
-    "wfi": Op("measure", M.weighted_fisher_information, ("f", "w", "p", "alpha")),
-    "thm1.1": Op("check", check_thm11, ("f", "w", "g", "p", "tol")),
-    "mei": Op("check", check_mei, ("f", "w", "p", "alpha", "tol")),
-    "cor1": Op("check", check_cor1, ("f", "c", "tol"), {"alpha": 1.0, "p": 1.0}),
-    "cor2": Op("check", check_cor2, ("f", "c", "tol")),
-    "cor3": Op("check", check_cor3, ("f", "tol")),
-    "fii": Op("check", check_fii, ("f", "w", "p", "alpha", "tol")),
-    "cor4": Op("check", check_cor4, ("f", "c", "tol")),
-    "cri": Op("check", check_cri, ("f", "w", "p", "alpha", "tol")),
-    "scaling": Op("residual", _scaling, ("f", "p", "t", "w", "tol")),
-    "lemma4": Op("residual", _lemma4, ("f", "tol"), {"gfn": "x"}),
+    "we": Op("measure", _late(M, "weighted_entropy"), ("f", "w")),
+    "rwe": Op("measure", _late(M, "relative_weighted_entropy"), ("f", "w", "g")),
+    "wre": Op("measure", _late(M, "weighted_renyi_entropy"), ("f", "w", "p")),
+    "wrp": Op("measure", _late(M, "weighted_renyi_power"), ("f", "w", "p")),
+    "rre": Op("measure", _late(M, "relative_renyi_entropy"), ("f", "w", "g", "p")),
+    "rrp": Op("measure", _late(M, "relative_renyi_power"), ("f", "w", "g", "p")),
+    "mom": Op("measure", _late(M, "generalized_moment"), ("f", "w", "alpha")),
+    "dev": Op("measure", _late(M, "generalized_deviation"), ("f", "w", "alpha")),
+    "fi": Op("measure", _late(M, "fisher_information"), ("f", "p", "alpha")),
+    "wfi": Op("measure", _late(M, "weighted_fisher_information"), ("f", "w", "p", "alpha")),
+    "thm1.1": Op("check", _late(I, "check_thm11"), ("f", "w", "g", "p", "tol")),
+    "mei": Op("check", _late(I, "check_mei"), ("f", "w", "p", "alpha", "tol")),
+    "cor1": Op("check", _late(I, "check_cor1"), ("f", "c", "tol"), {"alpha": 1.0, "p": 1.0}),
+    "cor2": Op("check", _late(I, "check_cor2"), ("f", "c", "tol")),
+    "cor3": Op("check", _late(I, "check_cor3"), ("f", "tol")),
+    "fii": Op("check", _late(I, "check_fii"), ("f", "w", "p", "alpha", "tol")),
+    "cor4": Op("check", _late(I, "check_cor4"), ("f", "c", "tol")),
+    "cri": Op("check", _late(I, "check_cri"), ("f", "w", "p", "alpha", "tol")),
+    "scaling": Op("check", _scaling, ("f", "p", "t", "w", "tol")),
+    "lemma4": Op("check", _lemma4, ("f", "tol"), {"gfn": "x"}),
     "id2.11": _identity("id2.11"),
     "id2.14": _identity("id2.14"),
     "id2.18": _identity("id2.18"),
     "id2.22": _identity("id2.22"),
 }
 MEASURES = tuple(k for k, op in OPS.items() if op.kind == "measure")
-CHECKS = tuple(k for k, op in OPS.items() if op.kind != "measure")
+CHECKS = tuple(k for k, op in OPS.items() if op.kind == "check")
+# The subcommand (and scenario key) that runs each kind of id.
+KINDS = (("compute", "measure", MEASURES), ("verify", "check", CHECKS))
+
+
+def payload(oid: str, out) -> dict:
+    """The JSON payload of what ``OPS[oid]`` returned."""
+    if isinstance(out, M.MeasureValue):
+        return {
+            "measure": oid,
+            "value": out.value,
+            "error": out.error,
+            "branch": out.branch,
+            "flags": dict(out.flags),
+            "warnings": list(out.warnings),
+        }
+    if isinstance(out, I.InequalityVerdict):
+        return {
+            "id": out.inequality_id,
+            "lhs": out.lhs,
+            "rhs": out.rhs,
+            "slack": out.slack,
+            "verdict": out.verdict,
+            "equality": out.equality,
+            "tolerance": out.tolerance,
+            "error": out.error,
+            "margins": dict(out.margins),
+            "warnings": list(out.warnings),
+            "terms": {k: t for k, t in out.terms.items() if _is_scalarish(t)},
+        }
+    if isinstance(out, tuple):  # cor4: both displayed bounds
+        return {"id": oid, "first": payload(oid, out[0]), "second": payload(oid, out[1])}
+    return out  # a residual check's own payload
+
+
+def _is_scalarish(t) -> bool:
+    return isinstance(t, (int, float, str, np.integer, np.floating)) or t is None
 
 
 def _usage(oid: str) -> str:
@@ -245,29 +249,25 @@ def _parse_alpha(text: str) -> float:
 # compute and verify
 # ---------------------------------------------------------------------------
 
+# Every value an id may read, with its argparse keywords.  compute and
+# verify each take the flags that their ids read.
+FLAGS = {
+    "f": {"help": "density descriptor (exp:l laplace:b tent gg:a,p[,t] weighted:<f>;<w> table:<path>)"},
+    "g": {"help": "second density descriptor"},
+    "w": {"help": "weight descriptor (const:v expw:g pow:c abspoly:a0,a1,... fpoly:b0,... fpow:k,m)"},
+    "p": {"type": float, "help": "entropy order p"},
+    "alpha": {"type": _parse_alpha, "help": "moment order alpha (number or 'inf')"},
+    "c": {"type": float, "help": "power-weight exponent c"},
+    "t": {"type": float, "help": "scale parameter"},
+    "tol": {"type": float, "help": "verdict tolerance"},
+    "gfn": {"help": "lemma4 increasing map: x | atan | cube"},
+}
 
-def _cli_values(args) -> dict:
-    return _values(
-        args.f, args.g, args.w, args.tol, p=args.p, alpha=args.alpha, c=args.c, t=args.t, gfn=args.gfn
-    )
 
-
-def cmd_compute(args) -> int:
-    _known(args.measure, MEASURES, "measure")
-    mv = _run(args.measure, _cli_values(args))
-    _emit({"measure": args.measure, **_measure_payload(mv)})
-    return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    cid = args.check
-    _known(cid, CHECKS, "check")
-    out = _run(cid, _cli_values(args))
-    if isinstance(out, tuple):  # cor4: both displayed bounds
-        out = {"id": cid, "first": _verdict_payload(out[0]), "second": _verdict_payload(out[1])}
-    elif isinstance(out, InequalityVerdict):
-        out = _verdict_payload(out)
-    _emit(out)
+def cmd_op(args) -> int:
+    _known(args.id, args.ids, args.what)
+    values = _values(**{n: v for n, v in vars(args).items() if n in FLAGS})
+    _emit(payload(args.id, _run(args.id, values)))
     return EXIT_OK
 
 
@@ -395,6 +395,19 @@ def _id_list(text: str) -> list[str]:
     return [s.strip() for s in text.split(",") if s.strip()]
 
 
+def _columns(prefix: str, out: dict, row: dict) -> None:
+    """A payload flattened into ``row``: each entry is the column
+    ``<prefix>.<key>``, a dict's entries are ``<prefix>.<key>.<name>``.
+    The id a payload names itself by is its prefix."""
+    for key, value in out.items():
+        if key in ("id", "measure"):
+            continue
+        if isinstance(value, dict):
+            _columns(f"{prefix}.{key}", value, row)
+        else:
+            row[f"{prefix}.{key}"] = value
+
+
 def evaluate_row(scenario: dict, params: dict) -> dict:
     scalars = scenario["scalars"]
     row: dict[str, object] = dict(params)
@@ -407,29 +420,10 @@ def evaluate_row(scenario: dict, params: dict) -> dict:
             tol=env.get("tol"),
             **{k: _resolve_order(scenario, env, k) for k in ORDER_KEYS},
         )
-        for mid in _id_list(scalars.get("compute", "")):
-            _known(mid, MEASURES, "measure")
-            mv = _run(mid, values)
-            row[f"{mid}.value"] = mv.value
-            row[f"{mid}.error"] = mv.error
-            row[f"{mid}.branch"] = mv.branch
-            for fk, fv in mv.flags.items():
-                row[f"{mid}.flag.{fk}"] = fv
-
-        for cid in _id_list(scalars.get("verify", "")):
-            _known(cid, CHECKS, "check")
-            if OPS[cid].kind != "check":
-                raise InputError(f"check {cid!r} is not sweepable")
-            out = _run(cid, values)
-            for v in out if isinstance(out, tuple) else (out,):
-                prefix = v.inequality_id
-                row[f"{prefix}.lhs"] = v.lhs
-                row[f"{prefix}.rhs"] = v.rhs
-                row[f"{prefix}.slack"] = v.slack
-                row[f"{prefix}.verdict"] = v.verdict
-                row[f"{prefix}.margins"] = ";".join(
-                    f"{k}={val:.12g}" for k, val in v.margins.items()
-                )
+        for key, what, ids in KINDS:
+            for oid in _id_list(scalars.get(key, "")):
+                _known(oid, ids, what)
+                _columns(oid, payload(oid, _run(oid, values)), row)
         row["error"] = ""
     except WrenyiError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -489,7 +483,9 @@ def cmd_sweep(args) -> int:
 def _csv_cell(v) -> str:
     if isinstance(v, (float, np.floating)):
         return format(float(v), ".17g")
-    return str(v)
+    if isinstance(v, list):  # warnings: one cell
+        return "; ".join(map(str, v))
+    return "" if v is None else str(v)
 
 
 def _write_file(path: str, text: str) -> None:
@@ -534,37 +530,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weighted Renyi entropy measures and inequality checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--f", help="density descriptor (exp:l laplace:b tent gg:a,p[,t] weighted:<f>;<w> table:<path>)")
-        sp.add_argument("--g", help="second density descriptor")
-        sp.add_argument("--w", help="weight descriptor (const:v expw:g pow:c abspoly:a0,a1,... fpoly:b0,... fpow:k,m)")
-        sp.add_argument("--p", type=float, help="entropy order p")
-        sp.add_argument("--alpha", type=_parse_alpha, help="moment order alpha (number or 'inf')")
-        sp.add_argument("--c", type=float, help="power-weight exponent c")
-        sp.add_argument("--t", type=float, help="scale parameter")
-        sp.add_argument("--tol", type=float, help="verdict tolerance")
-        sp.add_argument("--out", help="output path (CSV for sweep)")
-        sp.add_argument("--gfn", help="lemma4 increasing map: x | atan | cube")
-
-    sp = sub.add_parser("compute", help="compute one measure")
-    sp.add_argument("measure", help="; ".join(map(_usage, MEASURES)))
-    common(sp)
-    sp.set_defaults(fn=cmd_compute)
-
-    sp = sub.add_parser("verify", help="run one inequality/identity check")
-    sp.add_argument("check", help="; ".join(map(_usage, CHECKS)))
-    common(sp)
-    sp.set_defaults(fn=cmd_verify)
+    for command, what, ids in KINDS:
+        sp = sub.add_parser(command, help=f"{command} one {what}")
+        sp.add_argument("id", metavar=what, help="; ".join(map(_usage, ids)))
+        for name in FLAGS:  # the values its ids read
+            if any(name in OPS[i].needs or name in OPS[i].defaults for i in ids):
+                sp.add_argument(f"--{name}", **FLAGS[name])
+        sp.set_defaults(fn=cmd_op, ids=ids, what=what)
 
     sp = sub.add_parser("sweep", help="run a scenario sweep")
     sp.add_argument("scenario", help="scenario file path")
-    common(sp)
+    sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("repro", help="run a bundled reproduction")
     sp.add_argument("example", help="example-1.1 example-1.2 cor3.1-laplace cor3.2-tent cor3.3-g identities-sec2 all")
-    common(sp)
     sp.set_defaults(fn=cmd_repro)
     return parser
 

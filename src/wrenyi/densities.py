@@ -267,7 +267,7 @@ def gg_norm_const(alpha: float, p: float) -> float:
         if not p > 1:
             raise InputError("alpha = 0 requires p > 1")
         return 1.0 / (2.0 * gamma_fn(p / (p - 1.0)))
-    if math.isinf(alpha):
+    if alpha == math.inf:
         if not p > 0:
             raise InputError("alpha = inf requires p > 0")
         return 0.5
@@ -311,7 +311,7 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
     a = gg_norm_const(alpha, p)
     support = (-math.inf, math.inf)
 
-    if math.isinf(alpha):
+    if alpha == math.inf:
         support = (-t, t)
         val = 0.5 / t
         pdf = lambda x: np.where(np.abs(x) <= t, val, 0.0)
@@ -444,7 +444,7 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
                     u = np.where(r >= 1.0, math.inf, (1.0 / v - 1.0) / (1.0 - p))
                 return u ** (1.0 / alpha)
 
-    if not math.isinf(alpha):
+    if alpha != math.inf:
 
         def cdf_fn(x):
             half = half_mass(np.abs(x / t))
@@ -498,7 +498,11 @@ def scale_density(f: Density, t: float) -> Density:
 
 
 def make_weighted_density(f: Density, weight) -> Density:
-    """Reweighted density phi*f/chi with chi = E_f[phi]."""
+    """Reweighted density phi*f/chi with chi = E_f[phi].
+
+    Its mass is 1 by construction, so it is not integrated again; the
+    density carries the warnings of chi.
+    """
     norm = integral(
         f,
         lambda x, fx: np.asarray(weight(x), dtype=float) * fx,
@@ -522,7 +526,7 @@ def make_weighted_density(f: Density, weight) -> Density:
             / chi,
         )
     )
-    dens = Density(
+    return Density(
         family="weighted",
         params={"base": f, "weight": weight, "chi": chi},
         support=f.support,
@@ -533,7 +537,6 @@ def make_weighted_density(f: Density, weight) -> Density:
         singularities=tuple(sorted(set(f.singularities) | set(weight.kinks))),
         warnings=norm.warnings,
     )
-    return _check_normalization(dens)
 
 
 def make_tabulated(xs, ys) -> Density:
@@ -827,7 +830,10 @@ def parse_density(text: str) -> Density:
         return make_weighted_density(base, parse_weight(w_txt, base=base))
     if text.startswith("table:"):
         path = text[len("table:") :]
-        data = np.loadtxt(path, delimiter=",", dtype=float)
+        try:
+            data = np.loadtxt(path, delimiter=",", dtype=float)
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read table file {path!r}: {exc}") from None
         if data.ndim != 2 or data.shape[1] != 2:
             raise InputError(f"table file {path!r} must have two columns")
         return make_tabulated(data[:, 0], data[:, 1])

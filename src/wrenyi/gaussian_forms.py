@@ -184,7 +184,7 @@ def gamma_law(shape: float) -> AuxiliaryLaw:
 
 def select_case(alpha: float, p: float) -> str:
     """Which parameter regime (alpha, p) falls into."""
-    if math.isinf(alpha):
+    if alpha == math.inf:
         if not p > 0:
             raise InputError("alpha = inf requires p > 0")
         return "alpha=inf"
@@ -225,7 +225,6 @@ def case_laws(alpha: float, p: float) -> dict[str, AuxiliaryLaw]:
     if case == "alpha=0":
         return {
             "X": gamma_law((2.0 * p - 1.0) / (p - 1.0)),
-            "Xbar": gamma_law(1.0 / (p - 1.0)),
             "Xtilde": gamma_law(p / (p - 1.0)),
         }
     return {}

@@ -717,7 +717,7 @@ def check_cri(
     margins = {"E_f[phi]-E_G[phi]": e_f - e_g}
 
     varpi = None
-    if math.isinf(alpha):
+    if alpha == math.inf:
         lhs = sigma_g / sigma_f
     elif p == 1.0:
         margins["E_f[phi]-E_G[phi*]"] = e_f - pr.e_g_star

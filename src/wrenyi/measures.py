@@ -371,7 +371,7 @@ def generalized_deviation(f: Density, w: WeightFunction, alpha: float) -> Measur
         log_moment = integral(f, core, "log-moment", w, hints=(0.0, -1.0, 1.0))
         sigma = (log_moment / e).exp("alpha = 0 deviation")
         return _measure(sigma, "alpha=0-log", {"E_f[phi]": e.value}, warns)
-    if math.isinf(alpha):
+    if alpha == math.inf:
         sup = supremum(
             f,
             lambda x, fx: np.asarray(w(x), dtype=float) * np.abs(x),
@@ -435,7 +435,7 @@ def weighted_fisher_information(
     alpha = inf: V(phi f^p / p) - int phi' f^p / p.
     """
     warns = _warn_negativity(w, f)
-    if math.isinf(alpha):
+    if alpha == math.inf:
         tv = variation(f, lambda x, fx: np.asarray(w(x), dtype=float) * fx**p / p, w.kinks)
         corr = Value(0.0) if w.is_constant else integral(
             f,

@@ -281,7 +281,7 @@ def derive_rho12(w: WeightFunction, alpha: float, p: float):
     if p == 1.0:
         raise InputError("rho_1/rho_2 are undefined at p = 1; use the reduced weight")
     beta = holder_conjugate(alpha)
-    if math.isinf(alpha):
+    if alpha == math.inf:
         raise InputError("rho_1 exponent is infinite at alpha = inf")
     if math.isinf(beta):
         raise InputError("rho_2 exponent is infinite at alpha = 1")
@@ -333,7 +333,7 @@ def holder_conjugate(alpha: float) -> float:
     """beta with 1/alpha + 1/beta = 1; conventions 1 <-> inf."""
     if alpha == 1.0:
         return math.inf
-    if math.isinf(alpha):
+    if alpha == math.inf:
         return 1.0
     if not alpha > 1.0:
         raise InputError(f"Holder conjugate needs alpha in [1, inf], got {alpha}")
@@ -383,18 +383,11 @@ def antiderivatives(w: WeightFunction) -> Antiderivatives:
             x = float(x)
             return math.copysign(abs(x) ** (c + 1.0) / (c + 1.0), x)
 
-        if c > 0:
-
-            def psi_bar(x):
-                return abs(float(x)) ** c
-
-        elif c == 0:
-
-            def psi_bar(x):
-                return 0.0
-
-        else:
+        if c < 0:
             raise DomainError(f"derivative of |x|^{c} is not integrable near 0")
+
+        def psi_bar(x):
+            return abs(float(x)) ** c
 
         return Antiderivatives(psi, psi_bar)
     if fam == "abs-polynomial":

@@ -187,6 +187,9 @@ class TestSweep:
         rows = list(csv.DictReader(open(tmp_path / "out.csv")))
         assert len(rows) == 5
         assert all(r["thm1.1.verdict"] == "holds" for r in rows)
+        # One column per measure flag and per verdict margin.
+        assert all(float(r["rre.flags.lam1-gamma"]) > 0 for r in rows)
+        assert all(float(r["thm1.1.margins.E_f[phi]-E_g[phi]"]) > 0 for r in rows)
         payload = json.loads(open(tmp_path / "out.json").read())
         assert len(payload["rows"]) == 5
 
@@ -331,13 +334,70 @@ class TestSweep:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "input"
 
-    @pytest.mark.parametrize("cid", ["scaling", "lemma4", "id2.11"])
-    def test_verify_only_checks_not_sweepable(self, tmp_path, cid):
-        body = f"id = nosweep\nf = tent\nverify = {cid}\nout_csv = {tmp_path}/n.csv\n"
+    @pytest.mark.parametrize("table", ["missing.csv", "header.csv"])
+    def test_unreadable_table_is_a_row_error(self, tmp_path, table):
+        (tmp_path / "header.csv").write_text("x,pdf\n-1,0\n0,1\n1,0\n")
+        body = f"id = table\nf = table:{tmp_path}/{table}\ncompute = we\nout_csv = {tmp_path}/t.csv\n"
         code, _ = run_cli(["sweep", str(self._scenario(tmp_path, body=body))])
         assert code == 3
-        (row,) = csv.DictReader(open(tmp_path / "n.csv"))
-        assert row["error"] == f"InputError: check {cid!r} is not sweepable"
+        (row,) = csv.DictReader(open(tmp_path / "t.csv"))
+        assert row["error"].startswith(f"InputError: cannot read table file '{tmp_path}/{table}'")
+
+    def _row_of(self, tmp_path, body):
+        path = self._scenario(tmp_path, body=f"id = row\n{body}out_csv = {tmp_path}/r.csv\n")
+        code, _ = run_cli(["sweep", str(path)])
+        assert code == 0
+        return list(csv.DictReader(open(tmp_path / "r.csv")))
+
+    def test_verdict_columns_are_its_verify_payload(self, tmp_path):
+        # An inconclusive verdict says why: its error exceeds the tolerance.
+        argv = ["verify", "mei", "--f", "gg:2,2", "--w", "expw:0.1", "--alpha", "2", "--p", "2"]
+        expected = json.loads(run_cli(argv)[1])
+        (row,) = self._row_of(tmp_path, "f = gg:2,2\nw = expw:0.1\nalpha = 2\np = 2\nverify = mei\n")
+        assert row["mei.verdict"] == expected["verdict"] == "inconclusive"
+        assert float(row["mei.error"]) == expected["error"] > float(row["mei.tolerance"])
+        assert row["mei.equality"] == "True" and row["mei.warnings"] == ""
+        assert float(row["mei.margins.E_f[phi]-E_G[phi]"]) == 0.0
+        assert float(row["mei.terms.N_f"]) == expected["terms"]["N_f"]
+
+    def test_warnings_are_one_cell(self, tmp_path):
+        body = "f = exp:1\nw = abspoly:1,-2,-1,2\ng = exp:2\nalpha = 1\np = 1\n"
+        (row,) = self._row_of(tmp_path, body + "compute = dev\nverify = thm1.1\n")
+        negative = "weight takes negative values on the support (min -0.22)"
+        assert row["dev.warnings"] == row["thm1.1.warnings"] == negative
+        (row,) = self._row_of(tmp_path, "f = exp:1\nw = pow:2\nalpha = 2\np = 1\nverify = fii\n")
+        argv = ["verify", "fii", "--f", "exp:1", "--w", "pow:2", "--alpha", "2", "--p", "1"]
+        warnings = json.loads(run_cli(argv)[1])["warnings"]
+        assert warnings and row["fii.warnings"] == "; ".join(warnings)
+
+    def test_cor4_halves(self, tmp_path):
+        (row,) = self._row_of(tmp_path, "f = tent\nc = 0\nverify = cor4\n")
+        expected = json.loads(run_cli(["verify", "cor4", "--f", "tent", "--c", "0"])[1])
+        for half in ("first", "second"):
+            assert row[f"cor4.{half}.verdict"] == expected[half]["verdict"]
+            assert float(row[f"cor4.{half}.slack"]) == expected[half]["slack"]
+            assert f"cor4.{half}.id" not in row
+        assert "cor4.id" not in row
+
+    def test_identity_over_an_alpha_list(self, tmp_path):
+        rows = self._row_of(tmp_path, "w = expw:0.1\np = 2\nalpha = 1.5,2,3\nverify = id2.11\n")
+        assert [r["alpha"] for r in rows] == ["1.5", "2", "3"]
+        for r in rows:
+            assert float(r["id2.11.residual"]) <= 1e-5 and r["id2.11.passed"] == "True"
+
+    @pytest.mark.parametrize(
+        "body, columns",
+        [
+            ("f = gg:2,2\nw = pow:1.5\np = 2\nt = 1.7\nverify = scaling\n", ["residual", "passed"]),
+            ("f = tent\nverify = lemma4\n", ["gfn", "residual", "passed"]),
+        ],
+        ids=["scaling", "lemma4"],
+    )
+    def test_residual_checks_sweep(self, tmp_path, body, columns):
+        (row,) = self._row_of(tmp_path, body)
+        cid = body.split("verify = ")[1].strip()
+        assert [k for k in row if k.startswith(cid)] == [f"{cid}.{c}" for c in columns]
+        assert row[f"{cid}.passed"] == "True"
 
 
 class TestRepro:
@@ -392,3 +452,58 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(argv)
         assert shared == capsys.readouterr().out
+
+    def test_each_subcommand_takes_the_flags_its_ids_read(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        flags = {
+            name: [a.dest for a in sp._actions if a.option_strings and a.dest != "help"]
+            for name, sp in sub.choices.items()
+        }
+        assert flags == {
+            "compute": ["f", "g", "w", "p", "alpha"],
+            "verify": ["f", "g", "w", "p", "alpha", "c", "t", "tol", "gfn"],
+            "sweep": ["out"],
+            "repro": [],
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compute", "we", "--f", "tent", "--tol", "1e-6"], ["repro", "all", "--f", "tent"]],
+        ids=["compute-tol", "repro-f"],
+    )
+    def test_a_flag_no_id_reads_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_ops_are_looked_up_at_call_time(self, monkeypatch):
+        from wrenyi import inequalities
+
+        seen = []
+        original = inequalities.check_cor2
+
+        def patched(**kwargs):
+            seen.append(kwargs["c"])
+            return original(**kwargs)
+
+        monkeypatch.setattr(inequalities, "check_cor2", patched)
+        assert run_cli(["verify", "cor2", "--f", "tent", "--c", "0"])[0] == 0
+        assert seen == [0.0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "compute dev --f tent --w pow:1 --alpha=-inf",
+        "compute wfi --f tent --w pow:1.5 --alpha=-inf --p 2.2",
+        "verify id2.22 --w pow:2 --alpha=-inf --p 2",
+        "compute we --f gg:-inf,2",
+    ],
+    ids=["dev", "wfi", "id2.22", "gg"],
+)
+def test_alpha_minus_inf_is_an_input_error(argv):
+    # -inf is not inf: it reaches the order's range check.
+    code, out = run_cli(argv.split())
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "input"

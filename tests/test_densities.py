@@ -408,3 +408,16 @@ class TestIntegralHelpers:
             return np.abs(x)
 
         assert supremum(make_tent(), core, "sup |x|").value == pytest.approx(1.0, abs=1e-6)
+
+
+class TestTableErrors:
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "nonexistent.csv"
+        with pytest.raises(InputError, match="nonexistent.csv"):
+            parse_density(f"table:{path}")
+
+    def test_header_row(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("x,pdf\n-1,0\n0,1\n1,0\n")
+        with pytest.raises(InputError, match="header.csv"):
+            parse_density(f"table:{path}")

@@ -1,11 +1,13 @@
-"""Every name a wrenyi module exports in ``__all__`` exists, and every
-name a module imports is used (a stand-in for a linter's unused-import
-rule)."""
+"""Every name a wrenyi module exports in ``__all__`` exists, every name
+a module imports is used (a stand-in for a linter's unused-import rule),
+and every function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -51,3 +53,30 @@ def test_unused_import_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _tracer_layers() -> dict:
+    """``LAYERS`` of ``perfbench/tracer.py``, loaded without writing bytecode."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    before, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = before
+    return module.LAYERS
+
+
+@pytest.mark.parametrize(
+    "layer, fname",
+    [(layer, fname) for layer, fns in _tracer_layers().items() for fname in fns],
+    ids=lambda v: v,
+)
+def test_every_traced_function_exists(layer, fname):
+    # The traced benchmark run wraps each of these by name and stops on
+    # the first that is gone.
+    owner = importlib.import_module(f"wrenyi.{layer}")
+    for part in fname.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
