@@ -10,6 +10,7 @@ Subcommands:
 The measure and check ids and the values each reads are the entries of
 ``OPS``; ``wrenyi compute --help`` and ``wrenyi verify --help`` list them,
 and each of the two takes only the flags of the values its ids read.
+A value's ``FLAGS`` entry reads it alike as a flag and as a scenario key.
 :func:`payload` renders what an id returns: ``compute`` and ``verify``
 print it, and a sweep row holds it flattened to ``<id>.<key>`` columns.
 
@@ -26,6 +27,7 @@ import csv
 import functools
 import io
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -34,9 +36,9 @@ import numpy as np
 from . import gaussian_forms as G
 from . import inequalities as I
 from . import measures as M
-from .densities import _parse_float, parse_density
+from .densities import parse_density, parse_float
 from .errors import DomainError, InputError, WrenyiError
-from .weights import make_constant, parse_weight
+from .weights import parse_weight
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -90,15 +92,16 @@ class Op(NamedTuple):
 
     ``fn`` is called with the values named in ``needs`` (an InputError
     names the first one missing, in that order) and with those of
-    ``defaults``, each either as given or as its default.  A measure
-    returns a MeasureValue; a check returns a verdict, cor4's pair of
-    verdicts or its residual payload.  :func:`payload` renders each.
+    ``optional`` that are given; ``fn``'s own signature holds their
+    defaults.  A measure returns a MeasureValue; a check returns a
+    verdict, cor4's pair of verdicts or its residual payload.
+    :func:`payload` renders each.
     """
 
     kind: str  # "measure" or "check"
     fn: Callable
     needs: tuple[str, ...]
-    defaults: dict = {}
+    optional: tuple[str, ...] = ()
 
 
 def _late(module, name: str) -> Callable:
@@ -150,14 +153,14 @@ OPS = {
     "wfi": Op("measure", _late(M, "weighted_fisher_information"), ("f", "w", "p", "alpha")),
     "thm1.1": Op("check", _late(I, "check_thm11"), ("f", "w", "g", "p", "tol")),
     "mei": Op("check", _late(I, "check_mei"), ("f", "w", "p", "alpha", "tol")),
-    "cor1": Op("check", _late(I, "check_cor1"), ("f", "c", "tol"), {"alpha": 1.0, "p": 1.0}),
+    "cor1": Op("check", _late(I, "check_cor1"), ("f", "c", "tol"), ("alpha", "p")),
     "cor2": Op("check", _late(I, "check_cor2"), ("f", "c", "tol")),
     "cor3": Op("check", _late(I, "check_cor3"), ("f", "tol")),
     "fii": Op("check", _late(I, "check_fii"), ("f", "w", "p", "alpha", "tol")),
     "cor4": Op("check", _late(I, "check_cor4"), ("f", "c", "tol")),
     "cri": Op("check", _late(I, "check_cri"), ("f", "w", "p", "alpha", "tol")),
     "scaling": Op("check", _scaling, ("f", "p", "t", "w", "tol")),
-    "lemma4": Op("check", _lemma4, ("f", "tol"), {"gfn": "x"}),
+    "lemma4": Op("check", _lemma4, ("f", "tol", "gfn")),
     "id2.11": _identity("id2.11"),
     "id2.14": _identity("id2.14"),
     "id2.18": _identity("id2.18"),
@@ -204,9 +207,10 @@ def _is_scalarish(t) -> bool:
 
 
 def _usage(oid: str) -> str:
+    """The id and its flags; one with a default, or optional, in brackets."""
     op = OPS[oid]
-    flags = [f"--{n}" for n in op.needs if n not in ("w", "tol")]
-    return " ".join([oid, *flags, *(f"[--{n}]" for n in op.defaults)])
+    flags = [f"[--{n}]" if FLAGS[n].default is not None else f"--{n}" for n in op.needs]
+    return " ".join([oid, *flags, *(f"[--{n}]" for n in op.optional)])
 
 
 def _known(oid: str, ids: tuple, what: str) -> None:
@@ -214,59 +218,83 @@ def _known(oid: str, ids: tuple, what: str) -> None:
         raise InputError(f"unknown {what} {oid!r}; known: {', '.join(ids)}")
 
 
-def _values(f=None, g=None, w=None, tol=None, **orders) -> dict:
-    """The values an id may name: parsed descriptors, orders as given."""
-    f = parse_density(f) if f else None
-    return {
-        "f": f,
-        "w": parse_weight(w, base=f) if w else make_constant(1.0),
-        "g": parse_density(g) if g else None,
-        "tol": 1e-8 if tol is None else tol,
-        **orders,
-    }
-
-
 def _run(oid: str, values: dict):
     op = OPS[oid]
     for name in op.needs:
-        if values.get(name) is None:
+        if values[name] is None:
             raise InputError(
                 "this operation needs --alpha"
                 if name == "alpha"
                 else f"--{name} is required for this operation"
             )
-    kwargs = {n: values[n] for n in op.needs}
-    kwargs.update({n: d if values.get(n) is None else values[n] for n, d in op.defaults.items()})
-    return op.fn(**kwargs)
-
-
-def _parse_alpha(text: str) -> float:
-    t = text.strip().lower()
-    return math.inf if t in ("inf", "infinity", "oo") else float(t)
+    given = [n for n in op.optional if values[n] is not None]
+    return op.fn(**{n: values[n] for n in (*op.needs, *given)})
 
 
 # ---------------------------------------------------------------------------
-# compute and verify
+# The values: flags and scenario keys
 # ---------------------------------------------------------------------------
 
-# Every value an id may read, with its argparse keywords.  compute and
-# verify each take the flags that their ids read.
+
+def _text(name: str, text: str) -> str:
+    return text
+
+
+def _number(name: str, text: str) -> float:
+    try:
+        return parse_float(text)
+    except InputError:
+        raise InputError(f"{name} must be a number, got {text!r}") from None
+
+
+def _tolerance(name: str, text: str) -> float:
+    tol = _number(name, text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"{name} must be finite and >= 0, got {text!r}")
+    return tol
+
+
+class Flag(NamedTuple):
+    """One value an id may read: ``parse(name, text)``, default and help."""
+
+    parse: Callable[[str, str], object]
+    default: object
+    help: str
+
+
+# Every value an id may read.  compute and verify each take the flags
+# that their ids read; a scenario takes every one as a key.
 FLAGS = {
-    "f": {"help": "density descriptor (exp:l laplace:b tent gg:a,p[,t] weighted:<f>;<w> table:<path>)"},
-    "g": {"help": "second density descriptor"},
-    "w": {"help": "weight descriptor (const:v expw:g pow:c abspoly:a0,a1,... fpoly:b0,... fpow:k,m)"},
-    "p": {"type": float, "help": "entropy order p"},
-    "alpha": {"type": _parse_alpha, "help": "moment order alpha (number or 'inf')"},
-    "c": {"type": float, "help": "power-weight exponent c"},
-    "t": {"type": float, "help": "scale parameter"},
-    "tol": {"type": float, "help": "verdict tolerance"},
-    "gfn": {"help": "lemma4 increasing map: x | atan | cube"},
+    "f": Flag(_text, None, "density descriptor (exp:l laplace:b tent gg:a,p[,t] weighted:<f>;<w> table:<path>)"),
+    "g": Flag(_text, None, "second density descriptor"),
+    "w": Flag(_text, "const:1", "weight descriptor (const:v expw:g pow:c abspoly:a0,a1,... fpoly:b0,... fpow:k,m)"),
+    "p": Flag(_number, None, "entropy order p"),
+    "alpha": Flag(_number, None, "moment order alpha (number or 'inf')"),
+    "c": Flag(_number, None, "power-weight exponent c"),
+    "t": Flag(_number, None, "scale parameter"),
+    "tol": Flag(_tolerance, I.DEFAULT_TOL, "verdict tolerance"),
+    "gfn": Flag(_text, "x", "lemma4 increasing map: x | atan | cube"),
 }
+
+
+def _values(texts: dict) -> dict:
+    """Every value of ``FLAGS``: its text in ``texts`` parsed by its entry,
+    else its default; then the descriptors built."""
+    values = {
+        name: flag.parse(name, texts[name]) if texts.get(name) else flag.default
+        for name, flag in FLAGS.items()
+    }
+    if values["f"] is not None:
+        values["f"] = parse_density(values["f"])
+    values["w"] = parse_weight(values["w"], base=values["f"])
+    if values["g"] is not None:
+        values["g"] = parse_density(values["g"])
+    return values
 
 
 def cmd_op(args) -> int:
     _known(args.id, args.ids, args.what)
-    values = _values(**{n: v for n, v in vars(args).items() if n in FLAGS})
+    values = _values({n: v for n, v in vars(args).items() if n in FLAGS})
     _emit(payload(args.id, _run(args.id, values)))
     return EXIT_OK
 
@@ -275,22 +303,11 @@ def cmd_op(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-SCALAR_KEYS = {
-    "id",
-    "f",
-    "g",
-    "w",
-    "p",
-    "alpha",
-    "c",
-    "t",
-    "verify",
-    "compute",
-    "tol",
-    "out_csv",
-    "out_json",
-}
-ORDER_KEYS = ("p", "alpha", "c", "t")
+# The scenario keys: the FLAGS names and those below; any other key is a
+# template variable.  A TEXT_KEYS value is one template, never a list.
+META_KEYS = ("id", "compute", "verify", "out_csv", "out_json")
+SCHEMA_KEYS = (*FLAGS, *META_KEYS)
+TEXT_KEYS = META_KEYS + tuple(n for n, flag in FLAGS.items() if flag.parse is _text)
 
 
 def parse_scenario(path: str) -> dict:
@@ -310,18 +327,16 @@ def parse_scenario(path: str) -> dict:
             raw[key] = val
             order.append(key)
 
-    templates = " ".join(raw.get(k, "") for k in ("f", "g", "w") + ORDER_KEYS)
+    templates = " ".join(raw.get(k, "") for k in FLAGS)
     for key in raw:
-        if key in SCALAR_KEYS:
-            continue
-        if "{" + key + "}" not in templates:
+        if key not in SCHEMA_KEYS and "{" + key + "}" not in templates:
             raise InputError(
                 f"unknown scenario key {key!r} (not a schema key and never "
                 f"referenced as {{{key}}})"
             )
 
     def number_or_text(text: str):
-        # Text stays text: an order key is parsed per row by _resolve_order.
+        # Text stays text: a FLAGS value is parsed per row by its entry.
         try:
             return float(text)
         except ValueError:
@@ -331,7 +346,7 @@ def parse_scenario(path: str) -> dict:
         parts = spec.split(",")
         if len(parts) != 3 or not parts[2].strip().isdigit():
             raise InputError(f"{path}: a grid is '<start>,<stop>,<count>', got {spec!r}")
-        a, b = (_parse_float(v) for v in parts[:2])
+        a, b = (parse_float(v) for v in parts[:2])
         return np.linspace(a, b, int(parts[2]) + extra)
 
     def parse_values(text: str):
@@ -347,14 +362,10 @@ def parse_scenario(path: str) -> dict:
     grids: dict[str, list] = {}
     scalars: dict[str, object] = {}
     for key in order:
-        if key in ("id", "f", "g", "w", "verify", "compute", "out_csv", "out_json"):
+        if key in TEXT_KEYS:
             scalars[key] = raw[key]
             continue
         parsed = parse_values(raw[key])
-        if key == "tol":
-            for v in parsed if isinstance(parsed, list) else [parsed]:
-                if isinstance(v, str):
-                    raise InputError(f"{path}: tol must be a number, got {v!r}")
         if isinstance(parsed, list):
             grids[key] = parsed
         else:
@@ -371,24 +382,17 @@ def _rows_of(scenario: dict):
     return rows
 
 
-def _subst(template: str, params: dict) -> str:
-    out = template
+def _str(v) -> str:
+    return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def _subst(template, params: dict) -> str:
+    out = _str(template)
     for k, v in params.items():
-        out = out.replace("{" + k + "}", repr(float(v)) if isinstance(v, float) else str(v))
+        out = out.replace("{" + k + "}", _str(v))
     if "{" in out:
         raise InputError(f"unresolved placeholder in {template!r}")
     return out
-
-
-def _resolve_order(scenario, params, key):
-    val = scenario["scalars"].get(key, params.get(key))
-    if isinstance(val, str):
-        text = _subst(val, params)
-        try:
-            val = _parse_alpha(text) if key == "alpha" else float(text)
-        except ValueError:
-            raise InputError(f"{key} must be a number, got {text!r}") from None
-    return val
 
 
 def _id_list(text: str) -> list[str]:
@@ -411,15 +415,12 @@ def _columns(prefix: str, out: dict, row: dict) -> None:
 def evaluate_row(scenario: dict, params: dict) -> dict:
     scalars = scenario["scalars"]
     row: dict[str, object] = dict(params)
-    env = {k: v for k, v in scalars.items() if isinstance(v, float)}
+    # Every template variable, every number and the grid point.
+    env = {k: v for k, v in scalars.items() if isinstance(v, float) or k not in SCHEMA_KEYS}
     env.update(params)
     try:
-        descriptors = {k: _subst(scalars[k], env) for k in ("f", "g", "w") if k in scalars}
-        values = _values(
-            **descriptors,
-            tol=env.get("tol"),
-            **{k: _resolve_order(scenario, env, k) for k in ORDER_KEYS},
-        )
+        given = {n: scalars.get(n, params.get(n)) for n in FLAGS}
+        values = _values({n: _subst(v, env) for n, v in given.items() if v is not None})
         for key, what, ids in KINDS:
             for oid in _id_list(scalars.get(key, "")):
                 _known(oid, ids, what)
@@ -446,9 +447,7 @@ def cmd_sweep(args) -> int:
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(header)
     for i, row in enumerate(rows):
-        writer.writerow(
-            [i] + [_csv_cell(row.get(k, "")) for k in header[1:]]
-        )
+        writer.writerow([i] + [_csv_cell(row.get(k, "")) for k in header[1:]])
     csv_text = buf.getvalue()
     if out_csv:
         _write_file(out_csv, csv_text)
@@ -489,8 +488,6 @@ def _csv_cell(v) -> str:
 
 
 def _write_file(path: str, text: str) -> None:
-    import os
-
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -534,8 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(command, help=f"{command} one {what}")
         sp.add_argument("id", metavar=what, help="; ".join(map(_usage, ids)))
         for name in FLAGS:  # the values its ids read
-            if any(name in OPS[i].needs or name in OPS[i].defaults for i in ids):
-                sp.add_argument(f"--{name}", **FLAGS[name])
+            if any(name in OPS[i].needs + OPS[i].optional for i in ids):
+                sp.add_argument(f"--{name}", help=FLAGS[name].help)
         sp.set_defaults(fn=cmd_op, ids=ids, what=what)
 
     sp = sub.add_parser("sweep", help="run a scenario sweep")

@@ -62,6 +62,7 @@ from .numerics import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     Value,
+    _finite,
     _gk15_nodes,
     _gk15_sums,
     _masked,
@@ -89,6 +90,7 @@ __all__ = [
     "make_tabulated",
     "cdf",
     "quantile",
+    "parse_float",
     "parse_density",
 ]
 
@@ -178,9 +180,9 @@ def _check_normalization(density: Density) -> Density:
 
 def make_exponential(lam: float) -> Density:
     """Exp(lam): pdf lam * exp(-lam x) on (0, inf)."""
+    lam = _finite("exponential rate", lam)
     if not lam > 0:
         raise InputError(f"exponential rate must be positive, got {lam}")
-    lam = float(lam)
     # Both branches of np.where are evaluated: clipping x at 0 keeps
     # exp(-lam x) from overflowing on the far left, where the value is 0.
     pdf = _vec(lambda x: np.where(x > 0, lam * np.exp(-lam * np.maximum(x, 0.0)), 0.0))
@@ -201,9 +203,9 @@ def make_exponential(lam: float) -> Density:
 
 def make_laplace(b: float = 1.0) -> Density:
     """Laplace(b): pdf exp(-|x|/b) / (2b); kink at 0."""
+    b = _finite("laplace scale", b)
     if not b > 0:
         raise InputError(f"laplace scale must be positive, got {b}")
-    b = float(b)
     pdf = _vec(lambda x: np.exp(-np.abs(x) / b) / (2 * b))
     dpdf = _vec(lambda x: -np.sign(x) * np.exp(-np.abs(x) / b) / (2 * b * b))
 
@@ -305,7 +307,7 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
     scipy.special costs more to import than numpy, and only a CDF or
     quantile of G needs it.
     """
-    alpha, p, t = float(alpha), float(p), float(t)
+    alpha, p, t = float(alpha), _finite("generalized-gaussian order p", p), _finite("scale", t)
     if not t > 0:
         raise InputError(f"scale must be positive, got {t}")
     a = gg_norm_const(alpha, p)
@@ -473,9 +475,9 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
 
 def scale_density(f: Density, t: float) -> Density:
     """The density of t*X when X ~ f: pdf f(x/t)/t."""
+    t = _finite("scale", t)
     if not t > 0:
         raise InputError(f"scale must be positive, got {t}")
-    t = float(t)
     lo, hi = f.support
     pdf = _vec(lambda x: f.pdf(np.asarray(x) / t) / t)
     dpdf = _vec(lambda x: f.dpdf(np.asarray(x) / t) / t**2)
@@ -804,7 +806,8 @@ def _root_quantile(f: Density, level: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _parse_float(tok: str) -> float:
+def parse_float(tok: str) -> float:
+    """A number; ``inf``, ``infinity`` and ``oo`` (any case) read as infinity."""
     tok = tok.strip().lower()
     if tok in ("inf", "infinity", "oo"):
         return math.inf
@@ -840,7 +843,7 @@ def parse_density(text: str) -> Density:
     if ":" not in text:
         raise InputError(f"unknown density descriptor {text!r}")
     name, args = text.split(":", 1)
-    vals = [_parse_float(v) for v in args.split(",") if v.strip() != ""]
+    vals = [parse_float(v) for v in args.split(",") if v.strip() != ""]
     if name == "exp":
         if len(vals) != 1:
             raise InputError("exp descriptor takes one rate parameter")

@@ -40,7 +40,7 @@ import numpy as np
 
 from .densities import Density, integral, supremum, variation
 from .errors import DomainError, InputError
-from .numerics import Value, _merge, gamma_fn
+from .numerics import Value, _merge, _num, gamma_fn
 from .weights import WeightFunction, holder_conjugate, nonnegativity_violation
 
 __all__ = [
@@ -72,8 +72,9 @@ def _measure(v: Value, branch: str, flags: dict, warns=()) -> MeasureValue:
     return MeasureValue(v.value, v.error, _merge(warns, v.warnings), v.parts, branch, flags)
 
 
-def _closed(value: float, flags: dict, warns=()) -> MeasureValue:
-    return MeasureValue(value, 0.0, warns, None, "closed-form", flags)
+def _closed(value, flags: dict, warns=()) -> MeasureValue:
+    """An exact float or Value (a closed form) as a closed-form measure."""
+    return MeasureValue(_num(value), 0.0, warns, None, "closed-form", flags)
 
 
 def _warn_negativity(w: WeightFunction, f: Density):
@@ -104,14 +105,14 @@ def _const_factor(w: WeightFunction) -> float:
     return w.params["v"] if w.family == "constant" else 1.0
 
 
-def _exp_phi_fp(lam: float, gamma: float, p: float) -> tuple[float, float]:
+def _exp_phi_fp(lam: float, gamma: float, p: float) -> tuple[Value, float]:
     """(int e^{gx} (l e^{-lx})^p dx, margin p*l - gamma); needs margin > 0."""
     margin = p * lam - gamma
     if margin <= 0:
         raise DomainError(
             f"int phi f^p diverges: validity p*lam - gamma = {margin:.6g} <= 0"
         )
-    return lam**p / margin, margin
+    return Value(lam) ** p / margin, margin
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +140,8 @@ def weighted_entropy(f: Density, w: WeightFunction) -> MeasureValue:
         lam = _exp_rate(f)
         if lam - g <= 0:
             raise DomainError(f"entropy integral diverges: lam - gamma <= 0")
-        m0 = lam / (lam - g)
-        m1 = lam / (lam - g) ** 2
+        m0 = lam / Value(lam - g)
+        m1 = lam / Value(lam - g) ** 2
         val = _const_factor(w) * (-math.log(lam) * m0 + lam * m1)
         return _closed(val, {"lam-gamma": lam - g}, warns)
 
@@ -163,9 +164,9 @@ def relative_weighted_entropy(
         l1, l2 = _exp_rate(f), _exp_rate(g)
         if l1 - gam <= 0:
             raise DomainError("relative entropy integral diverges: lam1 - gamma <= 0")
-        m0 = l1 / (l1 - gam)
-        m1 = l1 / (l1 - gam) ** 2
-        val = _const_factor(w) * (math.log(l1 / l2) * m0 + (l2 - l1) * m1)
+        m0 = l1 / Value(l1 - gam)
+        m1 = l1 / Value(l1 - gam) ** 2
+        val = _const_factor(w) * ((Value(l1) / l2).log() * m0 + (l2 - l1) * m1)
         return _closed(val, {"lam1-gamma": l1 - gam}, warns)
 
     # Divergence when f > 0 on a region where g = 0.
@@ -251,10 +252,10 @@ def _relative_integrals(f: Density, g: Density, w: WeightFunction, p: float):
                 "relative Renyi integrals diverge; violated margins: "
                 + ", ".join(k for k, v in flags.items() if v <= 0)
             )
-        i_cross = c * l1 * l2 ** (p - 1.0) / m_cross
-        i_g = c * l2**p / m2
-        i_f = c * l1**p / m1
-        return (Value(i_cross), Value(i_g), Value(i_f)), flags, "closed-form"
+        i_cross = c * l1 * Value(l2) ** (p - 1.0) / m_cross
+        i_g = c * Value(l2) ** p / m2
+        i_f = c * Value(l1) ** p / m1
+        return (i_cross, i_g, i_f), flags, "closed-form"
 
     def core(x, fx):
         gx = np.asarray(g.pdf(x), dtype=float)
@@ -329,7 +330,7 @@ def generalized_moment(f: Density, w: WeightFunction, alpha: float) -> MeasureVa
                     continue
                 if alpha + e <= -1.0:
                     raise DomainError(f"moment of order {alpha + e} diverges at 0")
-                val += c * gamma_fn(alpha + e + 1.0) / lam ** (alpha + e)
+                val += c * gamma_fn(alpha + e + 1.0) / Value(lam) ** (alpha + e)
             return _closed(val, {}, warns)
         gam = _explinear_gamma(w)
         if gam is not None:
@@ -339,7 +340,7 @@ def generalized_moment(f: Density, w: WeightFunction, alpha: float) -> MeasureVa
                 _const_factor(w)
                 * lam
                 * gamma_fn(alpha + 1.0)
-                / (lam - gam) ** (alpha + 1.0)
+                / Value(lam - gam) ** (alpha + 1.0)
             )
             return _closed(val, {"lam-gamma": lam - gam}, warns)
 

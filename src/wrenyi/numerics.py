@@ -71,6 +71,14 @@ def _vec(impl):
     return fn
 
 
+def _finite(what: str, x) -> float:
+    """``x`` as a float; a nan or an infinity is an InputError naming ``what``."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise InputError(f"{what} must be finite, got {x}")
+    return x
+
+
 def _exp(log_value: float, what: str) -> float:
     """exp of a log-value; an overflow is a DomainError, not a crash."""
     try:
@@ -138,10 +146,10 @@ class Value:
     Arithmetic (``+ - * /``, ``**`` with a float or Value exponent,
     :meth:`log`, :meth:`exp`) computes the number exactly as the same
     expression on floats does (a ``/`` or ``**`` that overflows or
-    divides by zero raises DomainError), merges the warnings of its
-    operands and propagates the error to first order: a result of the
-    independent estimates x_i with errors e_i has error
-    sum_i |d result / d x_i| e_i.
+    divides by zero, and a log of a number <= 0, raise DomainError),
+    merges the warnings of its operands and propagates the error to
+    first order: a result of the independent estimates x_i with errors
+    e_i has error sum_i |d result / d x_i| e_i.
     ``parts`` keeps that sum term by term, keyed by estimate, so an
     estimate that enters twice, as N in N^a / N^b, counts once with its
     net sensitivity.  A float operand is exact.
@@ -216,6 +224,8 @@ class Value:
         return Value._of(r, (self, dx), (other, dy))
 
     def log(self) -> "Value":
+        if not self.value > 0:
+            raise DomainError(f"log({self.value!r}) is undefined")
         return Value._of(math.log(self.value), (self, 1.0 / self.value))
 
     def exp(self, what: str) -> "Value":

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .densities import parse_float
 from .errors import DomainError, InputError
-from .numerics import QuadratureConfig, _exp, _vec, differentiate, integrate
+from .numerics import QuadratureConfig, _exp, _finite, _vec, differentiate, integrate
 
 __all__ = [
     "WeightFunction",
@@ -84,9 +85,9 @@ class Antiderivatives:
 
 
 def make_constant(v: float = 1.0) -> WeightFunction:
+    v = _finite("constant weight", v)
     if v < 0:
         raise InputError(f"constant weight must be nonnegative, got {v}")
-    v = float(v)
     return WeightFunction(
         "constant",
         {"v": v},
@@ -96,7 +97,7 @@ def make_constant(v: float = 1.0) -> WeightFunction:
 
 
 def make_exp_linear(gamma: float) -> WeightFunction:
-    gamma = float(gamma)
+    gamma = _finite("exp-linear rate", gamma)
     if gamma == 0.0:
         return make_constant(1.0)
 
@@ -113,7 +114,7 @@ def make_exp_linear(gamma: float) -> WeightFunction:
 
 def make_power(c: float) -> WeightFunction:
     """|x|^c; for c < 0 the weight is singular at 0."""
-    c = float(c)
+    c = _finite("power exponent", c)
     if c == 0.0:
         return make_constant(1.0)
 
@@ -133,7 +134,7 @@ def make_power(c: float) -> WeightFunction:
 
 def _polynomial(family: str, coeffs, params: dict, u, du, kinks) -> WeightFunction:
     """sum_i a_i u(x)^i, with derivative (sum_i i a_i u(x)^(i-1)) u'(x)."""
-    a = tuple(float(c) for c in coeffs)
+    a = tuple(_finite(f"{family} coefficient", c) for c in coeffs)
     if not a:
         raise InputError(f"{family} needs at least one coefficient")
     powers = np.arange(len(a))
@@ -170,7 +171,7 @@ def make_density_polynomial(coeffs, density) -> WeightFunction:
 
 def make_density_power(k: float, m: float, density) -> WeightFunction:
     """f(x)^k |f'(x)|^m for a fixed density f (evaluated where f > 0)."""
-    k, m = float(k), float(m)
+    k, m = _finite("density-power k", k), _finite("density-power m", m)
 
     def _f(x):
         fx = np.asarray(density.pdf(x), dtype=float)
@@ -346,14 +347,14 @@ def holder_conjugate(alpha: float) -> float:
 
 
 def _psi_quadrature(fn, kinks):
+    cfg = QuadratureConfig(singularities=tuple(kinks))
+
     def psi(x):
         x = float(x)
         if x == 0.0:
             return 0.0
         lo, hi = (0.0, x) if x > 0 else (x, 0.0)
-        cfg = QuadratureConfig(singularities=tuple(kinks))
-        res = integrate(_vec(lambda t: np.asarray(fn(t), dtype=float)), (lo, hi), cfg)
-        value = res.checked("antiderivative integral")
+        value = integrate(fn, (lo, hi), cfg).checked("antiderivative integral")
         return value if x > 0 else -value
 
     return psi
@@ -438,10 +439,7 @@ def parse_weight(text: str, base=None) -> WeightFunction:
     if ":" not in text:
         raise InputError(f"unknown weight descriptor {text!r}")
     name, args = text.split(":", 1)
-    try:
-        vals = [float(v) for v in args.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise InputError(f"cannot parse weight arguments {args!r}") from exc
+    vals = [parse_float(v) for v in args.split(",") if v.strip() != ""]
     if name == "const":
         if len(vals) != 1:
             raise InputError("const descriptor takes one value")

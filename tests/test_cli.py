@@ -286,17 +286,19 @@ class TestSweep:
         assert row["error"] == f"InputError: {message}"
 
     def test_non_numeric_tol_rejected(self, tmp_path):
+        # tol is parsed per row by its FLAGS entry, like p = abc.
         body = f"id = tol\nf = tent\nc = 0\ntol = tight\nverify = cor2\nout_csv = {tmp_path}/t.csv\n"
-        code, out = run_cli(["sweep", str(self._scenario(tmp_path, body=body))])
-        assert code == 2
-        assert json.loads(out)["error"]["type"] == "input"
-        assert "tol must be a number, got 'tight'" in json.loads(out)["error"]["message"]
+        code, _ = run_cli(["sweep", str(self._scenario(tmp_path, body=body))])
+        assert code == 3
+        (row,) = csv.DictReader(open(tmp_path / "t.csv"))
+        assert row["error"] == "InputError: tol must be a number, got 'tight'"
 
     def test_non_numeric_tol_list_element_rejected(self, tmp_path):
-        body = "id = tol\nf = tent\nc = 0\ntol = 1e-8,tight\nverify = cor2\n"
-        code, out = run_cli(["sweep", str(self._scenario(tmp_path, body=body))])
-        assert code == 2
-        assert "tol must be a number, got 'tight'" in json.loads(out)["error"]["message"]
+        body = f"id = tol\nf = tent\nc = 0\ntol = 1e-8,tight\nverify = cor2\nout_csv = {tmp_path}/t.csv\n"
+        code, _ = run_cli(["sweep", str(self._scenario(tmp_path, body=body))])
+        assert code == 3
+        rows = list(csv.DictReader(open(tmp_path / "t.csv")))
+        assert [r["error"] for r in rows] == ["", "InputError: tol must be a number, got 'tight'"]
 
     def test_each_row_uses_its_own_tol(self, tmp_path):
         body = (
@@ -477,6 +479,18 @@ class TestParser:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_repro_help_lists_every_repro_id(self):
+        from wrenyi.repro import REPRO_IDS
+
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        (example,) = [a for a in sub.choices["repro"]._actions if a.dest == "example"]
+        assert example.help.split() == [*REPRO_IDS, "all"]
+
+    def test_ids_help_brackets_the_values_with_a_default(self):
+        assert cli._usage("thm1.1") == "thm1.1 --f [--w] --g --p [--tol]"
+        assert cli._usage("cor1") == "cor1 --f --c [--tol] [--alpha] [--p]"
+        assert cli._usage("lemma4") == "lemma4 --f [--tol] [--gfn]"
+
     def test_ops_are_looked_up_at_call_time(self, monkeypatch):
         from wrenyi import inequalities
 
@@ -490,6 +504,116 @@ class TestParser:
         monkeypatch.setattr(inequalities, "check_cor2", patched)
         assert run_cli(["verify", "cor2", "--f", "tent", "--c", "0"])[0] == 0
         assert seen == [0.0]
+
+
+def _sweep_row(tmp_path, lines: dict) -> dict:
+    """The one row of a scenario of ``key = value`` lines, from its JSON report."""
+    body = "".join(f"{k} = {v}\n" for k, v in lines.items())
+    path = tmp_path / "one.sweep"
+    path.write_text(f"id = one\n{body}out_json = {tmp_path}/one.json\n")
+    run_cli(["sweep", str(path)])
+    (row,) = json.loads((tmp_path / "one.json").read_text())["rows"]
+    return row
+
+
+class TestFlags:
+    # One case per FLAGS value: (argv, scenario lines that stand in for its
+    # flags, where they differ from them).
+    PARITY = [
+        ("compute we --f laplace:1", {}),
+        ("compute rwe --f exp:2 --g exp:1", {}),
+        ("compute we --f exp:1 --w expw:0.5", {}),
+        ("compute wrp --f tent --p oo", {}),
+        ("compute dev --f tent --alpha oo", {}),
+        ("verify cor2 --f tent --c 0", {}),
+        ("verify scaling --f gg:2,2 --w expw:0.3 --t 1.7 --p 2", {}),
+        (
+            "verify mei --f gg:2,2 --w expw:0.1 --alpha 2 --p 2 --tol 0.5",
+            {"tol": "{x}", "x": "0.5"},
+        ),
+        ("verify lemma4 --f tent --gfn atan", {}),
+        ("verify cor2 --f tent --c 0 --tol nan", {}),
+    ]
+
+    def test_every_flag_has_a_parity_case(self):
+        named = {a[2:] for argv, _ in self.PARITY for a in argv.split() if a.startswith("--")}
+        assert named == set(cli.FLAGS)
+
+    @pytest.mark.parametrize("argv, lines", PARITY, ids=[a for a, _ in PARITY])
+    def test_a_flag_and_a_scenario_key_give_one_payload(self, tmp_path, argv, lines):
+        command, oid, *flags = argv.split()
+        code, out = run_cli(argv.split())
+        keys = {flags[i][2:]: flags[i + 1] for i in range(0, len(flags), 2)}
+        row = _sweep_row(tmp_path, {**keys, **lines, command: oid})
+        printed = json.loads(out)
+        if isinstance(printed.get("error"), dict):  # an input error, not an estimate
+            assert code == 2
+            assert row["error"] == f"InputError: {printed['error']['message']}"
+            return
+        expected = {}
+        cli._columns(oid, printed, expected)
+        assert code == 0 and row["error"] == ""
+        assert {k: v for k, v in row.items() if k.startswith(oid + ".")} == expected
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_tol_must_be_finite_and_nonnegative(self, tmp_path, tol):
+        code, out = run_cli(["verify", "cor2", "--f", "tent", "--c", "0", f"--tol={tol}"])
+        assert code == 2
+        message = json.loads(out)["error"]["message"]
+        assert message == f"tol must be finite and >= 0, got '{tol}'"
+        row = _sweep_row(tmp_path, {"f": "tent", "c": "0", "tol": tol, "verify": "cor2"})
+        assert row["error"].startswith("InputError: tol must be finite and >= 0, got ")
+
+    @pytest.mark.parametrize("flag", ["p", "alpha", "c", "t"])
+    def test_every_number_reads_oo(self, flag):
+        assert cli._values({flag: "oo"})[flag] == math.inf
+
+    def test_text_values_are_scenario_keys(self, tmp_path):
+        # gfn is one template, and a text template variable fills it.
+        row = _sweep_row(tmp_path, {"f": "tent", "m": "cube", "gfn": "{m}", "verify": "lemma4"})
+        assert row["lemma4.gfn"] == "cube" and row["error"] == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "compute we --f exp:inf",
+            "compute we --f laplace:inf",
+            "compute we --f gg:2,2,inf",
+            "compute we --f exp:1 --w const:inf",
+            "compute we --f exp:1 --w pow:oo",
+            "compute we --f exp:1 --w fpow:nan,0",
+        ],
+    )
+    def test_non_finite_descriptor_parameter_is_an_input_error(self, argv, capsys):
+        code, out = run_cli(argv.split())
+        assert code == 2
+        assert "must be finite" in json.loads(out)["error"]["message"]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "compute we --f exp:1e-200",
+            "compute mom --f exp:1e-200 --alpha 2",
+            "compute wre --f exp:1e200 --p 2",
+        ],
+    )
+    def test_exponential_closed_form_limits_are_numeric_errors(self, argv):
+        code, out = run_cli(argv.split())
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "numeric"
+
+    def test_a_closed_form_limit_is_a_row_error(self, tmp_path):
+        body = (
+            f"id = lam\nf = exp:{{lam}}\nlam = 1,1e-200\ncompute = we\n"
+            f"out_csv = {tmp_path}/l.csv\nout_json = {tmp_path}/l.json\n"
+        )
+        path = tmp_path / "l.sweep"
+        path.write_text(body)
+        assert run_cli(["sweep", str(path)])[0] == 3
+        rows = list(csv.DictReader(open(tmp_path / "l.csv")))
+        assert [r["error"] for r in rows] == ["", "DomainError: 1e-200 / 0.0 divides by zero"]
+        assert len(json.loads((tmp_path / "l.json").read_text())["rows"]) == 2
 
 
 @pytest.mark.parametrize(

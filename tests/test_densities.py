@@ -19,6 +19,7 @@ from wrenyi.densities import (
     make_tent,
     make_weighted_density,
     parse_density,
+    parse_float,
     quantile,
     scale_density,
     supremum,
@@ -323,6 +324,32 @@ class TestDescriptors:
             parse_density("cauchy:1")
         with pytest.raises(InputError):
             parse_density("gg:2")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("exp:inf", "exponential rate must be finite, got inf"),
+            ("exp:nan", "exponential rate must be finite, got nan"),
+            ("laplace:oo", "laplace scale must be finite, got inf"),
+            ("gg:2,inf", "generalized-gaussian order p must be finite, got inf"),
+            ("gg:2,2,inf", "scale must be finite, got inf"),
+            ("gg:2,nan,1", "generalized-gaussian order p must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_parameter_is_an_input_error(self, text, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            parse_density(text)
+
+    def test_non_finite_scale_is_an_input_error(self):
+        with pytest.raises(InputError, match="^scale must be finite, got inf$"):
+            scale_density(make_laplace(1.0), math.inf)
+
+    def test_numbers_read_inf_infinity_and_oo(self):
+        assert [parse_float(t) for t in ("inf", " Infinity", "OO", "-inf", "2")] == [
+            math.inf, math.inf, math.inf, -math.inf, 2.0
+        ]
+        with pytest.raises(InputError, match="cannot parse number 'abc'"):
+            parse_float("abc")
 
 
 class TestIntegralHelpers:

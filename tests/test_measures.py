@@ -9,6 +9,7 @@ Expected values are frozen from independent closed forms:
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -421,3 +422,35 @@ class TestReductionToUnweighted:
             m = generalized_moment(f, ONE, 1.5)
             m2 = generalized_moment(fq, ONE, 1.5)
             assert m.value == pytest.approx(m2.value, abs=1e-8), name
+
+
+class TestExponentialClosedFormLimits:
+    # Rates whose closed forms divide by an underflowed power, overflow a
+    # power or take the log of an underflowed ratio.
+    @pytest.mark.parametrize(
+        "measure, lam, message",
+        [
+            (lambda f: weighted_entropy(f, ONE), 1e-200, "1e-200 / 0.0 divides by zero"),
+            (lambda f: generalized_moment(f, ONE, 2.0), 1e-200, "2.0 / 0.0 divides by zero"),
+            (
+                lambda f: generalized_moment(f, make_exp_linear(0.5), 2.0),
+                1e200,
+                "1e+200 ** 3.0 overflows",
+            ),
+            (lambda f: weighted_renyi_entropy(f, ONE, 2.0), 1e200, "1e+200 ** 2.0 overflows"),
+            (
+                lambda f: relative_weighted_entropy(f, make_exponential(1e200), ONE),
+                1e-160,
+                "log(0.0) is undefined",
+            ),
+            (
+                lambda f: relative_renyi_power(f, make_exponential(1.0), ONE, 2.0),
+                1e200,
+                "1e+200 ** 2.0 overflows",
+            ),
+        ],
+        ids=["we", "mom", "mom-expw", "wre", "rwe", "rrp"],
+    )
+    def test_is_a_domain_error(self, measure, lam, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            measure(make_exponential(lam))

@@ -292,3 +292,25 @@ class TestDescriptors:
             parse_weight("gauss:1")
         with pytest.raises(InputError):
             parse_weight("fpoly:0,1")  # no base density
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("const:nan", "constant weight must be finite, got nan"),
+            ("const:inf", "constant weight must be finite, got inf"),
+            ("expw:nan", "exp-linear rate must be finite, got nan"),
+            ("pow:nan", "power exponent must be finite, got nan"),
+            ("pow:oo", "power exponent must be finite, got inf"),
+            ("abspoly:1,nan", "abs-polynomial coefficient must be finite, got nan"),
+            ("fpoly:nan", "density-polynomial coefficient must be finite, got nan"),
+            ("fpow:nan,0", "density-power k must be finite, got nan"),
+            ("fpow:1,-inf", "density-power m must be finite, got -inf"),
+        ],
+    )
+    def test_non_finite_parameter_is_an_input_error(self, text, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            parse_weight(text, base=make_exponential(1.0))
+
+    def test_arguments_use_the_density_number_grammar(self):
+        with pytest.raises(InputError, match="^cannot parse number 'abc'$"):
+            parse_weight("pow:abc")
