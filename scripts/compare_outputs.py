@@ -18,7 +18,10 @@ the same inputs in its own interpreter, every input as one in-process
 * ``verify lemma4`` on each source of ``LEMMA4_SOURCES`` with each map
   ``--gfn`` x, atan and cube (no deck op reaches lemma4);
 * ``verify cor4 --c 0.2`` on each source of ``COR4_SOURCES`` (no deck
-  op runs cor4 on a weighted source).
+  op runs cor4 on a weighted source);
+* ``compute wfi --alpha inf`` on each (source, weight, p) of
+  ``VARIATION_INPUTS`` (no deck op takes a total variation over an
+  infinite support, across a kink or with a jump at a support edge).
 
 Every input whose stdout, exit code or written files differ between the
 two trees is printed with both sides; stderr is not compared.  An
@@ -60,6 +63,13 @@ FLOOR = 1e-9
 GOLDEN = os.path.join(ROOT, "tests", "golden", "cli_golden.json")
 LEMMA4_SOURCES = ("tent", "laplace:1", "gg:2,2", "exp:2", "gg:0,2")
 COR4_SOURCES = ("weighted:laplace:1;pow:1", "weighted:laplace:1;abspoly:1,0.5")
+VARIATION_INPUTS = (
+    ("exp:1", "const:1", "2"),
+    ("laplace:0.8", "abspoly:1,0.5", "1.7"),
+    ("gg:2,0.8", "pow:1", "2"),
+    ("weighted:laplace:1;pow:1", "const:1", "2"),
+    ("tent", "pow:0.6", "2"),
+)
 
 
 def fields(res: dict) -> dict:
@@ -196,7 +206,11 @@ def cases(seeds, work: str) -> list[dict]:
         for f, gfn in itertools.product(LEMMA4_SOURCES, ("x", "atan", "cube"))
     ]
     cor4 = [["verify", "cor4", "--f", f, "--c", "0.2"] for f in COR4_SOURCES]
-    for argv in golden + lemma4 + cor4:
+    variation = [
+        ["compute", "wfi", "--f", f, "--w", w, "--alpha", "inf", "--p", p]
+        for f, w, p in VARIATION_INPUTS
+    ]
+    for argv in golden + lemma4 + cor4 + variation:
         argv = [os.path.join(ROOT, a) if a.startswith("scenarios/") else a for a in argv]
         if all(case["argv"] != argv for case in out):
             out.append({"name": " ".join(argv), "argv": argv})

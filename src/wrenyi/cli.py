@@ -247,6 +247,13 @@ def _number(name: str, text: str) -> float:
         raise InputError(f"{name} must be a number, got {text!r}") from None
 
 
+def _finite(name: str, text: str) -> float:
+    value = _number(name, text)
+    if not math.isfinite(value):
+        raise InputError(f"{name} must be finite, got {text!r}")
+    return value
+
+
 def _tolerance(name: str, text: str) -> float:
     tol = _number(name, text)
     if not (math.isfinite(tol) and tol >= 0):
@@ -268,7 +275,7 @@ FLAGS = {
     "f": Flag(_text, None, "density descriptor (exp:l laplace:b tent gg:a,p[,t] weighted:<f>;<w> table:<path>)"),
     "g": Flag(_text, None, "second density descriptor"),
     "w": Flag(_text, "const:1", "weight descriptor (const:v expw:g pow:c abspoly:a0,a1,... fpoly:b0,... fpow:k,m)"),
-    "p": Flag(_number, None, "entropy order p"),
+    "p": Flag(_finite, None, "entropy order p"),
     "alpha": Flag(_number, None, "moment order alpha (number or 'inf')"),
     "c": Flag(_number, None, "power-weight exponent c"),
     "t": Flag(_number, None, "scale parameter"),

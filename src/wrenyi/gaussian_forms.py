@@ -58,9 +58,11 @@ Consistency identities checked by :func:`verify_identity`:
 an algebraic identity given the J display above; both sides then equal
 2^-p (psi(1)-psi(-1)) exactly).
 
-Every expectation, and every quadrature-backed psi/psib, is a
-numerics.Value, so N, sigma and J carry the errors of the integrals
-behind them.
+At alpha = inf the formulas read psi and psib only through the two
+differences psi(1)-psi(-1) and psib(1)-psib(-1), which is what
+weights.antiderivatives returns.  Every expectation, and each
+difference where quadrature gives it, is a numerics.Value, so N, sigma
+and J carry the errors of the integrals behind them.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import gg_norm_const, make_generalized_gaussian
+from .densities import gg_norm_const
 from .errors import DomainError, InputError
 from .numerics import (
     QuadratureConfig,
@@ -330,9 +332,9 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
         elif alpha == 1.0:
             # beta = inf: J^(1/beta) is the esssup of phi |G^{p-2} G'|,
             # which is a^(p-1) * sup phi over the support of G.
-            g = make_generalized_gaussian(alpha, p)
+            edge = (p - 1.0) ** (-1.0 / alpha) if p > 1.0 else math.inf
             fisher = _esssup_weighted(
-                w, lambda x: a ** (p - 1.0) * np.ones_like(x), g.support
+                w, lambda x: a ** (p - 1.0) * np.ones_like(x), (-edge, edge)
             )
         return GaussianMeasureSet(
             n_power,
@@ -388,9 +390,7 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
         )
 
     # alpha = inf
-    ad = antiderivatives(w)
-    psi_diff = ad.psi(1.0) - ad.psi(-1.0)
-    psib_diff = ad.psi_bar(1.0) - ad.psi_bar(-1.0)
+    psi_diff, psib_diff = antiderivatives(w)
     if not float(psi_diff) > 0:
         raise DomainError("int_{-1}^{1} phi must be positive")
     if p == 1.0:

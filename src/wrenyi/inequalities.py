@@ -555,10 +555,11 @@ def check_cor2(f: Density, c: float, tol: float = DEFAULT_TOL) -> InequalityVerd
     return _decide("cor2", lhs, rhs, margins, tol, terms, (f, make_tent()), floor=1e-7)
 
 
-def cor3_constant() -> dict[str, Value]:
+def cor3_constant(g: Density) -> dict[str, Value]:
     """The quadratic-Gaussian constants of the fourth-moment bound.
 
-    With G = (3/4)(1-x^2)_+ the bound reads
+    With G = (3/4)(1-x^2)_+ (``g``, the generalized Gaussian of order
+    (2, 2)) the bound reads
 
         (int x^2 f^2)^{-1} <= 2 w(G) (int x^4 f)^{3/2},
 
@@ -569,7 +570,6 @@ def cor3_constant() -> dict[str, Value]:
 
     expressed through the two Fisher informations of G.
     """
-    g = make_generalized_gaussian(2.0, 2.0)
     j_52 = fisher_information(g, 2.0, 2.5)
     j_w = weighted_fisher_information(g, make_power(2.0), 2.0, 2.0)
     w_const = (243.0 / 64.0) * j_52 ** (-5.0) * j_w ** (-1.5)
@@ -581,7 +581,7 @@ def check_cor3(f: Density, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     sigma_2(f) >= (2/3) J_{2,2}(G)^2."""
     g = make_generalized_gaussian(2.0, 2.0)
     one = make_constant(1.0)
-    consts = cor3_constant()
+    consts = cor3_constant(g)
     j_22 = fisher_information(g, 2.0, 2.0)
     sigma2 = generalized_deviation(f, one, 2.0)
     margins = {"sigma_2(f)-(2/3)J_{2,2}(G)^2": sigma2 - (2.0 / 3.0) * j_22**2}
@@ -682,8 +682,7 @@ def _fii_sides(pr: _Problem) -> tuple[Value, Value, dict]:
         if p == 1.0:
             raise InputError("the alpha = inf Fisher bound needs p != 1")
         eta = pr.eta
-        ad = antiderivatives(w)
-        psib_diff = ad.psi_bar(1.0) - ad.psi_bar(-1.0)
+        _, psib_diff = antiderivatives(w)
         j_g = weighted_fisher_information(g, w, math.inf, p)
         delta = (eta / p - 2.0 ** (-1.0 - p) * psib_diff) / j_g
         n_g, n_f = pr.n_g, pr.n_f
@@ -752,8 +751,6 @@ def check_cor4(
     lap = make_laplace(1.0)
     s = build_transport(f, lap)
 
-    hints = (quantile(f, 0.5),)
-
     # An overflow in a deep tail gives a non-finite integrand, which the
     # quadrature reports as a numeric error rather than a RuntimeWarning.
     def a_core(x, fx):
@@ -766,8 +763,12 @@ def check_cor4(
         with np.errstate(over="ignore", invalid="ignore"):
             return sx * dsx * np.exp(-c * sx) * fx
 
-    a_term = integral(f, a_core, "transport moment", hints=hints, config=_MOMENT_CONFIG)
-    b_term = integral(f, b_core, "transport moment", hints=hints, config=_MOMENT_CONFIG)
+    # A_s and B_s enter the bounds only times c: at c = 0 neither is computed.
+    a_term = b_term = None
+    if c:
+        hints = (quantile(f, 0.5),)
+        a_term = integral(f, a_core, "transport moment", hints=hints, config=_MOMENT_CONFIG)
+        b_term = integral(f, b_core, "transport moment", hints=hints, config=_MOMENT_CONFIG)
 
     def log_slope_sup(weight_fn):
         def core(x, fx):
@@ -781,9 +782,9 @@ def check_cor4(
     fact = gamma_fn(c + 1.0)
     lhs1 = (2.0 * fact * math.exp(2.0**c) / n1) ** fact
     sup1 = log_slope_sup(lambda x: np.abs(np.asarray(s(x), dtype=float)) ** c)
-    rhs1 = fact * 2.0**c * sup1 - c * a_term
+    rhs1 = fact * 2.0**c * sup1 - (c * a_term if c else 0.0)
     terms1 = {
-        "A_s": a_term.value,
+        "A_s": None if a_term is None else a_term.value,
         "sup|s|^c|(log f)'|": sup1.value,
         "N_{|s|^c,1}(f)": n1.value,
     }
@@ -797,9 +798,9 @@ def check_cor4(
         2.0 * math.exp((1.0 - c * c) / pref) / ((1.0 - c * c) * n2)
     ) ** (1.0 / (1.0 - c * c))
     sup2 = log_slope_sup(lambda x: np.exp(-c * np.asarray(s(x), dtype=float)))
-    rhs2 = sup2 + c * pref * b_term
+    rhs2 = sup2 + (c * pref * b_term if c else 0.0)
     terms2 = {
-        "B_s": b_term.value,
+        "B_s": None if b_term is None else b_term.value,
         "sup e^{-cs}|(log f)'|": sup2.value,
         "N_{e^{-cs},1}(f)": n2.value,
     }

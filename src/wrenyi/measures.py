@@ -154,6 +154,16 @@ def weighted_entropy(f: Density, w: WeightFunction) -> MeasureValue:
     return _measure(v, "quadrature", {}, warns)
 
 
+def _nested(f: Density, g: Density) -> bool:
+    """Whether the support of f lies inside that of g."""
+    return g.support[0] <= f.support[0] and f.support[1] <= g.support[1]
+
+
+def _divergent(warns) -> MeasureValue:
+    """+inf: f > 0 on a region where g = 0."""
+    return _measure(Value(math.inf, math.inf), "divergent", {}, (*warns, "supports not nested"))
+
+
 def relative_weighted_entropy(
     f: Density, g: Density, w: WeightFunction
 ) -> MeasureValue:
@@ -169,12 +179,8 @@ def relative_weighted_entropy(
         val = _const_factor(w) * ((Value(l1) / l2).log() * m0 + (l2 - l1) * m1)
         return _closed(val, {"lam1-gamma": l1 - gam}, warns)
 
-    # Divergence when f > 0 on a region where g = 0.
-    lo_f, hi_f = f.support
-    lo_g, hi_g = g.support
-    if lo_f < lo_g or hi_f > hi_g:
-        warns += ("supports not nested",)
-        return _measure(Value(math.inf, math.inf), "divergent", {}, warns)
+    if not _nested(f, g):
+        return _divergent(warns)
 
     def core(x, fx):
         gx = np.asarray(g.pdf(x), dtype=float)
@@ -278,7 +284,10 @@ def _relative_integrals(f: Density, g: Density, w: WeightFunction, p: float):
 def relative_renyi_entropy(
     f: Density, g: Density, w: WeightFunction, p: float
 ) -> MeasureValue:
-    """D_{phi,p}(f||g); at p = 1 this is D_phi(f||g) / E_f[phi]."""
+    """D_{phi,p}(f||g); at p = 1 this is D_phi(f||g) / E_f[phi].
+
+    +inf at p <= 1 when f charges {g = 0}.
+    """
     if not p > 0:
         raise InputError(f"order p must be positive, got {p}")
     warns = _warn_negativity(w, f)
@@ -290,6 +299,9 @@ def relative_renyi_entropy(
         eg = expectation(g, w)
         flags = {**d.flags, "E_f[phi]-E_g[phi]": e.value - eg.value}
         return _measure(d / e, "p=1-" + d.branch, flags, warns)
+    if p < 1.0 and not _nested(f, g):
+        # int phi g^(p-1) f is infinite where g = 0 < f; at p > 1 g^(p-1) = 0 there.
+        return _divergent(warns)
     (i1, i2, i3), flags, branch = _relative_integrals(f, g, w, p)
     if min(i1.value, i2.value, i3.value) <= 0:
         raise DomainError("relative Renyi integrals must be positive")

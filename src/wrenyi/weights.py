@@ -14,9 +14,11 @@ the transport-reduced weight phi~(x) = phi(s(x)) and
                            + (p/(p-1)) (phi'(x) / phi(x)) ].
 
 Each weight carries an evaluator, an analytic derivative and its kink
-points; antiderivatives psi(x) = int_0^x phi and psi_bar(x) = int_0^x
-phi' are analytic for the elementary families and quadrature-backed
-otherwise, where they return the integral as a numerics.Value.
+points.  :func:`antiderivatives` gives the two numbers the alpha = inf
+formulas read, int_{-1}^1 phi and int_{-1}^1 phi' (with psi(x) =
+int_0^x phi and psi_bar(x) = int_0^x phi', the differences psi(1) -
+psi(-1) and psi_bar(1) - psi_bar(-1)): analytic for the elementary
+families, else quadrature-backed numerics.Values.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .numerics import QuadratureConfig, _exp, _finite, _vec, differentiate, inte
 
 __all__ = [
     "WeightFunction",
-    "Antiderivatives",
     "make_constant",
     "make_exp_linear",
     "make_power",
@@ -69,14 +70,6 @@ class WeightFunction:
     @property
     def is_constant(self) -> bool:
         return self.family == "constant"
-
-
-@dataclass(frozen=True)
-class Antiderivatives:
-    """psi(x) = int_0^x phi(t) dt and psi_bar(x) = int_0^x phi'(t) dt."""
-
-    psi: callable
-    psi_bar: callable
 
 
 # ---------------------------------------------------------------------------
@@ -346,68 +339,36 @@ def holder_conjugate(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _psi_quadrature(fn, kinks):
-    cfg = QuadratureConfig(singularities=tuple(kinks))
+def antiderivatives(w: WeightFunction):
+    """(psi(1) - psi(-1), psi_bar(1) - psi_bar(-1)) = (int_{-1}^1 phi, int_{-1}^1 phi').
 
-    def psi(x):
-        x = float(x)
-        if x == 0.0:
-            return 0.0
-        lo, hi = (0.0, x) if x > 0 else (x, 0.0)
-        value = integrate(fn, (lo, hi), cfg).checked("antiderivative integral")
-        return value if x > 0 else -value
-
-    return psi
-
-
-def antiderivatives(w: WeightFunction) -> Antiderivatives:
-    """psi and psi_bar: floats for the elementary families, else Values."""
+    Floats for the elementary families, else Values from quadrature.
+    """
     fam = w.family
     if fam == "constant":
-        v = w.params["v"]
-        return Antiderivatives(lambda x: v * float(x), lambda x: 0.0)
+        return 2.0 * w.params["v"], 0.0
     if fam == "exp-linear":
         g = w.params["gamma"]
-        if g == 0.0:
-            return Antiderivatives(lambda x: float(x), lambda x: 0.0)
-        what = "exp-linear antiderivative"
-        return Antiderivatives(
-            lambda x: (_exp(g * float(x), what) - 1.0) / g,
-            lambda x: _exp(g * float(x), what) - 1.0,
-        )
+        up, down = (_exp(x, "exp-linear antiderivative") - 1.0 for x in (g, -g))
+        return up / g - down / g, up - down
     if fam == "power":
         c = w.params["c"]
         if c <= -1.0:
             raise DomainError(f"|x|^{c} is not integrable near 0")
-
-        def psi(x):
-            x = float(x)
-            return math.copysign(abs(x) ** (c + 1.0) / (c + 1.0), x)
-
         if c < 0:
             raise DomainError(f"derivative of |x|^{c} is not integrable near 0")
-
-        def psi_bar(x):
-            return abs(float(x)) ** c
-
-        return Antiderivatives(psi, psi_bar)
+        return 2.0 / (c + 1.0), 0.0
     if fam == "abs-polynomial":
         a = w.params["coeffs"]
-
-        def psi(x):
-            x = float(x)
-            return math.copysign(
-                sum(ai * abs(x) ** (i + 1) / (i + 1) for i, ai in enumerate(a)), x
-            )
-
-        def psi_bar(x):
-            return sum(ai * abs(float(x)) ** i for i, ai in enumerate(a)) - a[0]
-
-        return Antiderivatives(psi, psi_bar)
-    # Generic: quadrature of phi and phi'.
-    return Antiderivatives(
-        _psi_quadrature(w.fn, w.kinks), _psi_quadrature(w.dfn, w.kinks)
-    )
+        return 2.0 * sum(ai / (i + 1) for i, ai in enumerate(a)), 0.0
+    # Generic: quadrature of phi and phi' on [0, 1] and [-1, 0].
+    cfg = QuadratureConfig(singularities=tuple(w.kinks))
+    halves = [
+        integrate(fn, half, cfg).checked("antiderivative integral")
+        for fn in (w.fn, w.dfn)
+        for half in ((0.0, 1.0), (-1.0, 0.0))
+    ]
+    return halves[0] + halves[1], halves[2] + halves[3]
 
 
 # ---------------------------------------------------------------------------

@@ -564,8 +564,26 @@ class TestFlags:
         row = _sweep_row(tmp_path, {"f": "tent", "c": "0", "tol": tol, "verify": "cor2"})
         assert row["error"].startswith("InputError: tol must be finite and >= 0, got ")
 
-    @pytest.mark.parametrize("flag", ["p", "alpha", "c", "t"])
-    def test_every_number_reads_oo(self, flag):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "compute fi --f gg:2,2 --alpha 2 --p inf",
+            "compute wfi --f gg:2,2 --w pow:1 --alpha 1 --p inf",
+            "verify scaling --f laplace:1 --p inf --t 2",
+            "compute wrp --f tent --p nan",
+        ],
+    )
+    def test_p_must_be_finite(self, tmp_path, argv):
+        command, oid, *flags = argv.split()
+        code, out = run_cli(argv.split())
+        keys = {flags[i][2:]: flags[i + 1] for i in range(0, len(flags), 2)}
+        message = f"p must be finite, got {keys['p']!r}"
+        assert code == 2 and json.loads(out)["error"]["message"] == message
+        row = _sweep_row(tmp_path, {**keys, command: oid})
+        assert row["error"] == f"InputError: {message}"
+
+    @pytest.mark.parametrize("flag", ["alpha", "c", "t"])
+    def test_every_number_but_p_reads_oo(self, flag):
         assert cli._values({flag: "oo"})[flag] == math.inf
 
     def test_text_values_are_scenario_keys(self, tmp_path):

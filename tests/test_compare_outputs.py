@@ -58,3 +58,6 @@ def test_cases_run_every_golden_argv_and_lemma4(monkeypatch, tmp_path):
     assert len(argvs) == len(set(argvs))
     assert sum(a.startswith("verify lemma4 --f") for a in argvs) == 15
     assert sum(a.startswith("verify cor4 --f weighted:") for a in argvs) == 2
+    variation = {f"compute wfi --f {f} --w {w} --alpha inf --p {p}"
+                 for f, w, p in compare_outputs.VARIATION_INPUTS}
+    assert len(variation) == 5 and variation <= set(argvs)

@@ -199,6 +199,14 @@ class TestCrossValidation:
                 j_direct = weighted_fisher_information(g, w, alpha, p).value
                 assert float(ms.fisher) == pytest.approx(j_direct, rel=1e-5), w.family
 
+    @pytest.mark.parametrize("p, w", [(2.0, X2), (3.0, X2), (1.5, make_power(1.0)), (0.8, ONE)])
+    def test_alpha_one_fisher_reads_the_support_of_g(self, p, w):
+        # a^(p-1) sup phi over the support of G, whose edges are
+        # +-(p-1)^(-1/alpha) at p > 1 and infinite below.
+        g = make_generalized_gaussian(1.0, p)
+        j_direct = weighted_fisher_information(g, w, 1.0, p).value
+        assert float(gaussian_measures(w, 1.0, p).fisher) == pytest.approx(j_direct, rel=1e-9)
+
     def test_variation_branch_constant_weight(self):
         # At alpha = inf the antiderivative display agrees with the
         # total-variation definition for constant weights.

@@ -358,6 +358,17 @@ class TestCor3:
             0.0, abs=1e-9
         )
 
+    def test_builds_the_quadratic_gaussian_once(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return make_generalized_gaussian(*args)
+
+        monkeypatch.setattr(inequalities, "make_generalized_gaussian", counted)
+        check_cor3(make_tent())
+        assert built == [(2.0, 2.0)]
+
     def test_perturbed_holds(self):
         v = check_cor3(perturbed_quadratic_gaussian(0.1, mode="quad"))
         assert v.verdict == "holds" and v.slack > 0
@@ -431,6 +442,14 @@ class TestFiiCri:
         assert v.terms["Delta"] < 0
         vc = check_cri(g, E01, math.inf, 2.0)
         assert vc.verdict == "holds"
+
+    def test_alpha_inf_fisher_informations_are_exact(self):
+        # At f = G (uniform on [-1, 1]) s is the identity and rho_s = phi:
+        # V(e^{0.1x}/8) - int 0.1 e^{0.1x}/8 = e^{0.1}/4 - sinh(0.1)/4.
+        g = make_generalized_gaussian(math.inf, 2.0)
+        terms = check_fii(g, E01, math.inf, 2.0).terms
+        for key in ("J^{rho_s}(f)", "J^{phi}(G)"):
+            assert terms[key] == pytest.approx(math.cosh(0.1) / 4.0, rel=1e-12)
 
     def test_error_includes_the_lambda_ratio(self):
         # rhs = (J ratio)^(1/beta) Lambda(Y)/Lambda(Z) - kappa: the errors of
@@ -511,6 +530,13 @@ class TestCor4:
         assert v2.lhs == pytest.approx(2.0, rel=1e-6)
         assert v2.rhs == pytest.approx(1.0, rel=1e-6)
         assert v2.verdict == "violated"
+
+    def test_c_zero_computes_no_transport_moment(self):
+        # A_s and B_s enter only times c; at exp:1 both diverge.
+        v1, v2 = check_cor4(make_exponential(1.0), 0.0)
+        assert v1.terms["A_s"] is None and v2.terms["B_s"] is None
+        assert v1.warnings == v2.warnings == ()
+        assert (v1.lhs, v1.rhs, v2.lhs, v2.rhs) == (2.0, 1.0, 2.0, 1.0)
 
     def test_order_gate(self):
         with pytest.raises(InputError):

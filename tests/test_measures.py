@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -23,6 +24,7 @@ from wrenyi.densities import (
     make_weighted_density,
     scale_density,
 )
+from wrenyi.densities import parse_density
 from wrenyi.errors import DomainError, InputError
 from wrenyi.measures import (
     expectation,
@@ -39,6 +41,7 @@ from wrenyi.measures import (
 )
 from wrenyi.weights import (
     holder_conjugate,
+    parse_weight,
     make_abs_polynomial,
     make_constant,
     make_density_polynomial,
@@ -184,6 +187,23 @@ class TestRelativeRenyi:
         d = relative_renyi_entropy(f, g, ONE, 2.0)
         n = relative_renyi_power(f, g, ONE, 2.0)
         assert n.value == pytest.approx(math.exp(d.value), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "f, g, p",
+        [("laplace:1", "tent", 0.5), ("gg:2,1", "gg:2,2", 0.7), ("tent", "gg:2,3", 0.3)],
+    )
+    def test_non_nested_supports_diverge_below_one(self, f, g, p):
+        # int phi g^(p-1) f is infinite where g = 0 < f.
+        f, g = parse_density(f), parse_density(g)
+        for measure in (relative_renyi_entropy, relative_renyi_power):
+            got = measure(f, g, ONE, p)
+            assert got.value == got.error == math.inf
+            assert got.branch == "divergent" and got.warnings == ("supports not nested",)
+
+    def test_non_nested_supports_above_one_stay_finite(self):
+        # g^(p-1) = 0 where g = 0, so only f's mass inside g's support counts.
+        got = relative_renyi_entropy(make_laplace(1.0), make_tent(), ONE, 2.0)
+        assert math.isfinite(got.value) and got.branch == "quadrature"
 
     def test_validity_flags_reported(self):
         got = relative_renyi_entropy(
@@ -349,7 +369,7 @@ class TestWeightedFisherInformation:
         u = make_generalized_gaussian(math.inf, 2.0)
         for p in (0.5, 1.0, 2.0, 3.0):
             got = weighted_fisher_information(u, ONE, math.inf, p)
-            assert got.value == pytest.approx(2.0 ** (1 - p) / p, rel=1e-8)
+            assert got.value == pytest.approx(2.0 ** (1 - p) / p, rel=1e-14)
 
     def test_constant_weight_reduces_to_raw_integral(self, catalog):
         for name in ("g22", "g21", "tent", "exp1", "laplace"):
@@ -406,6 +426,50 @@ class TestWeightedFisherInformation:
             j = fisher_information(f, alpha, r)
             expected = j.value ** (beta * r / (1.0 - p))
             assert n.value == pytest.approx(expected, rel=1e-5)
+
+
+def _gg2_peak_variation(q, c, p):
+    """4 max h, h = |x|^c G(x)^p / p with G the order-(2, q) Gaussian, in mpmath.
+
+    h rises from 0 at x = 0 to one peak on each side, at x^2 = c/(2p +
+    c(q - 1)), and falls to 0 at the support edge or at infinity.
+    """
+    q, c, p = mp.mpf(q), mp.mpf(c), mp.mpf(p)
+    base = lambda x: max(0, 1 + (1 - q) * x * x) ** (1 / (q - 1))  # noqa: E731
+    edge = 1 / mp.sqrt(q - 1) if q > 1 else mp.inf
+    a = 1 / mp.quad(base, [-edge, 0, edge])
+    x = mp.sqrt(c / (2 * p + c * (q - 1)))
+    return float(4 * x**c * (a * base(x)) ** p / p)
+
+
+class TestFisherVariationClosedForms:
+    """The alpha = inf branch V(phi f^p/p) - int phi' f^p/p against closed
+    forms; each correction vanishes (phi' = 0 or odd against an even f^p)."""
+
+    @pytest.mark.parametrize(
+        "f, w, p, expected",
+        [
+            # f^2/2 jumps to 1/2 at 0 and decays to 0.
+            ("exp:1", "const:1", 2.0, 1.0),
+            # phi f^p/p peaks at the cusp x = 0, at 0.625^1.7/1.7.
+            ("laplace:0.8", "abspoly:1,0.5", 1.7, 2.0 * 0.625**1.7 / 1.7),
+            ("gg:2,0.8", "pow:1", 2.0, _gg2_peak_variation(0.8, 1.0, 2.0)),
+            # |x|^1.5 e^{-2|x|}/8 peaks at x = c/p = 0.75.
+            ("laplace:1", "pow:1.5", 2.0, 4.0 * 0.75**1.5 * math.exp(-1.5) / 8.0),
+        ],
+    )
+    def test_closed_form(self, f, w, p, expected):
+        f = parse_density(f)
+        got = weighted_fisher_information(f, parse_weight(w, base=f), math.inf, p)
+        assert got.value == pytest.approx(expected, rel=1e-12)
+
+    def test_cusp_at_zero(self):
+        # |x|^0.6 has an infinite slope at 0, where the scans meet; each
+        # starts one float from 0, where the weight has fallen to ~1e-194.
+        got = weighted_fisher_information(
+            parse_density("gg:2,2.2"), make_power(0.6), math.inf, 1.85
+        )
+        assert got.value == pytest.approx(_gg2_peak_variation(2.2, 0.6, 1.85), rel=1e-12)
 
 
 class TestReductionToUnweighted:

@@ -355,6 +355,19 @@ class TestTotalVariation:
             0.0, abs=1e-12
         )
 
+    def test_scans_end_one_float_inside(self):
+        # |x|^0.6 falls from 1 to a cusp at the hint 0 and rises to 1, with
+        # a jump of 1 at each end: 4.  Scans ending 1e-9 from 0 would miss
+        # 2 (1e-9)^0.6 = 8e-6 of it.
+        fn = lambda x: np.abs(np.asarray(x, dtype=float)) ** 0.6
+        assert total_variation(fn, (-1.0, 1.0), jump_hints=(0.0,)) == pytest.approx(4.0, rel=1e-14)
+
+    @pytest.mark.parametrize("support, hints", [((0.0, 1.0), ()), ((-1.0, 1.0), (0.0,))])
+    def test_non_finite_edge_or_jump_side_is_an_error(self, support, hints):
+        # 1/x is finite at 1e-9 from 0 but not one float from it.
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError):
+            total_variation(lambda x: 1.0 / np.asarray(x, dtype=float), support, hints)
+
     def test_monotone_matches_endpoint_difference(self):
         # For monotone fn on [a,b]: V = |fn(b)-fn(a)| plus the two edge
         # jumps down to 0 outside the support.
@@ -391,33 +404,23 @@ def _golden_max_ref(fn, lo, hi, iters=80):
 def _total_variation_ref(fn, support, jump_hints=()):
     """total_variation with one scalar polish per extremum and 1-point probes."""
     a, b = support
-    lo = a if math.isfinite(a) else -8.0
-    hi = b if math.isfinite(b) else 8.0
     at = lambda t: float(fn(np.array([t]))[0])
-    for _ in range(12 if not (math.isfinite(a) and math.isfinite(b)) else 0):
-        settled = True
-        if not math.isfinite(a) and abs(at(lo) - at(lo + 1e-3)) > 1e-13:
-            lo, settled = lo * 2.0, False
-        if not math.isfinite(b) and abs(at(hi) - at(hi - 1e-3)) > 1e-13:
-            hi, settled = hi * 2.0, False
-        if settled:
-            break
-    h_edge = 1e-9 * max(1.0, abs(lo), abs(hi))
-    hints = sorted({float(t) for t in jump_hints if lo < t < hi})
-    var = 0.0
-    if math.isfinite(a):
-        var += abs(at(lo + h_edge))
+    hints = sorted({float(t) for t in jump_hints if a < t < b})
+    var = abs(at(np.nextafter(a, b))) if math.isfinite(a) else 0.0
     if math.isfinite(b):
-        var += abs(at(hi - h_edge))
+        var += abs(at(np.nextafter(b, a)))
     for t in hints:
-        fl, fr = at(t - h_edge), at(t + h_edge)
-        var += abs(fr - fl)
+        var += abs(at(np.nextafter(t, math.inf)) - at(np.nextafter(t, -math.inf)))
     prev_total, n = None, 8193
     for _ in range(3):
         smooth = 0.0
-        edges = [lo] + hints + [hi]
+        edges = [a] + hints + [b]
         for s_lo, s_hi in zip(edges[:-1], edges[1:]):
-            x = np.linspace(s_lo + h_edge, s_hi - h_edge, n)
+            x = numerics._sup_grid((s_lo, s_hi), n)
+            if math.isfinite(s_lo):
+                x[0] = np.nextafter(s_lo, s_hi)
+            if math.isfinite(s_hi):
+                x[-1] = np.nextafter(s_hi, s_lo)
             y = np.asarray(fn(x), dtype=float)
             d = np.diff(y)
             sgn = np.sign(d)
@@ -778,7 +781,7 @@ class TestEveryResultChecked:
         cdf(parse_density("weighted:laplace:1;expw:0.2"), np.array([-30.0, -1.0, 0.5, 30.0, 8000.0]))
         beta_law(2.5, 1.5).expectation(lambda z: z)
         gamma_law(1.5).expectation(lambda z: z)
-        antiderivatives(power_of(make_exp_linear(0.5), 2.0)).psi(0.7)
+        antiderivatives(power_of(make_exp_linear(0.5), 2.0))
         weighted_entropy(make_tent(), make_power(1.0))
         check_fii(g22, parse_weight("expw:0.1"), 2.0, 2.0)
         check_cor4(make_tent(), 0.2)

@@ -187,29 +187,27 @@ class TestDerivedWeights:
 
 
 class TestAntiderivatives:
+    """antiderivatives(w) = (int_{-1}^1 phi, int_{-1}^1 phi')."""
+
     def test_constant(self):
-        ad = antiderivatives(make_constant(1.0))
-        assert ad.psi(2.0) == 2.0 and ad.psi_bar(2.0) == 0.0
+        assert antiderivatives(make_constant(1.5)) == (3.0, 0.0)
 
     def test_exp_linear(self):
         g = 0.7
-        ad = antiderivatives(make_exp_linear(g))
-        assert ad.psi(1.0) - ad.psi(-1.0) == pytest.approx(
-            (math.exp(g) - math.exp(-g)) / g, rel=1e-13
-        )
-        assert ad.psi_bar(1.0) - ad.psi_bar(-1.0) == pytest.approx(
-            2 * math.sinh(g), rel=1e-13
-        )
+        psi_diff, psib_diff = antiderivatives(make_exp_linear(g))
+        assert psi_diff == pytest.approx(2 * math.sinh(g) / g, rel=1e-13)
+        assert psib_diff == pytest.approx(2 * math.sinh(g), rel=1e-13)
 
-    def test_absolute_value(self):
-        ad = antiderivatives(make_power(1.0))
-        assert ad.psi(1.0) - ad.psi(-1.0) == pytest.approx(1.0, abs=1e-14)
+    def test_power_and_abs_polynomial(self):
+        assert antiderivatives(make_power(1.0)) == (1.0, 0.0)
+        assert antiderivatives(make_power(0.5)) == (2.0 / 1.5, 0.0)
+        assert antiderivatives(make_abs_polynomial([1.0, 0.5])) == (2.5, 0.0)
 
     def test_nonintegrable_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="is not integrable near 0"):
             antiderivatives(make_power(-1.5))
-        with pytest.raises(DomainError):
-            antiderivatives(make_power(-0.5)).psi_bar  # noqa: B018
+        with pytest.raises(DomainError, match="derivative of"):
+            antiderivatives(make_power(-0.5))
 
     @pytest.mark.parametrize(
         "w",
@@ -221,17 +219,11 @@ class TestAntiderivatives:
             make_abs_polynomial([1.0, -0.5, 0.25]),
         ],
     )
-    def test_psi_matches_quadrature(self, w):
-        ad = antiderivatives(w)
-        for x in (-1.0, -0.3, 0.5, 1.0):
-            lo, hi = (0.0, x) if x > 0 else (x, 0.0)
-            res = integrate(
-                lambda t: np.asarray(w(t), dtype=float),
-                (lo, hi),
-                QuadratureConfig(singularities=w.kinks),
-            )
-            ref = res.value if x > 0 else -res.value
-            assert ad.psi(x) == pytest.approx(ref, abs=1e-8)
+    def test_pair_matches_quadrature(self, w):
+        cfg = QuadratureConfig(singularities=w.kinks)
+        for got, fn in zip(antiderivatives(w), (w, w.derivative)):
+            ref = integrate(lambda t: np.asarray(fn(t), dtype=float), (-1.0, 1.0), cfg)
+            assert got == pytest.approx(ref.value, abs=1e-8)
 
     def test_quadrature_branch_carries_the_integral_errors(self, monkeypatch):
         import wrenyi.weights as weights
@@ -244,11 +236,12 @@ class TestAntiderivatives:
             return res
 
         monkeypatch.setattr(weights, "integrate", recorded)
-        ad = antiderivatives(power_of(make_exp_linear(0.5), 2.0))  # e^x: no closed form here
-        psib_diff = ad.psi_bar(1.0) - ad.psi_bar(-1.0)
+        psi_diff, psib_diff = antiderivatives(power_of(make_exp_linear(0.5), 2.0))  # e^x
+        assert psi_diff.value == pytest.approx(2 * math.sinh(1.0), rel=1e-12)
         assert psib_diff.value == pytest.approx(2 * math.sinh(1.0), rel=1e-12)
-        assert len(errors) == 2 and psib_diff.error == math.fsum(errors) > 0
-        assert ad.psi(-0.5).value == pytest.approx(math.exp(-0.5) - 1.0, rel=1e-12)
+        assert len(errors) == 4
+        assert psi_diff.error == math.fsum(errors[:2]) > 0
+        assert psib_diff.error == math.fsum(errors[2:]) > 0
 
 
 class TestGuards:
