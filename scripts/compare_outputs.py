@@ -21,7 +21,10 @@ the same inputs in its own interpreter, every input as one in-process
   op runs cor4 on a weighted source);
 * ``compute wfi --alpha inf`` on each (source, weight, p) of
   ``VARIATION_INPUTS`` (no deck op takes a total variation over an
-  infinite support, across a kink or with a jump at a support edge).
+  infinite support, across a kink or with a jump at a support edge);
+* every argv of ``CLOSED_FORM_INPUTS``: the measures of an exponential
+  source (and g) under pow, abspoly and expw weights, which are closed
+  form and which no deck op runs, and three divergent ones.
 
 Every input whose stdout, exit code or written files differ between the
 two trees is printed with both sides; stderr is not compared.  An
@@ -69,6 +72,19 @@ VARIATION_INPUTS = (
     ("gg:2,0.8", "pow:1", "2"),
     ("weighted:laplace:1;pow:1", "const:1", "2"),
     ("tent", "pow:0.6", "2"),
+)
+CLOSED_FORM_INPUTS = tuple(
+    f"compute {mid} --f exp:0.7 --w {w}{rest}"
+    for mid, rest in (
+        ("we", ""), ("wre", " --p 1.5"), ("wrp", " --p 1.5"), ("wrp", " --p 1"),
+        ("mom", " --alpha 1.5"), ("dev", " --alpha 1.5"), ("rwe", " --g exp:1.5"),
+        ("rre", " --g exp:1.5 --p 1.5"), ("rrp", " --g exp:1.5 --p 1.5"),
+    )
+    for w in ("pow:0.5", "pow:-0.5", "abspoly:1,0.5", "expw:-0.4")
+) + (
+    "compute we --f exp:1 --w pow:-3",
+    "compute mom --f exp:1 --w pow:-3 --alpha 1",
+    "compute wre --f exp:1 --w expw:3 --p 2",
 )
 
 
@@ -210,7 +226,8 @@ def cases(seeds, work: str) -> list[dict]:
         ["compute", "wfi", "--f", f, "--w", w, "--alpha", "inf", "--p", p]
         for f, w, p in VARIATION_INPUTS
     ]
-    for argv in golden + lemma4 + cor4 + variation:
+    closed = [text.split(" ") for text in CLOSED_FORM_INPUTS]
+    for argv in golden + lemma4 + cor4 + variation + closed:
         argv = [os.path.join(ROOT, a) if a.startswith("scenarios/") else a for a in argv]
         if all(case["argv"] != argv for case in out):
             out.append({"name": " ".join(argv), "argv": argv})

@@ -176,6 +176,8 @@ def _decide(
     err = slack.error
     if any(m.value < -MARGIN_TOL for m in margins.values()):
         verdict = "assumptions-unmet"
+    elif slack.value == math.inf:  # decided by its sign, though its error is infinite too
+        verdict = "holds"
     elif abs(slack.value) <= err and err > tol:
         verdict = "inconclusive"
     elif slack.value >= -tol:

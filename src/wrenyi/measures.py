@@ -22,9 +22,16 @@ For a density f, weight phi >= 0 and orders p (entropy order) and alpha
                                 esssup phi |f^{p-2} f'|            alpha = 1
                                 V(phi f^p/p) - int phi' f^p/p      alpha = inf
 
-Exponential densities with constant or exp-linear weights use exact
-closed forms (the integral family int e^{gx} (l e^{-lx})^q dx =
-l^q/(ql - g), valid for ql > g); everything else is quadrature.
+An exponential f (and g) under an elementary weight (const, expw, pow,
+abspoly: phi(x) = sum c |x|^e e^{gamma x}, ``WeightFunction.terms``) is
+closed form, from one Gamma integral
+
+    int_0^inf phi(x) x^k coef e^{-rate x} dx
+        = sum c coef Gamma(k+e+1) / (rate-gamma)^(k+e+1),
+
+finite for rate > gamma and k + e > -1 (else DomainError): E_f[phi],
+both entropies, the Renyi integrals and the moments.  The alpha = 0
+log-moment, the Fisher informations and every other pair are quadrature.
 Every operation returns a MeasureValue: a numerics.Value (the number,
 its first-order error and its warnings) with the branch that fired and
 the assumption margins.  Each measure combines the Values of its
@@ -84,35 +91,34 @@ def _warn_negativity(w: WeightFunction, f: Density):
     return ()
 
 
-def _is_exponential(f: Density) -> bool:
-    return f.family == "exponential"
+def _exponential_rates(w: WeightFunction, *densities: Density) -> list:
+    """The rates of ``densities`` if all are exponential and ``w`` has terms, else []."""
+    closed = w.terms is not None and all(d.family == "exponential" for d in densities)
+    return [d.params["lam"] for d in densities] if closed else []
 
 
-def _exp_rate(f: Density) -> float:
-    return f.params["lam"]
+def _gamma_integral(w: WeightFunction, k: float, coef, rate: float, what: str, flag: str):
+    """int_0^inf phi(x) x^k coef e^{-rate x} dx over the terms (c, e, gamma) of ``w``,
+    sum c coef Gamma(k+e+1) / (rate-gamma)^(k+e+1), flagged {flag: min rate - gamma};
+    a term with c = 0 adds nothing, so it is neither checked nor summed."""
+    total = 0.0
+    for c, e, g in w.terms:
+        if c == 0.0:
+            continue
+        if not rate - g > 0:
+            raise DomainError(f"{what} diverges: {flag} = {rate - g:.6g} <= 0")
+        if not k + e > -1.0:
+            raise DomainError(f"{what} diverges: x^{k + e:.6g} is not integrable at 0")
+        total += c * coef * gamma_fn(k + e + 1.0) / Value(rate - g) ** (k + e + 1.0)
+    return _closed(total, {flag: min(rate - g for _, _, g in w.terms)})
 
 
-def _explinear_gamma(w: WeightFunction) -> float | None:
-    """gamma if the weight is exp-linear (constant counts as gamma = 0)."""
-    if w.family == "exp-linear":
-        return w.params["gamma"]
-    if w.family == "constant":
-        return 0.0
-    return None
-
-
-def _const_factor(w: WeightFunction) -> float:
-    return w.params["v"] if w.family == "constant" else 1.0
-
-
-def _exp_phi_fp(lam: float, gamma: float, p: float) -> tuple[Value, float]:
-    """(int e^{gx} (l e^{-lx})^p dx, margin p*l - gamma); needs margin > 0."""
-    margin = p * lam - gamma
-    if margin <= 0:
-        raise DomainError(
-            f"int phi f^p diverges: validity p*lam - gamma = {margin:.6g} <= 0"
-        )
-    return Value(lam) ** p / margin, margin
+def _affine_integral(w: WeightFunction, a0, a1, lam: float, what: str, flag: str, warns):
+    """int phi f (a0 + a1 x) for f = Exp(lam), as a0 m0 + a1 m1 with m_k the Gamma
+    integral of x^k f; a zero factor's m_k, which may diverge alone, is not taken."""
+    m0 = _gamma_integral(w, 0.0, lam, lam, what, flag) if _num(a0) != 0.0 else 0.0
+    m1 = _gamma_integral(w, 1.0, lam, lam, what, flag) if a1 != 0.0 else 0.0
+    return _closed(a0 * m0 + a1 * m1, {flag: min(lam - g for _, _, g in w.terms)}, warns)
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +128,9 @@ def _exp_phi_fp(lam: float, gamma: float, p: float) -> tuple[Value, float]:
 
 def expectation(f: Density, w: WeightFunction) -> MeasureValue:
     """E_f[phi]."""
-    g = _explinear_gamma(w)
-    if _is_exponential(f) and g is not None:
-        lam = _exp_rate(f)
-        val, margin = _exp_phi_fp(lam, g, 1.0)
-        val *= _const_factor(w)
-        return _closed(val, {"lam-gamma": margin})
+    if rates := _exponential_rates(w, f):
+        (lam,) = rates
+        return _gamma_integral(w, 0.0, lam, lam, "E_f[phi]", "lam-gamma")
     v = integral(f, lambda x, fx: np.asarray(w(x), dtype=float) * fx, "E_f[phi]", w)
     return _measure(v, "quadrature", {})
 
@@ -135,15 +138,10 @@ def expectation(f: Density, w: WeightFunction) -> MeasureValue:
 def weighted_entropy(f: Density, w: WeightFunction) -> MeasureValue:
     """h_phi(f) = -int phi f log f, with the 0 log 0 = 0 convention."""
     warns = _warn_negativity(w, f)
-    g = _explinear_gamma(w)
-    if _is_exponential(f) and g is not None:
-        lam = _exp_rate(f)
-        if lam - g <= 0:
-            raise DomainError(f"entropy integral diverges: lam - gamma <= 0")
-        m0 = lam / Value(lam - g)
-        m1 = lam / Value(lam - g) ** 2
-        val = _const_factor(w) * (-math.log(lam) * m0 + lam * m1)
-        return _closed(val, {"lam-gamma": lam - g}, warns)
+    if rates := _exponential_rates(w, f):
+        # -phi f log f = phi f (lam x - log lam)
+        (lam,) = rates
+        return _affine_integral(w, -math.log(lam), lam, lam, "weighted entropy", "lam-gamma", warns)
 
     v = integral(
         f,
@@ -169,15 +167,11 @@ def relative_weighted_entropy(
 ) -> MeasureValue:
     """D_phi(f||g) = int phi f log(f/g); +inf when f charges {g = 0}."""
     warns = _warn_negativity(w, f)
-    gam = _explinear_gamma(w)
-    if _is_exponential(f) and _is_exponential(g) and gam is not None:
-        l1, l2 = _exp_rate(f), _exp_rate(g)
-        if l1 - gam <= 0:
-            raise DomainError("relative entropy integral diverges: lam1 - gamma <= 0")
-        m0 = l1 / Value(l1 - gam)
-        m1 = l1 / Value(l1 - gam) ** 2
-        val = _const_factor(w) * ((Value(l1) / l2).log() * m0 + (l2 - l1) * m1)
-        return _closed(val, {"lam1-gamma": l1 - gam}, warns)
+    if rates := _exponential_rates(w, f, g):
+        # phi f log(f/g) = phi f (log(l1/l2) + (l2 - l1) x)
+        l1, l2 = rates
+        a0 = (Value(l1) / l2).log()
+        return _affine_integral(w, a0, l2 - l1, l1, "relative weighted entropy", "lam1-gamma", warns)
 
     if not _nested(f, g):
         return _divergent(warns)
@@ -199,11 +193,9 @@ def relative_weighted_entropy(
 
 def _phi_fp_integral(f: Density, w: WeightFunction, p: float) -> MeasureValue:
     """int phi f^p."""
-    g = _explinear_gamma(w)
-    if _is_exponential(f) and g is not None:
-        lam = _exp_rate(f)
-        val, margin = _exp_phi_fp(lam, g, p)
-        return _closed(_const_factor(w) * val, {"p*lam-gamma": margin})
+    if rates := _exponential_rates(w, f):
+        (lam,) = rates
+        return _gamma_integral(w, 0.0, Value(lam) ** p, p * lam, "int phi f^p", "p*lam-gamma")
 
     v = integral(f, lambda x, fx: np.asarray(w(x), dtype=float) * fx**p, "int phi f^p", w)
     return _measure(v, "quadrature", {})
@@ -241,27 +233,15 @@ def weighted_renyi_power(f: Density, w: WeightFunction, p: float) -> MeasureValu
 
 def _relative_integrals(f: Density, g: Density, w: WeightFunction, p: float):
     """The three integrals of the relative Renyi power, with flags."""
-    gam = _explinear_gamma(w)
-    if _is_exponential(f) and _is_exponential(g) and gam is not None:
-        l1, l2 = _exp_rate(f), _exp_rate(g)
-        c = _const_factor(w)
-        m_cross = l2 * (p - 1.0) + l1 - gam
-        m1 = l1 * p - gam
-        m2 = l2 * p - gam
-        flags = {
-            "lam2*(p-1)+lam1-gamma": m_cross,
-            "lam1*p-gamma": m1,
-            "lam2*p-gamma": m2,
-        }
-        if min(m_cross, m1, m2) <= 0:
-            raise DomainError(
-                "relative Renyi integrals diverge; violated margins: "
-                + ", ".join(k for k, v in flags.items() if v <= 0)
-            )
-        i_cross = c * l1 * Value(l2) ** (p - 1.0) / m_cross
-        i_g = c * Value(l2) ** p / m2
-        i_f = c * Value(l1) ** p / m1
-        return (i_cross, i_g, i_f), flags, "closed-form"
+    if rates := _exponential_rates(w, f, g):
+        l1, l2 = rates
+        i1 = _gamma_integral(
+            w, 0.0, l1 * Value(l2) ** (p - 1.0), l2 * (p - 1.0) + l1,
+            "int phi g^(p-1) f", "lam2*(p-1)+lam1-gamma",
+        )
+        i2 = _gamma_integral(w, 0.0, Value(l2) ** p, l2 * p, "int phi g^p", "lam2*p-gamma")
+        i3 = _gamma_integral(w, 0.0, Value(l1) ** p, l1 * p, "int phi f^p", "lam1*p-gamma")
+        return (i1, i2, i3), {**i1.flags, **i3.flags, **i2.flags}, "closed-form"
 
     def core(x, fx):
         gx = np.asarray(g.pdf(x), dtype=float)
@@ -327,34 +307,10 @@ def generalized_moment(f: Density, w: WeightFunction, alpha: float) -> MeasureVa
     if not (alpha > 0 and math.isfinite(alpha)):
         raise InputError(f"moment order must be in (0, inf), got {alpha}")
     warns = _warn_negativity(w, f)
-    if _is_exponential(f):
-        lam = _exp_rate(f)
-        if w.family in ("constant", "power", "abs-polynomial"):
-            if w.family == "constant":
-                coeffs = {0.0: w.params["v"]}
-            elif w.family == "power":
-                coeffs = {w.params["c"]: 1.0}
-            else:
-                coeffs = {float(i): c for i, c in enumerate(w.params["coeffs"])}
-            val = 0.0
-            for e, c in coeffs.items():
-                if c == 0.0:
-                    continue
-                if alpha + e <= -1.0:
-                    raise DomainError(f"moment of order {alpha + e} diverges at 0")
-                val += c * gamma_fn(alpha + e + 1.0) / Value(lam) ** (alpha + e)
-            return _closed(val, {}, warns)
-        gam = _explinear_gamma(w)
-        if gam is not None:
-            if lam - gam <= 0:
-                raise DomainError("moment integral diverges: lam - gamma <= 0")
-            val = (
-                _const_factor(w)
-                * lam
-                * gamma_fn(alpha + 1.0)
-                / Value(lam - gam) ** (alpha + 1.0)
-            )
-            return _closed(val, {"lam-gamma": lam - gam}, warns)
+    if rates := _exponential_rates(w, f):
+        (lam,) = rates
+        mu = _gamma_integral(w, alpha, lam, lam, "generalized moment", "lam-gamma")
+        return _closed(mu, mu.flags, warns)
 
     v = integral(
         f,

@@ -14,17 +14,20 @@ the transport-reduced weight phi~(x) = phi(s(x)) and
                            + (p/(p-1)) (phi'(x) / phi(x)) ].
 
 Each weight carries an evaluator, an analytic derivative and its kink
-points.  :func:`antiderivatives` gives the two numbers the alpha = inf
-formulas read, int_{-1}^1 phi and int_{-1}^1 phi' (with psi(x) =
-int_0^x phi and psi_bar(x) = int_0^x phi', the differences psi(1) -
-psi(-1) and psi_bar(1) - psi_bar(-1)): analytic for the elementary
-families, else quadrature-backed numerics.Values.
+points.  The four elementary makers (const, expw, pow, abspoly) also
+record ``terms``, the triples (c, e, gamma) of phi(x) = sum c |x|^e
+e^{gamma x}; every derived or density-based weight leaves it None.
+:func:`antiderivatives` gives the two numbers the alpha = inf formulas
+read, int_{-1}^1 phi and int_{-1}^1 phi' (with psi(x) = int_0^x phi
+and psi_bar(x) = int_0^x phi', the differences psi(1) - psi(-1) and
+psi_bar(1) - psi_bar(-1)): floats summed over the terms, else
+quadrature-backed numerics.Values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,13 +56,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Nonnegative weight with evaluator, derivative and kink points."""
+    """Nonnegative weight with evaluator, derivative, kink points and terms."""
 
     family: str
     params: dict
     fn: callable
     dfn: callable
     kinks: tuple[float, ...] = ()
+    terms: tuple | None = None  # (c, e, gamma) of phi = sum c |x|^e e^{gamma x}
 
     def __call__(self, x):
         return self.fn(x)
@@ -86,6 +90,7 @@ def make_constant(v: float = 1.0) -> WeightFunction:
         {"v": v},
         _vec(lambda x: np.full_like(x, v)),
         _vec(lambda x: np.zeros_like(x)),
+        terms=((v, 0.0, 0.0),),
     )
 
 
@@ -102,7 +107,9 @@ def make_exp_linear(gamma: float) -> WeightFunction:
         with np.errstate(over="ignore"):
             return gamma * np.exp(gamma * x)
 
-    return WeightFunction("exp-linear", {"gamma": gamma}, _vec(_f), _vec(_df))
+    return WeightFunction(
+        "exp-linear", {"gamma": gamma}, _vec(_f), _vec(_df), terms=((1.0, 0.0, gamma),)
+    )
 
 
 def make_power(c: float) -> WeightFunction:
@@ -122,7 +129,9 @@ def make_power(c: float) -> WeightFunction:
             out = c * ax ** (c - 1.0) * np.sign(x)
         return np.where(ax > 0, out, 0.0 if c > 1 else np.nan)
 
-    return WeightFunction("power", {"c": c}, _vec(_f), _vec(_df), kinks=(0.0,))
+    return WeightFunction(
+        "power", {"c": c}, _vec(_f), _vec(_df), kinks=(0.0,), terms=((1.0, c, 0.0),)
+    )
 
 
 def _polynomial(family: str, coeffs, params: dict, u, du, kinks) -> WeightFunction:
@@ -139,15 +148,16 @@ def _polynomial(family: str, coeffs, params: dict, u, du, kinks) -> WeightFuncti
 
     def _df(x):
         ux = np.asarray(u(x))[:, None]
-        terms = arr[1:] * powers[1:] * ux ** (powers[1:] - 1)
-        return terms.sum(axis=1) * np.asarray(du(x))
+        slopes = arr[1:] * powers[1:] * ux ** (powers[1:] - 1)
+        return slopes.sum(axis=1) * np.asarray(du(x))
 
     return WeightFunction(family, {"coeffs": a, **params}, _vec(_f), _vec(_df), kinks)
 
 
 def make_abs_polynomial(coeffs) -> WeightFunction:
     """sum_i a_i |x|^i; may take negative values for sign-mixed a_i."""
-    return _polynomial("abs-polynomial", coeffs, {}, np.abs, np.sign, (0.0,))
+    w = _polynomial("abs-polynomial", coeffs, {}, np.abs, np.sign, (0.0,))
+    return replace(w, terms=tuple((a, float(i), 0.0) for i, a in enumerate(w.params["coeffs"])))
 
 
 def make_density_polynomial(coeffs, density) -> WeightFunction:
@@ -342,25 +352,22 @@ def holder_conjugate(alpha: float) -> float:
 def antiderivatives(w: WeightFunction):
     """(psi(1) - psi(-1), psi_bar(1) - psi_bar(-1)) = (int_{-1}^1 phi, int_{-1}^1 phi').
 
-    Floats for the elementary families, else Values from quadrature.
+    Floats summed over the weight's terms, else Values from quadrature.
     """
-    fam = w.family
-    if fam == "constant":
-        return 2.0 * w.params["v"], 0.0
-    if fam == "exp-linear":
-        g = w.params["gamma"]
-        up, down = (_exp(x, "exp-linear antiderivative") - 1.0 for x in (g, -g))
-        return up / g - down / g, up - down
-    if fam == "power":
-        c = w.params["c"]
-        if c <= -1.0:
-            raise DomainError(f"|x|^{c} is not integrable near 0")
-        if c < 0:
-            raise DomainError(f"derivative of |x|^{c} is not integrable near 0")
-        return 2.0 / (c + 1.0), 0.0
-    if fam == "abs-polynomial":
-        a = w.params["coeffs"]
-        return 2.0 * sum(ai / (i + 1) for i, ai in enumerate(a)), 0.0
+    if w.terms is not None:
+        psi = psi_bar = 0.0
+        for c, e, g in w.terms:
+            if g != 0.0:  # an exp-linear term, e = 0
+                up, down = (_exp(x, "exp-linear antiderivative") - 1.0 for x in (g, -g))
+                psi += c * (up / g - down / g)
+                psi_bar += c * (up - down)
+            elif e <= -1.0:
+                raise DomainError(f"|x|^{e} is not integrable near 0")
+            elif e < 0.0:
+                raise DomainError(f"derivative of |x|^{e} is not integrable near 0")
+            else:
+                psi += 2.0 * c / (e + 1.0)
+        return psi, psi_bar
     # Generic: quadrature of phi and phi' on [0, 1] and [-1, 0].
     cfg = QuadratureConfig(singularities=tuple(w.kinks))
     halves = [

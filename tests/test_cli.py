@@ -38,6 +38,40 @@ class TestCompute:
         assert code == 3
         assert json.loads(out)["error"]["type"] == "numeric"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # -phi f log f = x^-3 e^-x x at lam = 1
+            ("we --f exp:1 --w pow:-3", "weighted entropy diverges: x^-2 is not integrable at 0"),
+            (
+                "mom --f exp:1 --w pow:-3 --alpha 1",
+                "generalized moment diverges: x^-2 is not integrable at 0",
+            ),
+            ("wre --f exp:1 --w expw:3 --p 2", "int phi f^p diverges: p*lam-gamma = -1 <= 0"),
+        ],
+    )
+    def test_divergent_closed_form_is_a_numeric_error(self, argv, message):
+        code, out = run_cli(["compute", *argv.split()])
+        assert code == 3
+        assert json.loads(out)["error"] == {"type": "numeric", "message": message}
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            # phi f = x^-1.5 e^-x is not integrable at 0, but its coefficient log(1) is 0
+            ("we --f exp:1 --w pow:-1.5", math.sqrt(math.pi)),
+            ("rwe --f exp:1 --g exp:1 --w pow:-1.5", 0.0),
+            # the zero coefficient's Gamma(172) overflows
+            ("mom --f exp:1 --w abspoly:1,0 --alpha 170", math.gamma(171.0)),
+        ],
+    )
+    def test_zero_coefficient_term_adds_nothing(self, argv, value):
+        code, out = run_cli(["compute", *argv.split()])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["value"] == pytest.approx(value, rel=1e-15, abs=0.0)
+        assert (payload["error"], payload["branch"]) == (0, "closed-form")
+
     def test_unknown_measure(self):
         code, out = run_cli(["compute", "zzz", "--f", "exp:1"])
         assert code == 2
@@ -82,6 +116,16 @@ class TestVerify:
         # The bound fails here, but so does its hypothesis: no claim is made.
         assert payload["verdict"] == "assumptions-unmet"
         assert payload["slack"] < 0 and payload["margins"]["E_f[phi]-E_g[phi]"] < 0
+
+    @pytest.mark.parametrize("p", ["0.5", "1"])
+    def test_thm11_infinite_divergence_holds(self, p):
+        # The tent's support does not hold Laplace's: D = +inf >= 0, though
+        # the slack's error is infinite too.
+        code, out = run_cli(["verify", "thm1.1", "--f", "laplace:1", "--g", "tent", "--p", p])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["slack"] == "inf" and payload["error"] == "inf"
+        assert payload["verdict"] == "holds"
 
     def test_identity_check(self):
         code, out = run_cli(

@@ -61,3 +61,5 @@ def test_cases_run_every_golden_argv_and_lemma4(monkeypatch, tmp_path):
     variation = {f"compute wfi --f {f} --w {w} --alpha inf --p {p}"
                  for f, w, p in compare_outputs.VARIATION_INPUTS}
     assert len(variation) == 5 and variation <= set(argvs)
+    closed = set(compare_outputs.CLOSED_FORM_INPUTS)
+    assert len(closed) == 39 and closed <= set(argvs)

@@ -75,6 +75,19 @@ class TestFamilies:
         assert w(0.7) == pytest.approx(1 - 1.4 - 0.49 + 2 * 0.343, rel=1e-12)
         assert w(-0.7) == w(0.7)
 
+    def test_elementary_makers_carry_terms(self):
+        assert make_constant(1.3).terms == ((1.3, 0.0, 0.0),)
+        assert make_exp_linear(-0.4).terms == ((1.0, 0.0, -0.4),)
+        assert make_power(-0.5).terms == ((1.0, -0.5, 0.0),)
+        assert make_abs_polynomial([1, 0.5]).terms == ((1.0, 0.0, 0.0), (0.5, 1.0, 0.0))
+        f = make_exponential(1.0)
+        assert make_density_polynomial([0.0, 1.0], f).terms is None
+        assert make_density_power(1.0, 0.0, f).terms is None
+        w = make_power(2.0)
+        assert power_of(w, 0.5).terms is None
+        assert derive_phi_star(w, 1.0, 2.0).terms is None
+        assert compose_with_map(w, _IdentityMap()).terms is None
+
     def test_density_polynomial_reduces_to_density(self):
         tent = make_tent()
         w = make_density_polynomial([0.0, 1.0], tent)
@@ -202,6 +215,19 @@ class TestAntiderivatives:
         assert antiderivatives(make_power(1.0)) == (1.0, 0.0)
         assert antiderivatives(make_power(0.5)) == (2.0 / 1.5, 0.0)
         assert antiderivatives(make_abs_polynomial([1.0, 0.5])) == (2.5, 0.0)
+
+    @pytest.mark.parametrize(
+        "w, expected",
+        [
+            (make_constant(1.3), (2.0 * 1.3, 0.0)),
+            (make_exp_linear(0.7), ((math.exp(0.7) - 1.0) / 0.7 - (math.exp(-0.7) - 1.0) / 0.7,
+                                    (math.exp(0.7) - 1.0) - (math.exp(-0.7) - 1.0))),
+            (make_power(0.3), (2.0 / 1.3, 0.0)),
+            (make_abs_polynomial([0.1, 0.7, 0.3]), (2.0 * (0.1 / 1 + 0.7 / 2 + 0.3 / 3), 0.0)),
+        ],
+    )
+    def test_terms_sum_to_the_family_formulas_bit_for_bit(self, w, expected):
+        assert antiderivatives(w) == expected
 
     def test_nonintegrable_rejected(self):
         with pytest.raises(DomainError, match="is not integrable near 0"):
