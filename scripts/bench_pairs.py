@@ -55,8 +55,11 @@ TRACED = (
     "numerics.integrand.self_s",
     "numerics.find_root.calls",
     "known_failures.still_failing",
+    "numerics.essential_supremum.calls",
     "numerics.essential_supremum.self_s",
     "numerics.total_variation.self_s",
+    "inequalities.transport.points",
+    "inequalities.transport.us_per_point",
     "import.scipy_special_s",
     "import.wrenyi_self_s",
 )

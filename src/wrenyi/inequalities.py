@@ -230,15 +230,27 @@ class TransportMap:
 
     Evaluated as s = Q_G(F_f(x)) with the target's ``quantile_fn``, so the
     target must have one (:func:`build_transport` checks this).  A scalar
-    in gives a float out; an array gives an ndarray of the same shape.
+    in gives a float out; an array gives a fresh ndarray of the same shape.
+
+    The map keeps its last (points, images) pair: an integrand often
+    evaluates s and then s' on the same nodes, and on a source without
+    an analytic CDF each evaluation is a whole sweep (a pure function of
+    its batch, so a repeated batch is not swept again).
     """
 
     source: Density
     target: Density
     k: float
+    _last: list = field(default_factory=lambda: [None], init=False, compare=False, repr=False)
 
     def __call__(self, x):
-        return on_support(x, self.source.support, -self.k, self.k, self._interior)
+        arr = np.asarray(x, dtype=float)
+        key = (arr.shape, arr.tobytes())
+        last = self._last[0]  # one read and one write: safe under concurrent calls
+        if last is None or last[0] != key:
+            images = on_support(arr, self.source.support, -self.k, self.k, self._interior)
+            last = self._last[0] = (key, images)
+        return last[1] if arr.ndim == 0 else last[1].copy()
 
     def _interior(self, xs):
         # Interior points whose CDF level rounds to 0 or 1 are mapped

@@ -6,7 +6,7 @@ transforms for infinite tails and stubborn endpoint singularities),
 Gamma/Beta special functions, central-difference differentiation,
 bracketed root finding, and essential suprema and total variations,
 both scanned on one grid (:func:`_sup_grid`) that compactifies an
-infinite support.
+infinite support and polished by one zoom grid (:func:`_zoom_lockstep`).
 
 An integrand call, not a point, is the unit of cost: an integrand such
 as the transport map runs a whole CDF sweep per call.  So the kernel
@@ -14,7 +14,9 @@ batches.  Adaptive GK15 refines in rounds: the worst leaves of a heap
 are bisected together and every child panel comes from one integrand
 call.  The double-exponential rules are tabulated per level at import;
 levels 0-3 come from one integrand call and each later level from one
-more, and the levels are consumed in order.
+more, and the levels are consumed in order.  The searches batch too:
+each zoom step takes 31 points in every open bracket from one call, and
+shrinks each bracket 16-fold.
 
 Every routine is a pure function of its inputs; there is no shared
 mutable state, so unrestricted concurrent use is safe.
@@ -631,13 +633,13 @@ def integrate(fn, domain, config: QuadratureConfig | None = None) -> IntegralRes
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0."""
+    """Gamma(x) for x > 0; an overflow (x > 171.6) is a DomainError."""
     if not x > 0:
         raise InputError(f"gamma_fn requires x > 0, got {x}")
     try:
         return math.gamma(x)
     except OverflowError:
-        return math.inf
+        raise DomainError(f"Gamma({x!r}) overflows") from None
 
 
 def beta_fn(a: float, b: float) -> float:
@@ -739,42 +741,39 @@ def find_root(fn, bracket) -> float:
 # Essential supremum
 # ---------------------------------------------------------------------------
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_ZOOM = 31  # interior points per bracket and step: a bracket shrinks 16x per step
 
 
-def _golden_lockstep(fn, lo, hi, sign=1.0):
-    """Golden-section maxima of ``sign * fn`` on the brackets [lo[k], hi[k]].
+def _zoom_lockstep(fn, lo, hi, sign=1.0):
+    """Maxima of ``sign * fn`` on the brackets [lo[k], hi[k]] by a zoom grid.
 
-    The brackets run in lockstep (Kiefer, 1953): after one ``fn`` call on
-    every starting pair, each step makes one ``fn`` call on the next
-    point of every bracket still open.  A bracket freezes once
-    b - a < 1e-13 max(1, |a|, |b|) or after 80 steps, so each visits
-    exactly the points of its own scalar run.  Returns, per bracket,
-    ``fd if fd > fc else fc`` of its last two points.
+    Each step makes one ``fn`` call on the ``_ZOOM`` evenly spaced
+    interior points of every bracket still open, and each bracket keeps
+    the two cells around its best point, the first of a tie: 1/16 of its
+    width.  A NaN value reads as -inf.  Every bracket takes a step; it
+    freezes once b - a < 1e-13 max(1, |a|, |b|) or after 16 steps, so
+    each visits exactly the points of its own run alone.  Returns, per
+    bracket, the largest value of ``sign * fn`` it visited.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     sign = np.broadcast_to(np.asarray(sign, dtype=float), a.shape)
-    if a.size == 0:
-        return a
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    y = np.asarray(fn(np.concatenate([c, d])), dtype=float)
-    fc, fd = sign * y[: a.size], sign * y[a.size :]
+    best = np.full(a.shape, -np.inf)
+    t = np.arange(1, _ZOOM + 1) / (_ZOOM + 1)
     k = np.arange(a.size)
-    for _ in range(80):
-        left = fc[k] >= fd[k]
-        ak, bk = np.where(left, a[k], c[k]), np.where(left, d[k], b[k])
-        x = np.where(left, bk - _GOLDEN * (bk - ak), ak + _GOLDEN * (bk - ak))
-        fx = sign[k] * np.asarray(fn(x), dtype=float)
-        c[k], d[k], fc[k], fd[k] = (
-            np.where(left, x, d[k]), np.where(left, c[k], x),
-            np.where(left, fx, fd[k]), np.where(left, fc[k], fx),
-        )
-        a[k], b[k] = ak, bk
-        k = k[~(bk - ak < 1e-13 * np.maximum(np.maximum(1.0, np.abs(ak)), np.abs(bk)))]
+    for _ in range(16):
         if k.size == 0:
             break
-    return np.where(fd > fc, fd, fc)
+        x = a[k, None] + (b[k] - a[k])[:, None] * t
+        y = sign[k, None] * np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+        y[np.isnan(y)] = -np.inf
+        j = np.argmax(y, axis=1)
+        row = np.arange(k.size)
+        best[k] = np.maximum(best[k], y[row, j])
+        ends = np.column_stack([a[k], x, b[k]])
+        a[k], b[k] = ends[row, j], ends[row, j + 2]
+        ak, bk = a[k], b[k]
+        k = k[~(bk - ak < 1e-13 * np.maximum(np.maximum(1.0, np.abs(ak)), np.abs(bk)))]
+    return best
 
 
 def _sup_grid(support, n):
@@ -801,10 +800,10 @@ def _sup_grid(support, n):
 def essential_supremum(fn, support) -> float:
     """Supremum of ``fn`` over the interior of ``support``.
 
-    Grid scan (:func:`_sup_grid` with 4097 points)
-    followed by a golden-section polish around the five best grid
-    maxima, run in lockstep (one ``fn`` call per step for all five), with
-    a refinement-growth check standing in for boundedness.
+    Grid scan (:func:`_sup_grid` with 4097 points) followed by a zoom
+    (:func:`_zoom_lockstep`) around the five best grid maxima, one ``fn``
+    call per step for all five, with a refinement-growth check standing
+    in for boundedness.
     """
     grid = _sup_grid(support, 4097)
     vals = np.asarray(fn(grid), dtype=float)
@@ -826,7 +825,7 @@ def essential_supremum(fn, support) -> float:
     lo = grid[np.maximum(order - 1, 0)]
     hi = grid[np.minimum(order + 1, grid.size - 1)]
     best = m1
-    for peak in _golden_lockstep(fn, lo[hi > lo], hi[hi > lo]).tolist():
+    for peak in _zoom_lockstep(fn, lo[hi > lo], hi[hi > lo]).tolist():
         best = max(best, peak)
     return best
 
@@ -844,9 +843,10 @@ def total_variation(fn, support, jump_hints=()) -> float:
     that a scan starts and ends on fn's one-sided limits.  The variation
     is the jumps (from 0 at a finite support end, between neighbouring
     scans at a hint) plus each scan's piecewise-monotone sum, whose
-    interior extrema get a golden-section polish, all peaks and troughs
-    of one refinement level in lockstep.  The scans are refined (8193,
-    16385 and 32769 points) until two totals agree to 1e-9.
+    interior extrema are polished by a zoom (:func:`_zoom_lockstep`), all
+    peaks and troughs of one refinement level in one ``fn`` call per
+    step.  The scans are refined (8193, 16385 and 32769 points) until two
+    totals agree to 1e-9.
     """
     a, b = support
     hints = sorted({float(t) for t in jump_hints if a < t < b})
@@ -873,7 +873,7 @@ def total_variation(fn, support, jump_hints=()) -> float:
         # Polish interior extrema so monotone-run sums are sharp: all of
         # this level at once, a trough as the negated peak of -fn.
         br = np.array(brackets, dtype=float).reshape(-1, 3)
-        polished = iter(_golden_lockstep(fn, br[:, 0], br[:, 1], br[:, 2]).tolist())
+        polished = iter(_zoom_lockstep(fn, br[:, 0], br[:, 1], br[:, 2]).tolist())
         # The jumps: from 0 at a finite support end, and across each hint.
         firsts = [float(y[0]) for y, *_ in scans]
         lasts = [float(y[-1]) for y, *_ in scans]

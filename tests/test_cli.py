@@ -55,6 +55,13 @@ class TestCompute:
         assert code == 3
         assert json.loads(out)["error"] == {"type": "numeric", "message": message}
 
+    @pytest.mark.parametrize("mid", ["dev", "mom"])
+    def test_gamma_overflow_is_a_numeric_error(self, mid):
+        # The alpha = 200 moment of Exp(1) is Gamma(201) = 7.9e374.
+        code, out = run_cli(["compute", mid, "--f", "exp:1", "--alpha", "200"])
+        assert code == 3
+        assert json.loads(out)["error"] == {"type": "numeric", "message": "Gamma(201.0) overflows"}
+
     @pytest.mark.parametrize(
         "argv, value",
         [

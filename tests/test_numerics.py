@@ -18,8 +18,8 @@ from wrenyi.numerics import (
     QuadratureConfig,
     Value,
     _adaptive_gk,
-    _golden_lockstep,
     _masked,
+    _zoom_lockstep,
     beta_fn,
     differentiate,
     essential_supremum,
@@ -243,6 +243,11 @@ class TestSpecialFunctions:
     def test_gamma_half(self):
         assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
+    def test_gamma_overflow_is_a_domain_error(self):
+        assert gamma_fn(171.5) == math.gamma(171.5)
+        with pytest.raises(DomainError, match=r"^Gamma\(172\.0\) overflows$"):
+            gamma_fn(172.0)
+
     def test_beta_value(self):
         assert beta_fn(0.5, 2.0) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
@@ -337,6 +342,27 @@ class TestEssentialSupremum:
         val = essential_supremum(lambda x: x * (1 - x), (0.0, 1.0))
         assert val == pytest.approx(0.25, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # gg:2,2 is (3/4)(1 - x^2) on [-1, 1]; both suprema, (1 + |x|/2)|x|
+            # and |x| |f'| = (3/2) x^2, are 1.5 at the support edge.
+            "compute dev --f gg:2,2 --w abspoly:1,0.5 --alpha inf",
+            "compute wfi --f gg:2,2 --w pow:1 --p 2 --alpha 1",
+        ],
+    )
+    def test_bounded_suprema_with_exact_values(self, argv):
+        import contextlib
+        import io
+        import json
+
+        from wrenyi.cli import main
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv.split()) == 0
+        assert json.loads(out.getvalue())["value"] == pytest.approx(1.5, rel=2e-14, abs=0.0)
+
 
 class TestTotalVariation:
     def test_tent(self):
@@ -377,28 +403,23 @@ class TestTotalVariation:
         assert v == pytest.approx(abs(hi - lo) + lo + hi, abs=1e-8)
 
 
-# Scalar golden-section search, one fn call per point of one bracket:
-# the reference the lockstep helper must match bit for bit.
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max_ref(fn, lo, hi, iters=80):
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = float(fn(c)), float(fn(d))
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = float(fn(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = float(fn(d))
+# Scalar zoom search, one bracket at a time in Python floats: the
+# reference the lockstep helper must match bit for bit.
+def _zoom_max_ref(fn, lo, hi):
+    """(largest value visited, steps taken) of the zoom on [lo, hi]."""
+    m = numerics._ZOOM
+    a, b, best = lo, hi, -math.inf
+    for step in range(1, 17):
+        x = [a + (b - a) * (j / (m + 1)) for j in range(1, m + 1)]
+        values = np.asarray(fn(np.array(x)), dtype=float).tolist()
+        y = [-math.inf if math.isnan(v) else v for v in values]
+        j = max(range(m), key=y.__getitem__)  # the first of a tie
+        best = max(best, y[j])
+        ends = [a, *x, b]
+        a, b = ends[j], ends[j + 2]
         if b - a < 1e-13 * max(1.0, abs(a), abs(b)):
             break
-    return max(fc, fd)
+    return best, step
 
 
 def _total_variation_ref(fn, support, jump_hints=()):
@@ -428,10 +449,10 @@ def _total_variation_ref(fn, support, jump_hints=()):
             for i in (np.nonzero(sgn[1:] * sgn[:-1] < 0)[0] + 1)[:64]:
                 blo, bhi = float(x[i - 1]), float(x[i + 1])
                 if sgn[i - 1] > 0:
-                    peak = _golden_max_ref(fn, blo, bhi)
+                    peak = _zoom_max_ref(fn, blo, bhi)[0]
                     extra += 2.0 * max(0.0, peak - max(y[i], y[i - 1], y[i + 1]))
                 else:
-                    trough = -_golden_max_ref(lambda z: -fn(z), blo, bhi)
+                    trough = -_zoom_max_ref(lambda z: -fn(z), blo, bhi)[0]
                     extra += 2.0 * max(0.0, min(y[i], y[i - 1], y[i + 1]) - trough)
             smooth += float(np.sum(np.abs(d))) + extra
         total = var + smooth
@@ -446,23 +467,36 @@ def _hex(values):
 
 
 class TestLockstepPolish:
-    """_golden_lockstep visits the points of one scalar run per bracket."""
+    """_zoom_lockstep visits the points of one scalar run per bracket."""
 
     def check(self, fn, brackets, sign=1.0):
         lo, hi = (np.array(v, dtype=float) for v in zip(*brackets))
         signs = np.broadcast_to(np.asarray(sign, dtype=float), lo.shape)
-        got = _golden_lockstep(fn, lo, hi, sign)
-        want = [
-            _golden_max_ref(lambda z, s=s: s * np.asarray(fn(z), dtype=float), a, b)
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return fn(x)
+
+        got = _zoom_lockstep(counted, lo, hi, sign)
+        runs = [
+            _zoom_max_ref(lambda z, s=s: s * np.asarray(fn(z), dtype=float), a, b)
             for a, b, s in zip(lo.tolist(), hi.tolist(), signs.tolist())
         ]
-        assert _hex(got) == _hex(want)
+        assert _hex(got) == _hex(best for best, _ in runs)
+        # One fn call per step, on the points of every bracket still open.
+        steps = [n for _, n in runs]
+        assert max(steps) <= 16
+        assert calls == [numerics._ZOOM * sum(n > i for n in steps) for i in range(max(steps))]
+        return steps
 
     def test_brackets_stopping_at_different_steps(self):
         fn = lambda x: np.sin(3.0 * x) / (1.0 + 1e-3 * np.asarray(x, dtype=float) ** 2)
-        # Widths from 1 to 1e-12, one far from 0 and one that runs to the cap.
-        self.check(fn, [(0.0, 1.0), (0.4, 0.4 + 1e-6), (2.0, 2.0 + 1e-12),
-                        (1e6, 1e6 + 3.0), (-1e20, 1e20)])
+        # Widths from 1e-12 to 2e20, one far from 0 and one that runs to
+        # the cap: it zooms in on a peak near 0, where 1e-13 is absolute.
+        steps = self.check(fn, [(0.0, 1.0), (0.4, 0.4 + 1e-6), (2.0, 2.0 + 1e-12),
+                                (1e6, 1e6 + 3.0), (-1e20, 1e20)])
+        assert steps == [11, 6, 1, 7, 16]
 
     def test_empty_bracket(self):
         self.check(lambda x: np.cos(x), [(0.5, 0.5), (0.0, 2.0)])
@@ -480,6 +514,8 @@ class TestLockstepPolish:
 
         self.check(fn, [(0.0, 1.0), (0.1, 0.3), (0.5, 0.65), (0.0, 0.2)])
         self.check(fn, [(0.0, 1.0), (0.5, 0.65)], sign=[-1.0, 1.0])
+        nan = lambda x: np.full_like(np.asarray(x, dtype=float), np.nan)
+        assert _zoom_lockstep(nan, np.array([0.0]), np.array([1.0])).tolist() == [-np.inf]
 
     def test_values_one_ulp_apart(self):
         up = np.nextafter(1.0, 2.0)
@@ -492,15 +528,14 @@ class TestLockstepPolish:
         self.check(fn, [(1.0, 2.0), (-0.5, 0.5), (2.5, 4.0)], sign=[-1.0, 1.0, -1.0])
 
     def test_one_fn_call_per_step(self):
-        calls = []
+        fn = lambda x: -np.asarray(x, dtype=float) ** 2
+        assert self.check(fn, [(-1.0, 1.0), (-2.0, 3.0), (0.1, 0.2)]) == [12, 12, 10]
 
+    def test_no_bracket_no_call(self):
         def fn(x):
-            calls.append(np.size(x))
-            return -np.asarray(x, dtype=float) ** 2
+            raise AssertionError("fn called with no bracket")
 
-        _golden_lockstep(fn, np.array([-1.0, -2.0, 0.1]), np.array([1.0, 3.0, 0.2]))
-        assert calls[0] == 6 and 1 + 1 <= len(calls) <= 1 + 80
-        assert all(n <= 3 for n in calls[1:])
+        assert _zoom_lockstep(fn, np.array([]), np.array([])).size == 0
 
     def test_total_variation_matches_scalar_polish(self):
         def fn(x):
@@ -522,7 +557,7 @@ class TestCallCounts:
             return np.sin(7.0 * np.asarray(x, dtype=float))
 
         essential_supremum(fn, (0.0, 10.0))
-        assert len(calls) <= 2 + 1 + 80
+        assert len(calls) <= 2 + 1 + 16
 
     def test_cor4_transport_calls(self, monkeypatch):
         from wrenyi.densities import make_tent
@@ -537,7 +572,27 @@ class TestCallCounts:
 
         monkeypatch.setattr(TransportMap, "__call__", counted)
         check_cor4(make_tent(), 0.2)
-        assert len(calls) <= 250
+        assert len(calls) <= 60
+
+    def test_no_batch_swept_twice_in_a_row(self, monkeypatch):
+        # s_moment's integrand takes s and then s' on the same nodes; the
+        # map's memo keeps the second from sweeping the CDF again.
+        from wrenyi import densities
+        from wrenyi.inequalities import check_fii
+        from wrenyi.weights import parse_weight
+
+        batches = []
+        original = densities._swept_cdf
+
+        def counted(f, xs):
+            batches.append(np.array(xs, dtype=float).tobytes())
+            return original(f, xs)
+
+        monkeypatch.setattr(densities, "_swept_cdf", counted)
+        f = densities.parse_density("weighted:laplace:1;pow:1")
+        assert check_fii(f, parse_weight("expw:-0.1"), 2.0, 2.0).verdict == "holds"
+        assert len(batches) >= 3
+        assert all(a != b for a, b in zip(batches, batches[1:]))
 
 
 class TestQuadratureConfig:
