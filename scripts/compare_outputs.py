@@ -23,8 +23,10 @@ the same inputs in its own interpreter, every input as one in-process
   ``VARIATION_INPUTS`` (no deck op takes a total variation over an
   infinite support, across a kink or with a jump at a support edge);
 * every argv of ``CLOSED_FORM_INPUTS``: the measures of an exponential
-  source (and g) under pow, abspoly and expw weights, which are closed
-  form and which no deck op runs, and three divergent ones.
+  source (and g) under pow, abspoly and expw weights, and of Laplace,
+  tent and generalized-Gaussian sources under pow, abspoly and const
+  weights, which are closed form and which no deck op runs, plus the
+  divergent and near-p = 1 inputs those closed forms answer.
 
 Every input whose stdout, exit code or written files differ between the
 two trees is printed with both sides; stderr is not compared.  An
@@ -85,6 +87,22 @@ CLOSED_FORM_INPUTS = tuple(
     "compute we --f exp:1 --w pow:-3",
     "compute mom --f exp:1 --w pow:-3 --alpha 1",
     "compute wre --f exp:1 --w expw:3 --p 2",
+) + tuple(
+    f"compute {mid} --f {f}{rest}"
+    for f in ("laplace:0.8", "tent", "gg:2,1.5", "gg:1.5,0.8", "gg:2,1")
+    for mid, rest in (
+        *((mid, f" --w {w}{order}") for w in ("pow:0.5", "abspoly:1,0.5", "const:1.3") for mid, order in (
+            ("wre", " --p 1.5"), ("wrp", " --p 1"), ("mom", " --alpha 1.5"),
+            ("dev", " --alpha 1.5"), ("wfi", " --alpha 2 --p 1.5"),
+        )),
+        ("fi", " --alpha 2 --p 1.5"),
+    )
+) + (
+    "compute wfi --f gg:2,1.001 --w const:1 --alpha 2 --p 1.001",
+    "verify fii --f laplace:1 --w const:1 --alpha 2 --p 1.001",
+    "verify id2.14 --w pow:4 --alpha 2 --p 0.7",
+    "verify mei --f gg:2,0.7 --w pow:4 --alpha 2 --p 0.7",
+    "compute we --f laplace:1 --w pow:-3",
 )
 
 

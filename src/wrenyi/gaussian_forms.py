@@ -60,9 +60,22 @@ an algebraic identity given the J display above; both sides then equal
 
 At alpha = inf the formulas read psi and psib only through the two
 differences psi(1)-psi(-1) and psib(1)-psib(-1), which is what
-weights.antiderivatives returns.  Every expectation, and each
-difference where quadrature gives it, is a numerics.Value, so N, sigma
-and J carry the errors of the integrals behind them.
+weights.antiderivatives returns.
+
+For a weight phi = sum c |x|^e (const, pow, abspoly) the expectations
+are Beta/Gamma moments, with k = e/alpha and Z ~ Beta(s1, s2) or
+Gamma(s), each ratio taken in log space (math.lgamma):
+
+  LambdaT = sum 2 c (p-1)^-k B(s1, s2+k) / B(s1, s2)
+  LambdaB = sum 2 c (1-p)^-k B(s1-k, s2+k) / B(s1, s2)
+  Theta   = sum 2 c Gamma(s+k) / Gamma(s)
+  Upsilon = sum 2 c (1+e)^-s
+
+and a moment that does not exist (s2 + k, s1 - k, s + k or 1 + e not
+positive) is a DomainError "<name> diverges".  Every other weight is
+quadrature against the law.  Every expectation, and each difference
+where quadrature gives it, is a numerics.Value, so N, sigma and J carry
+the errors of the integrals behind them (none for the closed forms).
 """
 
 from __future__ import annotations
@@ -77,6 +90,7 @@ from .errors import DomainError, InputError
 from .numerics import (
     QuadratureConfig,
     Value,
+    _exp,
     _masked,
     beta_fn,
     essential_supremum,
@@ -237,43 +251,104 @@ def case_laws(alpha: float, p: float) -> dict[str, AuxiliaryLaw]:
 # ---------------------------------------------------------------------------
 
 
-def _phi_sum(w: WeightFunction, arg):
-    def fn(z):
-        a = np.asarray(arg(np.asarray(z, dtype=float)), dtype=float)
-        return np.asarray(w(-a), dtype=float) + np.asarray(w(a), dtype=float)
+def _expectation(w: WeightFunction, law: AuxiliaryLaw, arg, family: str, name: str, log_mean):
+    """E[phi(-u) + phi(u)] with u = arg(Z), Z ~ ``law``.
 
-    return fn
+    For a weight phi = sum c |x|^e and a law of ``family`` it is the exact
+    Value sum 2 c E[u^e], with ``log_mean(e)`` = log E[u^e], or None where
+    that mean is infinite, which is a DomainError "<name> diverges";
+    otherwise quadrature against the law.
+    """
+    terms = w.power_terms
+    if terms is None or law.family != family:
+
+        def fn(z):
+            a = np.asarray(arg(np.asarray(z, dtype=float)), dtype=float)
+            return np.asarray(w(-a), dtype=float) + np.asarray(w(a), dtype=float)
+
+        return law.expectation(fn)
+    total = 0.0
+    for c, e in terms:
+        log_m = log_mean(e)
+        if log_m is None:
+            raise DomainError(f"{name} diverges: E[u^{e:.6g}] is infinite")
+        total += 2.0 * c * _exp(log_m, name)
+    return Value(total)
+
+
+def _log_gamma_ratio(x: float, k: float) -> float:
+    """log(Gamma(x + k) / Gamma(x)), exactly 0 at k = 0."""
+    return math.lgamma(x + k) - math.lgamma(x)
 
 
 def lambda_tilde(w: WeightFunction, p: float, alpha: float, law: AuxiliaryLaw) -> Value:
-    """E[phi(-u) + phi(u)] with u = ((1-Z)/(p-1))^(1/alpha); needs p > 1."""
+    """E[phi(-u) + phi(u)] with u = ((1-Z)/(p-1))^(1/alpha); needs p > 1.
+
+    For phi = sum c |x|^e: sum 2 c (p-1)^-k B(s1, s2+k)/B(s1, s2), k = e/alpha.
+    """
     if not p > 1:
         raise InputError(f"LambdaT is the p > 1 transform, got p = {p}")
-    return law.expectation(
-        _phi_sum(w, lambda z: ((1.0 - z) / (p - 1.0)) ** (1.0 / alpha))
-    )
+    s1, s2 = law.shape1, law.shape2
+
+    def log_mean(e):
+        k = e / alpha
+        if not s2 + k > 0:
+            return None
+        return -k * math.log(p - 1.0) + _log_gamma_ratio(s2, k) - _log_gamma_ratio(s1 + s2, k)
+
+    def arg(z):
+        return ((1.0 - z) / (p - 1.0)) ** (1.0 / alpha)
+
+    return _expectation(w, law, arg, "beta", "LambdaT", log_mean)
 
 
 def lambda_bar(w: WeightFunction, p: float, alpha: float, law: AuxiliaryLaw) -> Value:
-    """E[phi(-u) + phi(u)] with u = ((1-Z)/(Z(1-p)))^(1/alpha); needs p < 1."""
+    """E[phi(-u) + phi(u)] with u = ((1-Z)/(Z(1-p)))^(1/alpha); needs p < 1.
+
+    For phi = sum c |x|^e: sum 2 c (1-p)^-k B(s1-k, s2+k)/B(s1, s2), k = e/alpha.
+    """
     if not p < 1:
         raise InputError(f"LambdaB is the p < 1 transform, got p = {p}")
+    s1, s2 = law.shape1, law.shape2
+
+    def log_mean(e):
+        k = e / alpha
+        if not (s1 - k > 0 and s2 + k > 0):
+            return None
+        return -k * math.log(1.0 - p) + _log_gamma_ratio(s1, -k) + _log_gamma_ratio(s2, k)
 
     def arg(z):
         with np.errstate(divide="ignore"):
             return ((1.0 - z) / (z * (1.0 - p))) ** (1.0 / alpha)
 
-    return law.expectation(_phi_sum(w, arg))
+    return _expectation(w, law, arg, "beta", "LambdaB", log_mean)
 
 
 def theta(w: WeightFunction, alpha: float, law: AuxiliaryLaw) -> Value:
-    """E[phi(-Z^(1/alpha)) + phi(Z^(1/alpha))]."""
-    return law.expectation(_phi_sum(w, lambda z: z ** (1.0 / alpha)))
+    """E[phi(-Z^(1/alpha)) + phi(Z^(1/alpha))].
+
+    For phi = sum c |x|^e and Z ~ Gamma(s): sum 2 c Gamma(s+k)/Gamma(s), k = e/alpha.
+    """
+    s = law.shape1
+
+    def log_mean(e):
+        k = e / alpha
+        return _log_gamma_ratio(s, k) if s + k > 0 else None
+
+    return _expectation(w, law, lambda z: z ** (1.0 / alpha), "gamma", "Theta", log_mean)
 
 
 def upsilon(w: WeightFunction, law: AuxiliaryLaw) -> Value:
-    """E[phi(-e^(-Z)) + phi(e^(-Z))]."""
-    return law.expectation(_phi_sum(w, lambda z: np.exp(-z)))
+    """E[phi(-e^(-Z)) + phi(e^(-Z))].
+
+    For phi = sum c |x|^e and Z ~ Gamma(s): sum 2 c (1+e)^-s.
+    """
+    s = law.shape1
+
+    def log_mean(e):
+        return -s * math.log1p(e) if e > -1.0 else None
+
+    return _expectation(w, law, lambda z: np.exp(-z), "gamma", "Upsilon", log_mean)
 
 
 # ---------------------------------------------------------------------------

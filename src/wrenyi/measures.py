@@ -30,8 +30,28 @@ closed form, from one Gamma integral
         = sum c coef Gamma(k+e+1) / (rate-gamma)^(k+e+1),
 
 finite for rate > gamma and k + e > -1 (else DomainError): E_f[phi],
-both entropies, the Renyi integrals and the moments.  The alpha = 0
-log-moment, the Fisher informations and every other pair are quadrature.
+both entropies, the Renyi integrals and the moments.
+
+A generalized Gaussian of order 0 < alpha < inf (Laplace(b) is G_{1,1}
+at scale b, the tent is G_{1,2}), f(x) = (a/t) k(|x|/t) with the unit
+kernel k(u) = (1 + (1-p) u^alpha)_+^(1/(p-1)) (e^{-u^alpha} at p = 1),
+under a weight phi = sum c |x|^e (const, pow, abspoly) is closed form
+from one Beta/Gamma integral, with x = (s+1)/alpha,
+
+    R(s, m) = int_0^inf u^s k(u)^m du
+            = (p-1)^-x B(x, m/(p-1) + 1) / alpha          p > 1
+            = (1-p)^-x B(x, m/(1-p) - x) / alpha          p < 1
+            = Gamma(x) m^-x / alpha                       p = 1,
+
+finite for x > 0 and a positive second argument (else DomainError):
+int phi C |x|^kappa k(|x|/t)^m = sum 2 c C t^(e+kappa+1) R(e+kappa, m)
+gives E_f[phi], int phi f^p, the moments and, since |f^{p-2} f'|^beta f
+is such a product, both Fisher informations at 1 < alpha < inf; at
+p = 1, -log f = -log(a/t) + (|x|/t)^alpha gives the weighted entropy.
+These closed forms carry the warnings of f.  The alpha = 0 log-moment,
+the entropies at p != 1, the suprema and variations and every other
+pair of source and weight are quadrature.
+
 Every operation returns a MeasureValue: a numerics.Value (the number,
 its first-order error and its warnings) with the branch that fired and
 the assumption margins.  Each measure combines the Values of its
@@ -47,8 +67,8 @@ import numpy as np
 
 from .densities import Density, integral, supremum, variation
 from .errors import DomainError, InputError
-from .numerics import Value, _merge, _num, gamma_fn
-from .weights import WeightFunction, holder_conjugate, nonnegativity_violation
+from .numerics import Value, _exp, _merge, _num, gamma_fn
+from .weights import WeightFunction, holder_conjugate, make_constant, nonnegativity_violation
 
 __all__ = [
     "MeasureValue",
@@ -113,6 +133,65 @@ def _gamma_integral(w: WeightFunction, k: float, coef, rate: float, what: str, f
     return _closed(total, {flag: min(rate - g for _, _, g in w.terms)})
 
 
+def _gg_shape(w: WeightFunction, f: Density):
+    """(alpha, p, log(a/t), t) of f(x) = (a/t) k(|x|/t) when ``w`` is a sum of
+    powers c |x|^e and f a generalized Gaussian of order 0 < alpha < inf,
+    Laplace(b) (G_{1,1} at scale b) or the tent (G_{1,2}); else None."""
+    if w.power_terms is None:
+        return None
+    if f.family == "generalized-gaussian" and 0.0 < f.params["alpha"] < math.inf:
+        alpha, p, a, t = (f.params[k] for k in ("alpha", "p", "a", "t"))
+        return alpha, p, math.log(a / t), t
+    if f.family == "laplace":
+        b = f.params["b"]
+        return 1.0, 1.0, -math.log(2.0 * b), b
+    if f.family == "tent":
+        return 1.0, 2.0, 0.0, 1.0
+    return None
+
+
+def _log_kernel_moment(s: float, m: float, alpha: float, p: float, what: str) -> float:
+    """log R(s, m) of the module docstring, from log-Gamma values; a
+    divergent R is a DomainError naming ``what``."""
+    x = (s + 1.0) / alpha
+    second = m if p == 1.0 else m / (p - 1.0) + 1.0 if p > 1.0 else m / (1.0 - p) - x
+    if not x > 0:
+        raise DomainError(f"{what} diverges: x^{s:.6g} is not integrable at 0")
+    if not second > 0:
+        where = "at the edge of the support" if p > 1.0 else "in the tail"
+        raise DomainError(f"{what} diverges {where}")
+    if p == 1.0:
+        return math.lgamma(x) - x * math.log(m) - math.log(alpha)
+    log_beta = math.lgamma(x) + math.lgamma(second) - math.lgamma(x + second)
+    return log_beta - x * math.log(abs(p - 1.0)) - math.log(alpha)
+
+
+def _beta_integral(w, shape, kappa: float, m: float, what: str, warns, power=1.0, log_extra=0.0):
+    """int phi(x) C |x|^kappa k(|x|/t)^m dx, C = (a/t)^power e^log_extra, for
+    phi = sum c |x|^e and f of ``shape``: sum 2 c C t^(e+kappa+1) R(e+kappa, m),
+    a closed form carrying ``warns``."""
+    alpha, p, log_norm, t = shape
+    log_c = power * log_norm + log_extra
+
+    def term(c, e):
+        s = e + kappa
+        log_r = _log_kernel_moment(s, m, alpha, p, what)
+        return 2.0 * c * _exp(log_c + (s + 1.0) * math.log(t) + log_r, what)
+
+    return _closed(math.fsum(term(c, e) for c, e in w.power_terms), {}, warns)
+
+
+def _score_integral(w: WeightFunction, shape, beta: float, q: float, what: str, warns):
+    """int phi |f^{q-2} f'|^beta f for f of ``shape``: at u = |x|/t,
+    |f^{q-2} f'|^beta f = (a/t)^(beta(q-1)+1) (alpha/t)^beta u^kappa k(u)^m
+    with kappa = beta (alpha-1) and m = beta (q-p) + 1."""
+    alpha, p, _, t = shape
+    kappa = beta * (alpha - 1.0)
+    log_extra = beta * math.log(alpha / t) - kappa * math.log(t)
+    m = beta * (q - p) + 1.0
+    return _beta_integral(w, shape, kappa, m, what, warns, beta * (q - 1.0) + 1.0, log_extra)
+
+
 def _affine_integral(w: WeightFunction, a0, a1, lam: float, what: str, flag: str, warns):
     """int phi f (a0 + a1 x) for f = Exp(lam), as a0 m0 + a1 m1 with m_k the Gamma
     integral of x^k f; a zero factor's m_k, which may diverge alone, is not taken."""
@@ -131,6 +210,8 @@ def expectation(f: Density, w: WeightFunction) -> MeasureValue:
     if rates := _exponential_rates(w, f):
         (lam,) = rates
         return _gamma_integral(w, 0.0, lam, lam, "E_f[phi]", "lam-gamma")
+    if shape := _gg_shape(w, f):
+        return _beta_integral(w, shape, 0.0, 1.0, "E_f[phi]", f.warnings)
     v = integral(f, lambda x, fx: np.asarray(w(x), dtype=float) * fx, "E_f[phi]", w)
     return _measure(v, "quadrature", {})
 
@@ -142,6 +223,14 @@ def weighted_entropy(f: Density, w: WeightFunction) -> MeasureValue:
         # -phi f log f = phi f (lam x - log lam)
         (lam,) = rates
         return _affine_integral(w, -math.log(lam), lam, lam, "weighted entropy", "lam-gamma", warns)
+    if (shape := _gg_shape(w, f)) and shape[1] == 1.0:
+        # -phi f log f = phi f (-log(a/t) + (|x|/t)^alpha); a zero factor's
+        # integral, which may diverge alone, is not taken.
+        alpha, _, log_norm, t = shape
+        what = "weighted entropy"
+        e = _beta_integral(w, shape, 0.0, 1.0, what, ()) if log_norm else 0.0
+        mu = _beta_integral(w, shape, alpha, 1.0, what, (), log_extra=-alpha * math.log(t))
+        return _closed(mu - log_norm * e, {}, _merge(warns, f.warnings))
 
     v = integral(
         f,
@@ -196,6 +285,8 @@ def _phi_fp_integral(f: Density, w: WeightFunction, p: float) -> MeasureValue:
     if rates := _exponential_rates(w, f):
         (lam,) = rates
         return _gamma_integral(w, 0.0, Value(lam) ** p, p * lam, "int phi f^p", "p*lam-gamma")
+    if shape := _gg_shape(w, f):
+        return _beta_integral(w, shape, 0.0, p, "int phi f^p", f.warnings, power=p)
 
     v = integral(f, lambda x, fx: np.asarray(w(x), dtype=float) * fx**p, "int phi f^p", w)
     return _measure(v, "quadrature", {})
@@ -311,6 +402,8 @@ def generalized_moment(f: Density, w: WeightFunction, alpha: float) -> MeasureVa
         (lam,) = rates
         mu = _gamma_integral(w, alpha, lam, lam, "generalized moment", "lam-gamma")
         return _closed(mu, mu.flags, warns)
+    if shape := _gg_shape(w, f):
+        return _beta_integral(w, shape, alpha, 1.0, "generalized moment", _merge(warns, f.warnings))
 
     v = integral(
         f,
@@ -386,11 +479,16 @@ def fisher_information(f: Density, alpha: float, p: float) -> MeasureValue:
     if not (1.0 < alpha < math.inf):
         raise InputError(f"Fisher information needs alpha in (1, inf), got {alpha}")
     beta = holder_conjugate(alpha)
-    raw = integral(f, _score_term(f, None, p, beta, True), "Fisher integral")
+    one = make_constant(1.0)
+    if shape := _gg_shape(one, f):
+        raw = _score_integral(one, shape, beta, p, "Fisher integral", f.warnings)
+    else:
+        raw = integral(f, _score_term(f, None, p, beta, True), "Fisher integral")
     if raw.value < 0:
         raise DomainError("Fisher integral must be nonnegative")
     root = raw ** (1.0 / (beta * p))
-    return _measure(root, "root", {"raw": raw.value, "beta*p": beta * p})
+    flags = {"raw": raw.value, "beta*p": beta * p}
+    return _closed(root, flags, raw.warnings) if shape else _measure(root, "root", flags)
 
 
 def weighted_fisher_information(
@@ -421,5 +519,8 @@ def weighted_fisher_information(
     if not alpha > 1.0:
         raise InputError(f"weighted Fisher information needs alpha >= 1, got {alpha}")
     beta = holder_conjugate(alpha)
+    if shape := _gg_shape(w, f):
+        raw = _score_integral(w, shape, beta, p, "weighted Fisher integral", ())
+        return _closed(raw, {"beta": beta}, _merge(warns, f.warnings))
     raw = integral(f, _score_term(f, w, p, beta, True), "weighted Fisher integral", w)
     return _measure(raw, "integral", {"beta": beta}, warns)

@@ -16,7 +16,11 @@ the transport-reduced weight phi~(x) = phi(s(x)) and
 Each weight carries an evaluator, an analytic derivative and its kink
 points.  The four elementary makers (const, expw, pow, abspoly) also
 record ``terms``, the triples (c, e, gamma) of phi(x) = sum c |x|^e
-e^{gamma x}; every derived or density-based weight leaves it None.
+e^{gamma x}, and so does phi*: phi(r x) has the terms (c r^e, e, gamma r).
+:func:`power_of` keeps the constant, power and exp-linear families in
+their family; every other derived or density-based weight leaves
+``terms`` None.  ``power_terms`` reads a sum of pure powers (every
+gamma = 0) as its (c, e) pairs.
 :func:`antiderivatives` gives the two numbers the alpha = inf formulas
 read, int_{-1}^1 phi and int_{-1}^1 phi' (with psi(x) = int_0^x phi
 and psi_bar(x) = int_0^x phi', the differences psi(1) - psi(-1) and
@@ -74,6 +78,13 @@ class WeightFunction:
     @property
     def is_constant(self) -> bool:
         return self.family == "constant"
+
+    @property
+    def power_terms(self) -> tuple | None:
+        """The (c, e) with c != 0 of phi = sum c |x|^e, or None if phi is no such sum."""
+        if self.terms is None or any(g != 0.0 for _, _, g in self.terms):
+            return None
+        return tuple((c, e) for c, e, _ in self.terms if c != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +224,11 @@ def make_density_power(k: float, m: float, density) -> WeightFunction:
 
 
 def power_of(w: WeightFunction, r: float) -> WeightFunction:
-    """phi^r with derivative r phi^{r-1} phi'; requires phi > 0 where used."""
+    """phi^r with derivative r phi^{r-1} phi'; requires phi > 0 where used.
+
+    The constant, power and exp-linear families stay in their family:
+    v^r, |x|^(c r) and e^{(gamma r) x}.
+    """
     r = float(r)
     if not math.isfinite(r):
         raise InputError(f"power-of exponent must be finite, got {r}")
@@ -224,6 +239,10 @@ def power_of(w: WeightFunction, r: float) -> WeightFunction:
         if v <= 0 and r < 0:
             raise DomainError("cannot take a negative power of the zero weight")
         return make_constant(v**r)
+    if w.family == "power":
+        return make_power(w.params["c"] * r)
+    if w.family == "exp-linear":
+        return make_exp_linear(w.params["gamma"] * r)
 
     def _f(x):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -259,7 +278,7 @@ def compose_with_map(w: WeightFunction, s) -> WeightFunction:
 
 
 def derive_phi_star(w: WeightFunction, sigma_f: float, sigma_g: float) -> WeightFunction:
-    """phi*(x) = phi((sigma_f / sigma_g) x)."""
+    """phi*(x) = phi((sigma_f / sigma_g) x), with terms when phi has them."""
     if not (sigma_f > 0 and math.isfinite(sigma_f)):
         raise InputError(f"sigma_f must be finite positive, got {sigma_f}")
     if not (sigma_g > 0 and math.isfinite(sigma_g)):
@@ -275,8 +294,10 @@ def derive_phi_star(w: WeightFunction, sigma_f: float, sigma_g: float) -> Weight
         return r * np.asarray(w.dfn(r * np.asarray(x, dtype=float)), dtype=float)
 
     kinks = tuple(k / r for k in w.kinks)
+    # phi(r x) = sum c |r x|^e e^{gamma r x} = sum (c r^e) |x|^e e^{(gamma r) x}
+    terms = None if w.terms is None else tuple((c * r**e, e, g * r) for c, e, g in w.terms)
     return WeightFunction(
-        "phi-star", {"base": w, "ratio": r}, _vec(_f), _vec(_df), kinks=kinks
+        "phi-star", {"base": w, "ratio": r}, _vec(_f), _vec(_df), kinks=kinks, terms=terms
     )
 
 

@@ -188,9 +188,6 @@ class TestVerify:
             "id2.11 --w const:1 --alpha 2 --p 1.00001",
             # Lambda(Z)^{1/(1-p)} overflows in N(G).
             "id2.14 --w const:1 --alpha 2 --p 0.99999",
-            # J^{rho1}(G) reads 0, so J(f)/J(G) divides by zero.
-            "fii --f laplace:1 --w const:1 --alpha 2 --p 1.00001",
-            "cri --f laplace:1 --w const:1 --alpha 2 --p 1.00001",
         ],
     )
     def test_p_near_one_is_a_numeric_error(self, capsys, argv):
@@ -198,6 +195,17 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["error"]["type"] == "numeric"
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-5])
+    @pytest.mark.parametrize("check", ["fii", "cri"])
+    def test_sides_are_continuous_through_p_one(self, check, h):
+        # J^{rho1}(G) is a closed form, so p = 1 + h answers within O(h) of p = 1.
+        argv = ["verify", check, "--f", "laplace:1", "--w", "const:1", "--alpha", "2", "--p"]
+        at_one, near = (json.loads(run_cli([*argv, repr(p)])[1]) for p in (1.0, 1.0 + h))
+        assert at_one["rhs"] == pytest.approx(0.70711, abs=1e-5)
+        assert near["verdict"] == at_one["verdict"] == "holds"
+        for side in ("lhs", "rhs"):
+            assert abs(near[side] - at_one[side]) <= 2 * h
 
     @pytest.mark.parametrize("f", ["gg:2,2", "gg:inf,2"])
     def test_fii_with_density_power_weight_reports_json(self, f):

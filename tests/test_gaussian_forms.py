@@ -1,6 +1,7 @@
 """Semi-closed generalized-Gaussian measures vs direct quadrature."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,13 +145,15 @@ class TestAuxiliaryExpectations:
 
 
 class TestErrorsCarried:
-    """Each semi-closed form is a Value carrying the errors of its integrals."""
+    """Each semi-closed form by quadrature is a Value carrying the errors of its integrals."""
 
     @pytest.mark.parametrize(
         "form, calls",
         [
             (lambda: lambda_tilde(E01, 2.0, 2.0, case_laws(2.0, 2.0)["Y"]), 2),
-            (lambda: lambda_bar(X2, 0.8, 2.0, case_laws(2.0, 0.8)["Y"]), 2),
+            # LambdaB of e^{gx} is infinite (u has a power tail), so the p < 1
+            # form takes x^2 without its terms, which has no closed form then.
+            (lambda: lambda_bar(replace(X2, terms=None), 0.8, 2.0, case_laws(2.0, 0.8)["Y"]), 2),
             (lambda: theta(E01, 2.0, gamma_law(1.5)), 1),
             (lambda: upsilon(E01, gamma_law(3.0)), 1),
         ],

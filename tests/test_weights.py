@@ -1,6 +1,7 @@
 """Weight algebra: families, derived weights, antiderivatives, guards."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,8 +85,11 @@ class TestFamilies:
         assert make_density_polynomial([0.0, 1.0], f).terms is None
         assert make_density_power(1.0, 0.0, f).terms is None
         w = make_power(2.0)
-        assert power_of(w, 0.5).terms is None
-        assert derive_phi_star(w, 1.0, 2.0).terms is None
+        assert power_of(w, 0.5).terms == ((1.0, 1.0, 0.0),)
+        assert power_of(make_exp_linear(-0.4), 2.0).terms == ((1.0, 0.0, -0.8),)
+        assert power_of(make_abs_polynomial([1, 0.5]), 2.0).terms is None
+        assert derive_phi_star(w, 1.0, 2.0).terms == ((0.25, 2.0, 0.0),)
+        assert derive_phi_star(make_exp_linear(-0.4), 1.0, 2.0).terms == ((1.0, 0.0, -0.2),)
         assert compose_with_map(w, _IdentityMap()).terms is None
 
     def test_density_polynomial_reduces_to_density(self):
@@ -262,7 +266,8 @@ class TestAntiderivatives:
             return res
 
         monkeypatch.setattr(weights, "integrate", recorded)
-        psi_diff, psib_diff = antiderivatives(power_of(make_exp_linear(0.5), 2.0))  # e^x
+        e_x = replace(make_exp_linear(1.0), terms=None)  # e^x without its closed form
+        psi_diff, psib_diff = antiderivatives(e_x)
         assert psi_diff.value == pytest.approx(2 * math.sinh(1.0), rel=1e-12)
         assert psib_diff.value == pytest.approx(2 * math.sinh(1.0), rel=1e-12)
         assert len(errors) == 4
