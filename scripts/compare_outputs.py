@@ -26,7 +26,9 @@ the same inputs in its own interpreter, every input as one in-process
   source (and g) under pow, abspoly and expw weights, and of Laplace,
   tent and generalized-Gaussian sources under pow, abspoly and const
   weights, which are closed form and which no deck op runs, plus the
-  divergent and near-p = 1 inputs those closed forms answer.
+  divergent and near-p = 1 inputs those closed forms answer, the
+  heavy-tailed G that only a closed-form mass lets parse and sources
+  whose weighted-density normalizer is closed form.
 
 Every input whose stdout, exit code or written files differ between the
 two trees is printed with both sides; stderr is not compared.  An
@@ -103,6 +105,16 @@ CLOSED_FORM_INPUTS = tuple(
     "verify id2.14 --w pow:4 --alpha 2 --p 0.7",
     "verify mei --f gg:2,0.7 --w pow:4 --alpha 2 --p 0.7",
     "compute we --f laplace:1 --w pow:-3",
+) + tuple(
+    f"compute {mid} --f {f} --w const:1{rest}"
+    for f in ("gg:0.3,0.71", "gg:0.3,0.75", "gg:0.5,0.6")
+    for mid, rest in (("wre", " --p 1.5"), ("mom", " --alpha 0.02"))
+) + (
+    "compute wre --f weighted:laplace:1;pow:1.5 --w const:1 --p 2",
+    "compute mom --f weighted:gg:2,1.5;abspoly:1,0.5 --w const:1 --alpha 2",
+    "compute we --f weighted:exp:1;expw:0.4 --w const:1",
+    "compute wre --f weighted:tent;pow:1 --w const:1 --p 1.5",
+    "compute dev --f weighted:exp:1.3;abspoly:0,2,0.5 --alpha 1.5",
 )
 
 

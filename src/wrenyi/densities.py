@@ -32,6 +32,29 @@ with normalization
 valid for p > 1 - alpha (p > 1 when alpha = 0, p > 0 when alpha = inf).
 The scaled family is G_t(x) = G(x/t) / t.
 
+Closed forms.  Exp(lam) under an elementary weight (const, expw, pow,
+abspoly: phi(x) = sum c |x|^e e^{gamma x}, ``WeightFunction.terms``)
+integrates by one Gamma integral, finite for rate > gamma, k + e > -1:
+
+    int_0^inf phi(x) x^k coef e^{-rate x} dx
+        = sum c coef Gamma(k+e+1) / (rate-gamma)^(k+e+1).
+
+G_t of order 0 < alpha < inf (Laplace(b) is G_{1,1} at scale b, the
+tent G_{1,2}) is (a/t) k(|x|/t), k(u) = (1 + (1-p) u^alpha)_+^(1/(p-1))
+(e^{-u^alpha} at p = 1); under phi = sum c |x|^e it integrates by one
+Beta/Gamma integral, finite for x = (s+1)/alpha > 0 and a positive
+second argument:
+
+    M(s, m) = int_0^inf u^s k(u)^m du
+            = (p-1)^-x B(x, m/(p-1) + 1) / alpha          p > 1
+            = (1-p)^-x B(x, m/(1-p) - x) / alpha          p < 1
+            = Gamma(x) m^-x / alpha                       p = 1.
+
+A divergent one is a DomainError.  The mass of G, 2a M(0, 1) (2a
+Gamma(p/(p-1)) at alpha = 0, 1 at alpha = inf), must be 1 within 1e-8,
+and E_f[phi], the normalizer of a weighted density, is closed form for
+these pairs, so no density is built by quadrature where it has one.
+
 Every branch but alpha = inf is symmetric, so its CDF and quantile come
 from one pair of functions of u >= 0: H(u), half the mass of [-u, u]
 under G, and its inverse R(r), the u with H(u) = r/2:
@@ -60,13 +83,16 @@ from .errors import DomainError, InputError
 from .numerics import (
     _XGK,
     DEFAULT_CONFIG,
+    MeasureValue,
     QuadratureConfig,
     Value,
+    _exp,
     _finite,
     _gk15_nodes,
     _gk15_sums,
     _masked,
     _merge,
+    _num,
     _vec,
     beta_fn,
     essential_supremum,
@@ -158,19 +184,90 @@ def variation(f: Density, core, hints=()) -> Value:
     return _searched(f, total_variation(_masked(f, core), f.support, jump_hints=jumps))
 
 
-def _check_normalization(density: Density) -> Density:
-    """The density with the warnings of its mass.
+def _closed(value, flags: dict, warns=()) -> MeasureValue:
+    """An exact float or Value (a closed form) as a closed-form measure."""
+    return MeasureValue(_num(value), 0.0, warns, None, "closed-form", flags)
 
-    The mass must be 1 within the larger of _NORM_TOL and its own
-    quadrature error; otherwise a DomainError names the mass and error.
-    """
-    mass = integral(density, lambda x, fx: fx, f"{density.family} density normalization")
-    if abs(mass.value - 1.0) > max(_NORM_TOL, mass.error):
-        raise DomainError(
-            f"{density.family} density integrates to {mass.value!r} "
-            f"(error {mass.error:.2e}), not 1"
-        )
-    return replace(density, warnings=mass.warnings) if mass.warnings else density
+
+def _exponential_rates(w, *densities: Density) -> list:
+    """The rates of ``densities`` if all are exponential and ``w`` has terms, else []."""
+    closed = w.terms is not None and all(d.family == "exponential" for d in densities)
+    return [d.params["lam"] for d in densities] if closed else []
+
+
+def _gamma_integral(w, k: float, coef, rate: float, what: str, flag: str, warns=()):
+    """int_0^inf phi(x) x^k coef e^{-rate x} dx over the terms (c, e, gamma) of ``w``,
+    sum c coef Gamma(k+e+1) / (rate-gamma)^(k+e+1), flagged {flag: min rate - gamma},
+    carrying ``warns``; a term with c = 0 adds nothing, so it is neither checked nor summed."""
+    total = 0.0
+    for c, e, g in w.terms:
+        if c == 0.0:
+            continue
+        if not rate - g > 0:
+            raise DomainError(f"{what} diverges: {flag} = {rate - g:.6g} <= 0")
+        if not k + e > -1.0:
+            raise DomainError(f"{what} diverges: x^{k + e:.6g} is not integrable at 0")
+        total += c * coef * gamma_fn(k + e + 1.0) / Value(rate - g) ** (k + e + 1.0)
+    return _closed(total, {flag: min(rate - g for _, _, g in w.terms)}, warns)
+
+
+def _gg_shape(w, f: Density):
+    """(alpha, p, log(a/t), t) of f(x) = (a/t) k(|x|/t) when ``w`` is a sum of
+    powers c |x|^e and f a generalized Gaussian of order 0 < alpha < inf,
+    Laplace(b) (G_{1,1} at scale b) or the tent (G_{1,2}); else None."""
+    if w.power_terms is None:
+        return None
+    if f.family == "generalized-gaussian" and 0.0 < f.params["alpha"] < math.inf:
+        alpha, p, a, t = (f.params[k] for k in ("alpha", "p", "a", "t"))
+        return alpha, p, math.log(a / t), t
+    if f.family == "laplace":
+        b = f.params["b"]
+        return 1.0, 1.0, -math.log(2.0 * b), b
+    if f.family == "tent":
+        return 1.0, 2.0, 0.0, 1.0
+    return None
+
+
+def _log_kernel_moment(s: float, m: float, alpha: float, p: float, what: str) -> float:
+    """log M(s, m) of the module docstring, from log-Gamma values; a
+    divergent M is a DomainError naming ``what``."""
+    x = (s + 1.0) / alpha
+    second = m if p == 1.0 else m / (p - 1.0) + 1.0 if p > 1.0 else m / (1.0 - p) - x
+    if not x > 0:
+        raise DomainError(f"{what} diverges: x^{s:.6g} is not integrable at 0")
+    if not second > 0:
+        where = "at the edge of the support" if p > 1.0 else "in the tail"
+        raise DomainError(f"{what} diverges {where}")
+    if p == 1.0:
+        return math.lgamma(x) - x * math.log(m) - math.log(alpha)
+    log_beta = math.lgamma(x) + math.lgamma(second) - math.lgamma(x + second)
+    return log_beta - x * math.log(abs(p - 1.0)) - math.log(alpha)
+
+
+def _beta_integral(w, shape, kappa: float, m: float, what: str, warns, power=1.0, log_extra=0.0):
+    """int phi(x) C |x|^kappa k(|x|/t)^m dx, C = (a/t)^power e^log_extra, for
+    phi = sum c |x|^e and f of ``shape``: sum 2 c C t^(e+kappa+1) M(e+kappa, m),
+    a closed form carrying ``warns``."""
+    alpha, p, log_norm, t = shape
+    log_c = power * log_norm + log_extra
+
+    def term(c, e):
+        s = e + kappa
+        log_r = _log_kernel_moment(s, m, alpha, p, what)
+        return 2.0 * c * _exp(log_c + (s + 1.0) * math.log(t) + log_r, what)
+
+    return _closed(math.fsum(term(c, e) for c, e in w.power_terms), {}, warns)
+
+
+def _weight_mean(f: Density, w, what: str) -> MeasureValue:
+    """E_f[phi] (``what``): the closed form of the module docstring, else a quadrature."""
+    if rates := _exponential_rates(w, f):
+        (lam,) = rates
+        return _gamma_integral(w, 0.0, lam, lam, what, "lam-gamma", f.warnings)
+    if shape := _gg_shape(w, f):
+        return _beta_integral(w, shape, 0.0, 1.0, what, f.warnings)
+    v = integral(f, lambda x, fx: np.asarray(w(x), dtype=float) * fx, what, w)
+    return MeasureValue(v.value, v.error, v.warnings, v.parts, "quadrature", {})
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +408,13 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
     if not t > 0:
         raise InputError(f"scale must be positive, got {t}")
     a = gg_norm_const(alpha, p)
+    mass = 1.0  # exact at alpha = inf; 2a M(0, 1) otherwise, 2a Gamma(p/(p-1)) at alpha = 0
+    if alpha == 0.0:
+        mass = 2.0 * a * gamma_fn(p / (p - 1.0))
+    elif alpha < math.inf:
+        mass = 2.0 * a * _exp(_log_kernel_moment(0.0, 1.0, alpha, p, "mass of G"), "mass of G")
+    if not abs(mass - 1.0) <= _NORM_TOL:
+        raise DomainError(f"generalized-gaussian density integrates to {mass!r}, not 1")
     support = (-math.inf, math.inf)
 
     if alpha == math.inf:
@@ -455,7 +559,7 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
         def quant(q):
             return np.sign(q - 0.5) * t * radius(np.abs(2 * q - 1.0))
 
-    dens = Density(
+    return Density(
         "generalized-gaussian",
         {"alpha": alpha, "p": p, "a": a, "t": t},
         support,
@@ -465,7 +569,6 @@ def make_generalized_gaussian(alpha: float, p: float, t: float = 1.0) -> Density
         _vec(quant),
         (0.0,) if alpha < 2.0 else (),
     )
-    return _check_normalization(dens)
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +603,12 @@ def scale_density(f: Density, t: float) -> Density:
 
 
 def make_weighted_density(f: Density, weight) -> Density:
-    """Reweighted density phi*f/chi with chi = E_f[phi].
+    """Reweighted density phi*f/chi with chi = E_f[phi] (:func:`_weight_mean`).
 
     Its mass is 1 by construction, so it is not integrated again; the
-    density carries the warnings of chi.
+    density carries the warnings of chi, which carries those of f.
     """
-    norm = integral(
-        f,
-        lambda x, fx: np.asarray(weight(x), dtype=float) * fx,
-        "weight normalizer E_f[phi]",
-        w=weight,
-    )
+    norm = _weight_mean(f, weight, "weight normalizer E_f[phi]")
     chi = norm.value
     if not chi > 0:
         raise DomainError(f"weight normalizer E_f[phi] = {chi!r} is unusable")

@@ -22,35 +22,17 @@ For a density f, weight phi >= 0 and orders p (entropy order) and alpha
                                 esssup phi |f^{p-2} f'|            alpha = 1
                                 V(phi f^p/p) - int phi' f^p/p      alpha = inf
 
-An exponential f (and g) under an elementary weight (const, expw, pow,
-abspoly: phi(x) = sum c |x|^e e^{gamma x}, ``WeightFunction.terms``) is
-closed form, from one Gamma integral
-
-    int_0^inf phi(x) x^k coef e^{-rate x} dx
-        = sum c coef Gamma(k+e+1) / (rate-gamma)^(k+e+1),
-
-finite for rate > gamma and k + e > -1 (else DomainError): E_f[phi],
-both entropies, the Renyi integrals and the moments.
-
-A generalized Gaussian of order 0 < alpha < inf (Laplace(b) is G_{1,1}
-at scale b, the tent is G_{1,2}), f(x) = (a/t) k(|x|/t) with the unit
-kernel k(u) = (1 + (1-p) u^alpha)_+^(1/(p-1)) (e^{-u^alpha} at p = 1),
-under a weight phi = sum c |x|^e (const, pow, abspoly) is closed form
-from one Beta/Gamma integral, with x = (s+1)/alpha,
-
-    R(s, m) = int_0^inf u^s k(u)^m du
-            = (p-1)^-x B(x, m/(p-1) + 1) / alpha          p > 1
-            = (1-p)^-x B(x, m/(1-p) - x) / alpha          p < 1
-            = Gamma(x) m^-x / alpha                       p = 1,
-
-finite for x > 0 and a positive second argument (else DomainError):
-int phi C |x|^kappa k(|x|/t)^m = sum 2 c C t^(e+kappa+1) R(e+kappa, m)
-gives E_f[phi], int phi f^p, the moments and, since |f^{p-2} f'|^beta f
-is such a product, both Fisher informations at 1 < alpha < inf; at
-p = 1, -log f = -log(a/t) + (|x|/t)^alpha gives the weighted entropy.
-These closed forms carry the warnings of f.  The alpha = 0 log-moment,
-the entropies at p != 1, the suprema and variations and every other
-pair of source and weight are quadrature.
+An exponential f (and g) under an elementary weight, and a Laplace,
+tent or generalized-Gaussian (0 < alpha < inf) f under a sum of powers
+phi = sum c |x|^e, are closed form from the Gamma and Beta/Gamma
+integrals of :mod:`~wrenyi.densities`.  The first gives E_f[phi], both
+entropies, the Renyi integrals and the moments; the second, as
+int phi C |x|^kappa k(|x|/t)^m = sum 2 c C t^(e+kappa+1) M(e+kappa, m),
+gives E_f[phi], int phi f^p, the moments, both Fisher informations at
+1 < alpha < inf (|f^{p-2} f'|^beta f is such a product) and, at p = 1,
+the weighted entropy (-log f = -log(a/t) + (|x|/t)^alpha).  These carry
+the warnings of f.  The alpha = 0 log-moment, the entropies at p != 1,
+the suprema and variations and every other pair is quadrature.
 
 Every operation returns a MeasureValue: a numerics.Value (the number,
 its first-order error and its warnings) with the branch that fired and
@@ -61,13 +43,13 @@ integrals with plain operators, which propagate their errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import Density, integral, supremum, variation
+from .densities import Density, _beta_integral, _closed, _exponential_rates, _gamma_integral
+from .densities import _gg_shape, _weight_mean, integral, supremum, variation
 from .errors import DomainError, InputError
-from .numerics import Value, _exp, _merge, _num, gamma_fn
+from .numerics import MeasureValue, Value, _merge, _num
 from .weights import WeightFunction, holder_conjugate, make_constant, nonnegativity_violation
 
 __all__ = [
@@ -86,22 +68,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MeasureValue(Value):
-    """A Value with the branch that computed it and its assumption margins."""
-
-    branch: str = ""
-    flags: dict = field(default_factory=dict)
-
-
 def _measure(v: Value, branch: str, flags: dict, warns=()) -> MeasureValue:
     """``v`` tagged with its branch and flags, ``warns`` before its warnings."""
     return MeasureValue(v.value, v.error, _merge(warns, v.warnings), v.parts, branch, flags)
-
-
-def _closed(value, flags: dict, warns=()) -> MeasureValue:
-    """An exact float or Value (a closed form) as a closed-form measure."""
-    return MeasureValue(_num(value), 0.0, warns, None, "closed-form", flags)
 
 
 def _warn_negativity(w: WeightFunction, f: Density):
@@ -109,76 +78,6 @@ def _warn_negativity(w: WeightFunction, f: Density):
     if v is not None:
         return (f"weight takes negative values on the support (min {v:.3g})",)
     return ()
-
-
-def _exponential_rates(w: WeightFunction, *densities: Density) -> list:
-    """The rates of ``densities`` if all are exponential and ``w`` has terms, else []."""
-    closed = w.terms is not None and all(d.family == "exponential" for d in densities)
-    return [d.params["lam"] for d in densities] if closed else []
-
-
-def _gamma_integral(w: WeightFunction, k: float, coef, rate: float, what: str, flag: str):
-    """int_0^inf phi(x) x^k coef e^{-rate x} dx over the terms (c, e, gamma) of ``w``,
-    sum c coef Gamma(k+e+1) / (rate-gamma)^(k+e+1), flagged {flag: min rate - gamma};
-    a term with c = 0 adds nothing, so it is neither checked nor summed."""
-    total = 0.0
-    for c, e, g in w.terms:
-        if c == 0.0:
-            continue
-        if not rate - g > 0:
-            raise DomainError(f"{what} diverges: {flag} = {rate - g:.6g} <= 0")
-        if not k + e > -1.0:
-            raise DomainError(f"{what} diverges: x^{k + e:.6g} is not integrable at 0")
-        total += c * coef * gamma_fn(k + e + 1.0) / Value(rate - g) ** (k + e + 1.0)
-    return _closed(total, {flag: min(rate - g for _, _, g in w.terms)})
-
-
-def _gg_shape(w: WeightFunction, f: Density):
-    """(alpha, p, log(a/t), t) of f(x) = (a/t) k(|x|/t) when ``w`` is a sum of
-    powers c |x|^e and f a generalized Gaussian of order 0 < alpha < inf,
-    Laplace(b) (G_{1,1} at scale b) or the tent (G_{1,2}); else None."""
-    if w.power_terms is None:
-        return None
-    if f.family == "generalized-gaussian" and 0.0 < f.params["alpha"] < math.inf:
-        alpha, p, a, t = (f.params[k] for k in ("alpha", "p", "a", "t"))
-        return alpha, p, math.log(a / t), t
-    if f.family == "laplace":
-        b = f.params["b"]
-        return 1.0, 1.0, -math.log(2.0 * b), b
-    if f.family == "tent":
-        return 1.0, 2.0, 0.0, 1.0
-    return None
-
-
-def _log_kernel_moment(s: float, m: float, alpha: float, p: float, what: str) -> float:
-    """log R(s, m) of the module docstring, from log-Gamma values; a
-    divergent R is a DomainError naming ``what``."""
-    x = (s + 1.0) / alpha
-    second = m if p == 1.0 else m / (p - 1.0) + 1.0 if p > 1.0 else m / (1.0 - p) - x
-    if not x > 0:
-        raise DomainError(f"{what} diverges: x^{s:.6g} is not integrable at 0")
-    if not second > 0:
-        where = "at the edge of the support" if p > 1.0 else "in the tail"
-        raise DomainError(f"{what} diverges {where}")
-    if p == 1.0:
-        return math.lgamma(x) - x * math.log(m) - math.log(alpha)
-    log_beta = math.lgamma(x) + math.lgamma(second) - math.lgamma(x + second)
-    return log_beta - x * math.log(abs(p - 1.0)) - math.log(alpha)
-
-
-def _beta_integral(w, shape, kappa: float, m: float, what: str, warns, power=1.0, log_extra=0.0):
-    """int phi(x) C |x|^kappa k(|x|/t)^m dx, C = (a/t)^power e^log_extra, for
-    phi = sum c |x|^e and f of ``shape``: sum 2 c C t^(e+kappa+1) R(e+kappa, m),
-    a closed form carrying ``warns``."""
-    alpha, p, log_norm, t = shape
-    log_c = power * log_norm + log_extra
-
-    def term(c, e):
-        s = e + kappa
-        log_r = _log_kernel_moment(s, m, alpha, p, what)
-        return 2.0 * c * _exp(log_c + (s + 1.0) * math.log(t) + log_r, what)
-
-    return _closed(math.fsum(term(c, e) for c, e in w.power_terms), {}, warns)
 
 
 def _score_integral(w: WeightFunction, shape, beta: float, q: float, what: str, warns):
@@ -207,13 +106,7 @@ def _affine_integral(w: WeightFunction, a0, a1, lam: float, what: str, flag: str
 
 def expectation(f: Density, w: WeightFunction) -> MeasureValue:
     """E_f[phi]."""
-    if rates := _exponential_rates(w, f):
-        (lam,) = rates
-        return _gamma_integral(w, 0.0, lam, lam, "E_f[phi]", "lam-gamma")
-    if shape := _gg_shape(w, f):
-        return _beta_integral(w, shape, 0.0, 1.0, "E_f[phi]", f.warnings)
-    v = integral(f, lambda x, fx: np.asarray(w(x), dtype=float) * fx, "E_f[phi]", w)
-    return _measure(v, "quadrature", {})
+    return _weight_mean(f, w, "E_f[phi]")
 
 
 def weighted_entropy(f: Density, w: WeightFunction) -> MeasureValue:
@@ -400,8 +293,7 @@ def generalized_moment(f: Density, w: WeightFunction, alpha: float) -> MeasureVa
     warns = _warn_negativity(w, f)
     if rates := _exponential_rates(w, f):
         (lam,) = rates
-        mu = _gamma_integral(w, alpha, lam, lam, "generalized moment", "lam-gamma")
-        return _closed(mu, mu.flags, warns)
+        return _gamma_integral(w, alpha, lam, lam, "generalized moment", "lam-gamma", warns)
     if shape := _gg_shape(w, f):
         return _beta_integral(w, shape, alpha, 1.0, "generalized moment", _merge(warns, f.warnings))
 

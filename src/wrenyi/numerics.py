@@ -51,6 +51,7 @@ __all__ = [
     "QuadratureConfig",
     "IntegralResult",
     "Value",
+    "MeasureValue",
     "relative_residual",
     "integrate",
     "gamma_fn",
@@ -236,6 +237,14 @@ class Value:
         """exp of a log-value; an overflow is a DomainError naming ``what``."""
         r = _exp(self.value, what)
         return Value._of(r, (self, r))
+
+
+@dataclass(frozen=True)
+class MeasureValue(Value):
+    """A Value with the branch that computed it and its assumption margins."""
+
+    branch: str = ""
+    flags: dict = field(default_factory=dict)
 
 
 def _num(x) -> float:

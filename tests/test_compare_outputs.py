@@ -62,4 +62,4 @@ def test_cases_run_every_golden_argv_and_lemma4(monkeypatch, tmp_path):
                  for f, w, p in compare_outputs.VARIATION_INPUTS}
     assert len(variation) == 5 and variation <= set(argvs)
     closed = set(compare_outputs.CLOSED_FORM_INPUTS)
-    assert len(closed) == 124 and closed <= set(argvs)
+    assert len(closed) == 135 and closed <= set(argvs)

@@ -464,6 +464,26 @@ class TestFiiCri:
         assert v.error >= j_root * ratio.error * (1 - 1e-12)
         assert v.error == pytest.approx(5.6239e-11, rel=1e-4)
 
+    @pytest.mark.parametrize("c", [0.3, 1.0, 1.5, 2.0])
+    def test_eta_at_g_under_a_power_weight(self, c):
+        # At f = G (here 3/4 (1 - x^2)_+) s is the identity and rho_s = phi =
+        # |x|^c, so eta = int x phi' G^2 = c int |x|^c G^2
+        # = (9/8) c (1/(c+1) - 2/(c+3) + 1/(c+5)).  phi and phi o s vanish at
+        # the centre node 0, where rho_s' reads 0 * (0/0).
+        g = make_generalized_gaussian(2.0, 2.0)
+        eta = inequalities._Problem(g, make_power(c), 2.0, 2.0).eta
+        exact = 9.0 / 8.0 * c * (1.0 / (c + 1.0) - 2.0 / (c + 3.0) + 1.0 / (c + 5.0))
+        assert abs(eta.value - exact) <= eta.error + 4e-15 * exact
+
+    def test_fii_and_cri_at_g_under_a_vanishing_weight(self):
+        g = make_generalized_gaussian(2.0, 2.0)
+        for check in (check_fii, check_cri):
+            v = check(g, make_power(0.3), 2.0, 2.0)
+            assert v.verdict == "holds" and v.slack == pytest.approx(0.0132155, rel=1e-5)
+        # rho_1 = phi^(alpha/(1-p)) = |x|^-3: the true cause, not a nan.
+        with pytest.raises(DomainError, match=r"int phi f\^p diverges: x\^-3 "):
+            check_fii(g, make_power(1.5), 2.0, 2.0)
+
     def test_transport_term_sign_recorded(self):
         v = check_fii(make_exponential(1.0), make_power(2.0), 2.0, 1.0)
         assert "E_f[S phi~']" in v.terms
