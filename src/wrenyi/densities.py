@@ -829,7 +829,7 @@ def _swept_cdf(f: Density, xs):
     """F_f on the points ``xs`` (1-d, inside the support) in one sorted sweep.
 
     The points and the singularities between them become sorted nodes,
-    so no gap spans a kink.  The anchors of the normalization integral,
+    so no gap spans a kink.  The anchors of a whole-support integral,
     where its rules cluster their nodes (the singularities, the finite
     ends of the support and, on the whole line, 0), are nodes and
     singularity hints too, so a lone point far in a tail still sees the
