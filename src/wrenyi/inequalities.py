@@ -404,9 +404,10 @@ class _Problem:
             return Value(0.0)
         s = self.s
 
-        def core(x, fx):
+        def core(x, fx):  # 0 where s = 0, the limit of s weight' (weight' may read nan there)
             sx = np.asarray(s(x), dtype=float)
-            return sx * np.asarray(weight.derivative(x), dtype=float) * fx**q
+            dw = np.asarray(weight.derivative(x), dtype=float)
+            return np.where(sx == 0, 0.0, sx * dw * fx**q)
 
         return integral(self.f, core, what, config=_MOMENT_CONFIG)
 

@@ -347,8 +347,7 @@ def derive_rho_s(w: WeightFunction, s, p: float) -> WeightFunction:
             bracket = e * (dsx * dphi_s / phi_s) + (p / (p - 1.0)) * (
                 dphi_x / phi_x
             )
-        # 0 * (0/0) where phi(x) = phi(s(x)) = 0: take 0, the limit of s rho_s' at s = 0.
-        return np.where((phi_s == 0) & (phi_x == 0), 0.0, rho * bracket)
+        return rho * bracket
 
     return WeightFunction(
         "rho-s", {"base": w, "map": s, "p": p}, _vec(_f), _vec(_df)

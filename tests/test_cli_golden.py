@@ -103,11 +103,15 @@ INTEGRAL_CASES = [
 # The error and warnings of a value computed from several terms: a
 # Fisher information's root, an unconverged Fisher integral inside a
 # Fisher bound, and a generalized Gaussian with a |x|^-1.03 tail, whose
-# mass is 1 in closed form where a quadrature reads 0.81.
+# mass is 1 in closed form where a quadrature reads 0.81; and two G
+# refused at parse time, their bulk near |x| = e^-101 and 1e230, where
+# every quadrature of them read a wrong number with no warning.
 ERROR_CASES = [
     ["compute", "fi", "--f", "laplace:1", "--p", "2", "--alpha", "2"],
     ["verify", "fii", "--f", "gg:1.662,1.894", "--w", "expw:-0.208", "--p", "1", "--alpha", "1.92"],
     ["compute", "wre", "--f", "gg:0.3,0.71", "--w", "const:1", "--p", "2"],
+    ["compute", "wre", "--f", "gg:0,1.01", "--w", "const:1", "--p", "2"],
+    ["compute", "we", "--f", "gg:0.01,0.995", "--w", "const:1"],
 ]
 
 CASES = README_EXAMPLES + MISSING_VALUE + BOUND_CASES + INTEGRAL_CASES + ERROR_CASES

@@ -137,9 +137,19 @@ class TestNormalizationCheck:
             assert make_generalized_gaussian(alpha, p, 1.7).params["a"] > 0
 
     def test_an_overflowing_mass_is_a_domain_error(self):
-        # a = 0 from (p-1)^(1/alpha) = 0.5^100000; M(0, 1) overflows.
-        with pytest.raises(DomainError, match="mass of G overflows"):
-            parse_density("gg:1e-5,1.5")
+        # a = 0 from (p-1)^(1/alpha) = 0.5^100000; 3^1000 raises OverflowError.
+        for spec in ("gg:1e-5,1.5", "gg:0.001,4"):
+            with pytest.raises(DomainError, match="constant a = .* is not a positive"):
+                parse_density(spec)
+
+    # The density of log|X| peaks at e^-100 times the support's edge, at
+    # 1e230, 1e26 and 0.7e30: a quadrature of the mass reads 5.9e-87,
+    # 7.1e-148, 0.356 and 1.6e-5, and of the first two's wre and weighted
+    # entropy 393.31 (closed form -135.06) and 2.8e-145, with no warning.
+    @pytest.mark.parametrize("spec", ["gg:0,1.01", "gg:0.01,0.995", "gg:0.05,1", "gg:2,1,1e30"])
+    def test_a_bulk_out_of_quadrature_reach_is_a_domain_error(self, spec):
+        with pytest.raises(DomainError, match="G's mass sits near"):
+            parse_density(spec)
 
 
 class TestCdfValues:

@@ -469,7 +469,7 @@ class TestFiiCri:
         # At f = G (here 3/4 (1 - x^2)_+) s is the identity and rho_s = phi =
         # |x|^c, so eta = int x phi' G^2 = c int |x|^c G^2
         # = (9/8) c (1/(c+1) - 2/(c+3) + 1/(c+5)).  phi and phi o s vanish at
-        # the centre node 0, where rho_s' reads 0 * (0/0).
+        # the centre node 0, where rho_s' reads 0 * (0/0) and s rho_s' is 0.
         g = make_generalized_gaussian(2.0, 2.0)
         eta = inequalities._Problem(g, make_power(c), 2.0, 2.0).eta
         exact = 9.0 / 8.0 * c * (1.0 / (c + 1.0) - 2.0 / (c + 3.0) + 1.0 / (c + 5.0))
