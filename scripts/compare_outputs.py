@@ -22,6 +22,9 @@ the same inputs in its own interpreter, every input as one in-process
 * ``compute wfi --alpha inf`` on each (source, weight, p) of
   ``VARIATION_INPUTS`` (no deck op takes a total variation over an
   infinite support, across a kink or with a jump at a support edge);
+* every argv of ``TABLE_INPUTS`` on the seed-801 ``bounds-quadcdf``
+  table: ``cri``, a ``weighted:table:`` source, ``scaling --t`` and
+  ``wfi --alpha inf``, which no deck op runs on a table;
 * every argv of ``CLOSED_FORM_INPUTS``: the measures of an exponential
   source (and g) under pow, abspoly and expw weights, and of Laplace,
   tent and generalized-Gaussian sources under pow, abspoly and const
@@ -76,6 +79,19 @@ VARIATION_INPUTS = (
     ("gg:2,0.8", "pow:1", "2"),
     ("weighted:laplace:1;pow:1", "const:1", "2"),
     ("tent", "pow:0.6", "2"),
+)
+TABLE_INPUTS = (  # {t}: the path of a table
+    "verify cri --f table:{t} --w const:1.3 --alpha 2.4 --p 1.7",
+    "verify cri --f table:{t} --w abspoly:1,1 --alpha 2 --p 1.5",
+    "verify cri --f table:{t} --w expw:0.2 --alpha 2.5 --p 2",
+    "verify cri --f table:{t} --w pow:2 --alpha 2 --p 2",
+    "compute we --f weighted:table:{t};abspoly:1,1 --w const:1",
+    "compute wre --f weighted:table:{t};abspoly:1,1 --w const:1 --p 1.5",
+    "verify fii --f weighted:table:{t};abspoly:1,1 --w const:1 --alpha 2 --p 1.5",
+    "verify scaling --f table:{t} --t 0.7 --p 1.5 --w abspoly:1,1",
+    "verify scaling --f table:{t} --t 0.7 --p 2 --w const:1",
+    "compute wfi --f table:{t} --w const:1 --alpha inf --p 2",
+    "compute wfi --f table:{t} --w abspoly:1,0.5 --alpha inf --p 1.7",
 )
 CLOSED_FORM_INPUTS = tuple(
     f"compute {mid} --f exp:0.7 --w {w}{rest}"
@@ -256,8 +272,11 @@ def cases(seeds, work: str) -> list[dict]:
         ["compute", "wfi", "--f", f, "--w", w, "--alpha", "inf", "--p", p]
         for f, w, p in VARIATION_INPUTS
     ]
+    table = os.path.join(work, "table-inputs.csv")
+    ops.write_table(table, ops.Draw("bounds-quadcdf", 801))
+    tables = [text.format(t=table).split(" ") for text in TABLE_INPUTS]
     closed = [text.split(" ") for text in CLOSED_FORM_INPUTS]
-    for argv in golden + lemma4 + cor4 + variation + closed:
+    for argv in golden + lemma4 + cor4 + variation + tables + closed:
         argv = [os.path.join(ROOT, a) if a.startswith("scenarios/") else a for a in argv]
         if all(case["argv"] != argv for case in out):
             out.append({"name": " ".join(argv), "argv": argv})

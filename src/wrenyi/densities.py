@@ -4,8 +4,9 @@ Exponential, Laplace, tent, the generalized p-Gaussian family in all of
 its parameter branches, scaled variants, weighted densities and
 tabulated (piecewise linear) densities.  Every descriptor carries a
 vectorized pdf, its derivative, an analytic CDF where the family has
-one, the support interval and the list of points where the pdf or its
-derivative is singular (quadrature is told to split there).
+one, the support interval, the points where the pdf or its derivative
+is singular and the kinks where its derivative jumps (quadrature splits
+at both, with tanh-sinh only at a singularity).
 
 Every integral, essential supremum and total variation of a core
 against a density goes through :func:`integral`, :func:`supremum` and
@@ -138,21 +139,23 @@ class Density:
     quantile_fn: callable | None = None
     singularities: tuple[float, ...] = ()
     warnings: tuple[str, ...] = ()
+    kinks: tuple[float, ...] = ()
 
     def quad_config(self) -> QuadratureConfig:
-        return QuadratureConfig(singularities=self.singularities)
+        return QuadratureConfig(singularities=self.singularities, kinks=self.kinks)
 
 
 def integral(f: Density, core, what: str, w=None, hints=(), config=DEFAULT_CONFIG) -> Value:
     """int core(x, f(x)) dx over {f > 0}, with its error and warnings.
 
-    The support is split at the singularities of f, the kinks of the
-    weight ``w`` when one is given, and ``hints``; ``config`` gives the
-    tolerances.  A divergent integral raises ``DomainError("<what>
-    diverges")``, an unconverged one comes with a warning after those of f.
+    The support is split at the kinks of f and, as singularities, at
+    those of f, the kinks of the weight ``w`` when one is given, and
+    ``hints``; ``config`` gives the tolerances.  A divergent integral
+    raises ``DomainError("<what> diverges")``, an unconverged one comes
+    with a warning after those of f.
     """
     cuts = set(f.singularities) | set(hints) | set(() if w is None else w.kinks)
-    cfg = replace(config, singularities=tuple(sorted(cuts)))
+    cfg = replace(config, singularities=tuple(sorted(cuts)), kinks=f.kinks)
     v = integrate(_masked(f, core), f.support, cfg).checked(what)
     return replace(v, warnings=_merge(f.warnings, v.warnings)) if f.warnings else v
 
@@ -599,6 +602,7 @@ def scale_density(f: Density, t: float) -> Density:
         cdf_fn=cdf_fn,
         quantile_fn=quant,
         singularities=tuple(s * t for s in f.singularities),
+        kinks=tuple(k * t for k in f.kinks),
     )
 
 
@@ -636,11 +640,17 @@ def make_weighted_density(f: Density, weight) -> Density:
         quantile_fn=None,
         singularities=tuple(sorted(set(f.singularities) | set(weight.kinks))),
         warnings=norm.warnings,
+        kinks=f.kinks,
     )
 
 
 def make_tabulated(xs, ys) -> Density:
-    """Piecewise-linear density through (xs, ys >= 0), renormalized."""
+    """Piecewise-linear density through (xs, ys >= 0), renormalized.
+
+    Its derivative jumps at every node: the interior nodes with y > 0
+    are kinks, where quadrature only splits, and the nodes with y = 0
+    are singularities, since a negative power of f is unbounded there.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0):
@@ -692,7 +702,8 @@ def make_tabulated(xs, ys) -> Density:
         dpdf=_vec(_dpdf),
         cdf_fn=_vec(_cdf),
         quantile_fn=_vec(_quant),
-        singularities=(),
+        singularities=tuple(xs[ys == 0].tolist()),
+        kinks=tuple(xs[1:-1][ys[1:-1] > 0].tolist()),
     )
 
 

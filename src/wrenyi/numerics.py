@@ -38,6 +38,7 @@ which propagate the errors and merge the warnings.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import operator
@@ -126,13 +127,15 @@ def _masked(f, core, fill: float = 0.0):
 class QuadratureConfig:
     """Tolerances and hints for :func:`integrate`.
 
-    ``singularities`` lists interior points where the integrand may be
-    non-smooth or unbounded; the domain is always split there first.
+    ``singularities`` lists points where the integrand may be unbounded
+    or have an unbounded derivative, ``kinks`` points where it is only
+    piecewise smooth; the domain is always split at both first.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     singularities: tuple[float, ...] = ()
+    kinks: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0 and self.rel_tol > 0):
@@ -377,29 +380,33 @@ def _fsum(values) -> float:
         return sum(values)
 
 
-_MAX_DEPTH = 60  # bisections below one starting panel
-_MAX_PANELS = 8193  # the starting panel and 4,096 bisections
-_MAX_ROUND = 512  # bisections per round, so one fn call sees at most 15,360 nodes
+_MAX_DEPTH = 60  # bisections below a starting panel
+_MAX_PANELS = 8193  # the start, as one panel, and 4,096 bisections
+_MAX_ROUND = 512  # bisections per round, so a call after the first sees at most 15,360 nodes
 
 
 def _adaptive_gk(fn, a, b, abs_tol, rel_tol):
-    """Adaptive bisection with GK15 panels on the finite interval [a, b].
+    """Adaptive bisection with GK15 panels from the finite starting panels [a_k, b_k].
 
-    The leaves sit in a heap, worst error first, under running totals of
-    value and error.  Each round pops the fewest worst leaves whose errors
-    add up to more than err - tol, bisects them all and takes every
-    child's panel from one fn call: the batched-interval refinement of
-    QUADPACK ``qag`` (Piessens et al., 1983).  A leaf at depth
-    ``_MAX_DEPTH``, or too narrow to bisect, is frozen.  The refinement
-    stops once the error meets the tolerance, when no leaf is left to
-    bisect, after ``_MAX_PANELS`` panels or once the error is not finite
-    (a panel overflowed); the value and error returned are exact sums
-    over the leaves.
+    ``a`` and ``b`` are floats for one starting panel, or sequences for
+    adjacent ones (the pieces of a domain split at its kinks); all
+    starting panels come from one fn call.  The leaves sit in a heap,
+    worst error first, under running totals of value and error.  Each
+    round pops the fewest worst leaves whose errors add up to more than
+    err - tol, bisects them all and takes every child's panel from one fn
+    call: the batched-interval refinement of QUADPACK ``qag`` (Piessens
+    et al., 1983).  A leaf at depth ``_MAX_DEPTH``, or too narrow to
+    bisect, is frozen.  The refinement stops once the error meets the
+    tolerance, when no leaf is left to bisect, after ``_MAX_PANELS``
+    panels or once the error is not finite (a panel overflowed); the
+    value and error returned are exact sums over the leaves.
     """
-    v, e = _gk15(fn, np.array([a]), np.array([b]))
-    leaves = [(-float(e[0]), a, b, float(v[0]), 0)]  # (-error, lo, hi, value, depth)
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    v, e = _gk15(fn, a, b)
+    leaves = [(-ek, *leaf, 0) for *leaf, ek in zip(a.tolist(), b.tolist(), v.tolist(), e.tolist())]
+    heapq.heapify(leaves)  # (-error, lo, hi, value, depth)
     frozen: list[tuple[float, float, float, float, int]] = []
-    total, err, panels = float(v[0]), float(e[0]), 1
+    total, err, panels = _fsum(v.tolist()), _fsum(e.tolist()), 1
 
     def exact():
         every = leaves + frozen
@@ -577,9 +584,15 @@ def _double_exponential(fn, place, abs_tol, rel_tol, where):
 def integrate(fn, domain, config: QuadratureConfig | None = None) -> IntegralResult:
     """Integrate ``fn`` over ``domain = (a, b)`` with a <= b extended reals.
 
-    The domain is split at every interior singularity hint (and at 0 for
-    doubly infinite domains); finite pieces use adaptive Gauss-Kronrod
-    with a tanh-sinh retry, infinite pieces use exp-sinh.
+    The domain is split at every interior singularity and kink (at 0 for
+    a doubly infinite domain with neither).  Infinite pieces use
+    exp-sinh.  A finite piece with an end at a singularity uses
+    tanh-sinh, which clusters its nodes double-exponentially at the ends,
+    with an adaptive Gauss-Kronrod retry.  Each run of adjacent finite
+    pieces with no singular end is one adaptive Gauss-Kronrod refinement
+    whose starting panels are the run's pieces, so a kink costs no
+    bisections (the breakpoints of QUADPACK ``qagp``), with a tanh-sinh
+    retry over the whole run.  The pieces are summed in domain order.
     """
     cfg = config or DEFAULT_CONFIG
     a, b = float(domain[0]), float(domain[1])
@@ -588,35 +601,40 @@ def integrate(fn, domain, config: QuadratureConfig | None = None) -> IntegralRes
     if a == b:
         return IntegralResult(0.0, 0.0, "converged")
 
-    cuts = sorted({float(h) for h in cfg.singularities if a < h < b})
+    sing = sorted({float(h) for h in cfg.singularities})
+    cuts = sorted({float(h) for h in (*sing, *cfg.kinks) if a < h < b})
     if math.isinf(a) and math.isinf(b) and not cuts:
         cuts = [0.0]
     edges = [a] + cuts + [b]
-    pieces = list(zip(edges[:-1], edges[1:]))
+    atol_piece = cfg.abs_tol / (len(edges) - 1)
 
-    atol_piece = cfg.abs_tol / len(pieces)
-    hint_set = {float(h) for h in cfg.singularities}
-    value = 0.0
-    error = 0.0
-    all_ok = True
-    for lo, hi in pieces:
-        if math.isinf(lo) or math.isinf(hi):
-            place, where = _exp_sinh_place(lo, hi), "on infinite tail"
-            v, e, ok = _double_exponential(fn, place, atol_piece, cfg.rel_tol, where)
+    def singular(x, scale):  # x within 1e-12 scale of a singularity
+        i = bisect.bisect_left(sing, x)
+        return any(abs(x - h) <= 1e-12 * scale for h in sing[max(i - 1, 0) : i + 1])
+
+    runs: list = []  # [kind, pieces]; adjacent smooth pieces share a run
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        scale = max(1.0, abs(lo), abs(hi))
+        kind = "tail" if math.isinf(scale) else "smooth"
+        if kind == "smooth" and (singular(lo, scale) or singular(hi, scale)):
+            kind = "singular"
+        if kind == "smooth" and runs and runs[-1][0] == "smooth":
+            runs[-1][1].append((lo, hi))
         else:
-            gk = lambda: _adaptive_gk(fn, lo, hi, atol_piece, cfg.rel_tol)
+            runs.append([kind, [(lo, hi)]])
+
+    value, error, all_ok = 0.0, 0.0, True
+    for kind, run in runs:
+        (lo, _), (_, hi), tol = run[0], run[-1], atol_piece * len(run)
+        if kind == "tail":
+            place, where = _exp_sinh_place(lo, hi), "on infinite tail"
+            v, e, ok = _double_exponential(fn, place, tol, cfg.rel_tol, where)
+        else:
+            gk = lambda: _adaptive_gk(fn, *zip(*run), tol, cfg.rel_tol)
             de = lambda: _double_exponential(
-                fn, _tanh_sinh_place(lo, hi), atol_piece, cfg.rel_tol, f"inside ({lo}, {hi})"
+                fn, _tanh_sinh_place(lo, hi), tol, cfg.rel_tol, f"inside ({lo}, {hi})"
             )
-            # Pieces whose endpoint is a hinted singularity (or which were
-            # produced by splitting at one) go straight to tanh-sinh, which
-            # clusters nodes double-exponentially at the endpoints.
-            scale = max(1.0, abs(lo), abs(hi))
-            endpoint_singular = any(
-                abs(lo - h) <= 1e-12 * scale or abs(hi - h) <= 1e-12 * scale
-                for h in hint_set
-            )
-            primary, fallback = (de, gk) if endpoint_singular else (gk, de)
+            primary, fallback = (de, gk) if kind == "singular" else (gk, de)
             v, e, ok = primary()
             if not ok:
                 v2, e2, ok2 = fallback()

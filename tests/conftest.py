@@ -42,6 +42,26 @@ def weights_catalog():
     }
 
 
+@pytest.fixture(scope="session")
+def bumpy_table():
+    """Nodes and values of an n-node table shaped like the benchmark's:
+    a positive bump, zero at both ends, with 0 among the nodes for odd n."""
+
+    def make(n: int = 25):
+        xs = np.linspace(-2.0, 2.0, n)
+        return xs, (1.0 - (xs / 2.0) ** 2) * (1.0 + 0.2 * np.cos(1.7 * xs))
+
+    return make
+
+
+@pytest.fixture
+def table_csv(tmp_path, bumpy_table):
+    """Path of the 25-node ``bumpy_table`` written as a two-column CSV."""
+    path = tmp_path / "table.csv"
+    np.savetxt(path, np.column_stack(bumpy_table()), delimiter=",")
+    return str(path)
+
+
 # Fixed 20-integrand suite shared by the quadrature tests and the
 # oracle-equivalence acceptance criterion.  Entries: (name, fn, domain,
 # singularity hints, exact value or None).

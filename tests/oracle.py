@@ -11,12 +11,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from wrenyi.densities import Density, quantile
 from wrenyi.errors import EvaluationError, InputError
 
-__all__ = ["OracleConfig", "riemann", "clip_domain", "mc_expectation", "cross_validate"]
+__all__ = [
+    "OracleConfig",
+    "riemann",
+    "per_cell",
+    "clip_domain",
+    "mc_expectation",
+    "cross_validate",
+]
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,17 @@ def riemann(integrand, domain, config: OracleConfig = DEFAULT_ORACLE) -> float:
     if not np.all(np.isfinite(y)):
         raise EvaluationError("oracle integrand not finite on the midpoint grid")
     return float(h * y.sum())
+
+
+def per_cell(fn, nodes, dps: int = 30) -> float:
+    """int fn over [nodes[0], nodes[-1]] as a sum of ``dps``-digit mpmath
+    quadratures, one per cell between consecutive ``nodes``.
+
+    ``fn`` maps an mpf to an mpf; each node is taken as the exact value
+    of its float, so a cell's integrand can be smooth up to both ends.
+    """
+    with mp.workdps(dps):
+        return float(mp.quad(fn, [mp.mpf(float(x)) for x in nodes]))
 
 
 def ppf(law, q):

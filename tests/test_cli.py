@@ -114,6 +114,15 @@ class TestVerify:
         assert code == 0
         assert abs(json.loads(out)["slack"]) <= 1e-5
 
+    def test_cri_on_a_table_with_a_constant_weight_holds(self, table_csv):
+        # E_f[phi] = E_G[phi] = 1.3 exactly; a table integral off by 4e-9
+        # made that margin negative and the verdict "assumptions-unmet".
+        argv = ["--f", f"table:{table_csv}", "--w", "const:1.3", "--p", "1.7", "--alpha", "2.4"]
+        code, out = run_cli(["verify", "cri", *argv])
+        payload = json.loads(out)
+        assert code == 0 and payload["verdict"] == "holds"
+        assert abs(payload["margins"]["E_f[phi]-E_G[phi]"]) <= 1e-12
+
     def test_thm11_violated_regime(self):
         code, out = run_cli(
             ["verify", "thm1.1", "--f", "exp:0.1", "--g", "exp:1", "--w", "expw:-2", "--p", "1"]

@@ -61,5 +61,8 @@ def test_cases_run_every_golden_argv_and_lemma4(monkeypatch, tmp_path):
     variation = {f"compute wfi --f {f} --w {w} --alpha inf --p {p}"
                  for f, w, p in compare_outputs.VARIATION_INPUTS}
     assert len(variation) == 5 and variation <= set(argvs)
+    table = str(tmp_path / "table-inputs.csv")
+    tables = {text.format(t=table) for text in compare_outputs.TABLE_INPUTS}
+    assert len(tables) == 11 and tables <= set(argvs)
     closed = set(compare_outputs.CLOSED_FORM_INPUTS)
     assert len(closed) == 135 and closed <= set(argvs)

@@ -1,5 +1,6 @@
 """Density catalog: normalization, branches, CDFs, descriptors."""
 
+import json
 import math
 import warnings
 
@@ -8,7 +9,8 @@ import pytest
 
 from dataclasses import replace
 
-from wrenyi import densities
+import oracle
+from wrenyi import cli, densities
 from wrenyi.densities import (
     cdf,
     gg_norm_const,
@@ -25,7 +27,7 @@ from wrenyi.densities import (
     supremum,
 )
 from wrenyi.errors import DomainError, InputError
-from wrenyi.numerics import integrate
+from wrenyi.numerics import _MAX_PANELS, integrate
 from wrenyi.weights import make_constant, make_exp_linear, make_power, parse_weight
 
 VALID_GRID = [
@@ -344,6 +346,73 @@ class TestTabulated:
             make_tabulated([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(InputError):
             make_tabulated([0.0, 1.0], [1.0, -1.0])
+
+
+class TestTableKinks:
+    """A table's nodes with y > 0 are kinks, split at without bisection."""
+
+    def test_nodes_are_kinks_or_singularities(self):
+        t = make_tabulated(*TestTabulated.TABLE)
+        assert t.kinks == (-1.0, 0.0, 3.0)
+        assert t.singularities == (-3.0, -2.0, 1.0, 2.0, 4.0, 5.0)
+        assert t.quad_config().kinks == t.kinks
+
+    def test_fisher_integral_matches_per_cell_mpmath_in_three_calls(self, bumpy_table):
+        xs, ys = bumpy_table()
+        f = make_tabulated(xs, ys)
+        sizes = []
+
+        def pdf(x):
+            sizes.append(np.size(x))
+            return f.pdf(x)
+
+        beta, p = 2.4 / 1.4, 1.7  # alpha = 2.4
+        q = beta * (p - 2.0) + 1.0  # |f'|^beta f^q with q = 0.49
+        core = lambda x, fx: np.abs(f.dpdf(x)) ** beta * fx**q
+        v = densities.integral(replace(f, pdf=pdf), core, "Fisher integral")
+        # Both zero-end cells by tanh-sinh (the ends are singularities: a
+        # q < 0 is unbounded there), the 22 cells between in one GK15 call.
+        assert len(sizes) <= 3 and v.warnings == ()
+
+        import mpmath as mp
+
+        nodes = [mp.mpf(float(y)) for y in f.pdf(xs)]
+
+        def cell(x):
+            i = min(int(np.searchsorted(xs, float(x), side="right")) - 1, xs.size - 2)
+            s = (nodes[i + 1] - nodes[i]) / (mp.mpf(float(xs[i + 1])) - mp.mpf(float(xs[i])))
+            return abs(s) ** beta * (nodes[i] + s * (x - mp.mpf(float(xs[i])))) ** q
+
+        ref = oracle.per_cell(cell, xs)
+        assert abs(v.value - ref) <= v.error + 4e-16 * ref
+
+    def test_more_nodes_than_panels_still_converge(self, bumpy_table):
+        xs, ys = bumpy_table(10_001)
+        f = make_tabulated(xs, ys)
+        assert len(f.kinks) > _MAX_PANELS
+        v = densities.integral(f, lambda x, fx: fx * fx, "int f^2")
+        y = f.pdf(xs)
+        exact = math.fsum(np.diff(xs) * (y[:-1] ** 2 + y[:-1] * y[1:] + y[1:] ** 2) / 3.0)
+        assert v.warnings == ()
+        assert abs(v.value - exact) <= v.error + 4e-16 * exact
+
+    def test_weighted_and_scaled_tables_carry_the_kinks(self, table_csv, monkeypatch, capsys):
+        t = parse_density(f"table:{table_csv}")
+        fw = parse_density(f"weighted:table:{table_csv};abspoly:1,1")
+        assert fw.kinks == t.kinks and 0.0 in t.kinks
+        assert fw.singularities == (-2.0, 0.0, 2.0)  # the zero ends and |x|'s kink
+        assert scale_density(t, 0.7).kinks == tuple(k * 0.7 for k in t.kinks)
+        seen = []
+
+        def spy(fn, domain, config):
+            seen.append(config.kinks)
+            return integrate(fn, domain, config)
+
+        monkeypatch.setattr(densities, "integrate", spy)
+        argv = ["verify", "scaling", "--f", f"table:{table_csv}", "--t", "0.7"]
+        assert cli.main(argv + ["--p", "1.5", "--w", "abspoly:1,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert seen == [tuple(k * 0.7 for k in t.kinks), t.kinks]
 
 
 class TestDescriptors:

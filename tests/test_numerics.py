@@ -147,6 +147,26 @@ class TestBatchedKernel:
         # Levels 0-3 of the tanh-sinh rule: 9 + 8 + 18 + 34 nodes.
         assert sizes == [69]
 
+    def test_kinks_are_the_starting_panels_of_one_refinement(self):
+        # A sawtooth, linear between its kinks: one GK15 call over its ten
+        # cells is exact.
+        fn, sizes = _counted(lambda x: np.abs(10.0 * x - 2.0 * np.floor(5.0 * x) - 1.0))
+        kinks = tuple(k / 10.0 for k in range(1, 10))
+        res = integrate(fn, (0.0, 1.0), QuadratureConfig(kinks=kinks))
+        assert res.status == "converged" and res.value == pytest.approx(0.5, abs=1e-15)
+        assert sizes == [150]
+
+    def test_a_singular_end_breaks_a_run_of_kinked_pieces(self):
+        # |x - 1/2|^-1/2 on (0, 1): the two pieces at the singularity go to
+        # tanh-sinh; each outer run of two pieces is one GK15 call, and the
+        # pieces are taken in domain order.
+        fn, sizes = _counted(lambda x: np.abs(x - 0.5) ** -0.5)
+        cfg = QuadratureConfig(singularities=(0.5,), kinks=(0.1, 0.25, 0.75, 0.9))
+        res = integrate(fn, (0.0, 1.0), cfg)
+        assert res.status == "converged"
+        assert res.value == pytest.approx(4.0 * math.sqrt(0.5), rel=cfg.rel_tol)
+        assert sizes[0] == sizes[-1] == 30 and sizes[1] == 69
+
     def test_de_levels_placed_as_computed_from_u(self):
         # The tabulated rules equal the formulas evaluated on each level.
         for a, b in [(0.0, 1.0), (-3.5, 1e-3), (2.0, 1e20)]:
