@@ -31,7 +31,10 @@ the same inputs in its own interpreter, every input as one in-process
   weights, which are closed form and which no deck op runs, plus the
   divergent and near-p = 1 inputs those closed forms answer, the
   heavy-tailed G that only a closed-form mass lets parse and sources
-  whose weighted-density normalizer is closed form.
+  whose weighted-density normalizer is closed form; and the same
+  sources under expw in each regime of its series: entire (p > 1,
+  p = 1 with alpha > 1), the exact Laplace sum and its radius, and the
+  power or stretched tails where it diverges.
 
 Every input whose stdout, exit code or written files differ between the
 two trees is printed with both sides; stderr is not compared.  An
@@ -131,6 +134,27 @@ CLOSED_FORM_INPUTS = tuple(
     "compute we --f weighted:exp:1;expw:0.4 --w const:1",
     "compute wre --f weighted:tent;pow:1 --w const:1 --p 1.5",
     "compute dev --f weighted:exp:1.3;abspoly:0,2,0.5 --alpha 1.5",
+) + tuple(
+    f"compute {mid} --f {f} --w expw:{g}{rest}"
+    for f, g in (
+        ("laplace:0.8", "0.3"), ("tent", "-0.5"), ("gg:2,1.5", "0.3"), ("gg:2,1", "-0.5"),
+        ("gg:1.5,0.8", "0.3"), ("gg:0.5,1", "0.3"),
+    )
+    for mid, rest in (
+        ("wre", " --p 1.5"), ("wrp", " --p 1"), ("mom", " --alpha 1.5"),
+        ("dev", " --alpha 1.5"), ("wfi", " --alpha 2 --p 1.5"),
+    )
+) + (
+    "compute wfi --f gg:2,1.001 --w expw:0.1 --alpha 2 --p 1.001",
+    "compute wfi --f laplace:1.5 --w expw:1.3333333333333335 --alpha 2 --p 1.6",
+    "compute mom --f laplace:1 --w expw:1 --alpha 1.5",
+    "compute mom --f gg:0.5,1 --w expw:0.1 --alpha 2",
+    "verify id2.11 --w expw:0.3 --alpha 2 --p 1.5",
+    "verify id2.14 --w expw:0.1 --alpha 2 --p 0.8",
+    "verify id2.18 --w expw:-0.5 --alpha 2 --p 1",
+    "verify cri --f laplace:0.9 --w expw:0.2 --alpha 1 --p 1",
+    "verify mei --f gg:2,1.5 --w expw:0.3 --alpha 2 --p 1.5",
+    "compute we --f weighted:gg:2,1.5;expw:0.3 --w const:1",
 )
 
 

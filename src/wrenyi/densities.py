@@ -51,7 +51,19 @@ second argument:
             = (1-p)^-x B(x, m/(1-p) - x) / alpha          p < 1
             = Gamma(x) m^-x / alpha                       p = 1.
 
-A divergent one is a DomainError.  G's mass 2a M(0, 1) is 1 by its a,
+A divergent one is a DomainError.  An integrand |x|^kappa k(|x|/t)^m is
+even, so it reads only the even part of a term c |x|^e e^{gamma x},
+
+    c |x|^e cosh(gamma x) = sum_j c gamma^(2j)/(2j)! |x|^(e+2j),
+
+a sum of powers (:func:`_even_series`).  The series converges for every
+gamma where k(u)^m falls faster than any e^{-r u} (p > 1, p = 1 with
+alpha > 1); at alpha = p = 1 it sums exactly to
+Gamma(s+1) [(m - gamma t)^-(s+1) + (m + gamma t)^-(s+1)] / 2 (times t^(s+1)),
+finite for |gamma| t < m; and against a power tail (p < 1) or a
+stretched one (p = 1, alpha < 1) any gamma != 0 "diverges in the tail".
+A series result carries its truncation and rounding bound as its error;
+a sum of powers is exact (error 0).  G's mass 2a M(0, 1) is 1 by its a,
 and E_f[phi], the normalizer of a weighted density, is closed form for
 these pairs, so no density is built by quadrature where it has one.
 
@@ -81,6 +93,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .numerics import (
+    _EPS,
     _XGK,
     DEFAULT_CONFIG,
     MeasureValue,
@@ -92,7 +105,6 @@ from .numerics import (
     _gk15_sums,
     _masked,
     _merge,
-    _num,
     _vec,
     beta_fn,
     essential_supremum,
@@ -124,6 +136,9 @@ __all__ = [
 _REACH = 15.0
 # Relative accuracy credited to a grid-and-polish supremum or total variation.
 _SEARCH_REL_ERR = 1e-9
+# Terms an e^{gamma x} series may take; one that needs more has its mass
+# where no double reaches (|gamma| t >= 1 near alpha = 1 at p = 1).
+_SERIES_TERMS = 4096
 
 
 @dataclass(frozen=True)
@@ -188,8 +203,10 @@ def variation(f: Density, core, hints=()) -> Value:
 
 
 def _closed(value, flags: dict, warns=()) -> MeasureValue:
-    """An exact float or Value (a closed form) as a closed-form measure."""
-    return MeasureValue(_num(value), 0.0, warns, None, "closed-form", flags)
+    """A float or Value (a closed form, with the truncation and rounding
+    bound of its e^{gamma x} series) as a closed-form measure."""
+    v = value if isinstance(value, Value) else Value(value)
+    return MeasureValue(v.value, v.error, _merge(warns, v.warnings), v.parts, "closed-form", flags)
 
 
 def _exponential_rates(w, *densities: Density) -> list:
@@ -214,11 +231,75 @@ def _gamma_integral(w, k: float, coef, rate: float, what: str, flag: str, warns=
     return _closed(total, {flag: min(rate - g for _, _, g in w.terms)}, warns)
 
 
+def _even_series(terms, log_mean, what: str, rate: float = math.inf, shift: float = 0.0):
+    """(c, S, error of S) for each term (c, e, gamma) with c != 0 of a weight,
+    S = E[|u|^e cosh(gamma u)] for a symmetric u whose power moments are
+    E|u|^e = exp(log_mean(e)): the even part of c |u|^e e^{gamma u} is what a
+    symmetric u reads.  ``rate`` is that of u's tail e^{-rate |u|}: inf for a
+    lighter tail, 0 for a heavier one; a finite one means E|u|^e is
+    Gamma(e + shift) rate^-(e + shift) up to a factor.
+
+    S = exp(log_mean(e)) at gamma = 0, with no error; otherwise a
+    |gamma| >= rate diverges in the tail, a finite rate gives the exact sum
+    E|u|^e [(1 - gamma/rate)^-nu + (1 + gamma/rate)^-nu] / 2, nu = e + shift,
+    and an infinite one the series sum_j gamma^(2j)/(2j)! E|u|^(e+2j) (see
+    :func:`_cosh_series`).  A divergent moment is log_mean's DomainError.
+    """
+    out = []
+    for c, e, g in terms:
+        if c == 0.0:
+            continue
+        if g == 0.0:
+            out.append((c, _exp(log_mean(e), what), 0.0))
+        elif not abs(g) < rate:
+            raise DomainError(f"{what} diverges in the tail" + (
+                f": |gamma| = {abs(g):.6g} >= {rate:.6g}" if rate else ""))
+        elif rate < math.inf:
+            log_m, nu = log_mean(e), e + shift
+            logs = [log_m - nu * math.log1p(sign * g / rate) for sign in (-1.0, 1.0)]
+            halves = [0.5 * _exp(x, what) for x in logs]
+            s = halves[0] + halves[1]
+            rounding = math.fsum(h * (2.0 + abs(log_m) + 2.0 * abs(x - log_m)) for h, x in zip(halves, logs))
+            out.append((c, s, _EPS * (s + rounding)))
+        else:
+            out.append((c, *_cosh_series(log_mean, e, g, what)))
+    return out
+
+
+def _cosh_series(log_mean, e: float, g: float, what: str):
+    """(sum_j exp(L_j), error), L_j = log_mean(e + 2j) + 2j log|g| - log (2j)!.
+
+    Each term is exponentiated from its log, so no factor overflows on its
+    own.  The sum stops once the terms decrease and the tail bound
+    T_j r/(1 - r), r = T_j/T_{j-1}, is below eps of the sum; the error is
+    that bound, plus eps of the sum and eps of each term times the
+    magnitude of its log (the rounding of L_j)."""
+    log_g = math.log(abs(g))
+    terms, total, rounding, prev = [], 0.0, 0.0, None
+    for j in range(_SERIES_TERMS):
+        k = 2.0 * j
+        log_m, log_fact = log_mean(e + k), math.lgamma(k + 1.0)
+        log_t = log_m + k * log_g - log_fact
+        t = _exp(log_t, what)
+        terms.append(t)
+        total += t
+        rounding += t * (2.0 + abs(log_m) + abs(k * log_g) + log_fact)
+        if prev is not None and log_t < prev:
+            r = math.exp(log_t - prev)
+            tail = t * r / (1.0 - r)
+            if tail <= _EPS * total:
+                total = math.fsum(terms)
+                return total, tail + _EPS * (total + rounding)
+        prev = log_t
+    raise DomainError(f"{what}: the e^(gamma x) series takes more than {_SERIES_TERMS} terms")
+
+
 def _gg_shape(w, f: Density):
-    """(alpha, p, log(a/t), t) of f(x) = (a/t) k(|x|/t) when ``w`` is a sum of
-    powers c |x|^e and f a generalized Gaussian of order 0 < alpha < inf,
-    Laplace(b) (G_{1,1} at scale b) or the tent (G_{1,2}); else None."""
-    if w.power_terms is None:
+    """(alpha, p, log(a/t), t) of f(x) = (a/t) k(|x|/t) when ``w`` has terms
+    c |x|^e e^{gamma x} and f is a generalized Gaussian of order
+    0 < alpha < inf, Laplace(b) (G_{1,1} at scale b) or the tent (G_{1,2});
+    else None."""
+    if w.terms is None:
         return None
     if f.family == "generalized-gaussian" and 0.0 < f.params["alpha"] < math.inf:
         alpha, p, a, t = (f.params[k] for k in ("alpha", "p", "a", "t"))
@@ -246,18 +327,34 @@ def _log_kernel_moment(s: float, m: float, alpha: float, p: float, what: str) ->
     return log_beta - x * math.log(abs(p - 1.0)) - math.log(alpha)
 
 
+def _tail_rate(alpha: float, p: float, m: float = 1.0, t: float = 1.0) -> float:
+    """The rate of the tail e^{-rate |x|} of k(|x|/t)^m: 0 for a power tail
+    (p < 1) or a stretched one (p = 1, alpha < 1), m/t at alpha = p = 1 and
+    inf for a lighter tail or a bounded support (also that of the variable
+    u of each Gaussian form, whose law is a power of such a kernel)."""
+    if p < 1.0 or (p == 1.0 and alpha < 1.0):
+        return 0.0
+    return m / t if p == 1.0 and alpha == 1.0 else math.inf
+
+
 def _beta_integral(w, shape, kappa: float, m: float, what: str, warns, power=1.0, log_extra=0.0):
     """int phi(x) C |x|^kappa k(|x|/t)^m dx, C = (a/t)^power e^log_extra, for
-    phi = sum c |x|^e and f of ``shape``: sum 2 c C t^(e+kappa+1) M(e+kappa, m),
-    a closed form carrying ``warns``."""
+    phi = sum c |x|^e e^{gamma x} and f of ``shape``: the rest of the
+    integrand is even, so it is sum 2 c C E_even over :func:`_even_series`
+    with the power moments t^(s+1) M(s, m), s = e + kappa; a closed form
+    carrying ``warns`` and the series' error."""
     alpha, p, log_norm, t = shape
     log_c = power * log_norm + log_extra
 
-    def term(c, e):
+    def log_mean(e):
         log_r = _log_kernel_moment(e + kappa, m, alpha, p, what)
-        return 2.0 * c * _exp(log_c + (e + kappa + 1.0) * math.log(t) + log_r, what)
+        return log_c + (e + kappa + 1.0) * math.log(t) + log_r
 
-    return _closed(math.fsum(term(c, e) for c, e in w.power_terms), {}, warns)
+    rate = _tail_rate(alpha, p, m, t)
+    parts = [(2.0 * c * s, 2.0 * abs(c) * err)
+             for c, s, err in _even_series(w.terms, log_mean, what, rate, kappa + 1.0)]
+    total = Value(math.fsum(v for v, _ in parts), math.fsum(err for _, err in parts))
+    return _closed(total, {}, warns)
 
 
 def _weight_mean(f: Density, w, what: str) -> MeasureValue:

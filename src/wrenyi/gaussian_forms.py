@@ -72,10 +72,19 @@ Gamma(s), each ratio taken in log space (math.lgamma):
   Upsilon = sum 2 c (1+e)^-s
 
 and a moment that does not exist (s2 + k, s1 - k, s + k or 1 + e not
-positive) is a DomainError "<name> diverges".  Every other weight is
-quadrature against the law.  Every expectation, and each difference
+positive) is a DomainError "<name> diverges".  A term c |x|^e e^{gamma x}
+(expw, and phi* or a power of it) enters as the even part
+phi(-u) + phi(u) = 2 c u^e cosh(gamma u), summed as the series
+sum_j gamma^(2j)/(2j)! E[u^(e+2j)] of the moments above
+(densities._even_series): it converges for every gamma on LambdaT and
+Upsilon (u bounded) and on Theta at alpha > 1; Theta at alpha = 1 (u = Z)
+is the exact Gamma(s+e)/Gamma(s) [(1-gamma)^-(s+e) + (1+gamma)^-(s+e)] / 2,
+finite for |gamma| < 1; LambdaB (a power tail in u) and Theta at
+alpha < 1 "diverge in the tail" for any gamma != 0.  Every other weight
+is quadrature against the law.  Every expectation, and each difference
 where quadrature gives it, is a numerics.Value, so N, sigma and J carry
-the errors of the integrals behind them (none for the closed forms).
+the errors of the integrals behind them (none for a sum of powers, the
+truncation and rounding bound of a series).
 """
 
 from __future__ import annotations
@@ -85,12 +94,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import gg_norm_const
+from .densities import _even_series, _tail_rate, gg_norm_const
 from .errors import DomainError, InputError
 from .numerics import (
     QuadratureConfig,
     Value,
-    _exp,
     _masked,
     beta_fn,
     essential_supremum,
@@ -251,29 +259,35 @@ def case_laws(alpha: float, p: float) -> dict[str, AuxiliaryLaw]:
 # ---------------------------------------------------------------------------
 
 
-def _expectation(w: WeightFunction, law: AuxiliaryLaw, arg, family: str, name: str, log_mean):
+def _expectation(w: WeightFunction, law: AuxiliaryLaw, arg, family: str, name: str, log_mean,
+                 rate: float = math.inf, shift: float = 0.0):
     """E[phi(-u) + phi(u)] with u = arg(Z), Z ~ ``law``.
 
-    For a weight phi = sum c |x|^e and a law of ``family`` it is the exact
-    Value sum 2 c E[u^e], with ``log_mean(e)`` = log E[u^e], or None where
-    that mean is infinite, which is a DomainError "<name> diverges";
+    For a weight with terms c |x|^e e^{gamma x} and a law of ``family`` it is
+    sum 2 c E[u^e cosh(gamma u)] from densities._even_series, with
+    ``log_mean(e)`` = log E[u^e], or None where that mean is infinite, which
+    is a DomainError "<name> diverges", and ``rate``/``shift`` u's tail;
     otherwise quadrature against the law.
     """
-    terms = w.power_terms
-    if terms is None or law.family != family:
+    if w.terms is None or law.family != family:
 
         def fn(z):
             a = np.asarray(arg(np.asarray(z, dtype=float)), dtype=float)
             return np.asarray(w(-a), dtype=float) + np.asarray(w(a), dtype=float)
 
         return law.expectation(fn)
-    total = 0.0
-    for c, e in terms:
+
+    def checked_mean(e):
         log_m = log_mean(e)
         if log_m is None:
             raise DomainError(f"{name} diverges: E[u^{e:.6g}] is infinite")
-        total += 2.0 * c * _exp(log_m, name)
-    return Value(total)
+        return log_m
+
+    total = error = 0.0
+    for c, s, err in _even_series(w.terms, checked_mean, name, rate, shift):
+        total += 2.0 * c * s
+        error += 2.0 * abs(c) * err
+    return Value(total, error)
 
 
 def _log_gamma_ratio(x: float, k: float) -> float:
@@ -299,7 +313,7 @@ def lambda_tilde(w: WeightFunction, p: float, alpha: float, law: AuxiliaryLaw) -
     def arg(z):
         return ((1.0 - z) / (p - 1.0)) ** (1.0 / alpha)
 
-    return _expectation(w, law, arg, "beta", "LambdaT", log_mean)
+    return _expectation(w, law, arg, "beta", "LambdaT", log_mean, _tail_rate(alpha, p))
 
 
 def lambda_bar(w: WeightFunction, p: float, alpha: float, law: AuxiliaryLaw) -> Value:
@@ -321,7 +335,7 @@ def lambda_bar(w: WeightFunction, p: float, alpha: float, law: AuxiliaryLaw) -> 
         with np.errstate(divide="ignore"):
             return ((1.0 - z) / (z * (1.0 - p))) ** (1.0 / alpha)
 
-    return _expectation(w, law, arg, "beta", "LambdaB", log_mean)
+    return _expectation(w, law, arg, "beta", "LambdaB", log_mean, _tail_rate(alpha, p))
 
 
 def theta(w: WeightFunction, alpha: float, law: AuxiliaryLaw) -> Value:
@@ -335,7 +349,10 @@ def theta(w: WeightFunction, alpha: float, law: AuxiliaryLaw) -> Value:
         k = e / alpha
         return _log_gamma_ratio(s, k) if s + k > 0 else None
 
-    return _expectation(w, law, lambda z: z ** (1.0 / alpha), "gamma", "Theta", log_mean)
+    # u = Z^(1/alpha) has the p = 1 kernel's tail e^{-u^alpha}; at alpha = 1,
+    # E[u^e] = Gamma(s+e)/Gamma(s) is the Gamma form of rate 1 and shift s.
+    rate = _tail_rate(alpha, 1.0)
+    return _expectation(w, law, lambda z: z ** (1.0 / alpha), "gamma", "Theta", log_mean, rate, s)
 
 
 def upsilon(w: WeightFunction, law: AuxiliaryLaw) -> Value:

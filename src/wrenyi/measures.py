@@ -22,17 +22,22 @@ For a density f, weight phi >= 0 and orders p (entropy order) and alpha
                                 esssup phi |f^{p-2} f'|            alpha = 1
                                 V(phi f^p/p) - int phi' f^p/p      alpha = inf
 
-An exponential f (and g) under an elementary weight, and a Laplace,
-tent or generalized-Gaussian (0 < alpha < inf) f under a sum of powers
-phi = sum c |x|^e, are closed form from the Gamma and Beta/Gamma
-integrals of :mod:`~wrenyi.densities`.  The first gives E_f[phi], both
-entropies, the Renyi integrals and the moments; the second, as
-int phi C |x|^kappa k(|x|/t)^m = sum 2 c C t^(e+kappa+1) M(e+kappa, m),
+An exponential, Laplace, tent or generalized-Gaussian (0 < alpha < inf)
+f (and an exponential g) under an elementary weight
+phi = sum c |x|^e e^{gamma x} (const, expw, pow, abspoly) is closed
+form from the Gamma and Beta/Gamma integrals of
+:mod:`~wrenyi.densities`.  The first gives E_f[phi], both entropies, the
+Renyi integrals and the moments; the second, as
+int phi C |x|^kappa k(|x|/t)^m = sum 2 c C t^(e+kappa+1) M(e+kappa, m)
+for a sum of powers and, for a term with gamma != 0, the even series
+sum_j gamma^(2j)/(2j)! of such terms (exact at alpha = p = 1, and a
+DomainError "diverges in the tail" on a power or stretched tail),
 gives E_f[phi], int phi f^p, the moments, both Fisher informations at
 1 < alpha < inf (|f^{p-2} f'|^beta f is such a product) and, at p = 1,
 the weighted entropy (-log f = -log(a/t) + (|x|/t)^alpha).  These carry
-the warnings of f.  The alpha = 0 log-moment, the entropies at p != 1,
-the suprema and variations and every other pair is quadrature.
+the warnings of f, and a series its truncation and rounding bound as
+its error.  The alpha = 0 log-moment, the entropies at p != 1, the
+suprema and variations and every other pair is quadrature.
 
 Every operation returns a MeasureValue: a numerics.Value (the number,
 its first-order error and its warnings) with the branch that fired and

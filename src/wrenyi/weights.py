@@ -19,8 +19,11 @@ record ``terms``, the triples (c, e, gamma) of phi(x) = sum c |x|^e
 e^{gamma x}, and so does phi*: phi(r x) has the terms (c r^e, e, gamma r).
 :func:`power_of` keeps the constant, power and exp-linear families in
 their family; every other derived or density-based weight leaves
-``terms`` None.  ``power_terms`` reads a sum of pure powers (every
-gamma = 0) as its (c, e) pairs.
+``terms`` None.  The closed forms of densities and gaussian_forms read
+``terms`` directly, an e^{gamma x} factor through its even series.
+:func:`nonnegativity_violation` samples only a weight that may go
+negative: one whose terms all have c >= 0, f^k |f'|^m, and phi o s,
+phi*, phi^r and rho_s over such a weight are nonnegative by construction.
 :func:`antiderivatives` gives the two numbers the alpha = inf formulas
 read, int_{-1}^1 phi and int_{-1}^1 phi' (with psi(x) = int_0^x phi
 and psi_bar(x) = int_0^x phi', the differences psi(1) - psi(-1) and
@@ -78,13 +81,6 @@ class WeightFunction:
     @property
     def is_constant(self) -> bool:
         return self.family == "constant"
-
-    @property
-    def power_terms(self) -> tuple | None:
-        """The (c, e) with c != 0 of phi = sum c |x|^e, or None if phi is no such sum."""
-        if self.terms is None or any(g != 0.0 for _, _, g in self.terms):
-            return None
-        return tuple((c, e) for c, e, _ in self.terms if c != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +400,23 @@ def antiderivatives(w: WeightFunction):
 # ---------------------------------------------------------------------------
 
 
+def _never_negative(w: WeightFunction) -> bool:
+    """Whether phi >= 0 follows from how it is built: terms with every
+    c >= 0, f^k |f'|^m, or phi o s, phi(r x), phi^r and rho_s of such a phi."""
+    if w.terms is not None:
+        return all(c >= 0.0 for c, _, _ in w.terms)
+    if w.family == "density-power":
+        return True
+    return w.family in ("composed", "phi-star", "power-of", "rho-s") and _never_negative(w.params["base"])
+
+
 def nonnegativity_violation(w: WeightFunction, support) -> float | None:
-    """Most negative sampled value of the weight, or None if none found."""
+    """Most negative sampled value of the weight, or None if none found.
+
+    A weight that cannot go negative (:func:`_never_negative`) is not sampled.
+    """
+    if _never_negative(w):
+        return None
     lo, hi = support
     lo = lo if math.isfinite(lo) else -20.0
     hi = hi if math.isfinite(hi) else 20.0

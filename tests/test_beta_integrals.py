@@ -10,6 +10,11 @@ Each closed form is checked three ways:
 * against the quadrature path that the same weight takes without its
   terms, which must lie within its own claimed error;
 * through the CLI reproducers that the closed forms mend.
+
+Under e^{gamma x} the same measures and forms are the even series (or, at
+alpha = p = 1, the exact sum) of those closed forms; each is checked
+against 30-digit mpmath within its claimed error plus 8 ulps, and each
+divergent regime against its DomainError.
 """
 
 import functools
@@ -33,8 +38,9 @@ from wrenyi.measures import (
     weighted_entropy,
     weighted_fisher_information,
     weighted_renyi_entropy,
+    weighted_renyi_power,
 )
-from wrenyi.weights import make_abs_polynomial, make_constant, make_power
+from wrenyi.weights import make_abs_polynomial, make_constant, make_exp_linear, make_power
 
 ALPHAS = (0.7, 1.5, 2.0, 3.0)
 PS = (0.8, 1.0, 1.5, 2.5)
@@ -426,6 +432,235 @@ class TestReproducers:
             # -phi f log f ~ x^-3 at 0; the quadrature printed 6.6e49 with a tolerance warning.
             ("compute we --f laplace:1 --w pow:-3",
              "weighted entropy diverges: x^-3 is not integrable at 0"),
+        ],
+    )
+    def test_divergence_is_a_numeric_error(self, argv, message):
+        code, out = _run(argv)
+        assert code == 3
+        assert out == {"error": {"type": "numeric", "message": message}}
+
+
+# ---------------------------------------------------------------------------
+# Weights with e^{gamma x}: the even series and the exact Laplace sum
+# ---------------------------------------------------------------------------
+
+EPS = 2.0**-52
+# Sources whose integrals under e^{gamma x} converge for every gamma (p > 1,
+# and p = 1 with alpha > 1) and, at alpha = p = 1, for |gamma| t < m.
+EXP_SOURCES = {
+    "gg:2,1.5,1.3": (2.0, 1.5, 1.3),
+    "gg:3,2.5,1.3": (3.0, 2.5, 1.3),
+    "tent": (1.0, 2.0, 1.0),
+    "gg:1.5,1,1.3": (1.5, 1.0, 1.3),
+    "gg:2,1,1.3": (2.0, 1.0, 1.3),
+    "gg:3,1,1.3": (3.0, 1.0, 1.3),
+    "laplace:0.8": (1.0, 1.0, 0.8),
+    "laplace:1.5": (1.0, 1.0, 1.5),
+}
+# (measure of (f, phi), the kind of core and the power s of |x| it reads,
+# the power m of the kernel in that core)
+EXP_MEASURES = {
+    "E_f[phi]": (lambda f, w: expectation(f, w), "f", 0.0, 1.0),
+    "int phi f^q": (lambda f, w: weighted_renyi_power(f, w, Q), "f^q", 0.0, Q),
+    "mom": (lambda f, w: generalized_moment(f, w, MOMENT), "f", MOMENT, 1.0),
+    "wfi": (lambda f, w: weighted_fisher_information(f, w, FISHER, Q), "score", 0.0, 2 * (Q - 1) + 1),
+}
+
+
+def _edge_pieces(alpha, p, integrand):
+    """int_0^U integrand(u, log b) du for the unit kernel of (alpha, p), U the
+    edge of its support (inf at p = 1); at p > 1 the half [U/2, U] is taken in
+    z with u = U (1 - z^4), in which b = 1 - (1 - z^4)^alpha keeps its digits."""
+    if p == 1:
+        return mp.quad(lambda u: integrand(u, None), [0, 1, 2, 4, 8, 16, 32, 64, mp.inf])
+    edge = (p - 1) ** (-1 / alpha)
+
+    def near(u):
+        return integrand(u, mp.log1p((1 - p) * u**alpha))
+
+    def from_edge(z):
+        log_b = mp.log(-mp.expm1(alpha * mp.log1p(-(z**4))))
+        return integrand(edge * (1 - z**4), log_b) * 4 * edge * z**3
+
+    return mp.quad(near, [0, edge / 2]) + mp.quad(from_edge, [0, (mp.mpf(1) / 2) ** mp.mpf(0.25)])
+
+
+@functools.lru_cache(maxsize=None)
+def _cosh_reference(source, kind, s, g):
+    """30-digit int |x|^s e^{g x} core(x) dx = 2 int_0^inf x^s cosh(g x) core(x) dx
+    for the source's f, core f, f^Q or |f^(Q-2) f'|^2 f as in :func:`_reference`."""
+    with mp.workdps(30):
+        alpha, p, t = (mp.mpf(v) for v in EXP_SOURCES[source])
+        s, g = mp.mpf(s), mp.mpf(g)
+        log_norm = _log_norm(source) if source in SOURCES else -mp.log(2 * t)
+        log_t, log_alpha = mp.log(t), mp.log(alpha)
+
+        def integrand(u, log_b):
+            log_u = mp.log(u)
+            log_k = _log_kernel(alpha, p, log_u, log_b)
+            log_f = log_norm + log_k
+            if kind == "score":
+                log_b_part = log_k if p == 1 else (1 / (p - 1) - 1) * log_b
+                log_df = log_norm - log_t + log_alpha + (alpha - 1) * log_u + log_b_part
+                log_core = 2 * ((Q - 2) * log_f + log_df) + log_f
+            else:
+                log_core = Q * log_f if kind == "f^q" else log_f
+            return 2 * t * mp.exp(s * (log_t + log_u) + log_core) * mp.cosh(g * t * u)
+
+        return _edge_pieces(alpha, p, integrand)
+
+
+def _exp_measure_reference(mid, source, g):
+    _, kind, s, _ = EXP_MEASURES[mid]
+    ref = _cosh_reference(source, kind, s, g)
+    return ref ** (1 / (1 - Q)) if mid == "int phi f^q" else ref  # N = (int phi f^Q)^(1/(1-Q))
+
+
+def _series_close(got, expected):
+    """Within the claimed error plus 8 ulps, a closed form with a nonzero error."""
+    expected = float(expected)
+    assert abs(got.value - expected) <= got.error + 8 * EPS * abs(expected)
+    assert 0.0 < got.error <= 1e-12 * abs(expected)
+    assert got.branch == "closed-form"
+
+
+# |gamma| t / m = 0.91 at alpha = p = 1: the exact sum near its radius.
+LAPLACE_EDGE = [
+    (src, mid, 0.91 * EXP_MEASURES[mid][3] / EXP_SOURCES[src][2])
+    for src in ("laplace:0.8", "laplace:1.5")
+    for mid in EXP_MEASURES
+]
+
+
+class TestExponentialWeightSeries:
+    @pytest.mark.parametrize("g", (0.3, -0.5, 2.0))
+    @pytest.mark.parametrize("mid", list(EXP_MEASURES))
+    @pytest.mark.parametrize("source", [s for s in EXP_SOURCES if not s.startswith("laplace")])
+    def test_matches_mpmath(self, source, mid, g):
+        got = EXP_MEASURES[mid][0](parse_density(source), make_exp_linear(g))
+        with mp.workdps(30):
+            _series_close(got, _exp_measure_reference(mid, source, g))
+
+    @pytest.mark.parametrize("source, mid, g", [
+        *((src, mid, g) for src in ("laplace:0.8", "laplace:1.5") for mid in EXP_MEASURES
+          for g in (0.3, -0.5)),
+        *LAPLACE_EDGE,
+    ])
+    def test_laplace_exact_sum_matches_mpmath(self, source, mid, g):
+        got = EXP_MEASURES[mid][0](parse_density(source), make_exp_linear(g))
+        with mp.workdps(30):
+            _series_close(got, _exp_measure_reference(mid, source, g))
+
+    @pytest.mark.parametrize("source, mid, g", LAPLACE_EDGE)
+    def test_laplace_at_its_radius_diverges(self, source, mid, g):
+        radius = EXP_MEASURES[mid][3] / EXP_SOURCES[source][2]
+        with pytest.raises(DomainError, match="diverges in the tail: [|]gamma[|]"):
+            EXP_MEASURES[mid][0](parse_density(source), make_exp_linear(-radius))
+
+    @pytest.mark.parametrize("source", ["gg:2,0.8", "gg:0.5,1", "gg:0.7,1,1.3"])
+    def test_heavier_tail_diverges_by_rule(self, source):
+        # A power tail (p < 1) or a stretched one (p = 1, alpha < 1) loses to
+        # e^{gamma x} for any gamma != 0, before any term is summed.
+        with pytest.raises(DomainError, match="^E_f\\[phi\\] diverges in the tail$"):
+            expectation(parse_density(source), make_exp_linear(1e-3))
+
+    def test_zero_gamma_is_the_power_term(self):
+        f = parse_density("gg:2,1.5,1.3")
+        got = expectation(f, replace(make_exp_linear(0.5), terms=((1.0, 0.0, 0.0),)))
+        assert (got.value, got.error) == (expectation(f, make_constant(1.0)).value, 0.0)
+
+    def test_overflowing_terms_are_summed_in_log_space(self):
+        # rho_2 = e^{1.333 x} on Laplace(1.5) at p = 1.6: the Fisher integral's
+        # series terms pass Gamma(171), so they are summed from their logs.
+        f, w = parse_density("laplace:1.5"), make_exp_linear(0.25 * 1.6 * 2 / 0.6)
+        got = weighted_fisher_information(f, w, 2.0, 1.6)
+        with mp.workdps(30):
+            b, g = mp.mpf(1.5), mp.mpf(0.25) * mp.mpf(1.6) * 2 / mp.mpf(0.6)
+            # |f^(q-2) f'|^2 f = f^(2q-1) / b^2, f = e^(-|x|/b) / (2b)
+            rate = (2 * mp.mpf(1.6) - 1) / b
+            expected = (2 * b) ** (1 - 2 * mp.mpf(1.6)) / b**2 * (1 / (rate - g) + 1 / (rate + g))
+        _series_close(got, expected)
+
+
+# (alpha, p) of the laws read under e^{gamma x}: LambdaT (p > 1), Theta (p = 1,
+# alpha >= 1; the exact sum at alpha = 1) and Upsilon (alpha = 0).
+EXP_LAWS = [
+    (alpha, p, name)
+    for alpha, p in ((2.0, 1.5), (3.0, 2.5), (1.0, 1.0), (1.5, 1.0), (3.0, 1.0), (0.0, 1.5), (0.0, 2.5))
+    for name in case_laws(alpha, p)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _law_cosh_reference(alpha, p, name, g):
+    """30-digit E[phi(-u) + phi(u)] = 2 E[cosh(g u)] for phi = e^{g x} under the law."""
+    law = case_laws(alpha, p)[name]
+    with mp.workdps(30):
+        alpha, p, g = mp.mpf(alpha), mp.mpf(p), mp.mpf(g)
+        s1, s2 = mp.mpf(law.shape1), mp.mpf(law.shape2)
+        if law.family == "gamma":
+            def at(z):
+                u = mp.exp(-z) if alpha == 0 else z ** (1 / alpha)
+                return 2 * mp.cosh(g * u) * z ** (s1 - 1) * mp.exp(-z)
+
+            # Z^(s1 - 1) is taken from 0 in the variable that makes it smooth there.
+            head = _from_zero(s1 - 1, 1, lambda lz, lj: at(mp.exp(lz)) * mp.exp(lj))
+            return (head + mp.quad(at, [1, 2, 4, 8, 16, 32, 64, 128, mp.inf])) / mp.gamma(s1)
+
+        def at(log_z, log_v, log_jac):  # Z = e^log_z, 1 - Z = e^log_v
+            u = mp.exp((log_v - mp.log(p - 1)) / alpha)
+            return 2 * mp.cosh(g * u) * mp.exp((s1 - 1) * log_z + (s2 - 1) * log_v + log_jac)
+
+        # Each half from its end, in the variable that makes it smooth there.
+        left = _from_zero(s1 - 1, 0.5, lambda lz, lj: at(lz, mp.log1p(-mp.exp(lz)), lj))
+        right = _from_zero(s2 - 1, 0.5, lambda lv, lj: at(mp.log1p(-mp.exp(lv)), lv, lj))
+        return (left + right) / mp.beta(s1, s2)
+
+
+class TestGaussianFormsSeries:
+    @pytest.mark.parametrize("g", (0.3, -0.5, 0.91))
+    @pytest.mark.parametrize("alpha, p, name", EXP_LAWS)
+    def test_matches_mpmath(self, alpha, p, name, g):
+        got = _transform(alpha, p, make_exp_linear(g), case_laws(alpha, p)[name])
+        with mp.workdps(30):
+            expected = float(_law_cosh_reference(alpha, p, name, g))
+        assert abs(got.value - expected) <= got.error + 8 * EPS * abs(expected)
+        assert 0.0 < got.error <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("name", ["Z", "Y"])
+    def test_lambda_bar_diverges_by_rule(self, name):
+        law = case_laws(2.0, 0.8)[name]
+        with pytest.raises(DomainError, match="^LambdaB diverges in the tail$"):
+            lambda_bar(make_exp_linear(0.1), 0.8, 2.0, law)
+
+    def test_theta_below_alpha_one_diverges_by_rule(self):
+        with pytest.raises(DomainError, match="^Theta diverges in the tail$"):
+            theta(make_exp_linear(0.1), 0.7, case_laws(0.7, 1.0)["W"])
+
+    def test_theta_at_alpha_one_diverges_past_its_radius(self):
+        with pytest.raises(DomainError, match="^Theta diverges in the tail: [|]gamma[|] = 1 >= 1$"):
+            theta(make_exp_linear(-1.0), 1.0, case_laws(1.0, 1.0)["W"])
+
+
+class TestExponentialWeightReproducers:
+    def test_fisher_integral_near_p_one(self):
+        # The quadrature read 1.05e-16 with error 1.05e-16: its first panel
+        # missed the bulk.  30-digit mpmath gives 2.00968.
+        code, out = _run("compute wfi --f gg:2,1.001 --w expw:0.1 --alpha 2 --p 1.001")
+        assert code == 0
+        assert out["value"] == pytest.approx(2.00968, abs=5e-6)
+        assert out["branch"] == "closed-form" and 0 < out["error"] < 1e-14
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # G ~ e^{-sqrt|x|} has no exponential moment.
+            ("compute mom --f gg:0.5,1 --w expw:0.1 --alpha 2",
+             "generalized moment diverges in the tail"),
+            # u has a power tail under both p < 1 laws.
+            ("verify id2.14 --w expw:0.1 --alpha 2 --p 0.8", "LambdaB diverges in the tail"),
+            ("compute mom --f laplace:1 --w expw:1 --alpha 1.5",
+             "generalized moment diverges in the tail: |gamma| = 1 >= 1"),
         ],
     )
     def test_divergence_is_a_numeric_error(self, argv, message):

@@ -421,9 +421,10 @@ class TestSweep:
 
     def test_verdict_columns_are_its_verify_payload(self, tmp_path):
         # An inconclusive verdict says why: its error exceeds the tolerance.
-        argv = ["verify", "mei", "--f", "gg:2,2", "--w", "expw:0.1", "--alpha", "2", "--p", "2"]
+        # (1 + f/2 is a weight on quadrature; e^{0.1 x} is a closed form on G.)
+        argv = ["verify", "mei", "--f", "gg:2,2", "--w", "fpoly:1,0.5", "--alpha", "2", "--p", "2"]
         expected = json.loads(run_cli(argv)[1])
-        (row,) = self._row_of(tmp_path, "f = gg:2,2\nw = expw:0.1\nalpha = 2\np = 2\nverify = mei\n")
+        (row,) = self._row_of(tmp_path, "f = gg:2,2\nw = fpoly:1,0.5\nalpha = 2\np = 2\nverify = mei\n")
         assert row["mei.verdict"] == expected["verdict"] == "inconclusive"
         assert float(row["mei.error"]) == expected["error"] > float(row["mei.tolerance"])
         assert row["mei.equality"] == "True" and row["mei.warnings"] == ""

@@ -65,4 +65,4 @@ def test_cases_run_every_golden_argv_and_lemma4(monkeypatch, tmp_path):
     tables = {text.format(t=table) for text in compare_outputs.TABLE_INPUTS}
     assert len(tables) == 11 and tables <= set(argvs)
     closed = set(compare_outputs.CLOSED_FORM_INPUTS)
-    assert len(closed) == 135 and closed <= set(argvs)
+    assert len(closed) == 175 and closed <= set(argvs)

@@ -32,6 +32,7 @@ from oracle import OracleConfig, mc_expectation
 
 ONE = make_constant(1.0)
 E01 = make_exp_linear(0.1)
+E01_QUAD = replace(E01, terms=None)
 ABSX = make_power(1.0)
 X2 = make_power(2.0)
 
@@ -150,12 +151,13 @@ class TestErrorsCarried:
     @pytest.mark.parametrize(
         "form, calls",
         [
-            (lambda: lambda_tilde(E01, 2.0, 2.0, case_laws(2.0, 2.0)["Y"]), 2),
-            # LambdaB of e^{gx} is infinite (u has a power tail), so the p < 1
-            # form takes x^2 without its terms, which has no closed form then.
+            # A weight without its terms has no closed form: e^{0.1 x} has one
+            # on every law but LambdaB's, where it is infinite (u has a power
+            # tail), so the p < 1 form takes x^2 without its terms.
+            (lambda: lambda_tilde(E01_QUAD, 2.0, 2.0, case_laws(2.0, 2.0)["Y"]), 2),
             (lambda: lambda_bar(replace(X2, terms=None), 0.8, 2.0, case_laws(2.0, 0.8)["Y"]), 2),
-            (lambda: theta(E01, 2.0, gamma_law(1.5)), 1),
-            (lambda: upsilon(E01, gamma_law(3.0)), 1),
+            (lambda: theta(E01_QUAD, 2.0, gamma_law(1.5)), 1),
+            (lambda: upsilon(E01_QUAD, gamma_law(3.0)), 1),
         ],
         ids=["lambda_tilde", "lambda_bar", "theta", "upsilon"],
     )

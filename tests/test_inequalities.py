@@ -453,10 +453,12 @@ class TestFiiCri:
 
     def test_error_includes_the_lambda_ratio(self):
         # rhs = (J ratio)^(1/beta) Lambda(Y)/Lambda(Z) - kappa: the errors of
-        # both Lambdas reach the slack's (1.02e-14 when they were dropped).
+        # both Lambdas reach the slack's.  e^{0.1 x} outside its family and
+        # without its terms keeps rho_1 = phi^-2 on quadrature.
         g = make_generalized_gaussian(2.0, 2.0)
-        v = check_fii(g, E01, 2.0, 2.0)
-        rho1, _ = derive_rho12(E01, 2.0, 2.0)
+        w = replace(E01, family="generic", terms=None)
+        v = check_fii(g, w, 2.0, 2.0)
+        rho1, _ = derive_rho12(w, 2.0, 2.0)
         laws = case_laws(2.0, 2.0)
         ratio = lambda_tilde(rho1, 2.0, 2.0, laws["Y"]) / lambda_tilde(rho1, 2.0, 2.0, laws["Z"])
         assert ratio.value == v.terms["lambda_ratio"] and ratio.error > 1e-11

@@ -284,6 +284,20 @@ class TestGuards:
     def test_nonnegative_family_passes(self):
         assert nonnegativity_violation(make_exp_linear(-2.0), (0.0, math.inf)) is None
 
+    def test_nonnegative_by_construction_is_not_sampled(self):
+        # A map that cannot be evaluated shows that phi o s is not sampled.
+        class Unreachable(_IdentityMap):
+            def __call__(self, x):
+                raise AssertionError("the scan evaluated the map")
+
+        s = Unreachable()
+        for base in (make_exp_linear(0.2), make_abs_polynomial([1, 0.5]), make_power(-0.5)):
+            for w in (compose_with_map(base, s), power_of(compose_with_map(base, s), 0.5)):
+                assert nonnegativity_violation(w, (-math.inf, math.inf)) is None
+        signed = compose_with_map(make_abs_polynomial([1, -2]), s)
+        with pytest.raises(AssertionError, match="evaluated the map"):
+            nonnegativity_violation(signed, (-math.inf, math.inf))
+
     def test_pointwise_nonnegativity_sampled(self, catalog, weights_catalog):
         for w in weights_catalog.values():
             for d in catalog.values():
