@@ -50,6 +50,7 @@ END_TO_END = ("setup_s", "ops_per_s", "op_ms.p50", "op_ms.tail", "peak_rss_mb")
 HIGHER_IS_BETTER = {"ops_per_s"}
 TRACED = (
     "densities.cdf.calls",
+    "densities.cdf.self_s",
     "numerics.integrate.calls",
     "numerics.integrate.points",
     "numerics.integrand.self_s",

@@ -25,6 +25,11 @@ the same inputs in its own interpreter, every input as one in-process
 * every argv of ``TABLE_INPUTS`` on the seed-801 ``bounds-quadcdf``
   table: ``cri``, a ``weighted:table:`` source, ``scaling --t`` and
   ``wfi --alpha inf``, which no deck op runs on a table;
+* every argv of ``WEIGHTED_TRANSPORT_INPUTS`` (on that table too): the
+  transport of weighted exponential (half-line), ``gg:2,1``, tent
+  (bounded) and table sources under pow, abspoly and expw weights through
+  ``fii``/``cri`` at p > 1, p = 1 and alpha = inf and ``cor4 --c 0.2``,
+  which no deck op reaches;
 * every argv of ``CLOSED_FORM_INPUTS``: the measures of an exponential
   source (and g) under pow, abspoly and expw weights, and of Laplace,
   tent and generalized-Gaussian sources under pow, abspoly and const
@@ -95,6 +100,16 @@ TABLE_INPUTS = (  # {t}: the path of a table
     "verify scaling --f table:{t} --t 0.7 --p 2 --w const:1",
     "compute wfi --f table:{t} --w const:1 --alpha inf --p 2",
     "compute wfi --f table:{t} --w abspoly:1,0.5 --alpha inf --p 1.7",
+)
+WEIGHTED_TRANSPORT_INPUTS = tuple(  # {t}: the path of a table
+    f"verify {check} --f weighted:{base};{w}{rest}"
+    for base in ("exp:1", "gg:2,1", "tent", "table:{t}")
+    for w in ("pow:1", "abspoly:1,0.5", "expw:0.3")
+    for check, rest in (
+        ("fii", " --w const:1.3 --alpha 2 --p 1.5"), ("cri", " --w expw:0.1 --alpha 2.5 --p 1.7"),
+        ("fii", " --w abspoly:1,0.5 --alpha 2 --p 1"), ("cri", " --w const:1 --alpha inf --p 2"),
+        ("cor4", " --c 0.2"),
+    )
 )
 CLOSED_FORM_INPUTS = tuple(
     f"compute {mid} --f exp:0.7 --w {w}{rest}"
@@ -298,7 +313,7 @@ def cases(seeds, work: str) -> list[dict]:
     ]
     table = os.path.join(work, "table-inputs.csv")
     ops.write_table(table, ops.Draw("bounds-quadcdf", 801))
-    tables = [text.format(t=table).split(" ") for text in TABLE_INPUTS]
+    tables = [text.format(t=table).split(" ") for text in TABLE_INPUTS + WEIGHTED_TRANSPORT_INPUTS]
     closed = [text.split(" ") for text in CLOSED_FORM_INPUTS]
     for argv in golden + lemma4 + cor4 + variation + tables + closed:
         argv = [os.path.join(ROOT, a) if a.startswith("scenarios/") else a for a in argv]

@@ -87,28 +87,32 @@ where it is bounded).  Then
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, EvaluationError, InputError
 from .numerics import (
     _EPS,
+    _EXP_SINH,
+    _TANH_SINH,
+    _TINY,
+    _WG15,
+    _WGK,
     _XGK,
     DEFAULT_CONFIG,
     MeasureValue,
     QuadratureConfig,
     Value,
+    _de_rule,
     _exp,
     _finite,
-    _gk15_nodes,
-    _gk15_sums,
+    _gk15_leaves,
     _masked,
     _merge,
     _vec,
     beta_fn,
     essential_supremum,
-    find_root,
     gamma_fn,
     integrate,
     total_variation,
@@ -150,8 +154,8 @@ class Density:
     support: tuple[float, float]
     pdf: callable
     dpdf: callable
-    cdf_fn: callable | None = None
-    quantile_fn: callable | None = None
+    cdf_fn: callable
+    quantile_fn: callable
     singularities: tuple[float, ...] = ()
     warnings: tuple[str, ...] = ()
     kinks: tuple[float, ...] = ()
@@ -684,12 +688,8 @@ def scale_density(f: Density, t: float) -> Density:
     lo, hi = f.support
     pdf = _vec(lambda x: f.pdf(np.asarray(x) / t) / t)
     dpdf = _vec(lambda x: f.dpdf(np.asarray(x) / t) / t**2)
-    cdf_fn = None if f.cdf_fn is None else _vec(lambda x: f.cdf_fn(np.asarray(x) / t))
-    quant = (
-        None
-        if f.quantile_fn is None
-        else _vec(lambda q: t * f.quantile_fn(np.asarray(q)))
-    )
+    cdf_fn = _vec(lambda x: f.cdf_fn(np.asarray(x) / t))
+    quant = _vec(lambda q: t * f.quantile_fn(np.asarray(q)))
     return Density(
         family="scaled",
         params={"t": t, "base": f},
@@ -707,7 +707,10 @@ def make_weighted_density(f: Density, weight) -> Density:
     """Reweighted density phi*f/chi with chi = E_f[phi] (:func:`_weight_mean`).
 
     Its mass is 1 by construction, so it is not integrated again; the
-    density carries the warnings of chi, which carries those of f.
+    density carries the warnings of chi, which carries those of f.  Its
+    CDF and quantile come from one :class:`_ResolvedCdf`, built on their
+    first use; the partition's mass must be 1 to 1e-8 plus the relative
+    error of chi.
     """
     norm = _weight_mean(f, weight, "weight normalizer E_f[phi]")
     chi = norm.value
@@ -716,7 +719,10 @@ def make_weighted_density(f: Density, weight) -> Density:
 
     # Evaluate the weight only where the base density is positive so
     # that weights which overflow on the dead tail stay harmless.
-    pdf = _vec(_masked(f, lambda x, fx: np.asarray(weight(x), dtype=float) * fx / chi))
+    def core(x, fx):
+        return np.asarray(weight(x), dtype=float) * fx / chi
+
+    pdf = _vec(_masked(f, core))
     dpdf = _vec(
         _masked(
             f,
@@ -727,15 +733,28 @@ def make_weighted_density(f: Density, weight) -> Density:
             / chi,
         )
     )
+
+    def normal_pdf(x):
+        # The pdf where the base value is a normal float, else 0: the CDF
+        # integrates this, so that no weight lifts a subnormal base value,
+        # which holds fewer than 53 bits, into the normal range as noise.
+        fx = np.asarray(f.pdf(x), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return np.where(fx >= _TINY, core(x, fx), 0.0)
+
+    singularities = tuple(sorted(set(f.singularities) | set(weight.kinks)))
+    what = f"the {weight.family}-weighted {f.family} density"
+    mass_tol = 1e-8 + norm.error / chi
+    resolved = _ResolvedCdf(normal_pdf, f.support, singularities, f.kinks, what, mass_tol)
     return Density(
         family="weighted",
         params={"base": f, "weight": weight, "chi": chi},
         support=f.support,
         pdf=pdf,
         dpdf=dpdf,
-        cdf_fn=None,
-        quantile_fn=None,
-        singularities=tuple(sorted(set(f.singularities) | set(weight.kinks))),
+        cdf_fn=_vec(resolved.cdf),
+        quantile_fn=_vec(resolved.quantile),
+        singularities=singularities,
         warnings=norm.warnings,
         kinks=f.kinks,
     )
@@ -829,157 +848,26 @@ def on_support(x, support, below, above, interior):
 
 
 def cdf(f: Density, x):
-    """F_f(x), analytic when the family provides it, quadrature otherwise.
+    """F_f(x): the family's ``cdf_fn`` on the points inside the support.
 
     ``x`` may be a scalar or an array: a scalar gives a float, an array an
     ndarray of its shape.  Points at or below the lower end of the
     support give 0, points at or above the upper end give 1, and every
-    other value is clipped to [0, 1].  Families without ``cdf_fn`` (the
-    weighted densities) get all points from one sorted sweep
-    (:func:`_swept_cdf`), so a value may differ in its last digits with
-    the batch it comes in.
+    other value is clipped to [0, 1].  A value depends on its point only,
+    not on the batch it comes in.
     """
 
     def interior(xs):
-        vals = f.cdf_fn(xs) if f.cdf_fn is not None else _swept_cdf(f, xs)
-        return np.minimum(np.maximum(vals, 0.0), 1.0)
+        return np.minimum(np.maximum(f.cdf_fn(xs), 0.0), 1.0)
 
     return on_support(x, f.support, 0.0, 1.0, interior)
 
 
-# Smallest absolute error budget of one gap: below it a relative budget
-# would ask adaptive quadrature for digits subnormal floats do not hold.
-_MIN_BUDGET = 1e-300
-
-# Probes between each end of a gap and its outermost Kronrod node, at
-# 8^-1, 8^-3, 8^-6, ..., 8^-55 (about 1e-50) of the node's distance from
-# the end, and one float from the end.  Mass that falls from the end shows
-# at the last probe however narrow it is.  Mass that rises from a zero at
-# the end shows at a probe inside its rise: the probes are dense just
-# inside the node, where the node still sees part of a rise, and sparse
-# deep down, where the node sees nothing and any nonzero probe shows it.
-_RUNGS = 8.0 ** -(np.arange(1, 11) * np.arange(2, 12) / 2)
-
-
-def _ladder(end, reach):
-    """Distances from ``end`` of its probes, one row per gap, nearest last."""
-    floor = np.maximum(np.spacing(np.abs(end)), 1e-300)[:, None]
-    return np.maximum(np.concatenate([reach[:, None] * _RUNGS, floor], axis=1), floor)
-
-
-def _panels(f: Density, a, b):
-    """One GK15 panel of ``f.pdf`` on every gap [a_k, b_k], in one pdf call.
-
-    Returns (K15, error, blind).  The error is |K15 - G7|, except at a
-    blind end: where the pdf at a probe between the end and the outermost
-    Kronrod node exceeds twice its value at that node, both rules can
-    miss the mass near the end (a gap wide against the density's scale),
-    so the error is raised to a bound on that mass: the probe value
-    nearest the end times the distance from the end to the node when
-    that value is the largest, else infinity.  A gap with a non-finite
-    pdf value is blind, with K15 = 0 and an infinite error.
-    """
-    kronrod, h = _gk15_nodes(a, b)
-    reach = h * (1.0 + _XGK[0])
-    nodes = np.concatenate(
-        [kronrod, a[:, None] + _ladder(a, reach), b[:, None] - _ladder(b, reach)], axis=1
-    )
-    y = np.asarray(f.pdf(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    yk, n = y[:, : _XGK.size], _RUNGS.size + 1
-    with np.errstate(invalid="ignore"):
-        k15, err = _gk15_sums(h, yk)
-        ends = 0.0
-        for probes, outer in ((y[:, -2 * n : -n], yk[:, 0]), (y[:, -n:], yk[:, -1])):
-            peak = probes.max(axis=1)
-            # A pdf that falls from the end holds at most peak * reach
-            # before the node; one with its peak inside the ladder, no bound.
-            bound = np.where(peak == probes[:, -1], peak * reach, math.inf)
-            ends = ends + np.where(peak > 2.0 * outer, bound, 0.0)
-    bad = ~np.all(np.isfinite(y), axis=1)
-    blind = bad | (ends > 0.0)
-    err = np.where(bad, math.inf, np.maximum(err, ends))
-    return np.where(bad, 0.0, k15), err, blind
-
-
-def _budget(below, k15, n_gaps: int, cfg: QuadratureConfig):
-    """Error budget of gaps with F(a_k) = ``below`` and panel masses ``k15``.
-
-    min(abs_tol / n_gaps, rel_tol F(b_k)): the gaps of one batch share
-    the absolute tolerance, and a gap in the lower tail is held to the
-    relative accuracy of the level above it.
-    """
-    level = below + k15
-    return np.maximum(
-        np.minimum(cfg.abs_tol / n_gaps, cfg.rel_tol * np.abs(level)), _MIN_BUDGET
-    )
-
-
-def _masses(f: Density, a, b, panels, budget, cfg: QuadratureConfig):
-    """Mass of f on every gap [a_k, b_k] from its :func:`_panels` result.
-
-    A gap keeps its panel when the panel's error is within its
-    ``budget``; every other gap goes through :func:`integrate` with its
-    budget as the absolute tolerance, and its result through
-    ``checked``.  A blind gap is integrated with both ends as
-    singularity hints, so tanh-sinh clusters its nodes at the ends.
-    """
-    k15, err, blind = panels
-    out = np.array(k15, dtype=float)
-    for k in np.nonzero(~(err <= budget))[0].tolist():
-        lo, hi = float(a[k]), float(b[k])
-        hints = (lo, hi) if blind[k] else cfg.singularities
-        gap_cfg = replace(cfg, abs_tol=float(budget[k]), singularities=hints)
-        out[k] = integrate(f.pdf, (lo, hi), gap_cfg).checked("CDF integral").value
-    return out
-
-
-def _swept_cdf(f: Density, xs):
-    """F_f on the points ``xs`` (1-d, inside the support) in one sorted sweep.
-
-    The points and the singularities between them become sorted nodes,
-    so no gap spans a kink.  The anchors of a whole-support integral,
-    where its rules cluster their nodes (the singularities, the finite
-    ends of the support and, on the whole line, 0), are nodes and
-    singularity hints too, so a lone point far in a tail still sees the
-    bulk of the density.  The mass below the first node is one
-    integral from the lower end of the support with the density's own
-    tolerance, taken again to ``rel_tol`` where that tolerance is looser
-    than ``rel_tol`` of the mass (the lower tail).  The gaps between
-    consecutive nodes get one GK15 panel each, all in one pdf call; only
-    those that miss their :func:`_budget` are integrated.  A cumulative
-    sum gives F at the nodes: the batched-interval idea of QUADPACK
-    ``qag`` (Piessens et al., 1983), applied to a running integral.
-    """
-    lo, hi = f.support
-    anchors = set(f.singularities) | {e for e in (lo, hi) if math.isfinite(e)}
-    if math.isinf(lo) and math.isinf(hi):
-        anchors.add(0.0)
-    cfg = replace(f.quad_config(), singularities=tuple(sorted(anchors)))
-    inside = [s for s in cfg.singularities if xs.min() < s < xs.max()]
-    nodes = np.unique(np.concatenate([xs, inside]))
-    lower = (lo, float(nodes[0]))
-    head = integrate(f.pdf, lower, cfg).checked("CDF integral").value
-    if 0.0 < cfg.rel_tol * head < cfg.abs_tol:
-        # A lower-tail level: integrate again to its relative accuracy.
-        tail_cfg = replace(cfg, abs_tol=max(cfg.rel_tol * head, _MIN_BUDGET))
-        head = integrate(f.pdf, lower, tail_cfg).checked("CDF integral").value
-    a, b = nodes[:-1], nodes[1:]
-    panels = _panels(f, a, b)
-    below = head + np.concatenate([[0.0], np.cumsum(panels[0])[:-1]])
-    masses = _masses(f, a, b, panels, _budget(below, panels[0], max(a.size, 1), cfg), cfg)
-    return np.cumsum(np.concatenate([[head], masses]))[np.searchsorted(nodes, xs)]
-
-
 def quantile(f: Density, q):
-    """F_f^{-1}(q) for levels q in (0, 1).
+    """F_f^{-1}(q) for levels q in (0, 1), by the family's ``quantile_fn``.
 
-    A scalar gives a float, an array an ndarray of its shape.  Analytic
-    when the family provides ``quantile_fn``.  Otherwise (the weighted
-    densities, which have no CDF either) each level is the root of
-    cdf(f, x) - q found by :func:`~wrenyi.numerics.find_root` on the
-    support; an infinite side of the bracket starts at -1 or 1 and
-    doubles until it holds the level.  A level whose root search does
-    not converge raises :class:`DomainError`.
+    A scalar gives a float, an array an ndarray of its shape.  A level
+    outside (0, 1) is an :class:`InputError`.
     """
     arr = np.asarray(q, dtype=float)
     levels = arr.ravel()
@@ -987,23 +875,375 @@ def quantile(f: Density, q):
     if bad.any():
         shown = q if arr.ndim == 0 else levels[bad][0]
         raise InputError(f"quantile level must be in (0,1), got {shown}")
-    if f.quantile_fn is not None:
-        out = np.asarray(f.quantile_fn(levels), dtype=float)
-    else:
-        out = np.array([_root_quantile(f, level) for level in levels.tolist()])
+    out = np.asarray(f.quantile_fn(levels), dtype=float)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _root_quantile(f: Density, level: float) -> float:
-    """The x with F_f(x) = ``level``, by a bracketed root search."""
-    lo, hi = f.support
-    blo = lo if math.isfinite(lo) else -1.0
-    bhi = hi if math.isfinite(hi) else 1.0
-    while not math.isfinite(lo) and cdf(f, blo) > level:
-        blo *= 2.0
-    while not math.isfinite(hi) and cdf(f, bhi) < level:
-        bhi *= 2.0
-    return find_root(lambda x: cdf(f, x) - level, (blo, bhi))
+# Relative accuracy of a resolved partition (the kernel's default
+# rel_tol): |K15 - G7| of a GK15 leaf against F at its upper end, the
+# level-4 trapezoid against level 3 on a DE piece.  Both estimates are
+# far above the error of the finer rule (|K15 - G7| = 2e-9 of e^-x on
+# [0, 6], where K15 is exact to 1e-16).
+_CDF_REL = DEFAULT_CONFIG.rel_tol
+# Absolute accuracy of F below _CDF_FLOOR / _CDF_REL (about 1e-284), where
+# a relative accuracy would ask for digits that a pdf whose weight lifts a
+# subnormal base value (cut to 0, :func:`make_weighted_density`) does not hold.
+_CDF_FLOOR = _TINY / _EPS
+# Width of the tanh-sinh piece at a singular end, as a fraction of its piece.
+_SLIVER = 2.0**-10
+# The fixed DE rules of a singular sliver and of a tail: levels 0-4.
+_CDF_LEVEL = 4
+_TS_RULE = _de_rule(_TANH_SINH, _CDF_LEVEL)
+_ES_RULE = _de_rule(_EXP_SINH, _CDF_LEVEL)
+# Grading of a piece toward a singular end: its sliver times 1, 2, ..., 256.
+_GRADE = tuple(2.0**g for g in range(9))
+# Offsets of the panel edges grown outward from the last break of an
+# infinite side: 1, 3, 7, ..., 2^64 - 1 (1.8e19).
+_OUTWARD = 2.0 ** np.arange(1, 65) - 1.0
+# Rule of a piece: GK15 or tanh-sinh on [a, x], exp-sinh on (-inf, x] or [x, inf).
+_GK, _TS, _LOW, _HIGH = range(4)
+# The GK15 nodes of [0, 2], so a + d * _XGK_UNIT are those of [a, a + 2d].
+_XGK_UNIT = 1.0 + _XGK
+
+
+def _rule(kind: int, a, x):
+    """Nodes (a row per piece), the scale of each row, and the unit weights
+    of rule ``kind`` and of its coarser rule (G7, DE level 3) on the
+    pieces: GK15 or tanh-sinh on [a_i, x_i], exp-sinh on (-inf, x_i] or
+    [x_i, inf)."""
+    a, x = a[:, None], x[:, None]
+    if kind == _GK:
+        d = 0.5 * (x - a)
+        return a + d * _XGK_UNIT, d, _WGK, _WG15
+    if kind == _TS:
+        (pos, delta), w, coarse = _TS_RULE
+        d = 0.5 * (x - a)
+        nodes = np.where(pos, x - d * delta, a + d * delta)
+        nodes = np.minimum(np.maximum(nodes, np.nextafter(a, x)), np.nextafter(x, a))
+        return nodes, d, w, coarse
+    (r,), w, coarse = _ES_RULE
+    return (x - r if kind == _LOW else x + r), np.ones_like(x), w, coarse
+
+
+def _rule_values(pdf, a, x, kind, extra=()):
+    """The pdf on the nodes of every piece (:func:`_rule`) and at the
+    points ``extra``, from one pdf call: ([(rows, values, scale, weights,
+    coarser weights)] per rule, pdf(extra)).
+
+    A non-finite value at a node whose weight is below 1e-280 (deep in a
+    singular end or a far tail) reads 0, as in ``_double_exponential``;
+    any other is an EvaluationError.
+    """
+    present = np.bincount(kind, minlength=4)
+    if present.max() == kind.size:  # one rule for every piece
+        groups = [(slice(None), *_rule(int(present.argmax()), a, x))]
+    else:
+        groups = []
+        for k in np.nonzero(present)[0].tolist():
+            sel = np.nonzero(kind == k)[0]
+            groups.append((sel, *_rule(k, a[sel], x[sel])))
+    points = [nodes.ravel() for _, nodes, _, _, _ in groups] + [np.asarray(extra, dtype=float)]
+    y = np.asarray(pdf(np.concatenate(points)), dtype=float)
+    finite = np.isfinite(y).all()
+    out, start = [], 0
+    for sel, nodes, d, w, cw in groups:
+        yk = y[start : start + nodes.size].reshape(nodes.shape)
+        start += nodes.size
+        if not finite and not (good := np.isfinite(yk)).all():
+            if np.any(np.abs(d * w)[~good] > 1e-280):
+                near = float(x[sel][~good.all(axis=1)][0])
+                raise EvaluationError(f"pdf not finite in a CDF piece near x = {near}")
+            yk = np.where(good, yk, 0.0)
+        out.append((sel, yk, d[:, 0], w, cw))
+    return out, y[start:]
+
+
+def _running_sum(x):
+    """Prefix sums of ``x``, each compensated for the rounding of every
+    step (the error of each step by TwoSum, Knuth, TAOCP vol. 2, 4.2.2),
+    so a prefix of positive terms is about as accurate as ``math.fsum``."""
+    s = np.cumsum(x)
+    prev = np.concatenate([[0.0], s[:-1]])
+    back = s - prev
+    err = (prev - (s - back)) + (x - back)
+    return s + np.cumsum(err)
+
+
+@dataclass(frozen=True)
+class _Partition:
+    """The leaves [edges_k, edges_k+1] of a resolved partition, the rule of
+    each (``_GK`` or ``_TS``), F at every edge, the tail masses beyond the
+    first and last edge and the total mass.
+
+    ``lookup`` holds, per piece j = k + 1 for x in leaf k (j = 0 below the
+    first edge, j = n + 1 above the last): the lower end of its rule (-inf
+    on a tail), the rule, F below the piece, F at its upper end, the sign
+    of its integral and whether it holds nothing to integrate.
+    """
+
+    edges: np.ndarray
+    kinds: np.ndarray
+    levels: np.ndarray
+    tails: tuple[float, float]
+    total: float
+
+    lookup: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, (low, high) = self.kinds.size, self.tails
+        object.__setattr__(self, "lookup", (
+            np.concatenate([[-math.inf], self.edges[:-1], [-math.inf]]),
+            np.concatenate([[_LOW], self.kinds, [_HIGH]]),
+            np.concatenate([[0.0], self.levels[:-1], [self.total]]),
+            np.concatenate([self.levels, [self.total]]),
+            np.concatenate([[1.0], np.ones(n), [-1.0]]),
+            # A lower tail whose mass is 0, or an upper tail whose mass is
+            # below a quarter ulp of 1, which F near 1 cannot show.
+            np.concatenate([[low == 0.0], np.zeros(n, bool), [high < _EPS / 4.0]]),
+        ))
+
+
+class _ResolvedCdf:
+    """F and F^{-1} of a density without a closed-form CDF, from one
+    partition of its support built on first use and then kept.
+
+    The partition splits the support at its singularities, kinks and
+    finite ends (and at 0 on a whole line with none of them), then grows
+    panels outward on an infinite side (:meth:`_edges`), with one
+    exp-sinh tail mass beyond the last.  A piece next to a singular point
+    or a finite end keeps its outer 2^-10 as a sliver integrated by the
+    fixed level-4 tanh-sinh rule.  Every other panel is bisected by GK15
+    until each leaf is within ``_CDF_REL`` of F at its upper end
+    (:func:`~wrenyi.numerics._gk15_leaves`): relative to the leaf's own
+    level in the lower tail, so a deep lower-tail level is as accurate as
+    one in the bulk.  The masses are summed from the lower end with a
+    compensated running sum, so F at each edge is a sum of positive
+    masses accurate to a few ulps.
+
+    F(x) is then F at the lower edge of x's leaf plus int_{a_k}^x pdf by
+    the leaf's fixed rule (GK15, or tanh-sinh on a sliver); beyond the
+    first edge it is the exp-sinh tail from x, beyond the last edge the
+    total less the exp-sinh tail from x (0 and the total where the tail
+    mass is 0 or below a quarter ulp of 1).  Every point of a batch goes
+    into one pdf call and no value depends on the batch.  F^{-1}(q) is a
+    safeguarded Newton iteration on that F, with the pdf as its
+    derivative, inside the leaf whose edge levels bracket q.
+
+    A partition that misses its tolerance (an unresolved leaf, a DE piece
+    whose levels 3 and 4 disagree, a total mass more than ``mass_tol``
+    from 1) is a DomainError naming ``what``.  Two threads that read F
+    first at once may both build it; the builds are equal.
+    """
+
+    def __init__(self, pdf, support, singular, kinks, what: str, mass_tol: float):
+        self.pdf, self.support, self.what, self.mass_tol = pdf, support, what, mass_tol
+        self.singular, self.kinks = tuple(singular), tuple(kinks)
+        self._partition = None
+
+    def _failed(self, why: str) -> DomainError:
+        return DomainError(f"the CDF of {self.what} cannot be built: {why}")
+
+    def _built(self) -> _Partition:
+        part = self._partition
+        if part is None:
+            part = self._partition = self._build()
+        return part
+
+    def _build(self) -> _Partition:
+        lo, hi = self.support
+        sing = {float(s) for s in self.singular if lo <= s <= hi}
+        sing |= {e for e in (lo, hi) if math.isfinite(e)}
+        if not sing and not any(lo < k < hi for k in self.kinks):
+            sing = {0.0}  # a whole line with no break: start from 0
+        breaks = sorted(sing | {float(k) for k in self.kinks if lo < k < hi})
+        edges, at = self._edges(breaks)
+        a, b = edges[:-1], edges[1:]
+        cut = _SLIVER * (b - a)
+        points = np.array(sorted(sing))
+        left, right = (a[:, None] == points).any(axis=1), (b[:, None] == points).any(axis=1)
+        s_lo = np.concatenate([a[left], (b - cut)[right]])
+        s_hi = np.concatenate([(a + cut)[left], b[right]])
+        # A piece with a singular end is graded toward it, from its sliver
+        # to a quarter of the piece, in panels doubling in width.  A panel
+        # over which the pdf falls by e^W while it holds a share of F (not
+        # in an upper tail, where F is near 1 and the tolerance absolute)
+        # starts as about W/6 equal panels: one GK15 panel resolves a fall
+        # of e^6 to 2e-9 of its own mass.  So the bisection needs few
+        # rounds.  The masses here are rough (the larger end value times
+        # the width), and the pdf at a singular end may be 0 or infinite.
+        fa, fb = np.maximum(at[:-1], _TINY), np.maximum(at[1:], _TINY)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            rough = np.maximum(fa, fb) * (b - a)
+            share = rough > np.maximum(_CDF_REL * np.cumsum(rough), _CDF_FLOOR)
+            plain = share & ~left & ~right & np.isfinite(fa * fb)
+            n = np.where(plain, np.minimum(np.abs(np.log(fa / fb)) / 6.0, 255), 0.0).astype(int) + 1
+        starts, ends = [], []
+        pieces = (arr.tolist() for arr in (a, b, cut, left, right, n))
+        for ak, bk, ck, lk, rk, nk in zip(*pieces):  # a few dozen
+            cuts = {ak + ck if lk else ak, bk - ck if rk else bk}
+            cuts.update([ak + ck * g for g in _GRADE] if lk else ())
+            cuts.update([bk - ck * g for g in _GRADE] if rk else ())
+            width = (bk - ak) / nk
+            cuts.update([ak + width * i for i in range(1, nk)])
+            cuts = sorted(cuts)
+            starts += cuts[:-1]
+            ends += cuts[1:]
+        starts, ends = np.array(starts), np.array(ends)
+        # The first GK15 round, the slivers and both tails, in one pdf call.
+        m = starts.size
+        pa = np.concatenate([starts, s_lo, edges[[0, -1]]])
+        px = np.concatenate([ends, s_hi, edges[[0, -1]]])
+        kind = np.concatenate([np.full(m, _GK), np.full(s_lo.size, _TS), [_LOW, _HIGH]])
+        fine, coarse = np.empty(pa.size), np.empty(pa.size)
+        for sel, y, d, w, cw in _rule_values(self.pdf, pa, px, kind)[0]:
+            fine[sel], coarse[sel] = d * (y @ w), d * (y @ cw)
+        de, de_fine = slice(m, None), fine[m:]
+        de_fine[-2:] = coarse[-2:] = [
+            de_fine[-2] if math.isinf(lo) else 0.0,
+            de_fine[-1] if math.isinf(hi) else 0.0,
+        ]
+        de_tol = np.maximum(_CDF_REL * np.abs(de_fine), _CDF_FLOOR)
+        if np.any(np.abs(de_fine - coarse[de]) > de_tol):
+            raise self._failed("a tanh-sinh or exp-sinh piece is not resolved to its tolerance")
+        tails = (float(de_fine[-2]), float(de_fine[-1]))
+        # A leaf is held to _CDF_REL of F at its upper end, estimated from
+        # the leaves below it: relative in the lower tail, absolute near 1.
+        leaves = _gk15_leaves(
+            self.pdf,
+            starts,
+            ends,
+            lambda v: np.maximum(_CDF_REL * (tails[0] + np.cumsum(v)), _CDF_FLOOR),
+            first=(fine[:m], np.abs(fine[:m] - coarse[:m])),
+        )
+        if leaves is None:
+            raise self._failed("a GK15 panel is not resolved to its tolerance")
+        lows = np.concatenate([leaves[0], s_lo])
+        order = np.argsort(lows, kind="stable")
+        masses = np.concatenate([leaves[2], de_fine[:-2]])[order]
+        kinds = np.concatenate([np.full(leaves[0].size, _GK), np.full(s_lo.size, _TS)])[order]
+        levels = _running_sum(np.concatenate([[tails[0]], masses, [tails[1]]]))
+        total = float(levels[-1])
+        if not abs(total - 1.0) <= self.mass_tol:
+            raise self._failed(f"its pieces hold mass {total!r}, not 1")
+        return _Partition(np.append(lows[order], edges[-1]), kinds, levels[:-1], tails, total)
+
+    def _edges(self, breaks):
+        """The breaks and the panel edges grown outward from them on each
+        infinite side, in order, with the pdf at each edge.
+
+        A side's edges are the last break +- (2^k - 1) up to the first
+        where the pdf is 0, or up to 2^64 - 1; on the upper side, where F
+        is held to absolute accuracy, also up to the first where the pdf
+        times the last panel's width is below 1e-20.  On the lower side,
+        where a leaf is held to relative accuracy, a zero is moved in toward
+        the first zero beyond the edge before it (a zoom of 255 points a
+        step) until the pdf just inside it times the bracket is below
+        ``_CDF_FLOOR``: a weight that lifts the pdf where its base
+        underflows leaves a jump to 0 there, and a leaf across a larger
+        jump could not be resolved to its tolerance.
+        """
+        lo, hi = self.support
+        sides = [-1.0] * math.isinf(lo) + [1.0] * math.isinf(hi)
+        grown = [(breaks[0] if sign < 0 else breaks[-1]) + sign * _OUTWARD for sign in sides]
+        y = np.asarray(self.pdf(np.concatenate([breaks, *grown])), dtype=float)
+        stops = np.cumsum([len(breaks)] + [_OUTWARD.size] * len(sides)).tolist()
+        at = [y[: stops[0]]] + [y[i:j] for i, j in zip(stops[:-1], stops[1:])]
+        for i, sign in enumerate(sides):
+            end = at[i + 1] == 0.0
+            if sign > 0:
+                end |= at[i + 1] * np.diff(grown[i], prepend=breaks[-1]) <= 1e-20
+            if end.any():
+                k = int(np.argmax(end))
+                grown[i], at[i + 1] = grown[i][: k + 1], at[i + 1][: k + 1]
+        if math.isinf(lo) and at[1][-1] == 0.0:
+            inner = grown[0][-2] if grown[0].size > 1 else breaks[0]
+            outer, t = grown[0][-1], np.arange(1, 256) / 256.0
+            while abs(outer - inner) > 4.0 * np.spacing(abs(outer)):
+                x = inner + (outer - inner) * t
+                fx = np.asarray(self.pdf(x), dtype=float)
+                zero = fx == 0.0
+                j = int(np.argmax(zero)) if zero.any() else t.size
+                inner = float(x[j - 1]) if j else inner
+                outer = float(x[j]) if j < t.size else outer
+                if not (fx[j - 1] if j else math.inf) * abs(outer - inner) > _CDF_FLOOR:
+                    break
+            grown[0][-1] = outer
+        if math.isinf(lo):
+            return (np.concatenate([grown[0][::-1], breaks, *grown[1:]]),
+                    np.concatenate([at[1][::-1], at[0], *at[2:]]))
+        return np.concatenate([breaks, *grown]), np.concatenate(at)
+
+    def _evaluate(self, part: _Partition, x, k, with_pdf: bool = False):
+        """(F(x), pdf(x) if ``with_pdf``) with x in leaf k, or beyond the first
+        (k = -1) or last (k = n) edge, from one pdf call."""
+        starts, rules, below, caps, signs, empty = part.lookup
+        j = k + 1
+        a = starts[j]
+        # A piece with nothing to integrate: x at its leaf's lower edge or
+        # an empty tail (``_Partition.lookup``).
+        live = np.nonzero(~(empty[j] | (x <= a)))[0]
+        jl = j[live]
+        groups, fx = _rule_values(self.pdf, a[live], x[live], rules[jl], x if with_pdf else ())
+        sums = np.empty(live.size)
+        for sel, y, d, w, _ in groups:
+            # Each row on its own (BLAS may change the order of a sum with
+            # the number of rows), so a point's F does not depend on its batch.
+            sums[sel] = d * (y * w).sum(axis=1)
+        out = below[j]
+        out[live] += signs[jl] * sums
+        # F below x's leaf's upper level: the rule on [a_k, x] may round a
+        # last bit past it, and F near 1 holds few bits, so F stays monotone
+        # across leaves.
+        return np.minimum(out, caps[j]), (fx if with_pdf else None)
+
+    def cdf(self, xs):
+        part = self._built()
+        k = np.searchsorted(part.edges, xs, side="right") - 1
+        return self._evaluate(part, xs, k)[0]
+
+    def quantile(self, qs):
+        part = self._built()
+        n = part.kinds.size
+        k = np.searchsorted(part.levels, qs, side="right") - 1
+        # A level past the pieces' mass sits at the outermost edge where the
+        # tail beyond it is below a quarter ulp of 1 (a total that rounds
+        # below q).
+        past = (k >= n) & (qs > part.levels[-1])
+        if np.any((k < 0) | (past & (part.tails[1] >= _EPS / 4.0))):
+            raise self._failed("a quantile level lies in a tail beyond its panels")
+        x = np.where(past, part.edges[-1], 0.0)
+        idx = np.nonzero(~past)[0]
+        kk = np.minimum(k[idx], n - 1)
+        q = qs[idx]
+        a, b = part.edges[kk], part.edges[kk + 1]
+        fa, fb = part.levels[kk], part.levels[kk + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip(np.nan_to_num((q - fa) / (fb - fa)), 0.0, 1.0)
+        xi = a + t * (b - a)
+        for _ in range(100):
+            if idx.size == 0:
+                return x
+            fx, dens = self._evaluate(part, xi, kk, with_pdf=True)
+            below = fx < q
+            a, b = np.where(below, xi, a), np.where(below, b, xi)
+            # Newton on log F (log(1 - F) above 1/2), exact on an
+            # exponential tail; a step out of the bracket is a bisection.
+            upper = q > 0.5
+            g, h = np.where(upper, 1.0 - fx, fx), np.where(upper, 1.0 - q, q)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                newton = xi + np.where(upper, g, -g) * np.log(g / h) / dens
+            # Done once F(x) is within 4 ulps of q (F holds no more), or x
+            # within 2 ulps of the Newton step or of the bracket's end.
+            done = (
+                (np.abs(fx - q) <= 4.0 * _EPS * q)
+                | (np.abs(newton - xi) <= 2.0 * _EPS * np.abs(xi))
+                | (b - a <= 2.0 * _EPS * np.abs(xi))
+            )
+            step = np.where((newton > a) & (newton < b), newton, 0.5 * (a + b))
+            x[idx[done]] = xi[done]
+            keep = ~done
+            idx, kk, q, a, b, xi = idx[keep], kk[keep], q[keep], a[keep], b[keep], step[keep]
+        raise self._failed("the quantile iteration did not converge")
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,19 @@ class GaussianMeasureSet:
 
 
 def _esssup_weighted(w: WeightFunction, fn, support) -> float:
+    """ess sup of w * fn over the support, for a bounded fn.
+
+    A weight with terms c |x|^e e^{gamma x} is unbounded there when a
+    term with c > 0 grows on an infinite side (gamma of that side's sign,
+    or gamma = 0 and e > 0) or has e < 0 at an interior 0: then the sup is
+    a DomainError, which a grid search would read as a large finite number.
+    """
+    lo, hi = support
+    for c, e, g in w.terms or ():
+        side = (math.isinf(hi) and (g > 0 or (g == 0 and e > 0))) or (
+            math.isinf(lo) and (g < 0 or (g == 0 and e > 0)))
+        if c > 0 and (side or (e < 0 and lo < 0.0 < hi)):
+            raise DomainError("weighted essential supremum is not finite")
     val = essential_supremum(
         lambda x: np.asarray(w(x), dtype=float) * fn(np.asarray(x, dtype=float)),
         support,

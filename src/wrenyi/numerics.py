@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 def _vec(impl):
@@ -450,6 +451,40 @@ def _adaptive_gk(fn, a, b, abs_tol, rel_tol):
     return total, err, err <= max(abs_tol, rel_tol * abs(total))
 
 
+def _gk15_leaves(fn, a, b, tolerance, first=None):
+    """Leaves of the adjacent panels [a_k, b_k] (in order), resolved by bisection:
+    (lo, hi, K15) of every leaf, in order.
+
+    ``tolerance`` maps the K15 of all leaves, in order, to the tolerance of
+    each; a leaf is resolved once its |K15 - G7| is within it (or below
+    the smallest normal float).  ``first`` is the panels' (K15, |K15 - G7|)
+    when the caller has them already.  Each round bisects every unresolved
+    leaf and takes all children from one fn call.  A leaf still unresolved
+    after ``_MAX_DEPTH`` rounds or too narrow to bisect, or more than
+    ``_MAX_PANELS`` leaves, gives None.
+    """
+    lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    v, e = _gk15(fn, lo, hi) if first is None else first
+    for _ in range(_MAX_DEPTH):
+        bad = e > np.maximum(tolerance(v), _TINY)
+        if not bad.any():
+            return lo, hi, v
+        idx = np.nonzero(bad)[0]
+        narrow = hi[idx] - lo[idx] <= 4 * _EPS * np.maximum(np.abs(lo[idx]), np.abs(hi[idx]))
+        if lo.size + idx.size > _MAX_PANELS or narrow.any():
+            return None
+        mid = 0.5 * (lo[idx] + hi[idx])
+        cv, ce = _gk15(fn, np.concatenate([lo[idx], mid]), np.concatenate([mid, hi[idx]]))
+        # Each bisected leaf becomes its two children, in place.
+        counts = 1 + bad
+        left = np.cumsum(counts)[idx] - 2
+        lo, hi, v, e = (np.repeat(arr, counts) for arr in (lo, hi, v, e))
+        hi[left], lo[left + 1] = mid, mid
+        v[left], v[left + 1] = cv[: idx.size], cv[idx.size :]
+        e[left], e[left + 1] = ce[: idx.size], ce[idx.size :]
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Double-exponential rules
 # ---------------------------------------------------------------------------
@@ -499,6 +534,20 @@ def _de_tables():
 
 _TANH_SINH, _EXP_SINH = _de_tables()
 _DE_SHARED = 4  # levels 0-3 share the first fn call
+
+
+def _de_rule(table, level: int):
+    """Levels 0..``level`` of ``_TANH_SINH`` or ``_EXP_SINH`` as one fixed rule.
+
+    Returns the node columns of the table concatenated over the levels,
+    the weights of the level-``level`` trapezoid (step 2^-level) and, on
+    the same nodes, those of the level before (twice the step, 0 on the
+    newest level's nodes).
+    """
+    *nodes, w = (np.concatenate(col) for col in zip(*table[: level + 1]))
+    older = np.concatenate([np.full(t[0].size, j < level) for j, t in enumerate(table[: level + 1])])
+    w = w * 2.0**-level
+    return nodes, w, np.where(older, 2.0 * w, 0.0)
 
 
 def _tanh_sinh_place(a, b):

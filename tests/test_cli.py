@@ -55,6 +55,13 @@ class TestCompute:
         assert code == 3
         assert json.loads(out)["error"] == {"type": "numeric", "message": message}
 
+    def test_unbounded_weight_sup_at_alpha_one_is_a_numeric_error(self):
+        # J of G at alpha = p = 1 is sup |x| over the whole line.
+        code, out = run_cli(["verify", "id2.18", "--w", "pow:1", "--alpha", "1", "--p", "1"])
+        assert code == 3
+        assert json.loads(out)["error"] == {
+            "type": "numeric", "message": "weighted essential supremum is not finite"}
+
     @pytest.mark.parametrize("mid", ["dev", "mom"])
     def test_gamma_overflow_is_a_numeric_error(self, mid):
         # The alpha = 200 moment of Exp(1) is Gamma(201) = 7.9e374.

@@ -57,12 +57,15 @@ def test_cases_run_every_golden_argv_and_lemma4(monkeypatch, tmp_path):
     assert {key.replace("scenarios/", root + "scenarios/") for key in golden} <= set(argvs)
     assert len(argvs) == len(set(argvs))
     assert sum(a.startswith("verify lemma4 --f") for a in argvs) == 15
-    assert sum(a.startswith("verify cor4 --f weighted:") for a in argvs) == 2
+    # COR4_SOURCES and the 12 weighted transport sources of cor4.
+    assert sum(a.startswith("verify cor4 --f weighted:") for a in argvs) == 2 + 12
     variation = {f"compute wfi --f {f} --w {w} --alpha inf --p {p}"
                  for f, w, p in compare_outputs.VARIATION_INPUTS}
     assert len(variation) == 5 and variation <= set(argvs)
     table = str(tmp_path / "table-inputs.csv")
     tables = {text.format(t=table) for text in compare_outputs.TABLE_INPUTS}
     assert len(tables) == 11 and tables <= set(argvs)
+    weighted = {text.format(t=table) for text in compare_outputs.WEIGHTED_TRANSPORT_INPUTS}
+    assert len(weighted) == 60 and weighted <= set(argvs)
     closed = set(compare_outputs.CLOSED_FORM_INPUTS)
     assert len(closed) == 175 and closed <= set(argvs)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wrenyi.densities import make_generalized_gaussian
-from wrenyi.errors import InputError
+from wrenyi.errors import DomainError, InputError
 from wrenyi.gaussian_forms import (
     beta_law,
     case_laws,
@@ -265,3 +265,24 @@ class TestIdentities:
             assert (2 * ms.deviation * ms.fisher ** (1 / beta)).value == pytest.approx(
                 2.0, rel=1e-9
             )
+
+
+class TestWeightedSupremumAtAlphaOne:
+    """J of G at alpha = 1 is a^(p-1) times the sup of phi over G's support."""
+
+    @pytest.mark.parametrize(
+        "w, p",
+        [
+            (make_power(1.0), 1.0),  # |x| on the whole line
+            (make_exp_linear(-0.24), 1.0),  # e^{-0.24 x} as x -> -inf
+            (make_power(-0.5), 2.0),  # |x|^-0.5 at the interior 0 of [-1, 1]
+        ],
+    )
+    def test_unbounded_weight_is_not_finite(self, w, p):
+        with pytest.raises(DomainError, match="weighted essential supremum is not finite"):
+            gaussian_measures(w, 1.0, p)
+
+    def test_growing_weight_on_a_bounded_support_is_finite(self):
+        # At p = 2 G is the tent on [-1, 1] (a = 1), where |x| is at most 1.
+        ms = gaussian_measures(make_power(1.0), 1.0, 2.0)
+        assert ms.fisher == pytest.approx(1.0, rel=1e-9)

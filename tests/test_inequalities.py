@@ -116,22 +116,22 @@ class TestTransport:
             [s(x) for x in xs],
             [s(xs[i : i + 1])[0] for i in range(xs.size)],
         )
+        # F_f is a function of its point alone, so every call agrees to the
+        # last bit, x = 40 and 750 included.
+        for ref in refs:
+            assert got.tolist() == ref
         if f_name != "weighted":
-            for ref in refs:
-                assert got.tolist() == ref
             return
-        # The weighted CDF is one sweep per batch, so s moves in the last
-        # digits with the batch.  Below the upper tail s itself agrees with
-        # every reference and with Q_G at the exact level.  At x = 40 and
-        # 750, 1 - F_f is 1e-14 and 1e-260: there a last-digit move in F_f
-        # is a large move in s, so only the levels G-CDF(s(x)) are compared.
+        # Below the upper tail s also agrees with Q_G at the exact level.
+        # At x = 40 and 750, 1 - F_f is 1e-14 and 1e-260: there F_f holds
+        # only its absolute digits, and a last-digit move in it is a large
+        # move in s, so those two are not compared with the oracle.
         oracle = np.array([weighted_oracles[desc].cdf(x) for x in xs])
         upper = xs > 5.0
         assert xs[upper].tolist() == [40.0, 750.0]
         exact = g.quantile_fn(np.clip(oracle, 5e-324, np.nextafter(1.0, 0.0)))
-        for ref in refs + (exact,):
-            assert np.max(np.abs(got - ref)[~upper]) <= 1e-12
-            assert np.max(np.abs(cdf(g, got) - cdf(g, np.array(ref)))[upper]) <= 1e-12
+        assert np.max(np.abs(got - exact)[~upper]) <= 1e-12
+        # Every level G-CDF(s(x)) agrees with the exact F_f.
         assert np.max(np.abs(cdf(g, got) - oracle)) <= 1e-12
 
     def test_deep_tail_takes_the_second_chance(self):
@@ -151,11 +151,13 @@ class TestTransport:
         for x in (0.3, np.float64(0.3), np.array(0.3), -9.0):
             assert type(s(x)) is float
 
-    def test_target_without_quantile_rejected(self):
+    def test_weighted_target_has_a_quantile(self):
+        # Every density has a quantile now: a weighted target passes the
+        # round trip F_G(Q_G(q)) = q that build_transport checks.
         weighted = parse_density("weighted:laplace:1;expw:0.2")
-        assert weighted.quantile_fn is None
-        with pytest.raises(InputError):
-            build_transport(make_laplace(1.0), weighted)
+        s = build_transport(make_laplace(1.0), weighted)
+        x = np.array([-3.0, -0.5, 0.0, 0.7, 4.0])
+        assert np.max(np.abs(cdf(weighted, s(x)) - cdf(make_laplace(1.0), x))) <= 1e-12
 
     def test_target_whose_quantile_misses_its_cdf_rejected(self):
         # s stays increasing, so only the round trip F_G(Q_G(q)) = q fails.
@@ -175,19 +177,14 @@ class TestTransport:
 def _scalar_cdf(f, x):
     """Reference F_f(x) for one point, without going through ``cdf``.
 
-    Without ``cdf_fn`` it is one integral from the lower end of the
-    support, held to the relative tolerance alone, so that a lower-tail
-    level is accurate to its last digits.
+    It is the family's ``cdf_fn`` at one scalar, clipped to [0, 1].
     """
     lo, hi = f.support
     if x <= lo:
         return 0.0
     if x >= hi:
         return 1.0
-    if f.cdf_fn is not None:
-        return float(min(max(f.cdf_fn(x), 0.0), 1.0))
-    cfg = replace(f.quad_config(), abs_tol=1e-300)
-    return float(min(max(integrate(f.pdf, (lo, x), cfg).value, 0.0), 1.0))
+    return float(min(max(f.cdf_fn(x), 0.0), 1.0))
 
 
 def _pointwise_transport(s, x):

@@ -594,21 +594,21 @@ class TestCallCounts:
         check_cor4(make_tent(), 0.2)
         assert len(calls) <= 60
 
-    def test_no_batch_swept_twice_in_a_row(self, monkeypatch):
+    def test_no_batch_read_twice_in_a_row(self, monkeypatch):
         # s_moment's integrand takes s and then s' on the same nodes; the
-        # map's memo keeps the second from sweeping the CDF again.
+        # map's memo keeps the second from reading the CDF again.
         from wrenyi import densities
         from wrenyi.inequalities import check_fii
         from wrenyi.weights import parse_weight
 
         batches = []
-        original = densities._swept_cdf
+        original = densities._ResolvedCdf.cdf
 
-        def counted(f, xs):
+        def counted(self, xs):
             batches.append(np.array(xs, dtype=float).tobytes())
-            return original(f, xs)
+            return original(self, xs)
 
-        monkeypatch.setattr(densities, "_swept_cdf", counted)
+        monkeypatch.setattr(densities._ResolvedCdf, "cdf", counted)
         f = densities.parse_density("weighted:laplace:1;pow:1")
         assert check_fii(f, parse_weight("expw:-0.1"), 2.0, 2.0).verdict == "holds"
         assert len(batches) >= 3
@@ -849,10 +849,9 @@ class TestEveryResultChecked:
         monkeypatch.setattr(IntegralResult, "checked", counted_checked)
 
         g22 = make_generalized_gaussian(2.0, 2.0)
-        weighted = parse_density("weighted:gg:2,2;expw:0.3")
-        cdf(weighted, 0.1)
-        # One sorted sweep: the wide gaps are integrated one by one, the
-        # blind [30, 8000] with tanh-sinh.
+        # A weighted CDF takes no integral: its partition is resolved by
+        # GK15 bisection and fixed DE rules.
+        cdf(parse_density("weighted:gg:2,2;expw:0.3"), 0.1)
         cdf(parse_density("weighted:laplace:1;expw:0.2"), np.array([-30.0, -1.0, 0.5, 30.0, 8000.0]))
         beta_law(2.5, 1.5).expectation(lambda z: z)
         gamma_law(1.5).expectation(lambda z: z)
@@ -863,6 +862,6 @@ class TestEveryResultChecked:
         check_scaling_identity(make_exp_linear(0.3), g22, 1.7, 2.0)
         lemma4_residual(g22, lambda x: x**3, lambda x: 3 * x * x)
 
-        assert len(sites) == 7
+        assert len(sites) == 4
         assert len(checked) == len(results)
         assert {id(r) for r in checked} == {id(r) for r in results}

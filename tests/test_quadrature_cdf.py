@@ -1,24 +1,35 @@
 """CDF and quantile of sources without an analytic CDF (weighted densities).
 
-``cdf`` takes every point of a batch from one sorted sweep and
-``quantile`` finds each level as a bracketed root of ``cdf``; both are
-checked against 30-digit closed forms (``conftest.WEIGHTED_ORACLES``, and
-``EXACT`` below for sparse batches of far points).  The number of
-``integrate`` calls is pinned so that a per-point CDF loop cannot come
-back, and ``build_transport`` reads such a source through one ``cdf`` of
-its monotonicity grid and no ``quantile``.
+Such a density builds F once, on first use, from one resolved partition
+of its support (``densities._ResolvedCdf``): ``cdf`` reads every point
+of a batch through one pdf call and ``quantile`` solves each level by a
+safeguarded Newton iteration on that F.  Both are checked against
+30-digit closed forms (``conftest.WEIGHTED_ORACLES``, and ``EXACT``
+below for far points and for singular or bounded support ends).  The
+work is pinned too: F is built at most once per density, a batch's pdf
+calls do not grow with its size, and ``build_transport`` reads such a
+source through ``cdf`` alone, with no quantile.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from wrenyi import densities, inequalities
-from wrenyi.densities import cdf, make_generalized_gaussian, make_laplace, parse_density, quantile
-from wrenyi.errors import InputError
-from wrenyi.inequalities import build_transport
+from wrenyi.densities import (
+    cdf,
+    make_generalized_gaussian,
+    make_laplace,
+    make_weighted_density,
+    parse_density,
+    quantile,
+)
+from wrenyi.errors import DomainError, InputError
+from wrenyi.inequalities import build_transport, check_fii
+from wrenyi.weights import make_exp_linear, parse_weight
 
 SOURCES = ["weighted:laplace:1;expw:0.2", "weighted:laplace:0.9;abspoly:1,0.5"]
 
@@ -114,7 +125,19 @@ EXACT = {
         if x <= 0
         else 1 - mp.exp(-x) * (1 + x + x * x / 2) / 2
     ),
+    # sqrt(x) exp(-x) / Gamma(1.5) on (0, inf): the pdf's derivative is
+    # singular at the finite end 0
+    "weighted:exp:1;pow:0.5": lambda x: mp.gammainc(mp.mpf("1.5"), 0, x, regularized=True),
+    # 3 |x| (1 - |x|) on [-1, 1]: bounded support, a zero at the kink 0
+    "weighted:tent;pow:1": lambda x: (
+        mp.mpf(1) / 2 + 3 * x * x / 2 - x**3 if x >= 0 else mp.mpf(1) / 2 - 3 * x * x / 2 - x**3
+    ),
 }
+
+
+def _exact(desc, xs):
+    with mp.workdps(30):
+        return np.array([float(EXACT[desc](mp.mpf(float(x)))) for x in xs])
 
 
 class TestFarPoints:
@@ -150,15 +173,53 @@ class TestFarPoints:
         assert np.all(np.abs(cdf(f, xs) - ref) <= 1e-10 * scale)
 
 
-class TestPanels:
-    def test_gap_wide_against_the_scale_is_blind(self):
-        f = parse_density(SOURCES[0])
-        a, b = np.array([0.5, 0.5, -8.0]), np.array([8000.0, 1.0, -7.9])
-        k15, err, blind = densities._panels(f, a, b)
-        assert blind.tolist() == [True, False, False]
-        # The raised error bounds the mass the panel cannot see near 0.5.
-        assert k15[0] < 1e-10 and err[0] > 0.4
-        assert np.all(err[1:] < 1e-15)
+class TestSingularEnds:
+    """A singular finite end and a bounded support, through their slivers."""
+
+    def test_half_line_with_a_singular_end(self):
+        xs = np.array([1e-12, 1e-6, 1e-3, 0.5, 3.0])
+        ref = _exact("weighted:exp:1;pow:0.5", xs)
+        got = cdf(parse_density("weighted:exp:1;pow:0.5"), xs)
+        assert np.all(np.abs(got - ref) <= 1e-10 * ref)
+
+    def test_bounded_support_and_its_mirror_image(self):
+        f = parse_density("weighted:tent;pow:1")
+        # Near -1 a level ~ (1 + x)^2 holds only the absolute digits of x,
+        # so the points stop at 1e-4 from the ends.
+        xs = np.array([1e-9, 1e-3, 0.25, 0.5, 0.9, 0.999, 0.9999])
+        upper, lower = (_exact("weighted:tent;pow:1", side) for side in (xs, -xs))
+        assert np.all(np.abs(cdf(f, xs) - upper) <= 1e-10)
+        # Below the kink a level is held to relative accuracy.
+        assert np.all(np.abs(cdf(f, -xs) - lower) <= 1e-10 * lower)
+
+    @pytest.mark.parametrize("desc", ["weighted:exp:1;pow:0.5", "weighted:tent;pow:1"])
+    def test_quantile_round_trip(self, desc):
+        f = parse_density(desc)
+        levels = np.array([1e-12, 1e-6, 0.02, 0.3, 0.5, 0.7, 0.98, 1 - 1e-6])
+        xs = quantile(f, levels)
+        assert np.all(np.abs(_exact(desc, xs) - levels) <= 1e-12 * np.maximum(levels, 1e-3))
+
+
+@pytest.mark.parametrize(
+    "desc",
+    SOURCES + ["weighted:gg:2,1;abspoly:1,0.5", "weighted:exp:1;pow:0.5", "weighted:tent;pow:1"],
+)
+def test_cdf_nondecreasing_across_leaves(desc):
+    # Near 1 a level holds few bits: the rule on a leaf must not round
+    # past the level of the next leaf (on gg:2,1 that made the transport
+    # map decrease at x = 6.4).
+    xs = np.linspace(-30.0, 30.0, 60001)
+    assert np.all(np.diff(cdf(parse_density(desc), xs)) >= 0.0)
+
+
+class TestFoundReproducers:
+    """Far upper points whose tanh-sinh head integral once read 0.5 and 0.4."""
+
+    @pytest.mark.parametrize(
+        "desc, x", [("weighted:laplace:1;pow:2", 1e25), ("weighted:laplace:1;expw:0.2", 1e100)]
+    )
+    def test_far_upper_point_reads_one(self, desc, x):
+        assert abs(cdf(parse_density(desc), x) - 1.0) <= 1e-10
 
 
 class TestQuantileContract:
@@ -182,46 +243,75 @@ class TestQuantileContract:
             quantile(f, np.array([0.5, bad]))
 
 
+def _counting_source(calls):
+    """weighted:laplace:1;expw:0.2 whose base pdf appends each call's size to ``calls``."""
+    base = make_laplace(1.0)
+
+    def pdf(x):
+        calls.append(np.size(x))
+        return base.pdf(x)
+
+    return make_weighted_density(replace(base, pdf=pdf), make_exp_linear(0.2))
+
+
 @pytest.fixture
-def integrate_calls(monkeypatch):
-    """The list of domains of every ``integrate`` call made by ``densities``."""
-    calls = []
-    original = densities.integrate
+def builds(monkeypatch):
+    """The list of every ``_ResolvedCdf`` that builds its partition."""
+    built = []
+    original = densities._ResolvedCdf._build
 
-    def counted(fn, domain, *args, **kwargs):
-        calls.append(domain)
-        return original(fn, domain, *args, **kwargs)
+    def counted(self):
+        built.append(self)
+        return original(self)
 
-    monkeypatch.setattr(densities, "integrate", counted)
-    return calls
+    monkeypatch.setattr(densities._ResolvedCdf, "_build", counted)
+    return built
 
 
-class TestSweepWork:
-    @pytest.mark.parametrize("desc", SOURCES)
-    def test_cdf_work_does_not_grow_with_points(self, integrate_calls, desc):
-        f = parse_density(desc)
+class TestBuildWork:
+    def test_built_at_most_once_across_a_check(self, builds):
+        f = parse_density("weighted:laplace:1;pow:1")
+        assert check_fii(f, parse_weight("expw:-0.1"), 2.0, 2.0).verdict == "holds"
+        assert len(builds) == 1
+
+    def test_not_built_until_read(self, builds):
+        parse_density(SOURCES[0])
+        assert builds == []
+
+    def test_pdf_calls_do_not_grow_with_points(self):
+        calls = []
+        f = _counting_source(calls)
 
         def calls_for(n):
-            integrate_calls.clear()
+            calls.clear()
             cdf(f, np.linspace(-8.0, 8.0, n))
-            return len(integrate_calls)
+            return len(calls)
 
-        assert calls_for(1000) <= calls_for(10)
+        first = calls_for(10)  # builds F
+        assert calls_for(1000) <= calls_for(10) == 1 < first
+
+    def test_a_fresh_density_pays_the_same_build_for_any_batch(self):
+        counts = []
+        for n in (10, 1000):
+            calls = []
+            cdf(_counting_source(calls), np.linspace(-8.0, 8.0, n))
+            counts.append(len(calls))
+        assert counts[1] <= counts[0]
 
     @pytest.mark.parametrize("desc", SOURCES)
-    def test_build_transport_reads_the_source_by_one_cdf_of_its_grid(
-        self, integrate_calls, monkeypatch, desc
-    ):
-        # The 101-point monotonicity grid over [-20, 20] is all that
-        # build_transport evaluates of a whole-line source: no quantile.
+    def test_build_transport_reads_no_quantile(self, builds, monkeypatch, desc):
+        # The 101-point monotonicity grid is all that build_transport
+        # evaluates of a weighted source: F, and no quantile.
         levels = []
         for module in (densities, inequalities):
             monkeypatch.setattr(module, "quantile", lambda f, q: levels.append(q))
+        monkeypatch.setattr(densities._ResolvedCdf, "quantile", lambda self, q: levels.append(q))
         f, g = parse_density(desc), make_generalized_gaussian(2.0, 2.0)
-        integrate_calls.clear()
         build_transport(f, g)
-        built = len(integrate_calls)
-        integrate_calls.clear()
-        cdf(f, np.linspace(-20.0, 20.0, 101))
-        assert levels == []
-        assert 0 < built == len(integrate_calls)
+        assert levels == [] and len(builds) == 1
+
+    def test_unresolvable_build_is_a_domain_error_naming_the_density(self, monkeypatch):
+        monkeypatch.setattr(densities, "_CDF_REL", 1e-30)
+        f = parse_density(SOURCES[0])
+        with pytest.raises(DomainError, match="CDF of the exp-linear-weighted laplace density"):
+            cdf(f, 0.5)
