@@ -8,13 +8,16 @@ bracketed root finding, and essential suprema and total variations,
 both scanned on one grid (:func:`_sup_grid`) that compactifies an
 infinite support and polished by one zoom grid (:func:`_zoom_lockstep`).
 
-An integrand call, not a point, is the unit of cost: an integrand such
-as the transport map runs a whole CDF sweep per call.  So the kernel
-batches.  Adaptive GK15 refines in rounds: the worst leaves of a heap
-are bisected together and every child panel comes from one integrand
-call.  The double-exponential rules are tabulated per level at import;
-levels 0-3 come from one integrand call and each later level from one
-more, and the levels are consumed in order.  The searches batch too:
+An integrand call, not a point, is the unit of cost: each call pays a
+fixed price in the integrand (a density's pdf, a weight, a mask) and in
+the kernel.  So the kernel batches.  Adaptive GK15 refines in rounds:
+the worst leaves of a heap are bisected together and every child panel
+comes from one integrand call.  The double-exponential rules are
+tabulated per round at import, and all the double-exponential pieces of
+an integral (its tails and its pieces with a singular end) advance in
+lockstep: round 0 takes levels 0-3 of every piece from one integrand
+call, and round k level 3 + k of every piece still open from one more;
+each piece consumes its levels in order.  The searches batch too:
 each zoom step takes 31 points in every open bracket from one call, and
 shrinks each bracket 16-fold.
 
@@ -533,7 +536,6 @@ def _de_tables():
 
 
 _TANH_SINH, _EXP_SINH = _de_tables()
-_DE_SHARED = 4  # levels 0-3 share the first fn call
 
 
 def _de_rule(table, level: int):
@@ -550,79 +552,101 @@ def _de_rule(table, level: int):
     return nodes, w, np.where(older, 2.0 * w, 0.0)
 
 
-def _tanh_sinh_place(a, b):
-    """Nodes and weights of level j of the tanh-sinh rule on the finite [a, b]."""
-    d = 0.5 * (b - a)
-    inner = np.nextafter(a, b), np.nextafter(b, a)
-
-    def place(j):
-        pos, delta, w = _TANH_SINH[j]
-        x = np.where(pos, b - d * delta, a + d * delta)
-        return np.clip(x, *inner), d * w
-
-    return place
+def _de_rounds(table):
+    """The columns of ``table`` per round: levels 0-3 concatenated, then one level each."""
+    return [tuple(np.concatenate(col) for col in zip(*table[:4])), *table[4:]]
 
 
-def _exp_sinh_place(lo, hi):
-    """Nodes and weights of level j of the exp-sinh rule on (lo, +inf) or (-inf, hi)."""
-    a, sign = (lo, 1.0) if math.isinf(hi) else (hi, -1.0)
-
-    def place(j):
-        r, w = _EXP_SINH[j]
-        return a + sign * r, w
-
-    return place
+_TANH_SINH_ROUNDS, _EXP_SINH_ROUNDS = _de_rounds(_TANH_SINH), _de_rounds(_EXP_SINH)
 
 
-def _de_values(fn, place):
-    """(weights, fn values) of every level in order, each fn call made on demand.
+def _de_spans():
+    """(level, start, stop) of each level within the columns of each round."""
+    ends = np.cumsum([0] + [u.size for u in _DE_U[:4]]).tolist()
+    return [[(j, ends[j], ends[j + 1]) for j in range(4)]] + [
+        [(j, 0, _DE_U[j].size)] for j in range(4, len(_DE_U))
+    ]
 
-    Levels 0-3 come from one fn call, every later level from one call of
-    its own.
+
+_DE_SPANS = _de_spans()
+
+
+def _de_place(kind: str, lo: float, hi: float, rnd: int):
+    """Nodes and weights of round ``rnd`` of the rule of a DE piece:
+    exp-sinh on (lo, +inf) or (-inf, hi) for a ``"tail"``, tanh-sinh on
+    the finite [lo, hi] for any other kind."""
+    if kind == "tail":
+        r, w = _EXP_SINH_ROUNDS[rnd]
+        return (lo + r if math.isinf(hi) else hi - r), w
+    pos, delta, w = _TANH_SINH_ROUNDS[rnd]
+    d = 0.5 * (hi - lo)
+    x = np.where(pos, hi - d * delta, lo + d * delta)
+    return np.minimum(np.maximum(x, np.nextafter(lo, hi)), np.nextafter(hi, lo)), d * w
+
+
+def _double_exponential(fn, pieces, rel_tol):
+    """Trapezoid rule in u on every piece (kind, lo, hi, abs_tol), in lockstep.
+
+    Each level halves the step (Takahasi and Mori, 1974); a piece's
+    result is accepted once two successive levels agree, from level 2
+    on.  Round 0 takes levels 0-3 of every piece from one fn call, and
+    round k level 3 + k of every piece still open from one more; each
+    piece consumes its levels in order, so a value at a level past the
+    one it accepted is never looked at.  A non-finite contribution
+    w * fn(x) at a node whose weight exceeds 1e-280 is an
+    ``EvaluationError("integrand not finite <where>")`` for its piece;
+    one at a smaller weight, deep in an end where fn may overflow, is
+    dropped.  Returns, per piece, (value, error, converged) or the
+    EvaluationError it met, for the caller to raise in domain order.
     """
-    first = [place(j) for j in range(_DE_SHARED)]
-    y = np.asarray(fn(np.concatenate([x for x, _ in first])), dtype=float)
-    cuts = np.cumsum([x.size for x, _ in first])[:-1]
-    for (_, w), yj in zip(first, np.split(y, cuts)):
-        yield w, yj
-    for j in range(_DE_SHARED, len(_DE_U)):
-        x, w = place(j)
-        yield w, np.asarray(fn(x), dtype=float)
-
-
-def _double_exponential(fn, place, abs_tol, rel_tol, where):
-    """Trapezoid rule in u on the nodes and weights ``place(j)`` gives per level.
-
-    Each level halves the step (Takahasi and Mori, 1974); the result is
-    accepted once two successive levels agree, from level 2 on.  The
-    levels are consumed in order, so a value at a level past the one
-    accepted is never looked at.  A non-finite contribution w * fn(x) at
-    a node whose weight exceeds 1e-280 raises ``EvaluationError("integrand
-    not finite <where>")``; one at a smaller weight, deep in an end where
-    fn may overflow, is dropped.
-    """
-    total = 0.0
-    prev = None
-    err = math.inf
-    h = 1.0
-    for level, (w, y) in enumerate(_de_values(fn, place)):
-        if level > 0:
-            h *= 0.5
+    out = [None] * len(pieces)
+    state = [[0.0, None, math.inf] for _ in pieces]  # total, previous estimate, error
+    live = list(range(len(pieces)))
+    for rnd, spans in enumerate(_DE_SPANS):
+        if not live:
+            break
+        placed = [_de_place(*pieces[i][:3], rnd) for i in live]
+        x, w = (np.concatenate(col) if len(live) > 1 else col[0] for col in zip(*placed))
+        y = np.asarray(fn(x), dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             contrib = w * y
         bad = ~np.isfinite(contrib)
-        if np.any(bad):
-            if np.any(np.abs(w[bad]) > 1e-280):
-                raise EvaluationError(f"integrand not finite {where}")
-            contrib = np.where(bad, 0.0, contrib)
-        total += float(np.sum(contrib))
-        est = h * total
-        if prev is not None:
-            err = abs(est - prev)
-            if err <= max(abs_tol, rel_tol * abs(est)) and level >= 2:
-                return est, err, True
-        prev = est
-    return prev, err, False
+        any_bad = bool(bad.any())
+        size, still = spans[-1][2], []
+        for k, i in enumerate(live):
+            kind, lo, hi, abs_tol = pieces[i]
+            total, prev, err = state[i]
+            for level, start, stop in spans:
+                start, stop = k * size + start, k * size + stop
+                c = contrib[start:stop]
+                if any_bad and (b := bad[start:stop]).any():
+                    if np.any(np.abs(w[start:stop][b]) > 1e-280):
+                        where = "on infinite tail" if kind == "tail" else f"inside ({lo}, {hi})"
+                        out[i] = EvaluationError(f"integrand not finite {where}")
+                        break
+                    c = np.where(b, 0.0, c)
+                total += float(np.add.reduce(c))
+                est = 2.0**-level * total
+                if prev is not None:
+                    err = abs(est - prev)
+                    if err <= max(abs_tol, rel_tol * abs(est)) and level >= 2:
+                        out[i] = (est, err, True)
+                        break
+                prev = est
+            else:
+                still.append(i)
+                state[i] = [total, prev, err]
+        live = still
+    for i in live:
+        out[i] = (state[i][1], state[i][2], False)
+    return out
+
+
+def _de_result(outcome):
+    """(value, error, converged) of one piece of :func:`_double_exponential`; raises its error."""
+    if isinstance(outcome, EvaluationError):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +661,15 @@ def integrate(fn, domain, config: QuadratureConfig | None = None) -> IntegralRes
     a doubly infinite domain with neither).  Infinite pieces use
     exp-sinh.  A finite piece with an end at a singularity uses
     tanh-sinh, which clusters its nodes double-exponentially at the ends,
-    with an adaptive Gauss-Kronrod retry.  Each run of adjacent finite
-    pieces with no singular end is one adaptive Gauss-Kronrod refinement
-    whose starting panels are the run's pieces, so a kink costs no
-    bisections (the breakpoints of QUADPACK ``qagp``), with a tanh-sinh
-    retry over the whole run.  The pieces are summed in domain order.
+    with an adaptive Gauss-Kronrod retry.  These double-exponential
+    pieces run in lockstep, one integrand call per round for all of them
+    (:func:`_double_exponential`).  Each run of adjacent finite pieces
+    with no singular end is one adaptive Gauss-Kronrod refinement whose
+    starting panels are the run's pieces, so a kink costs no bisections
+    (the breakpoints of QUADPACK ``qagp``), with a tanh-sinh retry over
+    the whole run.  The pieces are summed in domain order, and a piece's
+    error, divergence or retry is met in that order too: a divergent
+    piece wins over a later piece's non-finite integrand.
     """
     cfg = config or DEFAULT_CONFIG
     a, b = float(domain[0]), float(domain[1])
@@ -672,23 +700,20 @@ def integrate(fn, domain, config: QuadratureConfig | None = None) -> IntegralRes
         else:
             runs.append([kind, [(lo, hi)]])
 
+    pieces = [(kind, run[0][0], run[-1][1], atol_piece * len(run)) for kind, run in runs]
+    outcomes = iter(_double_exponential(fn, [p for p in pieces if p[0] != "smooth"], cfg.rel_tol))
     value, error, all_ok = 0.0, 0.0, True
-    for kind, run in runs:
-        (lo, _), (_, hi), tol = run[0], run[-1], atol_piece * len(run)
-        if kind == "tail":
-            place, where = _exp_sinh_place(lo, hi), "on infinite tail"
-            v, e, ok = _double_exponential(fn, place, tol, cfg.rel_tol, where)
+    for (kind, lo, hi, tol), (_, run) in zip(pieces, runs):
+        if kind == "smooth":
+            v, e, ok = _adaptive_gk(fn, *zip(*run), tol, cfg.rel_tol)
+            retry = lambda: _de_result(_double_exponential(fn, [(kind, lo, hi, tol)], cfg.rel_tol)[0])
         else:
-            gk = lambda: _adaptive_gk(fn, *zip(*run), tol, cfg.rel_tol)
-            de = lambda: _double_exponential(
-                fn, _tanh_sinh_place(lo, hi), tol, cfg.rel_tol, f"inside ({lo}, {hi})"
-            )
-            primary, fallback = (de, gk) if kind == "singular" else (gk, de)
-            v, e, ok = primary()
-            if not ok:
-                v2, e2, ok2 = fallback()
-                if ok2 or e2 < e:
-                    v, e, ok = v2, e2, ok2
+            v, e, ok = _de_result(next(outcomes))
+            retry = lambda: _adaptive_gk(fn, lo, hi, tol, cfg.rel_tol)
+        if not ok and kind != "tail":
+            v2, e2, ok2 = retry()
+            if ok2 or e2 < e:
+                v, e, ok = v2, e2, ok2
         if not math.isfinite(v) or abs(v) > 1e100:
             return IntegralResult(v, math.inf, "divergent")
         value += v
@@ -878,19 +903,17 @@ def essential_supremum(fn, support) -> float:
 
     Grid scan (:func:`_sup_grid` with 4097 points) followed by a zoom
     (:func:`_zoom_lockstep`) around the five best grid maxima, one ``fn``
-    call per step for all five, with a refinement-growth check standing
-    in for boundedness.
+    call per step for all five, with a refinement-growth check on the
+    grid's midpoints standing in for boundedness; the grid and its
+    midpoints come from one ``fn`` call.
     """
     grid = _sup_grid(support, 4097)
-    vals = np.asarray(fn(grid), dtype=float)
-    vals = np.where(np.isfinite(vals), vals, -np.inf)
-    if np.all(vals == -np.inf):
-        raise EvaluationError("function not finite anywhere on the support")
-
     # Refinement-growth check: the midpoints make the grid twice as dense.
     mid = 0.5 * (grid[1:] + grid[:-1])
-    fv = np.asarray(fn(mid), dtype=float)
-    fv = np.where(np.isfinite(fv), fv, -np.inf)
+    y = np.asarray(fn(np.concatenate([grid, mid])), dtype=float)
+    vals, fv = np.split(np.where(np.isfinite(y), y, -np.inf), [grid.size])
+    if np.all(vals == -np.inf):
+        raise EvaluationError("function not finite anywhere on the support")
     m0 = float(np.max(vals))
     m1 = max(m0, float(np.max(fv)))
     scale = max(1.0, abs(m0))
