@@ -30,6 +30,13 @@ the same inputs in its own interpreter, every input as one in-process
   (bounded) and table sources under pow, abspoly and expw weights through
   ``fii``/``cri`` at p > 1, p = 1 and alpha = inf and ``cor4 --c 0.2``,
   which no deck op reaches;
+* every argv of ``SUP_VARIATION_INPUTS``: ``wfi`` at alpha = 1 and
+  alpha = inf and ``dev`` at alpha = inf on every G-kernel family (gg at
+  p > 1, p = 1 and p < 1, Laplace, the tent, the uniform G), ``id2.11``
+  and ``id2.18`` at alpha = 1 and ``id2.22``, each under const, pow (one
+  of them unbounded at 0), abspoly and expw weights, and the unbounded
+  variation on an exponential source: the sups and variations that
+  exponent rules settle, the ones left to the scan and the infinite ones;
 * every argv of ``CLOSED_FORM_INPUTS``: the measures of an exponential
   source (and g) under pow, abspoly and expw weights, and of Laplace,
   tent and generalized-Gaussian sources under pow, abspoly and const
@@ -111,6 +118,20 @@ WEIGHTED_TRANSPORT_INPUTS = tuple(  # {t}: the path of a table
         ("cor4", " --c 0.2"),
     )
 )
+SUP_VARIATION_WEIGHTS = ("const:1.3", "pow:0.6", "pow:-0.5", "abspoly:1,0.5", "expw:0.3")
+SUP_VARIATION_INPUTS = tuple(
+    f"compute {mid} --f {f} --w {w}{rest}"
+    for f, q in (
+        ("gg:2.5,1.7", "2.2"), ("gg:1.5,1", "1.5"), ("gg:2,0.8", "1.5"),
+        ("laplace:0.8", "1.5"), ("tent", "2.3"), ("gg:inf,2,0.7", "2"),
+    )
+    for w in SUP_VARIATION_WEIGHTS
+    for mid, rest in (("wfi", f" --alpha 1 --p {q}"), ("wfi", " --alpha inf --p 1.8"), ("dev", " --alpha inf"))
+) + tuple(
+    f"verify {cid} --w {w} --alpha {alpha} --p {p}"
+    for cid, alpha, p in (("id2.11", "1", "2"), ("id2.18", "1", "1"), ("id2.22", "inf", "1.5"))
+    for w in SUP_VARIATION_WEIGHTS
+) + ("compute wfi --f exp:1 --w pow:-0.5 --alpha inf --p 2",)
 CLOSED_FORM_INPUTS = tuple(
     f"compute {mid} --f exp:0.7 --w {w}{rest}"
     for mid, rest in (
@@ -314,7 +335,7 @@ def cases(seeds, work: str) -> list[dict]:
     table = os.path.join(work, "table-inputs.csv")
     ops.write_table(table, ops.Draw("bounds-quadcdf", 801))
     tables = [text.format(t=table).split(" ") for text in TABLE_INPUTS + WEIGHTED_TRANSPORT_INPUTS]
-    closed = [text.split(" ") for text in CLOSED_FORM_INPUTS]
+    closed = [text.split(" ") for text in SUP_VARIATION_INPUTS + CLOSED_FORM_INPUTS]
     for argv in golden + lemma4 + cor4 + variation + tables + closed:
         argv = [os.path.join(ROOT, a) if a.startswith("scenarios/") else a for a in argv]
         if all(case["argv"] != argv for case in out):

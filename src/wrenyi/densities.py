@@ -14,6 +14,9 @@ against a density goes through :func:`integral`, :func:`supremum` and
 split at the one breakpoint set (singularities of f, kinks of the
 weight, the caller's hints), apply the one status rule and return a
 :class:`~wrenyi.numerics.Value` that carries the density's own warnings.
+A sup or variation of phi |x|^j f^M |f'/f|^N on a G kernel is first put
+to the exponent rules of :func:`kernel_extremum` (below), which settle it
+without a scan or find it infinite, a DomainError "<what> is not finite".
 
 Generalized p-Gaussian, scale t = 1:
 
@@ -66,6 +69,27 @@ A series result carries its truncation and rounding bound as its error;
 a sum of powers is exact (error 0).  G's mass 2a M(0, 1) is 1 by its a,
 and E_f[phi], the normalizer of a weighted density, is closed form for
 these pairs, so no density is built by quadrature where it has one.
+
+Suprema and variations by exponent rules.  On such a kernel (and on the
+uniform G, k = 1 on u <= 1) g = phi |x|^j f^M |f'/f|^N with
+|f'/f| = (alpha/t) u^(alpha-1) k^(1-p) is C sum c |x|^E e^{gamma x} k^m,
+E = e + j + N (alpha-1), m = M + N (1-p).  With gamma = 0 each end of
+u in [0, edge) is read from the exponents alone: at 0 the smallest E
+(b at E = 0, 0 above, +-inf below); at a bounded edge (p > 1) k -> 0
+(0 for m > 0, the value there for m = 0, +-inf for m < 0); in a p < 1
+tail k ~ ((1-p) u^alpha)^(-1/(1-p)), so the largest E reads
+u^(E - m alpha/(1-p)); at p = 1 k = e^{-u^alpha} decays past any power.
+An end of +inf makes a sup infinite, either infinity a variation.  One
+term b u^E k^m peaks (or dips) at most once, at
+u*^alpha = E / (m alpha + (p-1) E); a sum with m = 0 and every b, E >= 0
+is nondecreasing in |x|.  So each is monotone between 0, u* and the far
+end, its sup the largest of those values and the variation of the even
+g twice the sum of its steps plus the jumps at a finite edge (4 g(u*)
+for one term vanishing at both ends).  A gamma != 0 term is settled
+only in a sup at m = 0: the dominant term on an infinite side decides
+its growth, and with every c, E >= 0 and one sign s of gamma the sup is
+g(s edge).  Every other sum, and every other source, is scanned, the
+rule at 0 applied first on an exponential source, where f(0+) > 0.
 
 Every branch but alpha = inf is symmetric, so its CDF and quantile come
 from one pair of functions of u >= 0: H(u), half the mass of [-u, u]
@@ -123,6 +147,7 @@ __all__ = [
     "integral",
     "supremum",
     "variation",
+    "kernel_extremum",
     "make_exponential",
     "make_laplace",
     "make_tent",
@@ -359,6 +384,144 @@ def _beta_integral(w, shape, kappa: float, m: float, what: str, warns, power=1.0
              for c, s, err in _even_series(w.terms, log_mean, what, rate, kappa + 1.0)]
     total = Value(math.fsum(v for v, _ in parts), math.fsum(err for _, err in parts))
     return _closed(total, {}, warns)
+
+
+def _powers(terms) -> dict:
+    """{E: the sum of the c with exponent E} over ``terms`` (c, E, gamma), no zero sum."""
+    out: dict = {}
+    for c, e, _ in terms:
+        out[e] = out.get(e, 0.0) + c
+    return {e: b for e, b in out.items() if b != 0.0}
+
+
+def _not_finite(ends, what: str, variation: bool) -> None:
+    """Raise "<what> is not finite" at an end of +inf, or of -inf under a variation."""
+    if any(v == math.inf or (variation and v == -math.inf) for v in ends):
+        raise DomainError(f"{what} is not finite")
+
+
+def _monomial(b: float, log_c: float, factors, what: str):
+    """(b e^log_c prod x^y, its rounding bound) over the (x, y) ``factors``, x > 0:
+    a product of powers, or the exp of its log where a factor overflows or
+    underflows on its own."""
+    try:
+        v = b * math.exp(log_c) * math.prod(x**y for x, y in factors)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v) or v == 0.0:
+        v = b * _exp(log_c + sum(y * math.log(x) for x, y in factors), what)
+    spread = sum(abs(y) * (4.0 + abs(math.log(x))) for x, y in factors)
+    return v, _EPS * abs(v) * (8.0 + abs(log_c) + spread)
+
+
+def _zero_end(powers: dict, log_c: float, what: str):
+    """(value, rounding) of lim_{x -> 0+} C sum b x^E (a kernel factor there is 1):
+    the smallest E reads C b at E = 0, 0 above and an infinity of b's sign below
+    (0 for no terms)."""
+    e, b = min(powers.items(), default=(1.0, 0.0))
+    if e == 0.0:
+        return _monomial(b, log_c, (), what)
+    return (0.0 if e > 0.0 else math.copysign(math.inf, b)), 0.0
+
+
+def _far_end(powers: dict, shape, m: float, edge: float, log_c: float, what: str):
+    """(value, rounding) of the limit of C sum b x^E k(x/t)^m at the far end of the
+    support: nan where the terms cancel against an infinite k^m (undecided)."""
+    alpha, p, _, t = shape
+    if math.isfinite(edge):
+        if m > 0.0 and alpha < math.inf:
+            return 0.0, 0.0
+        parts = [_monomial(b, log_c, ((edge, e),), what) for e, b in powers.items()]
+        s = math.fsum(v for v, _ in parts)
+        if m == 0.0 or alpha == math.inf:
+            return s, math.fsum(err for _, err in parts)
+        return (math.copysign(math.inf, s) if s else math.nan), 0.0
+    e, b = max(powers.items())
+    decay = m * alpha / (1.0 - p) if p < 1.0 else 0.0 if m == 0.0 else math.copysign(math.inf, m)
+    if e != decay:
+        return (0.0 if e < decay else math.copysign(math.inf, b)), 0.0
+    return _monomial(b, log_c, ((t, e), (1.0 - p, -m / (1.0 - p))) if m else (), what)
+
+
+def _peak(e: float, b: float, shape, m: float, log_c: float, what: str):
+    """(value, rounding) of C b x^E k(x/t)^m at its interior critical point
+    u*^alpha = E / (m alpha + (p-1) E), or None where it has none."""
+    alpha, p, _, t = shape
+    den = m * alpha + (p - 1.0) * e
+    v = e / den if den != 0.0 else 0.0
+    if not (e != 0.0 and m != 0.0 and v > 0.0 and (p <= 1.0 or v * (p - 1.0) < 1.0)):
+        return None
+    log_k = -v if p == 1.0 else math.log1p((1.0 - p) * v) / (p - 1.0)
+    return _monomial(b, log_c + m * log_k, ((t, e), (v, e / alpha)), what)
+
+
+def _exp_linear_sup(terms, edge: float, log_c: float, what: str, warns) -> Value | None:
+    """sup of C sum c |x|^E e^{gamma x} over (-edge, edge) (kernel power 0)."""
+    _not_finite([_zero_end(_powers(terms), log_c, what)[0]], what, False)
+    if not math.isfinite(edge):
+        for side in (-1.0, 1.0):
+            key = max((side * g, e) for _, e, g in terms)
+            c = math.fsum(c for c, e, g in terms if (side * g, e) == key)
+            if c > 0.0 and (key[0] > 0.0 or key[1] > 0.0):
+                raise DomainError(f"{what} is not finite")
+        return None
+    signs = {math.copysign(1.0, g) for _, _, g in terms if g != 0.0}
+    if len(signs) != 1 or any(c < 0.0 or e < 0.0 for c, e, _ in terms):
+        return None
+    (side,) = signs
+    parts = [_monomial(c, log_c + g * side * edge, ((edge, e),), what) for c, e, g in terms]
+    return Value(math.fsum(v for v, _ in parts), math.fsum(err for _, err in parts), warns)
+
+
+def kernel_extremum(w, f: Density, what: str, power=0.0, score=False, shift=0.0, variation=False):
+    """The ess sup, or the total variation, over {f > 0} of
+    g = phi |x|^shift f^power, times |f'/f| if ``score``, by the exponent
+    rules of the module docstring, as a Value carrying f's warnings; None
+    where they do not settle it and a scan must.  An infinite one is a
+    DomainError "<what> is not finite".  The uniform G's |f'| = 0 is left
+    to the scan.
+    """
+    if w.terms is None:
+        return None
+    terms = [(c, e + shift, g) for c, e, g in w.terms if c != 0.0]
+    if f.family == "exponential":
+        _not_finite([_zero_end(_powers(terms), 0.0, what)[0]], what, variation)
+        return None
+    shape = _gg_shape(w, f)
+    if f.family == "generalized-gaussian" and f.params["alpha"] == math.inf:  # k = 1 on u <= 1
+        shape = math.inf, f.params["p"], math.log(f.params["a"] / f.params["t"]), f.params["t"]
+    if shape is None or (score and shape[0] == math.inf):
+        return None
+    alpha, p, log_norm, t = shape
+    log_c = power * log_norm
+    if alpha == math.inf:
+        m, edge = 0.0, t
+    else:
+        m = power + (1.0 - p if score else 0.0)
+        edge = t * (p - 1.0) ** (-1.0 / alpha) if p > 1.0 else math.inf
+        if score:
+            terms = [(c, e + alpha - 1.0, g) for c, e, g in terms]
+            log_c += math.log(alpha) - alpha * math.log(t)
+    if any(g != 0.0 for _, _, g in terms):
+        return None if m != 0.0 or variation else _exp_linear_sup(terms, edge, log_c, what, f.warnings)
+    powers = _powers(terms)
+    if not powers:
+        return Value(0.0, 0.0, f.warnings)
+    first, last = _zero_end(powers, log_c, what), _far_end(powers, shape, m, edge, log_c, what)
+    _not_finite([first[0], last[0]], what, variation)
+    peak = _peak(*next(iter(powers.items())), shape, m, log_c, what) if len(powers) == 1 else None
+    monotone = m == 0.0 and all(b >= 0.0 and e >= 0.0 for e, b in powers.items())
+    if math.isnan(last[0]) or not (len(powers) == 1 or monotone):
+        return None
+    points = [first, *([peak] if peak else []), last]
+    vals = [v for v, _ in points]
+    err = math.fsum(e for _, e in points)
+    if not variation:
+        best = max(points)
+        return Value(best[0], best[1], f.warnings)
+    steps = math.fsum(abs(b - a) for a, b in zip(vals, vals[1:]))
+    jump = abs(vals[-1]) if math.isfinite(edge) else 0.0
+    return Value(2.0 * (steps + jump), 4.0 * err, f.warnings)
 
 
 def _weight_mean(f: Density, w, what: str) -> MeasureValue:

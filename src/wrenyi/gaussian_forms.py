@@ -94,14 +94,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import _even_series, _tail_rate, gg_norm_const
+from .densities import _even_series, _tail_rate, gg_norm_const, kernel_extremum, make_generalized_gaussian, supremum
 from .errors import DomainError, InputError
 from .numerics import (
     QuadratureConfig,
     Value,
     _masked,
     beta_fn,
-    essential_supremum,
     gamma_fn,
     integrate,
     relative_residual,
@@ -384,27 +383,14 @@ class GaussianMeasureSet:
     aux: dict = field(default_factory=dict)
 
 
-def _esssup_weighted(w: WeightFunction, fn, support) -> float:
-    """ess sup of w * fn over the support, for a bounded fn.
-
-    A weight with terms c |x|^e e^{gamma x} is unbounded there when a
-    term with c > 0 grows on an infinite side (gamma of that side's sign,
-    or gamma = 0 and e > 0) or has e < 0 at an interior 0: then the sup is
-    a DomainError, which a grid search would read as a large finite number.
-    """
-    lo, hi = support
-    for c, e, g in w.terms or ():
-        side = (math.isinf(hi) and (g > 0 or (g == 0 and e > 0))) or (
-            math.isinf(lo) and (g < 0 or (g == 0 and e > 0)))
-        if c > 0 and (side or (e < 0 and lo < 0.0 < hi)):
-            raise DomainError("weighted essential supremum is not finite")
-    val = essential_supremum(
-        lambda x: np.asarray(w(x), dtype=float) * fn(np.asarray(x, dtype=float)),
-        support,
+def _esssup_weighted(w: WeightFunction, alpha: float, p: float, shift: float) -> float:
+    """ess sup of phi(x) |x|^shift over the support of G of order (alpha, p):
+    densities.kernel_extremum's exponent rules, else densities.supremum."""
+    what, g = "weighted essential supremum", make_generalized_gaussian(alpha, p)
+    sup = kernel_extremum(w, g, what, shift=shift) or supremum(
+        g, lambda x, gx: np.asarray(w(x), dtype=float) * np.abs(x) ** shift, what
     )
-    if not math.isfinite(val):
-        raise DomainError("weighted essential supremum is not finite")
-    return val
+    return sup.value
 
 
 def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeasureSet:
@@ -437,10 +423,7 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
         elif alpha == 1.0:
             # beta = inf: J^(1/beta) is the esssup of phi |G^{p-2} G'|,
             # which is a^(p-1) * sup phi over the support of G.
-            edge = (p - 1.0) ** (-1.0 / alpha) if p > 1.0 else math.inf
-            fisher = _esssup_weighted(
-                w, lambda x: a ** (p - 1.0) * np.ones_like(x), (-edge, edge)
-            )
+            fisher = a ** (p - 1.0) * _esssup_weighted(w, alpha, p, 0.0)
         return GaussianMeasureSet(
             n_power,
             sigma,
@@ -463,9 +446,7 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
             fisher = 0.5 * alpha ** (beta - 1.0) * th_w
         elif alpha == 1.0:
             # |G^{-1} G'| = 1, so the esssup object is sup phi over R.
-            fisher = _esssup_weighted(
-                w, lambda x: np.ones_like(x), (-math.inf, math.inf)
-            )
+            fisher = _esssup_weighted(w, alpha, p, 0.0)
         return GaussianMeasureSet(
             n_power,
             sigma,
@@ -507,7 +488,7 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
             n_power = math.inf
         if not math.isfinite(float(n_power)):
             raise DomainError("weighted Renyi power of G overflows")
-    sigma = _esssup_weighted(w, lambda x: np.abs(x), (-1.0, 1.0))
+    sigma = _esssup_weighted(w, alpha, p, 1.0)
     fisher = psi_diff / (p * 2.0**p) - 2.0 ** (-1.0 - p) * psib_diff
     return GaussianMeasureSet(
         n_power,

@@ -36,8 +36,20 @@ gives E_f[phi], int phi f^p, the moments, both Fisher informations at
 1 < alpha < inf (|f^{p-2} f'|^beta f is such a product) and, at p = 1,
 the weighted entropy (-log f = -log(a/t) + (|x|/t)^alpha).  These carry
 the warnings of f, and a series its truncation and rounding bound as
-its error.  The alpha = 0 log-moment, the entropies at p != 1, the
-suprema and variations and every other pair is quadrature.
+its error.  The alpha = 0 log-moment, the entropies at p != 1 and every
+other pair is quadrature.
+
+The suprema and variations (sigma at alpha = inf, J at alpha = 1 and
+alpha = inf) on such a kernel, the uniform G included, are the exponent
+rules of :func:`~wrenyi.densities.kernel_extremum`: phi|x|,
+phi |f^{p-2} f'| = phi f^(p-1) |f'/f| and phi f^p are sums of kernel
+monomials c |x|^E k^m, whose ends read their exponents (an infinite one
+is the DomainError "<what> is not finite"), and a single monomial, or a
+sum of powers nondecreasing in |x|, is monotone between 0, its one
+critical point u*^alpha = E / (m alpha + (p-1) E) and the far end.
+For even terms on a symmetric f, int phi' f^p / p = 0 exactly.  Every
+other sup or variation is a grid search, after the rule at the finite
+end 0 of an exponential source.
 
 Every operation returns a MeasureValue: a numerics.Value (the number,
 its first-order error and its warnings) with the branch that fired and
@@ -52,7 +64,7 @@ import math
 import numpy as np
 
 from .densities import Density, _beta_integral, _closed, _exponential_rates, _gamma_integral
-from .densities import _gg_shape, _weight_mean, integral, supremum, variation
+from .densities import _gg_shape, _weight_mean, integral, kernel_extremum, supremum, variation
 from .errors import DomainError, InputError
 from .numerics import MeasureValue, Value, _merge, _num
 from .weights import WeightFunction, holder_conjugate, make_constant, nonnegativity_violation
@@ -331,10 +343,9 @@ def generalized_deviation(f: Density, w: WeightFunction, alpha: float) -> Measur
         sigma = (log_moment / e).exp("alpha = 0 deviation")
         return _measure(sigma, "alpha=0-log", {"E_f[phi]": e.value}, warns)
     if alpha == math.inf:
-        sup = supremum(
-            f,
-            lambda x, fx: np.asarray(w(x), dtype=float) * np.abs(x),
-            "esssup of phi(x)|x|",
+        what = "esssup of phi(x)|x|"
+        sup = kernel_extremum(w, f, what, shift=1.0) or supremum(
+            f, lambda x, fx: np.asarray(w(x), dtype=float) * np.abs(x), what
         )
         return _measure(sup, "alpha=inf-esssup", {}, warns)
     mu = generalized_moment(f, w, alpha)
@@ -400,18 +411,24 @@ def weighted_fisher_information(
     """
     warns = _warn_negativity(w, f)
     if alpha == math.inf:
-        tv = variation(f, lambda x, fx: np.asarray(w(x), dtype=float) * fx**p / p, w.kinks)
-        corr = Value(0.0) if w.is_constant else integral(
-            f,
-            lambda x, fx: np.asarray(w.derivative(x), dtype=float) * fx**p / p,
-            "int phi' f^p / p",
-            w,
-        )
+        tv = kernel_extremum(w, f, "total variation of phi f^p/p", power=p, variation=True)
+        if tv is not None:  # even terms on a symmetric f: int phi' f^p = 0
+            tv, corr = tv / p, Value(0.0)
+        else:
+            tv = variation(f, lambda x, fx: np.asarray(w(x), dtype=float) * fx**p / p, w.kinks)
+            corr = Value(0.0) if w.is_constant else integral(
+                f,
+                lambda x, fx: np.asarray(w.derivative(x), dtype=float) * fx**p / p,
+                "int phi' f^p / p",
+                w,
+            )
         flags = {"variation": tv.value, "correction": corr.value}
         return _measure(tv - corr, "alpha=inf-variation", flags, warns)
     if alpha == 1.0:
-        core = _score_term(f, w, p, 1.0, False, fill=-np.inf)
-        sup = supremum(f, core, "esssup of phi |f^{p-2} f'|")
+        what = "esssup of phi |f^{p-2} f'|"
+        sup = kernel_extremum(w, f, what, power=p - 1.0, score=True) or supremum(
+            f, _score_term(f, w, p, 1.0, False, fill=-np.inf), what
+        )
         return _measure(sup, "alpha=1-esssup", {}, warns)
     if not alpha > 1.0:
         raise InputError(f"weighted Fisher information needs alpha >= 1, got {alpha}")

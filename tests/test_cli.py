@@ -62,6 +62,20 @@ class TestCompute:
         assert json.loads(out)["error"] == {
             "type": "numeric", "message": "weighted essential supremum is not finite"}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # |tent'| tent^(q-2) = (1 - |x|)^-0.5 at q = 1.5, unbounded at the edge.
+            ("wfi --f tent --w pow:1 --alpha 1 --p 1.5", "esssup of phi |f^{p-2} f'| is not finite"),
+            # x^-0.5 e^{-2x} / 2 is unbounded at the finite end 0 of Exp(1).
+            ("wfi --f exp:1 --w pow:-0.5 --alpha inf --p 2", "total variation of phi f^p/p is not finite"),
+        ],
+    )
+    def test_unbounded_sup_or_variation_is_a_numeric_error(self, argv, message):
+        code, out = run_cli(["compute", *argv.split()])
+        assert code == 3
+        assert json.loads(out)["error"] == {"type": "numeric", "message": message}
+
     @pytest.mark.parametrize("mid", ["dev", "mom"])
     def test_gamma_overflow_is_a_numeric_error(self, mid):
         # The alpha = 200 moment of Exp(1) is Gamma(201) = 7.9e374.

@@ -17,6 +17,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import oracle
 from wrenyi.densities import (
     make_exponential,
     make_generalized_gaussian,
@@ -623,3 +624,186 @@ class TestGammaIntegralOracle:
             expected = ref(lambda kind, o=None: _oracle_integral(wd, lam, kind, o), o)
             expected, scale = expected if isinstance(expected, tuple) else (expected, abs(expected))
             assert abs(got.value - expected) <= 1e-14 * scale
+
+
+# ---------------------------------------------------------------------------
+# Suprema and variations of G kernels by exponent rules
+# ---------------------------------------------------------------------------
+
+# (alpha, p, t) of each G-kernel source: gg p > 1, p = 1, p < 1, Laplace
+# (G_{1,1} at scale b), the tent (G_{1,2}) and the uniform G (alpha = inf).
+KERNEL_SOURCES = {
+    "gg:2.5,1.7": (2.5, 1.7, 1.0),
+    "gg:1.5,1": (1.5, 1.0, 1.0),
+    "gg:2,0.8": (2.0, 0.8, 1.0),
+    "laplace:0.8": (1.0, 1.0, 0.8),
+    "tent": (1.0, 2.0, 1.0),
+    "gg:inf,2,0.7": (math.inf, 2.0, 0.7),
+}
+KERNEL_WEIGHTS = {
+    "const:1.3": lambda x: mp.mpf(1.3),
+    "pow:0.6": lambda x: x ** mp.mpf(0.6),
+    "pow:1": lambda x: x,
+    "pow:1.5": lambda x: x ** mp.mpf(1.5),
+    "abspoly:1,0.5": lambda x: 1 + mp.mpf(0.5) * x,
+}
+# The entropy order q of the Fisher informations at alpha = 1: q >= p on a
+# bounded support, so that k^(q-p) stays bounded at its edge.
+KERNEL_Q1 = {"gg:2.5,1.7": 2.2, "gg:1.5,1": 1.5, "gg:2,0.8": 1.5, "laplace:0.8": 1.5, "tent": 2.3}
+KERNEL_QINF = 1.8
+
+
+def _mp_kernel(alpha, p, t):
+    """(x -> (f(x), |f'(x)/f(x)|) for x >= 0, the far end of the support) of
+    the G kernel in mpmath, its mass normalized by an mpmath quadrature."""
+    alpha, p, t = (mp.mpf(v) if math.isfinite(v) else mp.inf for v in (alpha, p, t))
+    if alpha == mp.inf:
+        return (lambda x: (1 / (2 * t), mp.mpf(0))), t
+    edge = (p - 1) ** (-1 / alpha) if p > 1 else mp.inf
+    k = (lambda u: mp.exp(-(u**alpha))) if p == 1 else (lambda u: max(0, 1 + (1 - p) * u**alpha) ** (1 / (p - 1)))
+    a = 1 / (2 * mp.quad(k, [0, 1, edge]))
+
+    def fs(x):
+        u = x / t
+        score = alpha / t * u ** (alpha - 1) * (1 if p == 1 else 1 / (1 + (1 - p) * u**alpha))
+        return a / t * k(u), score
+
+    return fs, t * edge
+
+
+def _kernel_reference(op, source, wd, q):
+    """30-digit (sup, variation) of the op's core on x >= 0, whole line for
+    the variation: twice the half line's, plus the jumps to 0 at a finite end."""
+    phi = KERNEL_WEIGHTS[wd]
+    with mp.workdps(30):
+        fs, edge = _mp_kernel(*KERNEL_SOURCES[source])
+        q = mp.mpf(q or 0)
+        core = {
+            "dev": lambda x: phi(x) * x,
+            "wfi1": lambda x: phi(x) * fs(x)[0] ** (q - 1) * fs(x)[1],
+            "wfiinf": lambda x: phi(x) * fs(x)[0] ** q / q,
+        }[op]
+        bounded = edge < mp.inf
+        uniform = KERNEL_SOURCES[source][0] == math.inf
+        hi = edge if uniform else edge * (1 - mp.mpf(10) ** -25) if bounded else 200 * KERNEL_SOURCES[source][2]
+        sup, var = oracle.extrema(core, 0, hi)
+        jump = abs(core(hi)) if bounded else 0
+        return sup, float(2 * (var + jump))
+
+
+def _kernel_cases():
+    """(op, source, weight, q) of every finite G-kernel sup or variation the
+    rules settle: dev at alpha = inf needs a bounded support, and a sum of
+    terms with k^m, m != 0, is left to the scan, as is wfi at alpha = 1 on
+    the uniform G."""
+    out = []
+    for source, (alpha, p, _) in KERNEL_SOURCES.items():
+        for wd in KERNEL_WEIGHTS:
+            multi = wd.startswith("abspoly")
+            if p > 1.0 or alpha == math.inf:
+                out.append(("dev", source, wd, None))
+            if alpha < math.inf and not (multi and KERNEL_Q1[source] != p):
+                out.append(("wfi1", source, wd, KERNEL_Q1[source]))
+            if not multi or alpha == math.inf:
+                out.append(("wfiinf", source, wd, KERNEL_QINF))
+    # m = 0: |f'| on the tent, a sum of powers nondecreasing in |x|.
+    out.append(("wfi1", "tent", "abspoly:1,0.5", 2.0))
+    return out
+
+
+def _kernel_measure(op, f, w, q):
+    if op == "dev":
+        return generalized_deviation(f, w, math.inf)
+    return weighted_fisher_information(f, w, 1.0 if op == "wfi1" else math.inf, q)
+
+
+def _kernel_scan(op, f, w, q):
+    """numerics.essential_supremum / total_variation on the same masked core."""
+    from wrenyi.numerics import _masked, essential_supremum, total_variation
+
+    wx = lambda x: np.asarray(w(x), dtype=float)  # noqa: E731
+    if op == "dev":
+        core = lambda x, fx: wx(x) * np.abs(x)  # noqa: E731
+    elif op == "wfi1":
+        core = lambda x, fx: wx(x) * fx ** (q - 2.0) * np.abs(f.dpdf(x))  # noqa: E731
+    else:
+        core = lambda x, fx: wx(x) * fx**q / q  # noqa: E731
+    if op == "wfiinf":
+        return total_variation(_masked(f, core), f.support, f.singularities + w.kinks)
+    return essential_supremum(_masked(f, core, fill=-np.inf), f.support)
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+class TestKernelExtremumRules:
+    """The exponent rules of densities.kernel_extremum against the scan on
+    the same masked core and against a 30-digit mpmath search."""
+
+    def test_case_count(self):
+        assert len(KERNEL_CASES) == 61
+
+    @pytest.mark.parametrize("op, source, wd, q", KERNEL_CASES, ids=["-".join(map(str, c)) for c in KERNEL_CASES])
+    def test_matches_scan_and_mpmath(self, op, source, wd, q, monkeypatch):
+        from wrenyi import densities
+
+        f, w = parse_density(source), parse_weight(wd)
+        scan = _kernel_scan(op, f, w, q)
+        for name in ("essential_supremum", "total_variation"):
+            monkeypatch.setattr(densities, name, lambda *a, **k: pytest.fail("scanned"))
+        got = _kernel_measure(op, f, w, q)
+        if op == "wfiinf":
+            assert got.flags == {"variation": got.value, "correction": 0.0}
+        assert got.value == pytest.approx(scan, rel=1e-9)
+        sup, var = _kernel_reference(op, source, wd, q)
+        expected = var if op == "wfiinf" else sup
+        assert abs(got.value - expected) <= got.error + 8 * np.finfo(float).eps * abs(expected)
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            # at 0: the smallest exponent, E = -2 + 1 < 0 with c > 0
+            lambda: generalized_deviation(make_tent(), make_power(-2.0), math.inf),
+            # at a bounded edge: k^(q-p) = k^(-1/2) on the tent
+            lambda: weighted_fisher_information(make_tent(), make_power(1.0), 1.0, 1.5),
+            # in a p < 1 tail: |x| against k^0, and |x|^21 k^2 ~ |x|^(21 - 20)
+            lambda: generalized_deviation(parse_density("gg:2,0.8"), ONE, math.inf),
+            lambda: weighted_fisher_information(parse_density("gg:2,0.8"), make_power(21.0), math.inf, 2.0),
+            # at p = 1: k^(q-1) = e^{+|x|/2} at q = 0.5, and |x| against k^0
+            lambda: weighted_fisher_information(make_laplace(1.0), ONE, 1.0, 0.5),
+            lambda: generalized_deviation(make_laplace(1.0), ONE, math.inf),
+            # e^{0.3 x} |x| on the whole line
+            lambda: generalized_deviation(parse_density("gg:2,1"), make_exp_linear(0.3), math.inf),
+            # at the finite end 0 of an exponential source
+            lambda: weighted_fisher_information(make_exponential(1.0), make_power(-0.5), math.inf, 2.0),
+            # -inf at 0 is no sup's concern, but a variation's: terms -|x|^-0.5
+            lambda: weighted_fisher_information(
+                make_generalized_gaussian(2.0, 2.0), replace(make_power(-0.5), terms=((-1.0, -0.5, 0.0),)),
+                math.inf, 2.0),
+        ],
+        ids=["zero", "edge", "tail-dev", "tail-wfi", "p1-m<0", "p1-m=0", "exp-linear", "exponential", "minus-inf"],
+    )
+    def test_infinity_rules(self, measure, monkeypatch):
+        from wrenyi import densities
+
+        for name in ("essential_supremum", "total_variation"):
+            monkeypatch.setattr(densities, name, lambda *a, **k: pytest.fail("scanned"))
+        with pytest.raises(DomainError, match="is not finite$"):
+            measure()
+
+    def test_negative_infinity_under_a_sup(self):
+        # -|x|^-0.5 |G'| on the p = 2 kernel: -inf at 0, 0 at the edge.
+        w = replace(make_power(-0.5), terms=((-1.0, -0.5, 0.0),))
+        got = weighted_fisher_information(make_generalized_gaussian(2.0, 2.0), w, 1.0, 2.5)
+        assert (got.value, got.error) == (0.0, 0.0)
+
+    def test_finite_tail_limit(self):
+        # |x|^8 G^2 / 2 on gg:2,0.5 rises to its limit C t^8 (1-p)^(-m/(1-p)):
+        # k^2 ~ (|x|^2/2)^-4, so the variation is twice that limit.
+        f = parse_density("gg:2,0.5")
+        got = weighted_fisher_information(f, make_power(8.0), math.inf, 2.0)
+        with mp.workdps(30):
+            fs, _ = _mp_kernel(2.0, 0.5, 1.0)
+            x = mp.mpf(10) ** 30
+            expected = float(2 * x**8 * fs(x)[0] ** 2 / 2)
+        assert abs(got.value - expected) <= got.error + 8 * np.finfo(float).eps * expected

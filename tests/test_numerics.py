@@ -681,6 +681,36 @@ class TestCallCounts:
         check_cor4(make_tent(), 0.2)
         assert len(calls) <= 60
 
+    def test_measures_deck_sups_and_variations_scan_nothing(self, monkeypatch, tmp_path):
+        # Every sup and variation op of the seed-801 measures deck (dev and
+        # wfi at alpha = inf, wfi at alpha = 1, the sigma of id2.22) is a G
+        # kernel under a one-term or nondecreasing weight: exponent rules.
+        import contextlib
+        import io
+        import pathlib
+        import sys
+
+        from wrenyi import cli, densities
+
+        monkeypatch.setattr(sys, "path", [str(pathlib.Path(__file__).parent.parent / "perfbench"), *sys.path])
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ in perfbench/
+        import ops
+
+        calls = []
+        for name in ("essential_supremum", "total_variation"):  # every scan's one binding
+            original = getattr(densities, name)
+            monkeypatch.setattr(densities, name, lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
+        argvs = [
+            op["argv"] for op in ops.make_deck("measures", 801, str(tmp_path))
+            if op["argv"][:2] in (["compute", "dev"], ["compute", "wfi"], ["verify", "id2.22"])
+            and op["argv"][op["argv"].index("--alpha") + 1] in ("inf", "1")
+        ]
+        assert len(argvs) == 9
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        assert calls == []
+
     def test_no_batch_read_twice_in_a_row(self, monkeypatch):
         # s_moment's integrand takes s and then s' on the same nodes; the
         # map's memo keeps the second from reading the CDF again.
