@@ -36,7 +36,9 @@ the same inputs in its own interpreter, every input as one in-process
   and ``id2.18`` at alpha = 1 and ``id2.22``, each under const, pow (one
   of them unbounded at 0), abspoly and expw weights, and the unbounded
   variation on an exponential source: the sups and variations that
-  exponent rules settle, the ones left to the scan and the infinite ones;
+  exponent rules settle, the ones left to the scan and the infinite ones,
+  and three whose exponents balance in decimals but not in doubles (a
+  finite p < 1 tail limit, a weight exponent cancelling the score's);
 * every argv of ``CLOSED_FORM_INPUTS``: the measures of an exponential
   source (and g) under pow, abspoly and expw weights, and of Laplace,
   tent and generalized-Gaussian sources under pow, abspoly and const
@@ -131,7 +133,12 @@ SUP_VARIATION_INPUTS = tuple(
     f"verify {cid} --w {w} --alpha {alpha} --p {p}"
     for cid, alpha, p in (("id2.11", "1", "2"), ("id2.18", "1", "1"), ("id2.22", "inf", "1.5"))
     for w in SUP_VARIATION_WEIGHTS
-) + ("compute wfi --f exp:1 --w pow:-0.5 --alpha inf --p 2",)
+) + (
+    "compute wfi --f exp:1 --w pow:-0.5 --alpha inf --p 2",
+    "compute wfi --f gg:1.5,0.7 --w pow:10 --alpha inf --p 2",
+    "compute wfi --f gg:2,0.8 --w pow:20 --alpha inf --p 2",
+    "compute wfi --f gg:1.4,2 --w pow:-0.4 --alpha 1 --p 2",
+)
 CLOSED_FORM_INPUTS = tuple(
     f"compute {mid} --f exp:0.7 --w {w}{rest}"
     for mid, rest in (

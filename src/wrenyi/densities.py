@@ -90,6 +90,12 @@ only in a sup at m = 0: the dominant term on an infinite side decides
 its growth, and with every c, E >= 0 and one sign s of gamma the sup is
 g(s edge).  Every other sum, and every other source, is scanned, the
 rule at 0 applied first on an exponential source, where f(0+) > 0.
+The tests E = 0, m = 0 and m alpha + (p-1) E = 0 hold within 16 eps of
+the sizes summed into them: -0.4 + 1.4 - 1 and 2 * 2 - (1 - 0.8) * 20
+are 0 in the input's decimals but not in doubles, and an exact test
+would read a pole at 0, or a tail of 0 or +inf, from one rounding.
+:func:`shape_extremum` takes the shape (alpha, p, log(a/t), t) itself,
+for a caller that knows G without building it.
 
 Every branch but alpha = inf is symmetric, so its CDF and quantile come
 from one pair of functions of u >= 0: H(u), half the mass of [-u, u]
@@ -148,6 +154,7 @@ __all__ = [
     "supremum",
     "variation",
     "kernel_extremum",
+    "shape_extremum",
     "make_exponential",
     "make_laplace",
     "make_tent",
@@ -394,6 +401,12 @@ def _powers(terms) -> dict:
     return {e: b for e, b in out.items() if b != 0.0}
 
 
+def _snap(x: float, scale: float) -> float:
+    """x, or 0.0 where |x| is within the rounding (16 eps) of a sum of size ``scale``:
+    an exponent or an exponent balance that is 0 in the input's decimals."""
+    return 0.0 if abs(x) <= 16.0 * _EPS * scale else x
+
+
 def _not_finite(ends, what: str, variation: bool) -> None:
     """Raise "<what> is not finite" at an end of +inf, or of -inf under a variation."""
     if any(v == math.inf or (variation and v == -math.inf) for v in ends):
@@ -424,7 +437,14 @@ def _zero_end(powers: dict, log_c: float, what: str):
     return (0.0 if e > 0.0 else math.copysign(math.inf, b)), 0.0
 
 
-def _far_end(powers: dict, shape, m: float, edge: float, log_c: float, what: str):
+def _balance(e: float, shape, m: float, scale: float) -> float:
+    """m alpha + (p-1) E, snapped to 0 within the rounding of exponents of size
+    ``scale``: u^E k^m decays in a p < 1 tail where it is > 0, grows where < 0."""
+    alpha, p = shape[:2]
+    return _snap(m * alpha + (p - 1.0) * e, alpha * abs(m) + abs(p - 1.0) * scale)
+
+
+def _far_end(powers: dict, shape, m: float, edge: float, log_c: float, scale: float, what: str):
     """(value, rounding) of the limit of C sum b x^E k(x/t)^m at the far end of the
     support: nan where the terms cancel against an infinite k^m (undecided)."""
     alpha, p, _, t = shape
@@ -437,17 +457,17 @@ def _far_end(powers: dict, shape, m: float, edge: float, log_c: float, what: str
             return s, math.fsum(err for _, err in parts)
         return (math.copysign(math.inf, s) if s else math.nan), 0.0
     e, b = max(powers.items())
-    decay = m * alpha / (1.0 - p) if p < 1.0 else 0.0 if m == 0.0 else math.copysign(math.inf, m)
-    if e != decay:
-        return (0.0 if e < decay else math.copysign(math.inf, b)), 0.0
+    decay = _balance(e, shape, m, scale) if p < 1.0 else m if m else -e
+    if decay:
+        return (0.0 if decay > 0.0 else math.copysign(math.inf, b)), 0.0
     return _monomial(b, log_c, ((t, e), (1.0 - p, -m / (1.0 - p))) if m else (), what)
 
 
-def _peak(e: float, b: float, shape, m: float, log_c: float, what: str):
+def _peak(e: float, b: float, shape, m: float, log_c: float, scale: float, what: str):
     """(value, rounding) of C b x^E k(x/t)^m at its interior critical point
     u*^alpha = E / (m alpha + (p-1) E), or None where it has none."""
     alpha, p, _, t = shape
-    den = m * alpha + (p - 1.0) * e
+    den = _balance(e, shape, m, scale)
     v = e / den if den != 0.0 else 0.0
     if not (e != 0.0 and m != 0.0 and v > 0.0 and (p <= 1.0 or v * (p - 1.0) < 1.0)):
         return None
@@ -473,55 +493,75 @@ def _exp_linear_sup(terms, edge: float, log_c: float, what: str, warns) -> Value
     return Value(math.fsum(v for v, _ in parts), math.fsum(err for _, err in parts), warns)
 
 
+def _shifted(w, shift: float):
+    """The terms (c, e + shift, gamma) of ``w`` with c != 0, an exponent 0 within
+    its rounding snapped to 0, and the size of the largest exponent sum."""
+    terms = [(c, _snap(e + shift, abs(e) + abs(shift)), g) for c, e, g in w.terms if c != 0.0]
+    return terms, max((abs(e) for _, e, _ in w.terms), default=0.0) + abs(shift)
+
+
 def kernel_extremum(w, f: Density, what: str, power=0.0, score=False, shift=0.0, variation=False):
     """The ess sup, or the total variation, over {f > 0} of
     g = phi |x|^shift f^power, times |f'/f| if ``score``, by the exponent
     rules of the module docstring, as a Value carrying f's warnings; None
     where they do not settle it and a scan must.  An infinite one is a
-    DomainError "<what> is not finite".  The uniform G's |f'| = 0 is left
-    to the scan.
+    DomainError "<what> is not finite".  f's kernel shape is read here and
+    the rules are :func:`shape_extremum`'s.
     """
     if w.terms is None:
         return None
-    terms = [(c, e + shift, g) for c, e, g in w.terms if c != 0.0]
     if f.family == "exponential":
-        _not_finite([_zero_end(_powers(terms), 0.0, what)[0]], what, variation)
+        _not_finite([_zero_end(_powers(_shifted(w, shift)[0]), 0.0, what)[0]], what, variation)
         return None
     shape = _gg_shape(w, f)
     if f.family == "generalized-gaussian" and f.params["alpha"] == math.inf:  # k = 1 on u <= 1
         shape = math.inf, f.params["p"], math.log(f.params["a"] / f.params["t"]), f.params["t"]
-    if shape is None or (score and shape[0] == math.inf):
+    if shape is None:
         return None
+    return shape_extremum(w, shape, what, f.warnings, power, score, shift, variation)
+
+
+def shape_extremum(w, shape, what: str, warns=(), power=0.0, score=False, shift=0.0, variation=False):
+    """:func:`kernel_extremum` on the density (a/t) k(|x|/t) of ``shape``
+    (alpha, p, log(a/t), t), alpha = inf the uniform G on |x| <= t, as a
+    Value carrying ``warns``.  The uniform G's |f'| = 0 is left to the scan.
+    """
     alpha, p, log_norm, t = shape
+    if w.terms is None or (score and alpha == math.inf):
+        return None
+    terms, scale = _shifted(w, shift)
     log_c = power * log_norm
     if alpha == math.inf:
         m, edge = 0.0, t
     else:
-        m = power + (1.0 - p if score else 0.0)
+        m = _snap(power + (1.0 - p if score else 0.0), abs(power) + abs(1.0 - p))
         edge = t * (p - 1.0) ** (-1.0 / alpha) if p > 1.0 else math.inf
         if score:
-            terms = [(c, e + alpha - 1.0, g) for c, e, g in terms]
+            scale += alpha + 1.0
+            terms = [(c, _snap(e + alpha - 1.0, scale), g) for c, e, g in terms]
             log_c += math.log(alpha) - alpha * math.log(t)
     if any(g != 0.0 for _, _, g in terms):
-        return None if m != 0.0 or variation else _exp_linear_sup(terms, edge, log_c, what, f.warnings)
+        return None if m != 0.0 or variation else _exp_linear_sup(terms, edge, log_c, what, warns)
     powers = _powers(terms)
     if not powers:
-        return Value(0.0, 0.0, f.warnings)
-    first, last = _zero_end(powers, log_c, what), _far_end(powers, shape, m, edge, log_c, what)
+        return Value(0.0, 0.0, warns)
+    first = _zero_end(powers, log_c, what)
+    last = _far_end(powers, shape, m, edge, log_c, scale, what)
     _not_finite([first[0], last[0]], what, variation)
-    peak = _peak(*next(iter(powers.items())), shape, m, log_c, what) if len(powers) == 1 else None
+    only = next(iter(powers.items())) if len(powers) == 1 else None
+    peak = only and _peak(*only, shape, m, log_c, scale, what)
     monotone = m == 0.0 and all(b >= 0.0 and e >= 0.0 for e, b in powers.items())
-    if math.isnan(last[0]) or not (len(powers) == 1 or monotone):
+    if math.isnan(last[0]) or not (only or monotone):
         return None
     points = [first, *([peak] if peak else []), last]
     vals = [v for v, _ in points]
     err = math.fsum(e for _, e in points)
     if not variation:
         best = max(points)
-        return Value(best[0], best[1], f.warnings)
+        return Value(best[0], best[1], warns)
     steps = math.fsum(abs(b - a) for a, b in zip(vals, vals[1:]))
     jump = abs(vals[-1]) if math.isfinite(edge) else 0.0
-    return Value(2.0 * (steps + jump), 4.0 * err, f.warnings)
+    return Value(2.0 * (steps + jump), 4.0 * err, warns)
 
 
 def _weight_mean(f: Density, w, what: str) -> MeasureValue:

@@ -94,7 +94,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import _even_series, _tail_rate, gg_norm_const, kernel_extremum, make_generalized_gaussian, supremum
+from .densities import _even_series, _tail_rate, gg_norm_const, make_generalized_gaussian, shape_extremum, supremum
 from .errors import DomainError, InputError
 from .numerics import (
     QuadratureConfig,
@@ -383,12 +383,15 @@ class GaussianMeasureSet:
     aux: dict = field(default_factory=dict)
 
 
-def _esssup_weighted(w: WeightFunction, alpha: float, p: float, shift: float) -> float:
-    """ess sup of phi(x) |x|^shift over the support of G of order (alpha, p):
-    densities.kernel_extremum's exponent rules, else densities.supremum."""
-    what, g = "weighted essential supremum", make_generalized_gaussian(alpha, p)
-    sup = kernel_extremum(w, g, what, shift=shift) or supremum(
-        g, lambda x, gx: np.asarray(w(x), dtype=float) * np.abs(x) ** shift, what
+def _esssup_weighted(w: WeightFunction, alpha: float, p: float, a: float, shift: float) -> float:
+    """ess sup of phi(x) |x|^shift over the support of G of order (alpha, p)
+    and constant a: densities.shape_extremum's exponent rules, else
+    densities.supremum on G."""
+    what = "weighted essential supremum"
+    sup = shape_extremum(w, (alpha, p, math.log(a), 1.0), what, shift=shift) or supremum(
+        make_generalized_gaussian(alpha, p),
+        lambda x, gx: np.asarray(w(x), dtype=float) * np.abs(x) ** shift,
+        what,
     )
     return sup.value
 
@@ -423,7 +426,7 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
         elif alpha == 1.0:
             # beta = inf: J^(1/beta) is the esssup of phi |G^{p-2} G'|,
             # which is a^(p-1) * sup phi over the support of G.
-            fisher = a ** (p - 1.0) * _esssup_weighted(w, alpha, p, 0.0)
+            fisher = a ** (p - 1.0) * _esssup_weighted(w, alpha, p, a, 0.0)
         return GaussianMeasureSet(
             n_power,
             sigma,
@@ -446,7 +449,7 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
             fisher = 0.5 * alpha ** (beta - 1.0) * th_w
         elif alpha == 1.0:
             # |G^{-1} G'| = 1, so the esssup object is sup phi over R.
-            fisher = _esssup_weighted(w, alpha, p, 0.0)
+            fisher = _esssup_weighted(w, alpha, p, a, 0.0)
         return GaussianMeasureSet(
             n_power,
             sigma,
@@ -488,7 +491,7 @@ def gaussian_measures(w: WeightFunction, alpha: float, p: float) -> GaussianMeas
             n_power = math.inf
         if not math.isfinite(float(n_power)):
             raise DomainError("weighted Renyi power of G overflows")
-    sigma = _esssup_weighted(w, alpha, p, 1.0)
+    sigma = _esssup_weighted(w, alpha, p, gg_norm_const(alpha, p), 1.0)
     fisher = psi_diff / (p * 2.0**p) - 2.0 ** (-1.0 - p) * psib_diff
     return GaussianMeasureSet(
         n_power,

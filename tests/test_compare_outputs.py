@@ -70,6 +70,7 @@ def test_cases_run_every_golden_argv_and_lemma4(monkeypatch, tmp_path):
     closed = set(compare_outputs.CLOSED_FORM_INPUTS)
     assert len(closed) == 175 and closed <= set(argvs)
     # 6 G-kernel families x 5 weights x (wfi at alpha = 1 and inf, dev at
-    # alpha = inf), 3 identities x 5 weights and the exponential source.
+    # alpha = inf), 3 identities x 5 weights, the exponential source and
+    # 3 exponent balances that hold in decimals only.
     sups = set(compare_outputs.SUP_VARIATION_INPUTS)
-    assert len(sups) == 90 + 15 + 1 and sups <= set(argvs)
+    assert len(sups) == 90 + 15 + 1 + 3 and sups <= set(argvs)

@@ -791,19 +791,40 @@ class TestKernelExtremumRules:
         with pytest.raises(DomainError, match="is not finite$"):
             measure()
 
+    @pytest.mark.parametrize("alpha", [1.14, 1.4, 1.64])
+    def test_zero_exponent_at_zero(self, alpha):
+        # |x|^(1-alpha) |G'| on G_{alpha,2} is alpha a, constant: E = e + alpha - 1
+        # is 0 in decimals but -1.1e-16 in doubles, which must not read as a pole.
+        f = make_generalized_gaussian(alpha, 2.0)
+        e = float(f"{1.0 - alpha:.2f}")
+        got = weighted_fisher_information(f, make_power(e), 1.0, 2.0)
+        expected = alpha * f.params["a"]
+        assert abs(got.value - expected) <= got.error + 8 * np.finfo(float).eps * expected
+
     def test_negative_infinity_under_a_sup(self):
         # -|x|^-0.5 |G'| on the p = 2 kernel: -inf at 0, 0 at the edge.
         w = replace(make_power(-0.5), terms=((-1.0, -0.5, 0.0),))
         got = weighted_fisher_information(make_generalized_gaussian(2.0, 2.0), w, 1.0, 2.5)
         assert (got.value, got.error) == (0.0, 0.0)
 
-    def test_finite_tail_limit(self):
-        # |x|^8 G^2 / 2 on gg:2,0.5 rises to its limit C t^8 (1-p)^(-m/(1-p)):
-        # k^2 ~ (|x|^2/2)^-4, so the variation is twice that limit.
-        f = parse_density("gg:2,0.5")
-        got = weighted_fisher_information(f, make_power(8.0), math.inf, 2.0)
+    @pytest.mark.parametrize(
+        "alpha, p, e",
+        [
+            (2.0, "0.5", 8.0),
+            # E (1-p) = m alpha in decimals, not in doubles: 3 / (1 - 0.7) is
+            # 9.999999999999998 and 4 / (1 - 0.8) is 20.000000000000004.
+            (1.5, "0.7", 10.0),
+            (2.0, "0.8", 20.0),
+        ],
+    )
+    def test_finite_tail_limit(self, alpha, p, e):
+        # |x|^E G^2 / 2 on gg:alpha,p with E = 2 alpha / (1-p) rises to its
+        # limit C t^E (1-p)^(-m/(1-p)): k^2 ~ ((1-p) |x|^alpha)^(-E/alpha), so
+        # the variation is twice that limit.
+        f = parse_density(f"gg:{alpha},{p}")
+        got = weighted_fisher_information(f, make_power(e), math.inf, 2.0)
         with mp.workdps(30):
-            fs, _ = _mp_kernel(2.0, 0.5, 1.0)
+            fs, _ = _mp_kernel(alpha, mp.mpf(p), 1.0)
             x = mp.mpf(10) ** 30
-            expected = float(2 * x**8 * fs(x)[0] ** 2 / 2)
+            expected = float(2 * x**e * fs(x)[0] ** 2 / 2)
         assert abs(got.value - expected) <= got.error + 8 * np.finfo(float).eps * expected
